@@ -10,7 +10,6 @@ package rapid
 // suite run per iteration via benchSuite.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -293,48 +292,6 @@ func BenchmarkSingleRun(b *testing.B) {
 		r := MustRun(cfg)
 		if r.Cache.Accesses() != 2000 {
 			b.Fatal("wrong access count")
-		}
-	}
-}
-
-// BenchmarkSingleRunParallel is the A/B harness for the parallel
-// discrete-event kernel: the paper-scale gw prefetching cell (and its
-// I/O-bound variant, whose runtime is dominated by disk events) at 1,
-// 2, 4, and 8 simulation workers. workers=1 doubles as the
-// allocation-neutrality guard for the serial path — the parallel
-// machinery must stay entirely off that path, so its allocs/op are
-// comparable against pre-change baselines. events/sec is kernel events
-// dispatched per wall-clock second, the PDES literature's throughput
-// measure; on a single-core host expect no speedup (the workers
-// time-slice one CPU), with the gap to N cores bounded by the
-// lookahead model documented in EXPERIMENTS.md.
-func BenchmarkSingleRunParallel(b *testing.B) {
-	cells := []struct {
-		name    string
-		ioBound bool
-	}{{"balanced", false}, {"iobound", true}}
-	for _, cell := range cells {
-		for _, w := range []int{1, 2, 4, 8} {
-			cell, w := cell, w
-			b.Run(fmt.Sprintf("%s/workers=%d", cell.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var events int64
-				for i := 0; i < b.N; i++ {
-					cfg := prefetchConfig(GW, false)
-					if cell.ioBound {
-						cfg.ComputeMean = 0
-					}
-					cfg.SimWorkers = w
-					sink := &obs.CounterSink{}
-					cfg.Obs = sink
-					r := MustRun(cfg)
-					if r.Cache.Accesses() != 2000 {
-						b.Fatal("wrong access count")
-					}
-					events = sink.Snapshot()[obs.CtrKernelEvents]
-				}
-				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			})
 		}
 	}
 }

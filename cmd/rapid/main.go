@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ruSet       = fs.Int("ruset", 1, "recently-used set size per process")
 		perNode     = fs.Bool("pernode", false, "strict per-node prefetch buffer limits")
 		seed        = fs.Uint64("seed", 1, "random seed")
-		simWorkers  = fs.Int("sim-workers", 1, "parallel-kernel workers per simulation (1 = serial kernel; results identical at any value)")
 		faultRate   = fs.Float64("fault-rate", 0, "per-request transient read-error probability [0,1)")
 		faultSeed   = fs.Uint64("fault-seed", 1, "seed for all fault draws")
 		killAtMS    = fs.Float64("disk-kill-at", 0, "kill disk 0 at this virtual time in ms (0 = never)")
@@ -119,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.RUSetSize = *ruSet
 		cfg.PerNodePrefetchLimit = *perNode
 		cfg.Seed = *seed
-		cfg.SimWorkers = *simWorkers
 		cfg.Fault = rapid.FaultConfig{
 			Seed:          *faultSeed,
 			ReadErrorRate: *faultRate,

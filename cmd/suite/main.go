@@ -27,7 +27,6 @@ func main() {
 		chaos      = flag.Bool("chaos", false, "with -scale cluster: run the chaos study instead — claims C1-C5 (fault determinism, zero-value inertness, quorum vs deadlock, prefetch masking, proportional domain kills) plus one chaos cell per size")
 		csvDir     = flag.String("csv", "", "directory to write per-figure CSV data")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		simW       = flag.Int("sim-workers", 1, "parallel-kernel workers inside each simulation (1 = serial kernel; results identical at any value)")
 		progress   = flag.Bool("progress", false, "report run completions to stderr")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile (taken after the suite) to this file")
@@ -75,7 +74,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts.Workers = *workers
-	opts.SimWorkers = *simW
 	if *progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rrun %d/%d", done, total)

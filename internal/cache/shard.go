@@ -6,11 +6,12 @@ import "sync"
 // shards with per-shard locks. At paper scale (tens of frames) it
 // collapses to a single shard and costs one uncontended lock per
 // operation; at cluster scale (100k–1M nodes, hundreds of thousands of
-// frames) lookups from parallel kernel workers spread across shards
-// instead of serializing on one map. Only Lookup/Contains run
-// concurrently today (mutations stay on the kernel's serial program
-// points), so readers take RLocks and the hot path never blocks a
-// parallel worker behind another shard's traffic.
+// frames) concurrent lookups spread across shards instead of
+// serializing on one map. Only Lookup/Contains may run concurrently
+// (mutations stay on the kernel's serial program points), so readers
+// take RLocks. The simulation kernel itself is serial, so no run
+// makes concurrent lookups today; whether the locks stay is a
+// separate, measured decision.
 //
 // Shard choice hashes the block number with a Fibonacci multiplier:
 // block numbers are dense small integers, and taking low bits directly

@@ -50,9 +50,9 @@ func TestBlockIndexSharding(t *testing.T) {
 }
 
 // TestBlockIndexConcurrentReaders hammers Lookup/Contains from many
-// goroutines while the index holds a fixed population — the access mix
-// parallel kernel workers produce. Run under -race this is the proof
-// that the sharded index tolerates concurrent readers.
+// goroutines while the index holds a fixed population. Run under -race
+// this is the proof that the sharded index tolerates concurrent
+// readers.
 func TestBlockIndexConcurrentReaders(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel()

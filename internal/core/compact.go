@@ -28,8 +28,7 @@ import (
 // node's embedded action waiter standing in for the Scheduler.
 //
 // The compact engine is deterministic (same seed and config give the
-// same Result bytes at any SimWorkers count) but not byte-identical to
-// the goroutine engine: a goroutine resumes via a scheduled step event
+// same Result bytes) but not byte-identical to the goroutine engine: a goroutine resumes via a scheduled step event
 // while a continuation runs at the instant of the firing itself, so
 // same-instant work interleaves differently and the contention counts
 // the cost model sees can differ. Validate restricts the mode to the
@@ -46,7 +45,7 @@ import (
 // timeout deadlocks the survivors by design (and trips the flight
 // recorder). Every fault draw comes from per-disk/per-node/per-domain
 // streams already aligned to deterministic orders, so results stay
-// byte-identical at any SimWorkers count.
+// byte-identical from run to run.
 
 // cpc is a compact node's program counter.
 type cpc uint8

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -13,6 +12,24 @@ import (
 	"repro/internal/predict"
 	"repro/internal/sim"
 )
+
+// resultJSON runs cfg and renders the entire Result as JSON.
+func resultJSON(t *testing.T, cfg Config) string {
+	t.Helper()
+	return marshalResult(t, MustRun(cfg))
+}
+
+// marshalResult renders the entire Result — every statistic,
+// histogram, counter, and per-proc record — as JSON, so two runs can
+// be compared byte for byte.
+func marshalResult(t *testing.T, r *Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("marshal result: %v", err)
+	}
+	return string(b)
+}
 
 // compactConfigs is a matrix over everything the compact engine
 // supports: both global patterns, every sync style, prefetching off /
@@ -71,30 +88,14 @@ func compactConfigs() map[string]Config {
 }
 
 // TestCompactDeterminism is the compact engine's core contract: the
-// same configuration produces byte-identical Results on repeated runs
-// and at any SimWorkers count.
+// same configuration produces byte-identical Results on repeated runs.
 func TestCompactDeterminism(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runJSON := func(workers int) []byte {
-				c := cfg
-				c.SimWorkers = workers
-				b, err := json.Marshal(MustRun(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			first := runJSON(1)
-			if again := runJSON(1); string(again) != string(first) {
+			if first, again := resultJSON(t, cfg), resultJSON(t, cfg); again != first {
 				t.Fatal("repeat run differs")
-			}
-			for _, w := range []int{2, 4} {
-				if got := runJSON(w); string(got) != string(first) {
-					t.Fatalf("SimWorkers=%d differs from serial", w)
-				}
 			}
 		})
 	}
@@ -300,35 +301,21 @@ func TestCompactBytesPerNode100k(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
-// TestCompactClusterRaceSmoke drives a 10k-node compact run on the
-// 2-worker parallel kernel and cross-checks it against the serial
-// kernel. CI runs it under -race: the sharded cache index and the LP
-// machinery are the only state the kernel workers share at cluster
-// scale, and this is the step that would catch a race between them.
-func TestCompactClusterRaceSmoke(t *testing.T) {
+// TestCompactClusterRepeatSmoke drives a 10k-node compact run twice
+// and compares the two Results byte for byte. CI pins it by name in
+// its cluster-scale smoke step.
+func TestCompactClusterRepeatSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 10k-node simulations")
 	}
 	const nodes = 10_000
 	cfg := ScaleConfig(nodes, nodes/4, true)
-	cfg.SimWorkers = 2
 	r := MustRun(cfg)
 	if got := int(r.Cache.Accesses()); got != cfg.Pattern.TotalBlocks {
 		t.Fatalf("accesses %d, want %d", got, cfg.Pattern.TotalBlocks)
 	}
-	serial := cfg
-	serial.SimWorkers = 1
-	r2 := MustRun(serial)
-	a, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("10k-node compact run diverged between 2 and 1 sim workers")
+	if first, again := marshalResult(t, r), resultJSON(t, cfg); again != first {
+		t.Errorf("10k-node compact run differs on repeat")
 	}
 }
 
@@ -418,30 +405,14 @@ func compactFaultConfigs() map[string]Config {
 }
 
 // TestCompactFaultDeterminism extends the compact engine's determinism
-// contract to every fault path: byte-identical Results on repeat runs
-// and across SimWorkers 1/2/4/8.
+// contract to every fault path: byte-identical Results on repeat runs.
 func TestCompactFaultDeterminism(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactFaultConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runJSON := func(workers int) []byte {
-				c := cfg
-				c.SimWorkers = workers
-				b, err := json.Marshal(MustRun(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			first := runJSON(1)
-			if again := runJSON(1); !bytes.Equal(again, first) {
+			if first, again := resultJSON(t, cfg), resultJSON(t, cfg); again != first {
 				t.Fatal("repeat run differs")
-			}
-			for _, w := range []int{2, 4, 8} {
-				if got := runJSON(w); !bytes.Equal(got, first) {
-					t.Fatalf("SimWorkers=%d differs from serial", w)
-				}
 			}
 		})
 	}
@@ -531,11 +502,10 @@ func TestCompactDomainKillDegradedWindow(t *testing.T) {
 	}
 }
 
-// TestCompactChaosClusterRaceSmoke is the CI chaos step's in-repo
+// TestCompactChaosClusterRepeatSmoke is the CI chaos step's in-repo
 // anchor: 10k compact nodes with disk faults, node stalls, and a rack
-// kill, run on the 2-worker parallel kernel and cross-checked
-// byte-for-byte against the serial kernel.
-func TestCompactChaosClusterRaceSmoke(t *testing.T) {
+// kill, run twice and compared byte for byte.
+func TestCompactChaosClusterRepeatSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 10k-node chaos simulations")
 	}
@@ -550,7 +520,6 @@ func TestCompactChaosClusterRaceSmoke(t *testing.T) {
 		Domains:    fault.SplitDomains("rack", cfg.Disks, nodes, 16),
 		KillDomain: "rack7", KillAt: 50 * sim.Millisecond,
 	}
-	cfg.SimWorkers = 2
 	r := MustRun(cfg)
 	if got := totalReads(r); got != cfg.Pattern.TotalBlocks {
 		t.Fatalf("read %d of %d blocks", got, cfg.Pattern.TotalBlocks)
@@ -558,18 +527,7 @@ func TestCompactChaosClusterRaceSmoke(t *testing.T) {
 	if r.Faults.Node.DeadProcs != nodes/16 {
 		t.Fatalf("DeadProcs = %d, want %d", r.Faults.Node.DeadProcs, nodes/16)
 	}
-	serial := cfg
-	serial.SimWorkers = 1
-	r2 := MustRun(serial)
-	a, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("10k-node chaos run diverged between 2 and 1 sim workers")
+	if first, again := marshalResult(t, r), resultJSON(t, cfg); again != first {
+		t.Errorf("10k-node chaos run differs on repeat")
 	}
 }

@@ -128,25 +128,14 @@ type Config struct {
 	// goroutine stack (2 KB minimum) to a flat record well under 1 KB —
 	// the representation that makes 100k–1M node runs fit in memory.
 	// Results are deterministic (same seed and config give the same
-	// bytes at any SimWorkers count) but not byte-identical to the
-	// goroutine engine: same-instant work interleaves differently, so
-	// contention counts and hence exact timings can differ. The full
-	// fault surface — disk faults with retry/backoff, node faults, and
-	// failure domains — is supported; what is not appears in
-	// compactCapabilities (the single source of truth), and Validate
-	// rejects those combinations.
+	// bytes) but not byte-identical to the goroutine engine:
+	// same-instant work interleaves differently, so contention counts
+	// and hence exact timings can differ. The full fault surface —
+	// disk faults with retry/backoff, node faults, and failure domains
+	// — is supported; what is not appears in compactCapabilities (the
+	// single source of truth), and Validate rejects those
+	// combinations.
 	CompactNodes bool `json:"compactNodes,omitempty"`
-
-	// SimWorkers, when above one, runs the simulation on the parallel
-	// discrete-event kernel: each disk becomes its own logical
-	// partition whose queue scheduling and fault draws execute on a
-	// worker pool, synchronized conservatively by the disks' minimum
-	// service time (see internal/sim and internal/disk/parallel.go).
-	// Zero or one selects the serial kernel. The worker count is an
-	// execution strategy, not an experiment parameter — every Result
-	// field is identical at any value — so it is excluded from JSON
-	// encodings of the Config.
-	SimWorkers int `json:"-"`
 
 	// Seed drives computation-delay randomness (and, via Pattern.Seed,
 	// random portion geometry).
@@ -261,9 +250,6 @@ func (c *Config) Validate() error {
 	}
 	if c.AuditEvery < 0 {
 		return fmt.Errorf("core: negative AuditEvery %v", c.AuditEvery)
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("core: negative SimWorkers %d", c.SimWorkers)
 	}
 	if err := c.Domain.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

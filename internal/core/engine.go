@@ -245,15 +245,6 @@ func New(cfg Config) (*Engine, error) {
 			e.ninj.SetObserver(cfg.Obs)
 		}
 	}
-	// Parallel kernel: partition the disks last, after fault and
-	// observer wiring, so each partition captures its final
-	// configuration. Processors stay on the kernel goroutine — they
-	// share the cache, the memory model, and the self-scheduling
-	// cursor at microsecond grain, which leaves no usable lookahead.
-	if cfg.SimWorkers > 1 {
-		k.SetWorkers(cfg.SimWorkers)
-		e.disks.Partition(k)
-	}
 	return e, nil
 }
 
@@ -303,11 +294,11 @@ type flightDumper interface{ DumpFlight(cause any) }
 
 // dumpFlightOnPanic gives the observability sink its last word when a
 // run dies: any panic crossing Engine.Run — the kernel's deadlock
-// detector, an audit Violation, an LP executor failure, a compact-node
-// stall — is handed to the sink's flight recorder before being
-// re-raised, so cluster-scale failures arrive with their last-N-events
-// context instead of a bare stack. Deferred from Run so it covers both
-// engines and every panic path through the kernel.
+// detector, an audit Violation, a compact-node stall — is handed to
+// the sink's flight recorder before being re-raised, so cluster-scale
+// failures arrive with their last-N-events context instead of a bare
+// stack. Deferred from Run so it covers both engines and every panic
+// path through the kernel.
 func (e *Engine) dumpFlightOnPanic() {
 	r := recover()
 	if r == nil {

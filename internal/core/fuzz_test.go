@@ -84,10 +84,6 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 		cfg.PerNodePrefetchLimit = raw[8]%2 == 1
 		cfg.Layout = interleave.Strategies[int(raw[9])%len(interleave.Strategies)]
 		cfg.DiskSched = disk.SchedPolicies[int(raw[9]/4)%len(disk.SchedPolicies)]
-		// The kernel's worker count rides the high nibble of a byte whose
-		// low bits drive the sync cadence, so the fuzz explores serial
-		// and parallel kernels across the whole configuration space.
-		cfg.SimWorkers = 1 + int(raw[5]>>4)%4
 		if raw[9]%2 == 1 {
 			cfg.DiskSeekPerBlock = 50 * sim.Microsecond
 			cfg.DiskMaxSeek = 10 * sim.Millisecond
@@ -203,20 +199,11 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 			t.Logf("%s: degenerate timings", cfg.Label())
 			return false
 		}
-		// Determinism and worker invariance: the same configuration
-		// replays identically on a kernel with a different worker
-		// count, so every fuzzed configuration cross-checks the
-		// parallel kernel against the serial one (or vice versa).
+		// Determinism: the same configuration replays identically.
 		// Whole-Result JSON equality covers every counter — cache,
 		// disk faults, node faults, domain events, per-proc stats —
-		// not just the totals (SimWorkers is excluded from the
-		// marshalled Config).
-		cfg2 := cfg
-		cfg2.SimWorkers = 1
-		if cfg.SimWorkers <= 1 {
-			cfg2.SimWorkers = 4
-		}
-		r2 := MustRun(cfg2)
+		// not just the totals.
+		r2 := MustRun(cfg)
 		a, aerr := json.Marshal(r)
 		b, berr := json.Marshal(r2)
 		if aerr != nil || berr != nil {
@@ -224,7 +211,7 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 			return false
 		}
 		if !bytes.Equal(a, b) {
-			t.Logf("%s: diverged between %d and %d sim workers", cfg.Label(), cfg.SimWorkers, cfg2.SimWorkers)
+			t.Logf("%s: diverged on repeat", cfg.Label())
 			return false
 		}
 		return true

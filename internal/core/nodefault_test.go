@@ -366,6 +366,50 @@ func TestChaosCompositionDeterministic(t *testing.T) {
 	}
 }
 
+// TestChaosAuditSmoke combines disk faults (transient errors, spikes,
+// stuck requests under a timeout), a processor kill with
+// quorum-released barriers, stalls, prefetching, and the runtime
+// invariant auditor in one run. The assertions are completion plus the
+// accounting identities; the auditor supplies the rest.
+func TestChaosAuditSmoke(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig(pattern.LW)
+	cfg.Procs = 4
+	cfg.Disks = 3
+	cfg.Pattern.Procs = 4
+	cfg.Pattern.BlocksPerProc = 40
+	cfg.Pattern.TotalBlocks = 160
+	cfg.Prefetch = true
+	cfg.Sync = barrier.EveryNPerProc
+	cfg.SyncEveryPerProc = 5
+	cfg.AuditEvery = 3 * sim.Millisecond
+	cfg.Fault = fault.Config{
+		Seed:            21,
+		ReadErrorRate:   0.05,
+		SpikeRate:       0.1,
+		SpikeMultiplier: 4,
+		StuckRate:       0.02,
+		Timeout:         150 * sim.Millisecond,
+	}
+	cfg.NodeFault = fault.NodeConfig{
+		Seed:           13,
+		KillAt:         250 * sim.Millisecond,
+		KillNode:       2,
+		BarrierTimeout: 80 * sim.Millisecond,
+		StallRate:      0.02,
+	}
+	r := MustRun(cfg)
+	// Failed fills are retried through the cache, so accesses can
+	// exceed the block count — but never fall short of it.
+	wantReads := cfg.Procs * cfg.Pattern.BlocksPerProc
+	if got := int(r.Cache.Accesses()); got < wantReads {
+		t.Fatalf("accesses %d, want at least %d", got, wantReads)
+	}
+	if r.Faults.Node.DeadProcs != 1 {
+		t.Fatalf("DeadProcs = %d, want 1", r.Faults.Node.DeadProcs)
+	}
+}
+
 // Seeded mid-run corruption of engine state must trip the invariant
 // auditor with the named invariant, not surface as a wrong number at
 // the end of the run.

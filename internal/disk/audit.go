@@ -6,11 +6,8 @@ import "fmt"
 // queue, an idle live disk holds no queue (dispatch always pulls),
 // the request in service is timestamped consistently with the clock,
 // and a FIFO queue is ordered by arrival — returning a descriptive
-// error on the first violation. It never mutates simulation state; on
-// a partitioned disk it first fences the disk's LP so the queue and
-// in-service request can be inspected from the kernel goroutine.
+// error on the first violation. It never mutates simulation state.
 func (d *Disk) Audit() error {
-	d.fenceForRead()
 	now := d.k.Now()
 	if d.dead && len(d.pending) > 0 {
 		return fmt.Errorf("disk %d: dead with %d queued request(s)", d.id, len(d.pending))

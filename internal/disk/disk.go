@@ -161,21 +161,12 @@ type Disk struct {
 
 	// Latency-storm window (fault.DomainConfig): requests dispatched in
 	// [stormStart, stormEnd) have their service time multiplied by
-	// stormFactor. Set once before the run starts, read-only after —
-	// safe on the disk's LP executor without fencing.
+	// stormFactor. Set once before the run starts, read-only after.
 	stormStart  sim.Time
 	stormEnd    sim.Time
 	stormFactor float64
 
 	obs obs.Sink // nil = no observability (the common case)
-
-	// Parallel-mode state (nil/zero on a serial kernel — see
-	// parallel.go for the ownership split).
-	lp      *sim.LP
-	m       mirror
-	promise sim.Promise
-	grant   grantCmd
-	clear   clearCmd
 }
 
 // SetObserver installs an observability sink: request counters at
@@ -239,9 +230,6 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	if d.dead {
 		return d.submitDead(block, phys, prefetch)
 	}
-	if d.lp != nil {
-		return d.submitPar(block, phys, prefetch)
-	}
 	now := d.k.Now()
 	req := &Request{
 		Disk:     d.id,
@@ -283,26 +271,18 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	return req
 }
 
-// dispatch starts service on the next request per the scheduling
-// policy. Kernel or process context; must only be called when idle.
+// dispatch picks, times, and (when an injector is attached) faults the
+// next request per the scheduling policy, moving it into service and
+// scheduling its completion. Kernel or process context; must only be
+// called when idle.
 func (d *Disk) dispatch() {
 	if len(d.pending) == 0 {
 		d.current = nil
 		return
 	}
-	req, _ := d.serveNext(d.k.Now())
-	d.k.ScheduleWake(req.Done, req)
-}
-
-// serveNext picks, times, and (when an injector is attached) faults
-// the next pending request, moving it into service at instant now. It
-// reports whether the fault draw injected any effect. Shared by the
-// serial dispatch and the parallel grant path (where it runs on the
-// disk's LP executor and now is the grant instant, not the kernel
-// clock). Must only be called with a non-empty queue.
-func (d *Disk) serveNext(now sim.Time) (req *Request, injected bool) {
+	now := d.k.Now()
 	i := d.pickNext(now)
-	req = d.pending[i]
+	req := d.pending[i]
 	// Remove index i by shifting the prefix right and advancing the
 	// slice base. For FIFO (i == 0, the common case) this moves
 	// nothing; removing by copying the suffix down would move the whole
@@ -314,14 +294,13 @@ func (d *Disk) serveNext(now sim.Time) (req *Request, injected bool) {
 	service := d.profile.ServiceTime(d.headPos, req.Physical)
 	// Storms stretch the base service before the fault draw, so a spike
 	// multiplies the stormed time and the timeout watchdog still caps
-	// the result. Factor > 1 only lengthens service, which keeps the
-	// parallel partition's access-time lookahead conservative.
+	// the result.
 	if d.stormFactor > 1 && now >= d.stormStart && now < d.stormEnd {
 		service = sim.Duration(float64(service) * d.stormFactor)
 		d.fstats.Stormed++
 	}
 	if d.inj != nil {
-		service, injected = d.applyFaults(req, service)
+		service = d.applyFaults(req, service)
 	}
 	if d.policy == SCAN && d.headPos >= 0 {
 		d.scanUp = req.Physical >= d.headPos
@@ -331,7 +310,7 @@ func (d *Disk) serveNext(now sim.Time) (req *Request, injected bool) {
 	req.Done = now.Add(service)
 	d.busy += service
 	d.current = req
-	return req, injected
+	d.k.ScheduleWake(req.Done, req)
 }
 
 func (d *Disk) complete(req *Request) {
@@ -360,10 +339,6 @@ func (d *Disk) complete(req *Request) {
 		})
 	}
 	req.Complete.Fire()
-	if d.lp != nil {
-		d.completeParTail()
-		return
-	}
 	d.dispatch()
 }
 
@@ -376,9 +351,8 @@ func (d *Disk) complete(req *Request) {
 // request once it has waited this long.
 const starvationBound = 32
 
-// pickNext chooses the pending index to serve next. now is the
-// dispatch instant, passed in rather than read from the kernel clock
-// so the choice can run on the disk's LP executor.
+// pickNext chooses the pending index to serve next at dispatch
+// instant now.
 func (d *Disk) pickNext(now sim.Time) int {
 	if d.policy == FIFO || d.headPos < 0 || len(d.pending) == 1 {
 		return 0

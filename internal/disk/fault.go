@@ -80,17 +80,10 @@ func (d *Disk) FaultStats() FaultStats { return d.fstats }
 
 // applyFaults draws the fault outcome for a dispatching request and
 // returns its adjusted service time, setting req.Err for requests that
-// will complete unsuccessfully. It reports whether the draw injected
-// any effect, so the parallel path — which draws quietly on the disk's
-// LP executor — can replay the observability emission on the kernel
-// goroutine. Called only when an injector is attached.
-func (d *Disk) applyFaults(req *Request, service sim.Duration) (sim.Duration, bool) {
-	var out fault.Outcome
-	if d.lp != nil {
-		out = d.inj.DecideQuiet(d.id)
-	} else {
-		out = d.inj.Decide(d.id)
-	}
+// will complete unsuccessfully. Called only when an injector is
+// attached.
+func (d *Disk) applyFaults(req *Request, service sim.Duration) sim.Duration {
+	out := d.inj.Decide(d.id)
 	if out.Spiked {
 		d.fstats.Spikes++
 		service = sim.Duration(float64(service)*d.inj.SpikeMultiplier()) + out.Extra
@@ -114,7 +107,7 @@ func (d *Disk) applyFaults(req *Request, service sim.Duration) (sim.Duration, bo
 		service = t
 		req.Err = fmt.Errorf("disk %d: %w", d.id, ErrTimeout)
 	}
-	return service, out.Kind != fault.None || out.Spiked
+	return service
 }
 
 // kill takes the disk permanently offline: the request in service (if
@@ -123,14 +116,6 @@ func (d *Disk) applyFaults(req *Request, service sim.Duration) (sim.Duration, bo
 func (d *Disk) kill() {
 	if d.dead {
 		return
-	}
-	// Parallel mode: the queue and in-service request are LP-owned;
-	// fence so the kill (kernel context) owns them. The disk is dead
-	// from here on, so apart from the completion tail's queue-clear
-	// marker nothing is ever posted to the partition again.
-	if d.lp != nil {
-		d.lp.Fence()
-		d.m.pendingCount = 0
 	}
 	d.dead = true
 	if d.current != nil {

@@ -69,7 +69,7 @@ func (o ScaleOptions) chaosDomainKill(cfg *core.Config, racks int, killAt sim.Du
 //
 //	C1  chaos determinism — the full chaos composition (disk faults,
 //	    stalls, storm, straggler rack, rack kill) at Nodes[0] is
-//	    byte-identical across repetition and SimWorkers 1 vs 2
+//	    byte-identical across repetition
 //	C2  zero-value inertness — a config with fault seeds set, racks
 //	    named, but no event enabled is byte-identical to the clean
 //	    scale cell (the PR 7/8 golden path does not move)
@@ -121,24 +121,22 @@ func VerifyChaosClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 	// C1: chaos determinism. The domain draws happen at injector
 	// construction and the per-disk/per-node streams split off
 	// dedicated bases, so the full composition must stay a pure
-	// function of its configuration at any worker count.
+	// function of its configuration.
 	chaosCfg := baseCfg(true)
 	opts.chaosFaults(&chaosCfg)
 	opts.chaosKill(&chaosCfg, killAt)
-	marshal := func(cfg core.Config, workers int) []byte {
-		cfg.SimWorkers = workers
+	marshal := func(cfg core.Config) []byte {
 		b, err := json.Marshal(core.MustRun(cfg))
 		if err != nil {
 			panic(err)
 		}
 		return b
 	}
-	a, b, c := marshal(chaosCfg, 1), marshal(chaosCfg, 1), marshal(chaosCfg, 2)
+	a, b := marshal(chaosCfg), marshal(chaosCfg)
 	add("C1-chaos-determinism",
-		fmt.Sprintf("the full chaos composition at %d nodes is deterministic (repeat and SimWorkers 1 vs 2)", n0),
-		fmt.Sprintf("result JSON %d bytes; repeat equal: %v, workers equal: %v",
-			len(a), bytes.Equal(a, b), bytes.Equal(a, c)),
-		bytes.Equal(a, b) && bytes.Equal(a, c))
+		fmt.Sprintf("the full chaos composition at %d nodes is deterministic (repeat)", n0),
+		fmt.Sprintf("result JSON %d bytes; repeat equal: %v", len(a), bytes.Equal(a, b)),
+		bytes.Equal(a, b))
 
 	// C2: zero-value inertness. Arming the fault seed and naming the
 	// racks without enabling any event must leave the run on the exact

@@ -7,17 +7,14 @@ import (
 )
 
 // renderEverything runs the full TestScale evaluation at the given
-// batch worker count (concurrent independent simulations) and
-// simulation worker count (the parallel kernel inside each run) and
-// renders every consumer-visible artifact — the per-pair table, the
-// aggregate summary statistics, all nine suite figures, a parameter
-// sweep, and all 23 claim verdicts — into one string. The
-// serial-equivalence tests compare these renderings byte-for-byte
-// across both worker dimensions.
-func renderEverything(workers, simWorkers int) string {
+// batch worker count (concurrent independent simulations) and renders
+// every consumer-visible artifact — the per-pair table, the aggregate
+// summary statistics, all nine suite figures, a parameter sweep, and
+// all 23 claim verdicts — into one string. The serial-equivalence
+// tests compare these renderings byte-for-byte across worker counts.
+func renderEverything(workers int) string {
 	opts := TestScale()
 	opts.Workers = workers
-	opts.SimWorkers = simWorkers
 	var b strings.Builder
 
 	s := RunSuite(opts)
@@ -71,8 +68,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence harness skipped in -short mode")
 	}
-	serial := renderEverything(1, 1)
-	parallel := renderEverything(8, 1)
+	serial := renderEverything(1)
+	parallel := renderEverything(8)
 	if serial == parallel {
 		return
 	}

@@ -24,7 +24,7 @@ func TestGoldenOutputPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden harness skipped in -short mode")
 	}
-	got := renderEverything(1, 1)
+	got := renderEverything(1)
 	path := filepath.Join("testdata", "equivalence_golden.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

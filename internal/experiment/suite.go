@@ -42,11 +42,9 @@ type Options struct {
 	// parallel). Zero uses runtime.GOMAXPROCS; 1 forces the serial
 	// reference path. Results are byte-identical for every value.
 	Workers int
-	// SimWorkers sets the parallel-kernel worker count inside each
-	// simulation (see core.Config.SimWorkers): each disk becomes a
-	// logical partition driven by a worker pool, synchronized by
-	// conservative lookahead. Zero or one runs the serial kernel.
-	// Results are byte-identical for every value.
+	// SimWorkers is ignored: every simulation runs on the serial
+	// kernel. The field remains only so existing callers that set it
+	// still compile.
 	SimWorkers int
 	// Progress, if non-nil, observes run completions across each batch
 	// (see runner.Options.Progress).
@@ -121,7 +119,6 @@ func (o Options) Config(kind pattern.Kind, sync barrier.Style, ioBound, prefetch
 	cfg.Prefetch = prefetch
 	cfg.Obs = o.Obs
 	cfg.AuditEvery = o.Audit
-	cfg.SimWorkers = o.SimWorkers
 	return cfg
 }
 

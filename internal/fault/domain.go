@@ -12,10 +12,10 @@
 // quorum recovery, storms stretch service times). Every draw the
 // domain layer makes — straggler spread membership, storm onset jitter
 // — comes from its own seeded PCG stream, split per domain, and is
-// made at construction time on the kernel goroutine, so domain chaos
-// is exactly replayable at any SimWorkers count. As everywhere in this
-// package, the zero value injects nothing and consumers bypass the
-// domain injector entirely when the configuration is inert.
+// made at construction time, so domain chaos is exactly replayable
+// from the seed. As everywhere in this package, the zero value injects
+// nothing and consumers bypass the domain injector entirely when the
+// configuration is inert.
 package fault
 
 import (
@@ -236,9 +236,8 @@ func (c DomainConfig) CheckAgainst(disks, procs int) error {
 
 // DomainInjector precomputes every domain-level fault decision for one
 // run. All randomness is consumed here, at construction, in index
-// order on the kernel goroutine — nothing is drawn during the run, so
-// the domain layer cannot perturb (or be perturbed by) the per-disk
-// and per-node streams and is trivially worker-count-independent.
+// order — nothing is drawn during the run, so the domain layer cannot
+// perturb (or be perturbed by) the per-disk and per-node streams.
 type DomainInjector struct {
 	cfg DomainConfig
 

@@ -216,22 +216,6 @@ func (i *Injector) Kills() (disk int, at sim.Duration, ok bool) {
 // positive SpikeMean occurs, so the per-disk stream stays aligned with
 // the disk's dispatch sequence regardless of outcomes elsewhere.
 func (i *Injector) Decide(disk int) Outcome {
-	out := i.DecideQuiet(disk)
-	if i.obs != nil {
-		i.obs.Add(obs.CtrFaultDraws, 1)
-		if out.Kind != None || out.Spiked {
-			i.obs.Add(obs.CtrFaultsInjected, 1)
-		}
-	}
-	return out
-}
-
-// DecideQuiet is Decide without the observability emission. The
-// parallel disk path dispatches on an LP executor thread, where the
-// sink (possibly an unsynchronized Recorder) must not be touched; it
-// draws quietly and replays the emission on the kernel goroutine via
-// ObserveDraw. Stream consumption is identical to Decide.
-func (i *Injector) DecideQuiet(disk int) Outcome {
 	s := i.streams[disk]
 	var out Outcome
 	errDraw := s.Float64()
@@ -250,20 +234,13 @@ func (i *Injector) DecideQuiet(disk int) Outcome {
 		out.Kind = Stuck
 		out.StuckFor = i.cfg.StuckDelay
 	}
+	if i.obs != nil {
+		i.obs.Add(obs.CtrFaultDraws, 1)
+		if out.Kind != None || out.Spiked {
+			i.obs.Add(obs.CtrFaultsInjected, 1)
+		}
+	}
 	return out
-}
-
-// ObserveDraw replays one DecideQuiet's observability emission from
-// the kernel goroutine. injected reports whether the draw injected any
-// effect (an error, a stuck, or a spike).
-func (i *Injector) ObserveDraw(injected bool) {
-	if i.obs == nil {
-		return
-	}
-	i.obs.Add(obs.CtrFaultDraws, 1)
-	if injected {
-		i.obs.Add(obs.CtrFaultsInjected, 1)
-	}
 }
 
 // SpikeMultiplier returns the service-time multiplier applied to

@@ -11,9 +11,10 @@ import (
 // Flight is the crash flight recorder: fixed-size rings of the most
 // recent spans and counter increments, written continuously and read
 // only when the run dies. A cluster-scale failure (kernel deadlock,
-// audit violation, executor panic) then arrives with its last-N-events
-// context — which tracks were active, what they were doing, and when
-// each was last heard from — instead of a bare stack trace.
+// audit violation, compact-node stall) then arrives with its
+// last-N-events context — which tracks were active, what they were
+// doing, and when each was last heard from — instead of a bare stack
+// trace.
 type Flight struct {
 	spans   []obs.Span // ring storage
 	spanPos int        // next write slot

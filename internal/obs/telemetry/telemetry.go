@@ -21,8 +21,8 @@
 //     nodes while everything else aggregates.
 //  3. Flight recorder: a fixed-size ring of the most recent spans and
 //     counter deltas, dumped when the run dies (kernel deadlock panic,
-//     audit violation, executor panic) so cluster-scale failures arrive
-//     with their last-N-events context instead of a bare stack.
+//     audit violation, compact-node stall) so cluster-scale failures
+//     arrive with their last-N-events context instead of a bare stack.
 //
 // Determinism: the sink observes only virtual-time spans and counters,
 // in kernel emission order, and never feeds anything back into the
@@ -292,7 +292,7 @@ func (s *Sink) Flight() *Flight { return s.flight }
 // cause to Config.FlightOut (os.Stderr by default) and, when
 // Config.FlightTrace is set, the ring as rapidtrace v1. The core
 // engine calls this on any sink that implements it when a run panics
-// — kernel deadlock, audit violation, or executor failure — then
+// — kernel deadlock, audit violation, or compact-node stall — then
 // re-raises the panic. No-op when the flight recorder is disabled.
 func (s *Sink) DumpFlight(cause any) {
 	if s.flight == nil {

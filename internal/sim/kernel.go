@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -45,24 +44,6 @@ type Kernel struct {
 	limit   Time // RunUntil deadline; bounds the Advance fast path
 
 	obs obs.Sink // nil = no observability (the common case)
-
-	// Parallel-mode state (see lp.go). All of it stays zero/nil on a
-	// serial kernel, whose loops pay one integer comparison
-	// (outstanding > 0) per iteration and nothing else.
-	workers     int
-	lps         []*LP
-	execs       []*executor
-	execsLive   bool
-	outstanding int        // promises reserved and not yet consumed
-	hzMin       Time       // earliest bound among outstanding promises
-	promises    []*Promise // the outstanding promises themselves
-	resMu       sync.Mutex // guards resQ
-	resQ        []*Promise // fulfilled, not yet consumed
-	resSpare    []*Promise // recycled drain buffer
-	resSig      chan struct{}
-	failCh      chan struct{}
-	failVal     any
-	failOnce    sync.Once
 }
 
 // SetObserver installs an observability sink counting the kernel's
@@ -232,10 +213,7 @@ func (p *Proc) Advance(d Duration) {
 	// RunUntil still stops at its deadline; an event already queued at
 	// the same instant has a smaller seq and must run first, hence the
 	// strict comparison.)
-	// (With outstanding promises the clock also may not skip past the
-	// earliest conservative bound: the promised event could land there.)
-	if at <= k.limit && (k.heap.len() == 0 || at < k.heap.peekTime()) &&
-		(k.outstanding == 0 || at < k.hzMin) {
+	if at <= k.limit && (k.heap.len() == 0 || at < k.heap.peekTime()) {
 		k.now = at
 		return
 	}
@@ -274,36 +252,17 @@ func (k *Kernel) dispatch(e *event) {
 
 // Run executes events until the heap is exhausted. It panics on deadlock:
 // live processes remaining with no pending events.
-//
-// On a parallel kernel the loop additionally consumes promise
-// resolutions from the LP executors, and refuses to execute any event
-// at or past the earliest outstanding conservative bound — the
-// lookahead discipline that makes parallel runs byte-identical to
-// serial ones. On return the executors are stopped and fenced, so the
-// caller owns all partition state.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	k.startExecutors()
-	for {
-		if k.outstanding > 0 {
-			k.tryDrainResolutions()
-			if k.outstanding > 0 && (k.heap.len() == 0 || k.hzMin <= k.heap.peekTime()) {
-				k.awaitResolution()
-				continue
-			}
-		}
-		if k.heap.len() == 0 {
-			break
-		}
+	for k.heap.len() > 0 {
 		e := k.heap.pop()
 		k.now = e.at
 		k.dispatch(&e)
 	}
-	k.stopExecutors()
 	if k.active > 0 {
 		panic(k.deadlockError())
 	}
@@ -323,24 +282,11 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 		k.running = false
 		k.limit = MaxTime
 	}()
-	k.startExecutors()
-	for {
-		if k.outstanding > 0 {
-			k.tryDrainResolutions()
-			if k.outstanding > 0 && k.hzMin <= deadline &&
-				(k.heap.len() == 0 || k.hzMin <= k.heap.peekTime()) {
-				k.awaitResolution()
-				continue
-			}
-		}
-		if k.heap.len() == 0 || k.heap.peekTime() > deadline {
-			break
-		}
+	for k.heap.len() > 0 && k.heap.peekTime() <= deadline {
 		e := k.heap.pop()
 		k.now = e.at
 		k.dispatch(&e)
 	}
-	k.stopExecutors()
 	if k.now < deadline {
 		k.now = deadline
 	}
@@ -350,10 +296,8 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 // PendingEvents returns how many events are currently queued. The
 // invariant auditor uses it to decide whether to re-arm its periodic
 // sweep: once nothing is pending, rescheduling would only keep the run
-// alive artificially (and mask the deadlock detector). An outstanding
-// promise counts as pending — it is exactly one future event whose
-// time an LP is still computing (serially it would already be queued).
-func (k *Kernel) PendingEvents() int { return k.heap.len() + k.outstanding }
+// alive artificially (and mask the deadlock detector).
+func (k *Kernel) PendingEvents() int { return k.heap.len() }
 
 // Audit checks the kernel's internal invariants — the clock never sits
 // past the next due event, and the live-process count agrees with the
@@ -371,9 +315,6 @@ func (k *Kernel) Audit() error {
 	}
 	if k.heap.len() > 0 && k.heap.peekTime() < k.now {
 		return fmt.Errorf("kernel: next event due %v is before now %v", k.heap.peekTime(), k.now)
-	}
-	if k.outstanding > 0 && k.hzMin < k.now {
-		return fmt.Errorf("kernel: outstanding promise bound %v is before now %v", k.hzMin, k.now)
 	}
 	return nil
 }

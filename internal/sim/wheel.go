@@ -10,19 +10,19 @@ import "math/bits"
 // becoming the bottleneck.
 //
 // The wheel preserves the kernel's exact (at, seq) total order — every
-// golden from the serial and LP kernels is byte-identical — under two
-// ordering hazards a textbook wheel ignores:
+// golden is byte-identical to the binary heap's — under two ordering
+// hazards a textbook wheel ignores:
 //
-//   - Reserved sequence numbers. The LP kernel (lp.go) reserves seq
-//     values host-side and fulfils them later, so a push may carry a
-//     seq *smaller* than ones already queued at the same instant. A
-//     level-0 slot therefore sorts by seq when it is collected, and
-//     the front buffer does ordered insertion, not append.
+//   - Cascade interleavings. A cascade re-files a higher-level slot's
+//     residents into a level-0 slot that later pushes for the same
+//     instant may already occupy, so a slot's seqs can arrive out of
+//     order. A level-0 slot therefore sorts by seq when it is
+//     collected.
 //   - Past-of-wheel pushes. Advance's fast path moves the clock after
-//     peeking, and promise fulfilment may land at a time the wheel has
-//     already cascaded past. wheelTime never rewinds (rewinding would
+//     peeking, so a later push may land at a time the wheel has
+//     already collected past. wheelTime never rewinds (rewinding would
 //     make slot residents ambiguous across laps); such events instead
-//     join the sorted front buffer directly.
+//     join the front buffer by ordered insertion, not append.
 //
 // Layout: wheelLevels levels of wheelSlots slots each. Level ℓ has
 // granularity 2^(6ℓ) µs, so level 0 resolves single microseconds and
@@ -31,8 +31,8 @@ import "math/bits"
 // "earliest non-empty slot" a single bit scan.
 const (
 	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits  // 64 slots per level
-	wheelLevels = 4               // spans 2^(6*4) µs ≈ 16.8 s
+	wheelSlots  = 1 << wheelBits // 64 slots per level
+	wheelLevels = 4              // spans 2^(6*4) µs ≈ 16.8 s
 	wheelMask   = wheelSlots - 1
 	wheelSpan   = Time(1) << (wheelBits * wheelLevels)
 )
@@ -48,7 +48,7 @@ type timerWheel struct {
 
 	// front is the staging buffer of due events, sorted by (at, seq);
 	// fi indexes the next to pop. Pushes that land before wheelTime
-	// (fast-path Advance, promise fulfilment) insert in order here.
+	// (after a fast-path Advance) insert in order here.
 	front []event
 	fi    int
 
@@ -90,8 +90,8 @@ func (w *timerWheel) place(e event) {
 }
 
 // insertFront adds an event to the sorted due buffer. The common case
-// (a fresh seq at the current instant) appends; reserved-seq promise
-// events walk back to their ordered position.
+// (a fresh seq at the current instant) appends; an event earlier than
+// the collected batch walks back to its ordered position.
 func (w *timerWheel) insertFront(e event) {
 	i := len(w.front)
 	w.front = append(w.front, e)
@@ -236,8 +236,8 @@ func (w *timerWheel) collect() {
 // one instant (level-0 slots are single-valued by construction: an
 // event lands in level 0 only when at-wheelTime < 64 and collection
 // empties the slot before wheelTime passes it), so seq alone decides.
-// Insertion sort: slots are small and near-sorted — only reserved-seq
-// promise events and cascade interleavings are out of place.
+// Insertion sort: slots are small and near-sorted — only cascade
+// interleavings are out of place.
 func (w *timerWheel) sortFrontBySeq(at Time) {
 	for i := 1; i < len(w.front); i++ {
 		if w.front[i].at != at {

@@ -30,9 +30,8 @@ func drainCompare(t *testing.T, tag string, w *timerWheel, h *eventHeap) {
 
 // TestWheelMatchesHeapRandomStreams is the ordering property test: on
 // random interleaved push/pop streams — including far-future (overflow)
-// times, duplicate instants, and out-of-order reserved seqs like the LP
-// kernel's promise fulfilment — the wheel pops the exact sequence the
-// reference binary heap does.
+// times, duplicate instants, and seqs pushed out of order — the wheel
+// pops the exact sequence the reference binary heap does.
 func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 	t.Parallel()
 	for trial := 0; trial < 200; trial++ {
@@ -41,7 +40,7 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 		var h eventHeap
 		var now Time
 		seq := uint64(0)
-		// Reserved seqs: occasionally skip seq numbers now and push
+		// Out-of-order seqs: occasionally skip seq numbers now and push
 		// events carrying them later, after larger seqs are queued.
 		type reserved struct {
 			at  Time
@@ -97,10 +96,8 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 					now = we.at
 				}
 			}
-			// Promises outstanding block dispatch past their bound in
-			// the real kernel; here any unfulfilled reservation older
-			// than `now` is simply fulfilled at `now`, mirroring the
-			// "no event before the bound dispatches" guarantee.
+			// Any unpushed reservation older than `now` is pushed at
+			// `now`, so no push ever lands in the popped past.
 			for len(pending) > 0 && pending[0].at <= now {
 				p := pending[0]
 				pending = pending[1:]
@@ -124,8 +121,7 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 
 // TestWheelPastPush exercises the front-buffer path: after the wheel
 // has collected (and wheelTime advanced past t), a push at t must still
-// pop in (at, seq) order — the Advance fast path and promise fulfilment
-// both do this.
+// pop in (at, seq) order — the Advance fast path does this.
 func TestWheelPastPush(t *testing.T) {
 	t.Parallel()
 	var w timerWheel
@@ -140,7 +136,7 @@ func TestWheelPastPush(t *testing.T) {
 		t.Fatalf("peekTime = %v", got)
 	}
 	push(50, 3)  // before the collected batch
-	push(100, 0) // same instant as batch head, smaller (reserved) seq
+	push(100, 0) // same instant as batch head, smaller seq
 	push(150, 4) // between batch head and the rest of the wheel
 	drainCompare(t, "past-push", &w, &h)
 }

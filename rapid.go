@@ -323,7 +323,7 @@ func VerifyScaleClaims(opts ScaleOptions) (*experiment.Verification, *ScaleResul
 }
 
 // VerifyChaosClaims machine-checks the cluster-chaos claims C1-C5
-// (chaos determinism across SimWorkers, zero-value inertness against
+// (chaos determinism across repetition, zero-value inertness against
 // the clean scale cell, quorum release beating a rack-kill deadlock,
 // prefetch masking injected fault latency at scale, and proportional
 // degradation under correlated domain kills) and returns a
