@@ -301,15 +301,15 @@ func (s *Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(a)
 }
 
-// Cache is the shared block cache. Lookup and Contains are safe for
-// concurrent readers (the block index is sharded with per-shard
-// locks); all mutating paths are serialized by the simulation kernel.
+// Cache is the shared block cache. Every path runs on the simulation
+// kernel's one goroutine at a time. Lookup and Contains only read, so
+// other goroutines may call them while nothing mutates the cache.
 type Cache struct {
 	k    *sim.Kernel
 	opts Options
 
 	arena   []Buffer
-	byBlock blockIndex
+	byBlock map[int]*Buffer // resident block → its frame
 	// Per-class intrusive free lists and reusable LRU lists. A
 	// reusable frame is Ready, unpinned, and not an unconsumed
 	// prefetch; it still satisfies lookups until recycled.
@@ -400,7 +400,7 @@ func New(k *sim.Kernel, opts Options) *Cache {
 	}
 	c.doneSentinel = sim.NewEvent(k).SetLabel("a completed fill")
 	c.doneSentinel.Fire()
-	c.byBlock.init(total)
+	c.byBlock = make(map[int]*Buffer, total)
 	// Frames live in one contiguous allocation; every list threads
 	// through the structs in place. At cluster scale this keeps
 	// per-frame overhead to the struct itself — no pointer slab to
@@ -435,10 +435,10 @@ func (c *Cache) AvailableFrames(class Class) int {
 
 // Lookup returns the buffer holding the block, or nil. It does not pin
 // or record a hit; use Pin for the access path.
-func (c *Cache) Lookup(block int) *Buffer { return c.byBlock.get(block) }
+func (c *Cache) Lookup(block int) *Buffer { return c.byBlock[block] }
 
 // Contains reports whether the block is present (fetching or ready).
-func (c *Cache) Contains(block int) bool { return c.byBlock.get(block) != nil }
+func (c *Cache) Contains(block int) bool { return c.byBlock[block] != nil }
 
 // Pin records an access by node to an existing buffer: the hit path.
 // It pins the buffer, removes it from the reusable list if necessary,
@@ -485,7 +485,7 @@ func (c *Cache) Pin(node int, buf *Buffer) (ready bool) {
 // pinned once, and registered in the block map; the caller must submit
 // the disk request and call BeginFetch.
 func (c *Cache) AllocateDemand(node, block int) *Buffer {
-	if c.byBlock.get(block) != nil {
+	if c.byBlock[block] != nil {
 		panic(fmt.Sprintf("cache: AllocateDemand for cached block %d", block))
 	}
 	buf := c.claimFrame(DemandClass)
@@ -500,7 +500,7 @@ func (c *Cache) AllocateDemand(node, block int) *Buffer {
 	buf.state = Fetching
 	buf.pins = 1
 	buf.home = int32(node)
-	c.byBlock.set(block, buf)
+	c.byBlock[block] = buf
 	return buf
 }
 
@@ -510,7 +510,7 @@ func (c *Cache) AllocateDemand(node, block int) *Buffer {
 // fs layer's write path (the testbed itself is read-only, as in the
 // paper).
 func (c *Cache) AllocateWrite(node, block int) *Buffer {
-	if c.byBlock.get(block) != nil {
+	if c.byBlock[block] != nil {
 		panic(fmt.Sprintf("cache: AllocateWrite for cached block %d", block))
 	}
 	buf := c.claimFrame(DemandClass)
@@ -521,7 +521,7 @@ func (c *Cache) AllocateWrite(node, block int) *Buffer {
 	buf.state = Ready
 	buf.pins = 1
 	buf.home = int32(node)
-	c.byBlock.set(block, buf)
+	c.byBlock[block] = buf
 	return buf
 }
 
@@ -564,7 +564,7 @@ func (c *Cache) CanPrefetch(node int) PrefetchFail {
 // buffer is Fetching, unpinned, flagged prefetched, and registered; the
 // caller must submit the disk request and call BeginFetch.
 func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
-	if c.byBlock.get(block) != nil {
+	if c.byBlock[block] != nil {
 		return nil, FailInCache
 	}
 	if c.opts.MaxPerNodePrefetched > 0 && c.perNode[node] >= c.opts.MaxPerNodePrefetched {
@@ -597,7 +597,7 @@ func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
 	buf.prefetched = true
 	buf.prefetchedBy = int32(node)
 	buf.home = int32(node)
-	c.byBlock.set(block, buf)
+	c.byBlock[block] = buf
 	c.prefetchedUnused++
 	c.perNode[node]++
 	c.pfOrder.pushTail(buf)
@@ -620,7 +620,7 @@ func (c *Cache) evictUnconsumedPrefetch() *Buffer {
 			c.perNode[b.prefetchedBy]--
 			c.stats.PrefetchesEvicted++
 			c.stats.Evictions++
-			c.byBlock.del(int(b.block))
+			delete(c.byBlock, int(b.block))
 			b.block = -1
 			b.state = Invalid
 			b.IODone = nil
@@ -689,7 +689,7 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 		c.fillSpan(buf, int(buf.block), true)
 	}
 	block := int(buf.block)
-	c.byBlock.del(block)
+	delete(c.byBlock, block)
 	buf.block = -1
 	buf.fetchSrc = nil
 	if buf.prefetched {
@@ -759,7 +759,7 @@ func (c *Cache) claimFrame(class Class) *Buffer {
 		return nil
 	}
 	c.stats.Evictions++
-	c.byBlock.del(int(buf.block))
+	delete(c.byBlock, int(buf.block))
 	buf.block = -1
 	buf.state = Invalid
 	buf.IODone = nil
@@ -840,7 +840,7 @@ func (c *Cache) Audit() error {
 			continue
 		}
 		if b.block >= 0 {
-			if c.byBlock.get(int(b.block)) != b {
+			if c.byBlock[int(b.block)] != b {
 				return fmt.Errorf("cache: buffer %d not in map for block %d", b.id, b.block)
 			}
 			mapped++
@@ -874,7 +874,7 @@ func (c *Cache) Audit() error {
 	if retired != c.retired {
 		return fmt.Errorf("cache: retired=%d but counted %d", c.retired, retired)
 	}
-	if mapped != c.byBlock.size() {
+	if mapped != len(c.byBlock) {
 		return fmt.Errorf("cache: block map size mismatch")
 	}
 	if pf != c.prefetchedUnused {
@@ -907,6 +907,37 @@ func (c *Cache) Audit() error {
 		}
 	}
 	return nil
+}
+
+// freeList is an intrusive LIFO stack of Invalid frames threaded
+// through Buffer.next: no backing array to grow, no pointer slab for
+// the GC to scan, and O(1) push/pop, claiming the most recently freed
+// frame first.
+type freeList struct {
+	head *Buffer
+	len  int
+}
+
+func (f *freeList) push(b *Buffer) {
+	if b.onFree {
+		panic("cache: buffer already on free list")
+	}
+	b.onFree = true
+	b.next = f.head
+	f.head = b
+	f.len++
+}
+
+func (f *freeList) pop() *Buffer {
+	b := f.head
+	if b == nil {
+		return nil
+	}
+	f.head = b.next
+	b.next = nil
+	b.onFree = false
+	f.len--
+	return b
 }
 
 // lruList is an intrusive doubly-linked list of reusable buffers,

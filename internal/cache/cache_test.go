@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -484,4 +485,34 @@ func TestBufferHomeNode(t *testing.T) {
 		c.Unpin(wb)
 	})
 	k.Run()
+}
+
+// TestBlockIndexConcurrentReaders hammers Lookup/Contains from many
+// goroutines while the index holds a fixed population. Run under -race
+// this is the proof that readers may share the cache while nothing
+// mutates it.
+func TestBlockIndexConcurrentReaders(t *testing.T) {
+	t.Parallel()
+	k := sim.NewKernel()
+	c := New(k, Options{DemandFrames: 512, PrefetchFrames: 64, Nodes: 8, MaxPrefetchedUnused: 64})
+	for i := 0; i < 512; i++ {
+		if c.AllocateWrite(i%8, i) == nil {
+			t.Fatal("allocation failed")
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20_000; i++ {
+				b := c.Lookup((i + w) % 1024)
+				if ((i+w)%1024 < 512) != (b != nil) {
+					t.Errorf("lookup %d wrong presence", (i+w)%1024)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

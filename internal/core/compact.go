@@ -169,10 +169,9 @@ func (n *cnode) Wake() { n.e.cWake(n) }
 // concurrently in FS code — faithful to the paper's single
 // shared-memory file system, but a single contention domain spanning
 // 100k+ nodes prices actions into the seconds and the run measures
-// nothing else. A machine built at this scale shards that state (as
-// this simulator's own cache index does), so cluster runs charge the
-// calibrated base costs without the contention term and leave disk
-// queueing as the contention under study.
+// nothing else. A machine built at this scale shards that state, so
+// cluster runs charge the calibrated base costs without the contention
+// term and leave disk queueing as the contention under study.
 func ScaleConfig(nodes, disks int, prefetch bool) Config {
 	cfg := DefaultConfig(pattern.GW)
 	cfg.Procs = nodes

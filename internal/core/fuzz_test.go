@@ -41,8 +41,8 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 	return func(seed uint64, raw [11]uint8) bool {
 		// Every fourth draw runs the compact (goroutine-free) engine at
 		// a bounded cluster size — up to ~5k procs and disks — so the
-		// flat-node state machines, the sharded cache index, and the
-		// timer wheel under load face the same invariants as the
+		// flat-node state machines, the cache index, and the event
+		// heap under load face the same invariants as the
 		// goroutine engine — including the disk-, node-, and
 		// domain-fault dims. Compact runs support only global access
 		// patterns; that dim is re-drawn below.

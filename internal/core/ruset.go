@@ -20,11 +20,12 @@ func newRUSet(size int) *ruSet {
 }
 
 // makeRoom unpins the oldest entries until there is room for one more,
-// so it is called before acquiring a new buffer.
+// so it is called before acquiring a new buffer. It shifts the rest down
+// in place, so the backing array is reused by the next add.
 func (r *ruSet) makeRoom(c *cache.Cache) {
 	for len(r.bufs) >= r.size {
 		c.Unpin(r.bufs[0])
-		r.bufs = r.bufs[1:]
+		r.bufs = r.bufs[:copy(r.bufs, r.bufs[1:])]
 	}
 }
 

@@ -1,37 +1,32 @@
 package sim
 
-// eventKind discriminates the typed event record. The kernel's hottest
-// occurrences — process resumptions and completion timers — carry a
-// pointer in the record instead of a heap-allocated closure, so
-// scheduling them allocates nothing beyond amortised slice growth.
-type eventKind uint8
-
-const (
-	evFunc eventKind = iota // run fn: general Schedule/After callbacks
-	evStep                  // resume proc: the blocking Proc API
-	evWake                  // call w.Wake(): typed continuation timers
-)
-
-// event is a scheduled occurrence. Events with equal times fire in the
-// order they were scheduled (seq breaks ties), which keeps the kernel
-// fully deterministic. Records live by value inside the heap's slice —
-// a pool that is reused in place as events come and go — so pushing and
-// popping moves no memory through the garbage collector.
+// event is a scheduled occurrence: at instant at, call w.Wake(). Events
+// with equal times fire in the order they were scheduled (seq breaks
+// ties), which keeps the kernel fully deterministic. Every kind of event
+// is a Waiter: Schedule callbacks travel as funcWaiter, process
+// resumptions as *procStep, and continuation timers as the caller's own
+// record, so one 32-byte record and one dispatch path serve them all.
+// Records live by value inside the heap's slice — a pool that is reused
+// in place as events come and go — so pushing and popping moves no
+// memory through the garbage collector.
 type event struct {
-	at   Time
-	seq  uint64
-	kind eventKind
-	proc *Proc
-	w    Waiter
-	fn   func()
+	at  Time
+	seq uint64
+	w   Waiter
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
-// rather than using container/heap to avoid interface boxing on the
-// hottest path in the simulator.
+// eventHeap is the kernel's event queue: a binary min-heap ordered by
+// (at, seq). It is hand-rolled rather than using container/heap to
+// avoid interface boxing on the hottest path in the simulator.
 type eventHeap struct {
 	items []event
 }
+
+// heapKeep is the largest backing array the heap keeps once it drains.
+// A cluster-scale run schedules one wake per node at t=0; without the
+// release, a million-node run would retain that burst's high-water mark
+// for its whole lifetime although steady state needs a fraction of it.
+const heapKeep = 4096
 
 func (h *eventHeap) len() int { return len(h.items) }
 
@@ -60,8 +55,14 @@ func (h *eventHeap) pop() event {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
-	h.items[last] = event{} // release proc/w/fn references
+	h.items[last] = event{} // release the waiter reference
 	h.items = h.items[:last]
+	if last == 0 {
+		if cap(h.items) > heapKeep {
+			h.items = nil
+		}
+		return top
+	}
 	h.siftDown(0)
 	return top
 }

@@ -36,7 +36,7 @@ type Waiter interface {
 // process logic blocks.
 type Kernel struct {
 	now     Time
-	heap    timerWheel
+	heap    eventHeap
 	seq     uint64
 	procs   []*Proc
 	running bool
@@ -65,8 +65,7 @@ func (k *Kernel) Now() Time { return k.now }
 // may schedule further events, fire Events, and wake processes.
 func (k *Kernel) Schedule(at Time, fn func()) {
 	k.checkFuture(at)
-	k.seq++
-	k.heap.push(event{at: at, seq: k.seq, kind: evFunc, fn: fn})
+	k.push(at, funcWaiter(fn))
 }
 
 // After arranges for fn to be called d from now.
@@ -76,12 +75,11 @@ func (k *Kernel) After(d Duration, fn func()) {
 
 // ScheduleWake arranges for w.Wake() to be called at instant at (which
 // must not be in the past). Unlike Schedule, the waiter travels in the
-// typed event record itself, so no closure is allocated — this is the
-// timer used by the hot completion paths.
+// event record itself, so no closure is allocated — this is the timer
+// used by the hot completion paths.
 func (k *Kernel) ScheduleWake(at Time, w Waiter) {
 	k.checkFuture(at)
-	k.seq++
-	k.heap.push(event{at: at, seq: k.seq, kind: evWake, w: w})
+	k.push(at, w)
 }
 
 // AfterWake arranges for w.Wake() to be called d from now.
@@ -102,12 +100,27 @@ func (k *Kernel) checkDelay(d Duration) Duration {
 	return d
 }
 
+// push queues w to wake at instant at, after every event already queued
+// for that instant.
+func (k *Kernel) push(at Time, w Waiter) {
+	k.seq++
+	k.heap.push(event{at: at, seq: k.seq, w: w})
+}
+
 // scheduleStep queues a resumption of p at the current instant, after
 // every event already due now. This is how Event.Fire and WaitQueue
 // wakeups release blocked processes without allocating.
-func (k *Kernel) scheduleStep(p *Proc) {
-	k.seq++
-	k.heap.push(event{at: k.now, seq: k.seq, kind: evStep, proc: p})
+func (k *Kernel) scheduleStep(p *Proc) { k.push(k.now, (*procStep)(p)) }
+
+// procStep is a Proc queued for resumption. Its Wake steps the process,
+// so a resumption is an ordinary event record: the pointer conversion
+// allocates nothing, and the observer can still tell steps from
+// continuation wakes by type.
+type procStep Proc
+
+func (s *procStep) Wake() {
+	p := (*Proc)(s)
+	p.k.step(p)
 }
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
@@ -154,8 +167,7 @@ func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
 		k.active--
 		p.yield <- struct{}{}
 	}()
-	k.seq++
-	k.heap.push(event{at: at, seq: k.seq, kind: evStep, proc: p})
+	k.push(at, (*procStep)(p))
 	return p
 }
 
@@ -217,8 +229,7 @@ func (p *Proc) Advance(d Duration) {
 		k.now = at
 		return
 	}
-	k.seq++
-	k.heap.push(event{at: at, seq: k.seq, kind: evStep, proc: p})
+	k.push(at, (*procStep)(p))
 	p.park("the clock")
 }
 
@@ -229,25 +240,21 @@ func (p *Proc) Yield() {
 	p.park("its turn")
 }
 
-// dispatch executes one popped event record.
+// dispatch executes one popped event record. The observer counts
+// process steps and continuation wakes apart; Schedule callbacks are
+// neither.
 func (k *Kernel) dispatch(e *event) {
 	if k.obs != nil {
 		k.obs.Add(obs.CtrKernelEvents, 1)
-		switch e.kind {
-		case evStep:
+		switch e.w.(type) {
+		case *procStep:
 			k.obs.Add(obs.CtrKernelSteps, 1)
-		case evWake:
+		case funcWaiter:
+		default:
 			k.obs.Add(obs.CtrKernelWakes, 1)
 		}
 	}
-	switch e.kind {
-	case evStep:
-		k.step(e.proc)
-	case evWake:
-		e.w.Wake()
-	default:
-		e.fn()
-	}
+	e.w.Wake()
 }
 
 // Run executes events until the heap is exhausted. It panics on deadlock:

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -672,5 +674,44 @@ func TestLabels(t *testing.T) {
 	}
 	if got := NewWaitQueue(k).SetLabel("write-behind drain").Label(); got != "write-behind drain" {
 		t.Errorf("queue label = %q", got)
+	}
+}
+
+// TestObserverCountsEventKinds pins what the kernel counters count when
+// every kind of event shares one record: a Schedule callback is an
+// event only, a ScheduleWake timer is a wake, and a spawn, a slow-path
+// Advance and a process released by Event.Fire are steps.
+func TestObserverCountsEventKinds(t *testing.T) {
+	k := NewKernel()
+	sink := &obs.CounterSink{}
+	k.SetObserver(sink)
+	ev := NewEvent(k)
+	var log []string
+	ran := false
+	k.Schedule(5, func() { ran = true })
+	k.ScheduleWake(7, &waked{&log, "timer"})
+	k.Spawn("advancer", 0, func(p *Proc) {
+		p.Advance(10) // events are due before 10, so this is a queued step
+		ev.Fire()
+	})
+	var waited Duration
+	k.Spawn("waiter", 0, func(p *Proc) { waited = ev.Wait(p) })
+	k.Run()
+	if !ran || len(log) != 1 || waited != 10 {
+		t.Fatalf("ran=%v wakes=%v waited=%v", ran, log, waited)
+	}
+	got := sink.Snapshot()
+	for _, c := range []struct {
+		ctr  obs.Counter
+		want int64
+	}{
+		{obs.CtrKernelEvents, 6}, // callback, timer, 2 spawns, Advance, Fire's release
+		{obs.CtrKernelWakes, 1},  // the timer
+		{obs.CtrKernelSteps, 4},  // 2 spawns, Advance, Fire's release
+		{obs.CtrKernelSpawns, 2},
+	} {
+		if got[c.ctr] != c.want {
+			t.Errorf("counter %v = %d, want %d", c.ctr, got[c.ctr], c.want)
+		}
 	}
 }
