@@ -273,9 +273,9 @@ func (fs *FileSystem) Create(name string, blocks int) (*File, error) {
 		phys:   make([]int, fs.opts.Disks),
 	}
 	fs.nextBase += blocks
-	for d := 0; d < fs.opts.Disks; d++ {
+	for d, n := range f.layout.DiskCounts() {
 		f.phys[d] = fs.diskAlloc[d]
-		fs.diskAlloc[d] += f.layout.BlocksOnDisk(d)
+		fs.diskAlloc[d] += n
 	}
 	fs.files[name] = f
 	return f, nil

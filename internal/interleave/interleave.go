@@ -144,16 +144,12 @@ func (l *Layout) Locate(b int) (diskID, physical int) {
 	return b % l.disks, b / l.disks
 }
 
-// BlocksOnDisk returns how many of the file's blocks live on disk d.
-func (l *Layout) BlocksOnDisk(d int) int {
-	if d < 0 || d >= l.disks {
-		panic(fmt.Sprintf("interleave: disk %d out of range [0,%d)", d, l.disks))
-	}
-	n := 0
+// DiskCounts returns how many of the file's blocks live on each disk,
+// indexed by disk, counted in one pass over the blocks.
+func (l *Layout) DiskCounts() []int {
+	n := make([]int, l.disks)
 	for b := 0; b < l.blocks; b++ {
-		if l.DiskFor(b) == d {
-			n++
-		}
+		n[l.DiskFor(b)]++
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package interleave
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -41,18 +42,10 @@ func TestValid(t *testing.T) {
 	}
 }
 
-func TestBlocksOnDisk(t *testing.T) {
+func TestDiskCounts(t *testing.T) {
 	l := New(10, 4, 1) // blocks 0..9 → disks 0,1,2,3,0,1,2,3,0,1
-	want := []int{3, 3, 2, 2}
-	total := 0
-	for d, w := range want {
-		if got := l.BlocksOnDisk(d); got != w {
-			t.Fatalf("BlocksOnDisk(%d) = %d, want %d", d, got, w)
-		}
-		total += want[d]
-	}
-	if total != 10 {
-		t.Fatalf("per-disk counts sum to %d", total)
+	if got := fmt.Sprint(l.DiskCounts()); got != "[3 3 2 2]" {
+		t.Fatalf("DiskCounts = %s, want [3 3 2 2]", got)
 	}
 }
 
@@ -63,7 +56,6 @@ func TestPanics(t *testing.T) {
 		func() { New(1, 1, 0) },
 		func() { New(10, 2, 1).DiskFor(10) },
 		func() { New(10, 2, 1).PhysicalBlock(-1) },
-		func() { New(10, 2, 1).BlocksOnDisk(2) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -102,8 +94,8 @@ func TestLocateBijection(t *testing.T) {
 		}
 		// per-disk counts add up
 		total := 0
-		for d := 0; d < disks; d++ {
-			total += l.BlocksOnDisk(d)
+		for _, n := range l.DiskCounts() {
+			total += n
 		}
 		return total == blocks
 	}
@@ -140,10 +132,8 @@ func TestSegmentedLayout(t *testing.T) {
 			t.Fatalf("Locate(%d) = %d,%d, want %d,%d", b, d, p, wantDisk, b%25)
 		}
 	}
-	for d := 0; d < 4; d++ {
-		if got := l.BlocksOnDisk(d); got != 25 {
-			t.Fatalf("BlocksOnDisk(%d) = %d", d, got)
-		}
+	if got := fmt.Sprint(l.DiskCounts()); got != "[25 25 25 25]" {
+		t.Fatalf("DiskCounts = %s", got)
 	}
 }
 
@@ -167,6 +157,9 @@ func TestHashedLayoutSpread(t *testing.T) {
 			t.Fatalf("Locate(%d) = %d,%d", b, d, p)
 		}
 		counts[d]++
+	}
+	if got, want := fmt.Sprint(l.DiskCounts()), fmt.Sprint(counts); got != want {
+		t.Fatalf("DiskCounts = %s, want %s", got, want)
 	}
 	// Roughly uniform: each disk within 50% of the fair share.
 	for d, c := range counts {

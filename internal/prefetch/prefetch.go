@@ -43,10 +43,14 @@ type stringState struct {
 	str        []int
 	portions   []pattern.Portion
 	nextDemand int // lowest reference-string index not yet demanded
-	// scanFrom, in monotone mode, is the lowest index at or above
-	// nextDemand that could be uncached: every index in
-	// [nextDemand, scanFrom) was verified in-cache by an earlier scan.
+	// scanFrom, in monotone mode, is the forward scan cursor: every
+	// index in [nextDemand, scanFrom) was verified in-cache by an
+	// earlier scan, and only the holes among them can have left since.
 	scanFrom int
+	// holes, in monotone mode, is a min-heap of the indices below
+	// scanFrom that Demote reported dropped. A scan discards a hole
+	// once it falls below nextDemand or is back in the cache.
+	holes []int
 }
 
 // NewPolicy builds the policy for a pattern with the given minimum
@@ -101,11 +105,12 @@ func (p *Policy) SetMonotone(on bool) {
 
 // Demote reports that block, previously present in the cache, was
 // dropped without being consumed (a failed prefetch fill under fault
-// injection). The verified-cached cursor rolls back to the block's
-// string index so the next scan re-examines it — the invalidation that
-// keeps the monotone cursor exact on faulted runs. No-op when the
-// cursor is off, for local patterns, or for a block outside the
-// string.
+// injection). If the cursor has passed the block's string index, the
+// index is queued as a hole that the next scans re-examine before
+// resuming at the cursor — the invalidation that keeps the monotone
+// cursor exact on faulted runs without re-verifying everything between
+// the hole and the cursor. No-op when the cursor is off, for local
+// patterns, or for a block outside the string.
 func (p *Policy) Demote(block int) {
 	if !p.monotone || p.pat.Kind.Local() {
 		return
@@ -129,9 +134,46 @@ func (p *Policy) Demote(block int) {
 	if block < 0 || block >= len(p.indexOf) {
 		return
 	}
-	if idx := int(p.indexOf[block]); idx >= 0 && idx < p.states[0].scanFrom {
-		p.states[0].scanFrom = idx
+	if idx, st := int(p.indexOf[block]), &p.states[0]; idx >= 0 && idx < st.scanFrom {
+		st.pushHole(idx)
 	}
+}
+
+// pushHole adds index i to the holes heap.
+func (st *stringState) pushHole(i int) {
+	h := append(st.holes, i)
+	for c := len(h) - 1; c > 0; {
+		parent := (c - 1) / 2
+		if h[parent] <= h[c] {
+			break
+		}
+		h[parent], h[c] = h[c], h[parent]
+		c = parent
+	}
+	st.holes = h
+}
+
+// popHole removes the lowest hole.
+func (st *stringState) popHole() {
+	h := st.holes
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	st.holes = h
 }
 
 func (p *Policy) stateFor(node int) *stringState {
@@ -204,16 +246,31 @@ func (p *Policy) Select(node int, inCache func(block int) bool) (block, idx int,
 }
 
 // scan walks [from, to) of the state's string for the first uncached
-// block. In monotone mode it starts no earlier than the verified-cached
-// cursor and advances the cursor past everything it verifies; the
-// returned index itself stays below the cursor, since the caller's
-// prefetch of it may still fail.
+// block. In monotone mode the holes are the only indices below the
+// cursor that can be uncached, so it first returns the lowest hole
+// still uncached, leaving it queued, and otherwise starts at the cursor
+// and advances it past everything it verifies; the returned index
+// itself is not passed, since the caller's prefetch of it may still
+// fail.
 func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (block, idx int, ok bool) {
 	if from < 0 {
 		from = 0
 	}
-	if p.monotone && st.scanFrom > from {
-		from = st.scanFrom
+	if p.monotone {
+		for len(st.holes) > 0 && (st.holes[0] < from || inCache(st.str[st.holes[0]])) {
+			st.popHole()
+		}
+		if len(st.holes) > 0 {
+			// Every index from `from` to the hole is cached, and the
+			// hole lies below the cursor.
+			if i := st.holes[0]; i < to {
+				return st.str[i], i, true
+			}
+			return 0, 0, false
+		}
+		if st.scanFrom > from {
+			from = st.scanFrom
+		}
 	}
 	for i := from; i < to; i++ {
 		if !inCache(st.str[i]) {

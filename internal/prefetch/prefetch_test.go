@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/pattern"
@@ -244,11 +246,11 @@ func TestLRPHorizonPerProcess(t *testing.T) {
 	}
 }
 
-// TestDemoteRollsCursorBack pins the fault-run exactness contract of
-// the monotone cursor: a block a scan verified in-cache that later
-// drops out (a failed prefetch fill) is invisible to the cursor until
-// Demote reports it, and re-examined afterwards.
-func TestDemoteRollsCursorBack(t *testing.T) {
+// TestDemoteQueuesHole pins the fault-run exactness contract of the
+// monotone cursor: a block a scan verified in-cache that later drops
+// out (a failed prefetch fill) is invisible to the cursor until Demote
+// reports it, and re-examined afterwards.
+func TestDemoteQueuesHole(t *testing.T) {
 	p := NewPolicy(smallGW(10), 0)
 	p.SetMonotone(true)
 	// Blocks 0-4 cached: the scan verifies them and parks the cursor
@@ -292,5 +294,90 @@ func TestDemoteNoops(t *testing.T) {
 	lp.Demote(3) // local pattern: per-node strings never get the cursor
 	if _, _, ok := lp.Select(0, noneCached); !ok {
 		t.Fatal("local Select found no candidate")
+	}
+}
+
+// TestDemoteCostsConstantProbes: a hole far behind the cursor is
+// re-examined on its own, not by re-verifying every cached index
+// between it and the cursor.
+func TestDemoteCostsConstantProbes(t *testing.T) {
+	p := NewPolicy(smallGW(1000), 0)
+	p.SetMonotone(true)
+	cached := map[int]bool{}
+	for b := 0; b < 900; b++ {
+		cached[b] = true
+	}
+	probes := 0
+	inCache := func(b int) bool { probes++; return cached[b] }
+	if block, _, ok := p.Select(0, inCache); !ok || block != 900 {
+		t.Fatalf("Select = %d,%v, want 900", block, ok)
+	}
+	delete(cached, 10)
+	p.Demote(10)
+	probes = 0
+	if block, _, ok := p.Select(0, inCache); !ok || block != 10 {
+		t.Fatalf("Select after Demote = %d,%v, want 10", block, ok)
+	}
+	cached[10] = true // prefetched again
+	if block, _, ok := p.Select(0, inCache); !ok || block != 900 {
+		t.Fatalf("Select after refill = %d,%v, want 900", block, ok)
+	}
+	if probes > 4 {
+		t.Fatalf("%d cache probes for one hole 890 indices behind the cursor", probes)
+	}
+}
+
+// TestMonotoneMatchesPlainScan is an oracle for the monotone cursor:
+// over random streams of selects (most of them prefetched), demand
+// reads, evictions of consumed blocks and demotes of unconsumed ones,
+// a monotone policy selects exactly what the plain scan selects.
+func TestMonotoneMatchesPlainScan(t *testing.T) {
+	for _, kind := range []pattern.Kind{pattern.GW, pattern.GRP, pattern.GFP} {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
+				cfg := pattern.Defaults(kind)
+				cfg.TotalBlocks = 400
+				pat := pattern.MustGenerate(cfg)
+				str := pat.Global
+				mono, plain := NewPolicy(pat, 0), NewPolicy(pat, 0)
+				mono.SetMonotone(true)
+				cached := map[int]bool{}
+				inCache := func(b int) bool { return cached[b] }
+				rnd := rand.New(rand.NewSource(seed))
+				for step := 0; step < 2000; step++ {
+					next := mono.NextDemand(0)
+					switch op := rnd.Intn(10); {
+					case op < 5:
+						mb, mi, mok := mono.Select(0, inCache)
+						pb, pi, pok := plain.Select(0, inCache)
+						if mb != pb || mi != pi || mok != pok {
+							t.Fatalf("step %d: monotone Select = %d,%d,%v, plain = %d,%d,%v",
+								step, mb, mi, mok, pb, pi, pok)
+						}
+						if mok && rnd.Intn(4) > 0 {
+							cached[mb] = true
+						}
+					case op < 7:
+						if next < len(str) {
+							mono.NoteDemand(0, next)
+							plain.NoteDemand(0, next)
+							cached[str[next]] = true
+						}
+					case op < 9:
+						if next > 0 {
+							delete(cached, str[rnd.Intn(next)])
+						}
+					default:
+						if next < len(str) {
+							if b := str[next+rnd.Intn(len(str)-next)]; cached[b] {
+								delete(cached, b)
+								mono.Demote(b)
+								plain.Demote(b)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

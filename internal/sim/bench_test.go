@@ -15,16 +15,20 @@ func BenchmarkScheduleRun(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSwitch measures the coroutine handoff cost: one Advance
-// per iteration.
+// BenchmarkProcSwitch measures the coroutine handoff cost: two
+// processes advance in lockstep, so every Advance parks and is resumed
+// through the heap — one resume/yield round trip per iteration. (A lone
+// process would take Advance's fast path and never switch.)
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
-	k.Spawn("p", 0, func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1)
-		}
-	})
+	for _, n := range []int{b.N / 2, b.N - b.N/2} {
+		k.Spawn("p", 0, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Advance(1)
+			}
+		})
+	}
 	b.ResetTimer()
 	k.Run()
 }

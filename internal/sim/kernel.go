@@ -22,14 +22,14 @@ type Waiter interface {
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel,
 // spawn processes with Spawn, then call Run. The zero value is not usable.
 //
-// The kernel is strictly sequential: although each process runs on its own
-// goroutine, control is handed off synchronously so that exactly one
-// goroutine (a process or the kernel loop) is ever runnable. All state
+// The kernel is strictly sequential: although each process runs as its
+// own coroutine, control is handed off synchronously so that exactly one
+// of them (a process or the kernel loop) is ever running. All state
 // reachable from process code may therefore be used without locks.
 //
 // Two styles of scheduling coexist. The blocking Proc API (Advance,
-// Event.Wait, WaitQueue.Sleep) reads naturally but costs two goroutine
-// context switches per block/resume pair. The continuation API (Waiter,
+// Event.Wait, WaitQueue.Sleep) reads naturally but costs two coroutine
+// switches per block/resume pair. The continuation API (Waiter,
 // Event.AddWaiter, ScheduleWake) stays in kernel context and costs a
 // plain function call, so the simulator's inner loops — I/O completion,
 // cache wakeups, prefetch chaining — use it exclusively; only top-level
@@ -107,139 +107,6 @@ func (k *Kernel) push(at Time, w Waiter) {
 	k.heap.push(event{at: at, seq: k.seq, w: w})
 }
 
-// scheduleStep queues a resumption of p at the current instant, after
-// every event already due now. This is how Event.Fire and WaitQueue
-// wakeups release blocked processes without allocating.
-func (k *Kernel) scheduleStep(p *Proc) { k.push(k.now, (*procStep)(p)) }
-
-// procStep is a Proc queued for resumption. Its Wake steps the process,
-// so a resumption is an ordinary event record: the pointer conversion
-// allocates nothing, and the observer can still tell steps from
-// continuation wakes by type.
-type procStep Proc
-
-func (s *procStep) Wake() {
-	p := (*Proc)(s)
-	p.k.step(p)
-}
-
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically with all other processes by the kernel. All Proc
-// methods must be called from the process's own goroutine.
-type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	yield   chan struct{}
-	done    bool
-	waiting string // condition blocking the process; "" while runnable
-}
-
-// Name returns the name given to Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
-// Spawn creates a process that will begin executing fn at time `at`.
-// Spawn may be called before Run, or from process/callback context during
-// the run.
-func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
-	k.checkFuture(at)
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	k.procs = append(k.procs, p)
-	k.active++
-	if k.obs != nil {
-		k.obs.Add(obs.CtrKernelSpawns, 1)
-	}
-	go func() {
-		<-p.resume
-		fn(p)
-		p.done = true
-		k.active--
-		p.yield <- struct{}{}
-	}()
-	k.push(at, (*procStep)(p))
-	return p
-}
-
-// step transfers control to p until it blocks again. Kernel context only.
-func (k *Kernel) step(p *Proc) {
-	if p.done {
-		panic("sim: waking a finished process " + p.name)
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
-// Resume transfers control to a process parked with Park (or any
-// blocking wait), running it until it next blocks or finishes. It must
-// be called in kernel context at the instant the process should
-// continue. Ordinary waiters are resumed by Event.Fire in FIFO order;
-// Resume is for continuation code that knows its process must run right
-// now — e.g. a prefetch scheduler resuming its processor the moment the
-// awaited event has fired and the in-flight action has completed.
-func (k *Kernel) Resume(p *Proc) { k.step(p) }
-
-// park returns control to the kernel until something re-schedules this
-// process. reason labels the process in deadlock diagnostics. Process
-// context only.
-func (p *Proc) park(reason string) {
-	p.waiting = reason
-	p.yield <- struct{}{}
-	<-p.resume
-	p.waiting = ""
-}
-
-// Park blocks the process until kernel-context code resumes it — via
-// Kernel.Resume, or by handing it to an event with Event.Enqueue. The
-// reason labels the process in deadlock diagnostics. Callers must
-// guarantee that a wakeup is, or will be, arranged: parking with nothing
-// pointing back at the process deadlocks the simulation. Process context
-// only.
-func (p *Proc) Park(reason string) { p.park(reason) }
-
-// Advance blocks the process for d of virtual time.
-func (p *Proc) Advance(d Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative advance %v", d))
-	}
-	if d == 0 {
-		return
-	}
-	k := p.k
-	at := k.now.Add(d)
-	// Fast path: if no other event is due strictly before the resume
-	// instant, a round trip through the heap would accomplish nothing
-	// but two goroutine context switches — the resume event would be
-	// popped immediately after being pushed. Advancing the clock in
-	// place is observationally identical. (Bounded by k.limit so that
-	// RunUntil still stops at its deadline; an event already queued at
-	// the same instant has a smaller seq and must run first, hence the
-	// strict comparison.)
-	if at <= k.limit && (k.heap.len() == 0 || at < k.heap.peekTime()) {
-		k.now = at
-		return
-	}
-	k.push(at, (*procStep)(p))
-	p.park("the clock")
-}
-
-// Yield reschedules the process at the current instant, letting every
-// other event due now run first.
-func (p *Proc) Yield() {
-	p.k.scheduleStep(p)
-	p.park("its turn")
-}
-
 // dispatch executes one popped event record. The observer counts
 // process steps and continuation wakes apart; Schedule callbacks are
 // neither.
@@ -258,7 +125,13 @@ func (k *Kernel) dispatch(e *event) {
 }
 
 // Run executes events until the heap is exhausted. It panics on deadlock:
-// live processes remaining with no pending events.
+// live processes remaining with no pending events. A panic in a process
+// body propagates out of Run with the same value.
+//
+// Every Run and RunUntil call on one kernel must run with the same
+// OS-thread lock state (runtime.LockOSThread), since process coroutines
+// are created inside them and must be resumed as they were created. A
+// mismatch is a fatal runtime error, not a panic.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -278,7 +151,8 @@ func (k *Kernel) Run() {
 // RunUntil executes events with times <= deadline and then stops,
 // leaving the clock at the last executed event (or deadline if nothing
 // ran past it). Remaining events stay queued; Run or RunUntil may be
-// called again. It reports whether any events remain.
+// called again. It reports whether any events remain. Process panics and
+// the OS-thread lock rule are as for Run.
 func (k *Kernel) RunUntil(deadline Time) bool {
 	if k.running {
 		panic("sim: RunUntil called reentrantly")

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are ordinary Go functions run on goroutines, but
+// Simulated processes are ordinary Go functions run as coroutines, and
 // exactly one of them executes at a time: the kernel hands control to the
 // process whose next event is due, and the process hands control back when
 // it blocks (Advance, Wait, ...). This gives sequential, reproducible
@@ -10,7 +10,7 @@
 //
 // Alongside the blocking Proc API the kernel offers an event-driven
 // continuation API — Waiter, Event.AddWaiter, Kernel.ScheduleWake —
-// that runs entirely in kernel context with no goroutine handoff and no
+// that runs entirely in kernel context with no coroutine switch and no
 // per-event closure allocation. Hot paths (I/O completion, cache
 // wakeups, prefetch chaining) use continuations; top-level process
 // logic blocks. Both styles schedule through the same typed event heap,
