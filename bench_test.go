@@ -296,13 +296,13 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterScale measures the compact engine at cluster scale:
-// a 100k-node, 25k-disk prefetching run at the scale sweep's operating
+// BenchmarkClusterScale measures the testbed at cluster scale: a
+// 100k-node, 25k-disk prefetching run at the scale sweep's operating
 // point (16 blocks/node, disks at 50% utilization). Reports events/sec
 // — kernel events dispatched per wall-clock second — and bytes/node,
 // the live heap one run retains per node (the budget that makes the
-// 1M-node sweep feasible; the goroutine engine's stacks alone are 2
-// KB/node).
+// 1M-node sweep feasible; a goroutine per node would cost at least
+// 2 KB/node in stack alone).
 func BenchmarkClusterScale(b *testing.B) {
 	const nodes = 100_000
 	b.ReportAllocs()

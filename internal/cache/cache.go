@@ -340,8 +340,8 @@ type Cache struct {
 
 	// doneSentinel is a single pre-fired event swapped into IODone when
 	// a fill completes successfully. Post-completion readers only ever
-	// ask Fired() (waitEvent and its compact analogue return before
-	// touching anything else on a fired event), and dropping the real
+	// ask Fired() (a processor's waits return before touching anything
+	// else on a fired event), and dropping the real
 	// event releases the disk request it is embedded in — without the
 	// swap every frame would pin its last request's full record, which
 	// at cluster scale is hundreds of retained bytes per node.

@@ -8,10 +8,10 @@ import (
 )
 
 // TestAllocsPerRead pins the simulator's allocation rate per block read
-// on two reference cells: the paper-scale gw prefetching run (the
-// goroutine engine) and a 2k-node compact cluster cell. What remains is
-// mostly set-up and the disk layer's per-request records, about two
-// allocations per read (2.15 and 1.92); the bounds leave ~40% headroom.
+// on two reference cells: the paper-scale gw prefetching run and a
+// 2k-node compact cluster cell. What remains is mostly set-up and the
+// disk layer's per-request records, about two allocations per read
+// (2.06 and 1.92); the bounds leave ~40% headroom.
 // Event-queue slot regrowth, at 6 to 11 allocations per read, fails
 // here.
 func TestAllocsPerRead(t *testing.T) {

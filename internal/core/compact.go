@@ -13,47 +13,47 @@ import (
 	"repro/internal/sim"
 )
 
-// The compact engine runs each processor as an event-driven state
-// machine in kernel context instead of a spawned goroutine. A goroutine
-// costs a 2 KB stack before it executes a single instruction, which
-// alone breaks the < 1 KB/node budget a 100k–1M node run needs; a
-// cnode is a flat record of ~200 bytes in one contiguous array.
+// Each processor runs as an event-driven state machine, a cnode, in
+// kernel context: no goroutine, no coroutine, no stack. A cnode is a
+// flat record of ~200 bytes in one contiguous array, which is what lets
+// a 100k–1M node run fit under 1 KB per node.
 //
-// The translation is mechanical: every point where procBody would block
-// (an I/O completion, a barrier release, a frame wait) or advance the
-// clock (file system work, the computation delay) becomes a program
-// counter the node parks at, and the corresponding wake re-enters
-// cstep. Idle-time prefetching keeps the Scheduler's chain shape — an
-// action's completion timer begins the next action directly — with the
-// node's embedded action waiter standing in for the Scheduler.
+// Every point where the synthetic application blocks (an I/O
+// completion, a barrier release, a frame wait, the orphan posting of a
+// processor kill) or advances the clock (file system work, the
+// computation delay, a retry backoff) is a program counter the node
+// parks at, and the wake re-enters cstep. Idle-time prefetching is a
+// chain of actions: each action's completion timer (the node's embedded
+// cnodeAction) begins the next one directly, and the node continues
+// once the awaited event has fired and the action in flight has
+// completed (§III).
 //
-// The compact engine is deterministic (same seed and config give the
-// same Result bytes) but not byte-identical to the goroutine engine: a goroutine resumes via a scheduled step event
-// while a continuation runs at the instant of the firing itself, so
-// same-instant work interleaves differently and the contention counts
-// the cost model sees can differ. Validate restricts the mode to the
-// configurations the state machine covers (see compactCapabilities in
-// config.go): global access patterns, no tracing.
+// A parked node wakes in one of two same-instant orders, both
+// deterministic. By default it joins the event's FIFO of blocked
+// parties and wakes behind the events already due at the firing, as a
+// blocked process would; this order reproduces the paper-scale goldens.
+// Under Config.CompactNodes it wakes inline, inside the firing; this
+// order reproduces the cluster goldens. The two give different Result
+// bytes, since same-instant work interleaves differently.
 //
-// Fault injection is fully supported and keeps the determinism
-// property: a failed fill parks the node in an explicit backoff state
-// (cpcBackoff) whose jitter comes from the node's own retry stream, a
-// dead home disk remaps through place exactly as in the goroutine
-// engine, and a node kill crashes the node into a terminal cpcDead
-// state at its next read boundary — crash semantics, no barrier
-// withdrawal, so a kill under synchronization without a barrier
-// timeout deadlocks the survivors by design (and trips the flight
-// recorder). Every fault draw comes from per-disk/per-node/per-domain
-// streams already aligned to deterministic orders, so results stay
-// byte-identical from run to run.
+// Faults keep determinism: a failed fill parks the node in an explicit
+// backoff state (cpcBackoff) whose jitter comes from the node's own
+// retry stream, a dead home disk remaps through place, and a node kill
+// crashes the node into the terminal cpcDead state at its next read
+// boundary — crash semantics, no barrier withdrawal, so a kill under
+// synchronization without a barrier timeout deadlocks the survivors by
+// design (a *sim.DeadlockError, which trips the flight recorder).
 
-// cpc is a compact node's program counter.
+// cpc is a cnode's program counter.
 type cpc uint8
 
 const (
-	// cpcMain is the application loop head: catch up on raised
-	// generations, then claim the next read or finish.
+	// cpcMain is the application loop head: crash out if killed.
 	cpcMain cpc = iota
+	// cpcClaim catches up on raised generations, then claims the next
+	// read or finishes. It is a state of its own because the loop head
+	// checks for a kill once, not after each catch-up barrier.
+	cpcClaim
 	// cpcLookup (re)tries the cache lookup for the claimed block.
 	cpcLookup
 	// cpcHitRemote runs after the hit's fs work: charge the remote
@@ -75,13 +75,16 @@ const (
 	cpcReadDone
 	// cpcAfterCompute resumes after the computation delay.
 	cpcAfterCompute
-	// cpcMaybeSync applies the per-proc every-N synchronization style.
+	// cpcMaybeSync applies the per-proc every-N and local per-portion
+	// synchronization styles.
 	cpcMaybeSync
 	// cpcSyncWaited resumes after a barrier release.
 	cpcSyncWaited
-	// cpcEndGens drains the RU set and catches up on remaining
-	// generations before withdrawing.
+	// cpcEndGens catches up on remaining generations, withdraws from
+	// the barrier, and waits for a killed node's orphaned blocks.
 	cpcEndGens
+	// cpcTakeover claims the next orphaned block, or finishes.
+	cpcTakeover
 	// cpcBackoff resumes after a failed read's virtual-time
 	// capped-exponential backoff and retries the lookup.
 	cpcBackoff
@@ -92,9 +95,9 @@ const (
 	cpcDead
 )
 
-// cnode is one compact processor. Everything the goroutine engine kept
-// on procBody's stack lives here explicitly; the whole population is
-// one contiguous []cnode allocation. Word-sized fields come first and
+// cnode is one processor. Everything a blocking process would keep on
+// its stack lives here explicitly; the whole population is one
+// contiguous []cnode allocation. Word-sized fields come first and
 // the byte-sized flags share one trailing slot: at 100k–1M nodes every
 // padding hole in this struct is a megabyte.
 type cnode struct {
@@ -104,7 +107,7 @@ type cnode struct {
 	rng rng.Source // computation-delay stream, by value
 	ru  ruSet      // pinned recently-used buffers
 
-	// Current read.
+	// Current read; idx is -1 for a takeover read.
 	idx, block int
 	readStart  sim.Time
 	buf        *cache.Buffer
@@ -112,12 +115,11 @@ type cnode struct {
 	myReads    int
 	passedGens int
 
-	// The one outstanding event wait (nil when the node is parked on a
-	// timer or a frame wait instead).
+	// The one outstanding idle wait (waitEv is nil when the node is
+	// parked on a timer, a frame wait or the orphan posting instead).
 	waitEv       *sim.Event
 	waitStart    sim.Time
 	waitDeadline sim.Time
-	waitBlock    int
 	waitKind     IdleKind
 	lastWait     sim.Duration
 
@@ -135,11 +137,12 @@ type cnode struct {
 	// bookkeeping, reset when a new read is claimed).
 	attempts int32
 
-	pc        cpc
-	afterSync cpc
-	hitReady  bool
-	ranAction bool
-	inFSWork  bool
+	pc         cpc
+	afterSync  cpc
+	hitReady   bool
+	ranAction  bool
+	inFSWork   bool
+	portionEnd bool // the read just done ended a per-portion sync portion
 }
 
 // cnodeAction is the node's prefetch-action completion waiter — the
@@ -191,43 +194,54 @@ func ScaleConfig(nodes, disks int, prefetch bool) Config {
 	return cfg
 }
 
-// runCompact executes the experiment on the compact engine.
-func (e *Engine) runCompact() *Result {
-	e.armNodeFaults()
-	e.armDomainFaults()
-	e.cnodes = make([]cnode, e.cfg.Procs)
+// deadlock describes the nodes still parked once the event queue has
+// drained, or returns nil if every node finished or died.
+func (e *Engine) deadlock() *sim.DeadlockError {
+	var err *sim.DeadlockError
 	for i := range e.cnodes {
 		n := &e.cnodes[i]
-		n.e = e
-		n.id = i
-		n.rng = *rng.New(e.cfg.Seed, uint64(i)+1000)
-		n.ru.size = e.cfg.RUSetSize
-		n.action.n = n
-		n.pc = cpcMain
-		// Start every node at t=0 through the event queue, in node
-		// order — the compact analogue of the goroutine engine's spawn
-		// order.
-		e.k.ScheduleWake(0, n)
-	}
-	if e.cfg.AuditEvery > 0 {
-		e.aud = e.buildAuditor()
-		e.aud.Start()
-	}
-	e.k.Run()
-	if e.aud != nil {
-		e.aud.Sweep()
-	}
-	for i := range e.cnodes {
-		if pc := e.cnodes[i].pc; pc != cpcDone && pc != cpcDead {
-			panic(fmt.Sprintf("core: compact node %d stalled at pc %d with an empty event queue (deadlock)", i, pc))
+		if n.pc == cpcDone || n.pc == cpcDead {
+			continue
+		}
+		if err == nil {
+			err = &sim.DeadlockError{}
+		}
+		err.Active++
+		if len(err.Blocked) < 8 { // the kernel's diagnostic names at most 8
+			err.Blocked = append(err.Blocked, sim.BlockedProc{
+				Name: fmt.Sprintf("proc%d", n.id), Waiting: e.waitingOn(n),
+			})
 		}
 	}
-	return e.collectResult()
+	return err
 }
 
-// prefetchingC reports whether this run prefetches (compact mode has no
-// per-node Scheduler to test).
-func (e *Engine) prefetchingC() bool { return e.policy != nil || e.pred != nil }
+// waitingOn labels what a parked node waits on.
+func (e *Engine) waitingOn(n *cnode) string {
+	switch {
+	case n.waitEv != nil:
+		return n.waitEv.Label()
+	case n.pc == cpcFrameWaited:
+		return e.bcache.Freed.Label()
+	case n.pc == cpcTakeover:
+		return e.orphansPosted.Label()
+	}
+	return ""
+}
+
+// prefetching reports whether this run prefetches.
+func (e *Engine) prefetching() bool { return e.policy != nil || e.pred != nil }
+
+// park registers n to wake when ev fires: behind the events already
+// due at the firing, as a blocked process wakes, or inline at the
+// firing under CompactNodes.
+func (e *Engine) park(n *cnode, ev *sim.Event) {
+	if e.cfg.CompactNodes {
+		ev.AddWaiter(n)
+		return
+	}
+	ev.AddBlocked(n)
+}
 
 // cWake is the node's generic wake: close out whatever the node was
 // parked on — file system work, an event wait, a timer — then continue
@@ -250,8 +264,7 @@ func (e *Engine) cWake(n *cnode) {
 		n.lastWait = ev.FiredAt().Sub(n.waitStart)
 		if n.ranAction {
 			// Woken by the event itself, so the last action finished
-			// before the firing: zero overrun, mirroring the goroutine
-			// engine's accounting for every wait that hosted an action.
+			// before the firing: zero overrun.
 			e.res.Overrun.Add(0)
 		}
 		e.recordWait(n)
@@ -262,7 +275,7 @@ func (e *Engine) cWake(n *cnode) {
 // cActionWake completes the prefetch action in flight and decides, in
 // kernel context, what the parked node does next — resume (event
 // fired, possibly overrun), begin another action, or hand the wakeup to
-// the event. It is prefetch.Scheduler.Wake for a node with no process.
+// the event.
 func (e *Engine) cActionWake(n *cnode) {
 	e.finishAction(n.id)
 	ev := n.waitEv
@@ -278,76 +291,67 @@ func (e *Engine) cActionWake(n *cnode) {
 		e.cstep(n)
 		return
 	}
-	if d, ok := e.cBeginAction(n.id, n.waitDeadline); ok {
+	if d, ok := e.beginAction(n.id, n.waitDeadline); ok {
 		e.k.AfterWake(d, &n.action)
 		return
 	}
-	ev.AddWaiter(n)
-}
-
-// cBeginAction is beginAction behind the compact engine's backpressure
-// gate — the counterpart of prefetch.Scheduler.SetGate wiring in the
-// goroutine engine. With NodeFault.Backpressure set, an idle wait hosts
-// no action while the prefetch class has no claimable frame, instead of
-// looping a cheap failed hunt for the entire wait.
-func (e *Engine) cBeginAction(node int, deadline sim.Time) (sim.Duration, bool) {
-	if e.bpGate && !e.prefetchAllowed() {
-		return 0, false
-	}
-	return e.beginAction(node, deadline)
+	e.park(n, ev)
 }
 
 // recordWait books the idle time of the wait just ended and emits its
-// span, mirroring waitEvent's epilogue.
+// span. The span runs from the call to the actual resume — so a
+// prefetch action that overruns the event stays nested inside it — and
+// carries the awaited block (-1 for a barrier) and the logical wait
+// (call to firing) in Arg.
 func (e *Engine) recordWait(n *cnode) {
 	e.res.IdleTime[n.waitKind].Add(n.lastWait.Millis())
 	if e.obs != nil {
-		var sk obs.SpanKind
+		sk, block := obs.SpanHitWait, n.block
 		switch n.waitKind {
 		case IdleSync:
-			sk = obs.SpanSyncWait
+			sk, block = obs.SpanSyncWait, -1
 		case IdleOwnIO:
 			sk = obs.SpanDemandWait
-		default:
-			sk = obs.SpanHitWait
 		}
 		e.obs.Span(obs.Span{
 			Track: obs.ProcTrack(n.id), Kind: sk,
 			Start: int64(n.waitStart), End: int64(e.k.Now()),
-			Block: n.waitBlock, Arg: int64(n.lastWait),
+			Block: block, Arg: int64(n.lastWait),
 		})
 	}
 }
 
 // cWait parks the node on ev until it fires, filling the wait with
-// prefetch actions exactly as prefetch.Scheduler.Wait does; next is
-// where the node resumes. The event must not have fired yet.
-func (e *Engine) cWait(n *cnode, ev *sim.Event, deadline sim.Time, block int, kind IdleKind, next cpc) {
+// prefetch actions (§III); next is where the node resumes. deadline is
+// the file system's estimate of when the idle period ends (exact for
+// disk waits, MaxTime for sync waits); it gates the MinPrefetchTime
+// heuristic. The event must not have fired yet.
+func (e *Engine) cWait(n *cnode, ev *sim.Event, deadline sim.Time, kind IdleKind, next cpc) {
 	n.waitEv = ev
 	n.waitStart = e.k.Now()
 	n.waitDeadline = deadline
-	n.waitBlock = block
 	n.waitKind = kind
 	n.ranAction = false
 	n.pc = next
-	if e.prefetchingC() {
+	if e.prefetching() {
 		if e.obs != nil {
 			e.obs.Add(obs.CtrPrefetchWaits, 1)
 		}
-		if d, ok := e.cBeginAction(n.id, deadline); ok {
+		if d, ok := e.beginAction(n.id, deadline); ok {
 			n.ranAction = true
 			e.k.AfterWake(d, &n.action)
 			return
 		}
 	}
-	ev.AddWaiter(n)
+	e.park(n, ev)
 }
 
 // cFSWork charges one file system operation under the NUMA cost model:
 // enter the contention tracker, price the work, and park the node on
 // the completion timer; the wake releases the tracker slot and resumes
-// at next. The bracket matches fsWork — the node occupies its
-// contention slot for the operation's whole duration.
+// at next. Contention is the number of *other* processors executing
+// file system code (not those blocked on I/O), and the node holds its
+// slot for the operation's whole duration.
 func (e *Engine) cFSWork(n *cnode, c memory.Cost, next cpc) {
 	others := e.track.Enter()
 	d := e.price(n.id, c, others)
@@ -358,6 +362,19 @@ func (e *Engine) cFSWork(n *cnode, c memory.Cost, next cpc) {
 	e.k.AfterWake(d, n)
 }
 
+// cDelay parks the node for d of virtual time and continues at next.
+// It reports whether the node parked: a zero delay (a computation draw
+// that rounds to 0 µs) continues inline rather than queueing behind the
+// events already due now.
+func (e *Engine) cDelay(n *cnode, d sim.Duration, next cpc) bool {
+	n.pc = next
+	if d == 0 {
+		return false
+	}
+	e.k.AfterWake(d, n)
+	return true
+}
+
 // cSyncArrive takes the node through one barrier generation,
 // prefetching while it waits; next is where the node continues after
 // the release. It reports whether the node parked (false: the node was
@@ -365,26 +382,35 @@ func (e *Engine) cFSWork(n *cnode, c memory.Cost, next cpc) {
 // continues inline).
 func (e *Engine) cSyncArrive(n *cnode, next cpc) bool {
 	arrival := e.k.Now()
+	e.trace(Event{T: arrival, Node: n.id, Kind: EvSyncArrive, Block: -1, Index: -1})
 	ev, last := e.bar.Arrive(n.id)
 	n.afterSync = next
 	if last || ev.Fired() {
-		wait := ev.FiredAt().Sub(arrival)
-		e.res.SyncTime.Add(wait.Millis())
-		e.res.PerProc[n.id].SyncWait.Add(wait.Millis())
+		e.syncReleased(n, ev.FiredAt().Sub(arrival))
 		n.pc = next
 		return false
 	}
-	e.cWait(n, ev, sim.MaxTime, -1, IdleSync, cpcSyncWaited)
+	e.cWait(n, ev, sim.MaxTime, IdleSync, cpcSyncWaited)
 	return true
 }
 
-// cFailedRead is failedRead for a compact node: release the buffer
-// whose fill failed, book the retry, and park the node on the
-// capped-exponential backoff timer; the wake re-enters at cpcBackoff
-// and retries the lookup (a dead home disk remaps through place on the
-// way). Exhausting a bounded retry policy panics exactly as in the
-// goroutine engine.
-func (e *Engine) cFailedRead(n *cnode) {
+// syncReleased books a barrier wait of the given length.
+func (e *Engine) syncReleased(n *cnode, wait sim.Duration) {
+	e.res.SyncTime.Add(wait.Millis())
+	e.res.PerProc[n.id].SyncWait.Add(wait.Millis())
+	e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvSyncRelease, Block: -1, Index: -1})
+}
+
+// cFailedRead releases the buffer whose fill failed, books the retry,
+// and parks the node on the capped-exponential backoff timer; the wake
+// re-enters at cpcBackoff and retries the lookup (a dead home disk
+// remaps through place on the way). Exhausting a bounded retry policy
+// panics: the synthetic application replays a fixed reference string
+// and has no error path, so a permanent read failure is a configuration
+// choice (the default policy is unlimited and, with degraded-mode
+// remapping, always makes progress). It reports whether the node
+// parked, as cDelay does.
+func (e *Engine) cFailedRead(n *cnode) bool {
 	err := n.buf.FillErr()
 	e.bcache.Unpin(n.buf)
 	n.buf = nil
@@ -394,44 +420,80 @@ func (e *Engine) cFailedRead(n *cnode) {
 			n.id, n.block, n.attempts, err))
 	}
 	e.res.Faults.ReadRetries++
-	if e.obs != nil {
-		e.obs.Add(obs.CtrReadRetries, 1)
-	}
+	e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadRetry, Block: n.block, Index: -1,
+		Outcome: classifyFault(err), Attempt: int(n.attempts)})
 	n.waitStart = e.k.Now()
-	n.waitBlock = n.block
-	n.pc = cpcBackoff
-	e.k.AfterWake(e.retry.Backoff(int(n.attempts), e.nodes[n.id].retryRNG), n)
+	return e.cDelay(n, e.retry.Backoff(int(n.attempts), e.nodes[n.id].retryRNG), cpcBackoff)
 }
 
-// cAbandon is abandon for a compact node: crash semantics. The node
-// unpins what it holds, records its stats, and parks terminally at
-// cpcDead without withdrawing from the barrier — its membership is
-// recovered by the quorum watchdog (when armed), so a kill under
-// synchronization without a barrier timeout deadlocks the survivors by
-// design. Compact patterns are global, so the victim's unclaimed reads
-// stay in the shared cursor and the surviving self-scheduled readers
-// drain them with no orphan posting.
+// cAbandon is a killed node's exit: crash semantics. The node unpins
+// what it holds, posts its unread blocks for survivors to claim (local
+// patterns only — a global pattern's unclaimed entries stay in the
+// shared cursor for the surviving self-scheduled readers), records its
+// stats, and parks terminally at cpcDead without withdrawing from the
+// barrier. Its membership is recovered by the quorum watchdog (when
+// armed), so a kill under synchronization without a barrier timeout
+// deadlocks the survivors by design.
 func (e *Engine) cAbandon(n *cnode) {
 	n.ru.drain(e.bcache)
-	e.killErr = fmt.Errorf("core: node %d abandoned 0 unread block(s): %w",
-		n.id, fault.ErrProcDead)
+	var orphaned int
+	if e.pat.Kind.Local() {
+		ns := &e.nodes[n.id]
+		orphaned = len(e.pat.Local[n.id]) - ns.localCursor
+		e.orphans = append(e.orphans, e.pat.Local[n.id][ns.localCursor:]...)
+		ns.localCursor = len(e.pat.Local[n.id])
+	}
+	e.killErr = fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
+		n.id, orphaned, fault.ErrProcDead)
 	e.res.Faults.Node.DeadProcs++
 	if e.res.Faults.Node.KilledAtMillis == 0 {
 		e.res.Faults.Node.KilledAtMillis = sim.Duration(e.k.Now()).Millis()
 	}
+	e.cFinish(n, cpcDead)
+	// Domain kills (global patterns only, no takeover FIFO) never
+	// create the orphan event; a single-victim NodeFault kill always
+	// does. Domain kills also take several victims, so guard the Fire.
+	if e.orphansPosted != nil && !e.orphansPosted.Fired() {
+		e.orphansPosted.Fire()
+	}
+}
+
+// cFinish records the node's stats at its end and parks it at pc.
+func (e *Engine) cFinish(n *cnode, pc cpc) {
+	n.pc = pc
 	e.res.PerProc[n.id].Reads = n.myReads
 	e.res.PerProc[n.id].Finish = e.k.Now()
 	if e.k.Now() > e.maxFinish {
 		e.maxFinish = e.k.Now()
 	}
-	if e.orphansPosted != nil && !e.orphansPosted.Fired() {
-		e.orphansPosted.Fire()
+}
+
+// beginRead claims block as the node's current read; idx is its
+// reference-string position, or -1 for a takeover read.
+func (e *Engine) beginRead(n *cnode, idx, block int) {
+	n.idx, n.block = idx, block
+	n.readStart = e.k.Now()
+	n.attempts = 0
+	e.trace(Event{T: n.readStart, Node: n.id, Kind: EvReadStart, Block: block, Index: idx})
+	// Toss-immediately: make room in the RU set before acquiring, so a
+	// processor never pins more than RUSetSize buffers.
+	n.ru.makeRoom(e.bcache)
+	if e.policy != nil && idx >= 0 {
+		// Takeover reads replay another node's blocks; they carry no
+		// reference-string position for the oracle to note.
+		e.policy.NoteDemand(n.id, idx)
 	}
-	n.pc = cpcDead
+	if e.pred != nil {
+		e.pred.ObserveDemand(n.id, block)
+	}
+	n.pc = cpcLookup
 }
 
 // cstep runs the node's state machine until it parks again. Each case
 // either transitions inline (continue) or arranges a wake and returns.
+// The synthetic application (§IV-B): claim the next block of the access
+// pattern, read it through the file system, simulate computation, and
+// synchronize per the configured style.
 func (e *Engine) cstep(n *cnode) {
 	for {
 		switch n.pc {
@@ -440,9 +502,12 @@ func (e *Engine) cstep(n *cnode) {
 				e.cAbandon(n)
 				return
 			}
+			n.pc = cpcClaim
+
+		case cpcClaim:
 			if e.usesGenerations() && n.passedGens < e.gens.Raised() {
 				n.passedGens++
-				if e.cSyncArrive(n, cpcMain) {
+				if e.cSyncArrive(n, cpcClaim) {
 					return
 				}
 				continue
@@ -453,17 +518,7 @@ func (e *Engine) cstep(n *cnode) {
 				n.pc = cpcEndGens
 				continue
 			}
-			n.idx, n.block = idx, block
-			n.readStart = e.k.Now()
-			n.attempts = 0
-			n.ru.makeRoom(e.bcache)
-			if e.policy != nil {
-				e.policy.NoteDemand(n.id, idx)
-			}
-			if e.pred != nil {
-				e.pred.ObserveDemand(n.id, block)
-			}
-			n.pc = cpcLookup
+			e.beginRead(n, idx, block)
 
 		case cpcLookup:
 			if buf := e.bcache.Lookup(n.block); buf != nil {
@@ -472,6 +527,8 @@ func (e *Engine) cstep(n *cnode) {
 				e.cFSWork(n, e.cfg.Memory.Hit, cpcHitRemote)
 				return
 			}
+			// Miss: pay the demand-fetch setup cost, then claim a frame
+			// and start the transfer.
 			e.cFSWork(n, e.cfg.Memory.Miss, cpcMissAlloc)
 			return
 
@@ -485,27 +542,30 @@ func (e *Engine) cstep(n *cnode) {
 
 		case cpcHitBranch:
 			if n.hitReady {
+				e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadyHit, Block: n.block, Index: n.idx})
 				e.res.HitWaitAll.Add(0)
 				n.pc = cpcReadDone
 				continue
 			}
+			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvUnreadyHit, Block: n.block, Index: n.idx})
 			if n.buf.IODone.Fired() {
 				n.lastWait = 0
 				n.pc = cpcHitWaited
 				continue
 			}
-			e.cWait(n, n.buf.IODone, n.buf.FetchDone(), n.block, IdleRemoteIO, cpcHitWaited)
+			e.cWait(n, n.buf.IODone, n.buf.FetchDone(), IdleRemoteIO, cpcHitWaited)
 			return
 
 		case cpcHitWaited:
-			// Wait stats first, FillErr second — the goroutine engine
-			// books the hit wait before discovering the piled-on fill
-			// failed.
+			// Wait stats first, FillErr second: the hit wait is booked
+			// before discovering that the piled-on fill failed.
 			e.res.HitWaitAll.Add(n.lastWait.Millis())
 			e.res.HitWaitUnready.Add(n.lastWait.Millis())
 			if n.buf.FillErr() != nil {
-				e.cFailedRead(n)
-				return
+				if e.cFailedRead(n) {
+					return
+				}
+				continue
 			}
 			n.pc = cpcReadDone
 
@@ -527,12 +587,13 @@ func (e *Engine) cstep(n *cnode) {
 			dsk, phys := e.place(n.block)
 			req := e.disks.Submit(dsk, n.block, phys, false)
 			e.bcache.BeginFetchFrom(nbuf, &req.Complete, req.EstDone, req)
+			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvDemandFetch, Block: n.block, Index: n.idx})
 			if nbuf.IODone.Fired() {
 				n.lastWait = 0
 				n.pc = cpcDemandWaited
 				continue
 			}
-			e.cWait(n, nbuf.IODone, req.EstDone, n.block, IdleOwnIO, cpcDemandWaited)
+			e.cWait(n, nbuf.IODone, req.EstDone, IdleOwnIO, cpcDemandWaited)
 			return
 
 		case cpcFrameWaited:
@@ -546,17 +607,20 @@ func (e *Engine) cstep(n *cnode) {
 
 		case cpcDemandWaited:
 			if n.buf.FillErr() != nil {
-				e.cFailedRead(n)
-				return
+				if e.cFailedRead(n) {
+					return
+				}
+				continue
 			}
 			n.pc = cpcReadDone
 
 		case cpcBackoff:
 			if e.obs != nil {
+				e.obs.Add(obs.CtrReadRetries, 1)
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanBackoff,
 					Start: int64(n.waitStart), End: int64(e.k.Now()),
-					Block: n.waitBlock, Arg: int64(n.attempts),
+					Block: n.block, Arg: int64(n.attempts),
 				})
 			}
 			n.pc = cpcLookup
@@ -567,6 +631,7 @@ func (e *Engine) cstep(n *cnode) {
 			e.res.ReadTime.Add(rt.Millis())
 			e.res.ReadTimeHist.Add(rt.Millis())
 			e.res.PerProc[n.id].ReadTime.Add(rt.Millis())
+			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadDone, Block: n.block, Index: n.idx})
 			if e.obs != nil {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanRead,
@@ -575,17 +640,27 @@ func (e *Engine) cstep(n *cnode) {
 			}
 			n.buf = nil
 			n.myReads++
+			if n.idx < 0 {
+				// A takeover read: no generation, computation or sync.
+				e.res.Faults.Node.TakeoverReads++
+				if e.obs != nil {
+					e.obs.Add(obs.CtrTakeoverReads, 1)
+				}
+				n.pc = cpcTakeover
+				continue
+			}
 			e.gens.ReadDone()
-			if e.cfg.Sync == barrier.PerPortion && e.portionEnded(n.id, n.idx) {
-				// Compact patterns are global, so a portion end raises
-				// the shared generation.
+			n.portionEnd = e.cfg.Sync == barrier.PerPortion && e.portionEnded(n.id, n.idx)
+			if n.portionEnd && e.pat.Kind.Global() {
+				// A global portion end raises the shared generation.
 				e.gens.Raise()
 			}
 			if e.cfg.ComputeMean > 0 {
 				n.computeStart = e.k.Now()
-				n.pc = cpcAfterCompute
-				e.k.AfterWake(sim.Millis(n.rng.Exp(e.cfg.ComputeMean.Millis())), n)
-				return
+				if e.cDelay(n, sim.Millis(n.rng.Exp(e.cfg.ComputeMean.Millis())), cpcAfterCompute) {
+					return
+				}
+				continue
 			}
 			n.pc = cpcMaybeSync
 
@@ -600,15 +675,15 @@ func (e *Engine) cstep(n *cnode) {
 
 		case cpcMaybeSync:
 			n.pc = cpcMain
-			if e.cfg.Sync == barrier.EveryNPerProc && n.myReads%e.cfg.SyncEveryPerProc == 0 {
+			if e.cfg.Sync == barrier.EveryNPerProc && n.myReads%e.cfg.SyncEveryPerProc == 0 ||
+				n.portionEnd && e.pat.Kind.Local() {
 				if e.cSyncArrive(n, cpcMain) {
 					return
 				}
 			}
 
 		case cpcSyncWaited:
-			e.res.SyncTime.Add(n.lastWait.Millis())
-			e.res.PerProc[n.id].SyncWait.Add(n.lastWait.Millis())
+			e.syncReleased(n, n.lastWait)
 			n.pc = n.afterSync
 
 		case cpcEndGens:
@@ -622,17 +697,42 @@ func (e *Engine) cstep(n *cnode) {
 			if e.bar != nil {
 				e.bar.Withdraw(n.id)
 			}
-			e.res.PerProc[n.id].Reads = n.myReads
-			e.res.PerProc[n.id].Finish = e.k.Now()
-			if e.k.Now() > e.maxFinish {
-				e.maxFinish = e.k.Now()
-			}
 			e.nodes[n.id].finished = true
-			n.pc = cpcDone
+			if e.orphansPosted == nil {
+				e.cFinish(n, cpcDone)
+				return
+			}
+			// A processor kill is armed: survivors wait for the victim's
+			// unread blocks and claim them one at a time from a shared
+			// FIFO, so the load spreads over whichever survivors are
+			// free. A victim that finished its whole workload before the
+			// kill landed posts an empty set.
+			if kn, _, _ := e.ninj.Kills(); n.id == kn {
+				if !e.orphansPosted.Fired() {
+					e.orphansPosted.Fire()
+				}
+				e.cFinish(n, cpcDone)
+				return
+			}
+			n.pc = cpcTakeover
+			if !e.orphansPosted.Fired() {
+				e.park(n, e.orphansPosted)
+				return
+			}
+
+		case cpcTakeover:
+			if len(e.orphans) > 0 {
+				block := e.orphans[0]
+				e.orphans = e.orphans[1:]
+				e.beginRead(n, -1, block)
+				continue
+			}
+			n.ru.drain(e.bcache)
+			e.cFinish(n, cpcDone)
 			return
 
 		default:
-			panic(fmt.Sprintf("core: compact node %d woke at pc %d", n.id, n.pc))
+			panic(fmt.Sprintf("core: node %d woke at pc %d", n.id, n.pc))
 		}
 	}
 }

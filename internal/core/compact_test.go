@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -31,8 +32,8 @@ func marshalResult(t *testing.T, r *Result) string {
 	return string(b)
 }
 
-// compactConfigs is a matrix over everything the compact engine
-// supports: both global patterns, every sync style, prefetching off /
+// compactConfigs is a matrix in the inline wake order (CompactNodes):
+// global and local patterns, every sync style, prefetching off /
 // oracle / on-the-fly predictors, I/O-bound and balanced computation.
 func compactConfigs() map[string]Config {
 	m := map[string]Config{}
@@ -84,10 +85,23 @@ func compactConfigs() map[string]Config {
 	c.PerNodePrefetchLimit = true
 	c.AuditEvery = 5 * sim.Millisecond
 	m["gw/audited"] = c
+
+	c = base(pattern.LFP)
+	c.Pattern.BlocksPerProc = 12
+	c.Prefetch = true
+	c.Sync = barrier.PerPortion
+	m["lfp/perportion"] = c
+
+	c = base(pattern.LW)
+	c.Pattern.BlocksPerProc = 12
+	c.Prefetch = true
+	c.Sync = barrier.EveryNPerProc
+	c.SyncEveryPerProc = 3
+	m["lw/everyper"] = c
 	return m
 }
 
-// TestCompactDeterminism is the compact engine's core contract: the
+// TestCompactDeterminism is the inline wake order's core contract: the
 // same configuration produces byte-identical Results on repeated runs.
 func TestCompactDeterminism(t *testing.T) {
 	t.Parallel()
@@ -101,111 +115,93 @@ func TestCompactDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompactConservation checks workload conservation against the
-// goroutine engine: both engines must read every pattern entry exactly
-// once and finish every node. Timing-sensitive measurements are allowed
-// to differ (same-instant work interleaves differently); the work done
-// is not.
+// TestCompactConservation checks workload conservation across the two
+// same-instant wake orders: both must read every pattern entry exactly
+// once and finish every node. Timing-sensitive measurements may differ
+// (same-instant work interleaves differently); the work done may not.
 func TestCompactConservation(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			compact := MustRun(cfg)
-			gcfg := cfg
-			gcfg.CompactNodes = false
-			gor := MustRun(gcfg)
+			inline := MustRun(cfg)
+			bcfg := cfg
+			bcfg.CompactNodes = false
+			blocked := MustRun(bcfg)
 
-			wantReads := 0
-			for _, ps := range gor.PerProc {
-				wantReads += ps.Reads
-			}
+			wantReads := totalReads(blocked)
 			gotReads := 0
-			for _, ps := range compact.PerProc {
+			for _, ps := range inline.PerProc {
 				gotReads += ps.Reads
 				if ps.Finish <= 0 {
 					t.Errorf("node %d never finished", ps.Node)
 				}
 			}
 			if gotReads != wantReads {
-				t.Fatalf("compact read %d blocks, goroutine engine %d", gotReads, wantReads)
+				t.Fatalf("inline order read %d blocks, blocked order %d", gotReads, wantReads)
 			}
-			if compact.TotalTime <= 0 {
+			if inline.TotalTime <= 0 {
 				t.Fatal("no virtual time elapsed")
 			}
 			accesses := func(r *Result) int64 {
 				return r.Cache.ReadyHits + r.Cache.UnreadyHits + r.Cache.Misses
 			}
-			if got, want := accesses(compact), accesses(gor); got != want {
-				t.Fatalf("compact saw %d cache accesses, goroutine engine %d", got, want)
+			if got, want := accesses(inline), accesses(blocked); got != want {
+				t.Fatalf("inline order saw %d cache accesses, blocked order %d", got, want)
 			}
 		})
 	}
 }
 
-// TestCompactValidateRejects pins the capability table: the combos the
-// compact engine still refuses reject with exactly these messages, and
-// the axes PR 10 lifted — disk faults, node faults, failure domains —
-// now validate.
+// TestCompactValidateRejects checks that CompactNodes adds no
+// Validate carve-out: with it set, every configuration below is
+// accepted or rejected exactly as without it — local patterns and
+// tracing included, which the inline order once refused.
 func TestCompactValidateRejects(t *testing.T) {
 	t.Parallel()
-	reject := func(name, wantMsg string, mutate func(*Config)) {
+	cases := map[string]func(*Config){
+		"plain":         func(c *Config) {},
+		"local pattern": func(c *Config) { *c = DefaultConfig(pattern.LFP) },
+		"trace":         func(c *Config) { c.Trace = func(Event) {} },
+		"local kill + takeover": func(c *Config) {
+			*c = DefaultConfig(pattern.LRP)
+			c.NodeFault.KillAt = 100 * sim.Millisecond
+			c.NodeFault.BarrierTimeout = 50 * sim.Millisecond
+		},
+		"failure domains": func(c *Config) {
+			c.Domain = fault.DomainConfig{
+				Domains:    fault.SplitDomains("rack", c.Disks, c.Procs, 4),
+				KillDomain: "rack1", KillAt: 100 * sim.Millisecond,
+			}
+		},
+		"local domain kill": func(c *Config) {
+			*c = DefaultConfig(pattern.LW)
+			c.Domain = fault.DomainConfig{
+				Domains:    fault.SplitDomains("rack", c.Disks, c.Procs, 4),
+				KillDomain: "rack1", KillAt: 100 * sim.Millisecond,
+			}
+		},
+		"no disks":     func(c *Config) { c.Disks = 0 },
+		"bad lead":     func(c *Config) { c.Lead = -1 },
+		"kill range":   func(c *Config) { c.NodeFault.KillAt = sim.Second; c.NodeFault.KillNode = 99 },
+		"zero RU size": func(c *Config) { c.RUSetSize = 0 },
+	}
+	for name, mutate := range cases {
 		cfg := DefaultConfig(pattern.GW)
-		cfg.CompactNodes = true
 		mutate(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate accepted an unsupported compact configuration", name)
-			return
-		}
-		if err.Error() != wantMsg {
-			t.Errorf("%s: rejection message %q, want %q", name, err, wantMsg)
+		compact := cfg
+		compact.CompactNodes = true
+		want, got := fmt.Sprint(cfg.Validate()), fmt.Sprint(compact.Validate())
+		if got != want {
+			t.Errorf("%s: CompactNodes validates as %s, without it %s", name, got, want)
 		}
 	}
-	reject("local pattern",
-		"core: CompactNodes supports only global access patterns, not lfp",
-		func(c *Config) {
-			*c = DefaultConfig(pattern.LFP)
-			c.CompactNodes = true
-		})
-	reject("trace",
-		"core: CompactNodes does not support tracing",
-		func(c *Config) { c.Trace = func(Event) {} })
-
-	accept := func(name string, mutate func(*Config)) {
+	for _, name := range []string{"local pattern", "trace", "local kill + takeover"} {
 		cfg := DefaultConfig(pattern.GW)
+		cases[name](&cfg)
 		cfg.CompactNodes = true
-		mutate(&cfg)
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: supported compact configuration rejected: %v", name, err)
-		}
-	}
-	accept("plain", func(c *Config) {})
-	accept("backpressure", func(c *Config) { c.NodeFault.Backpressure = true })
-	accept("disk faults", func(c *Config) { c.Fault.ReadErrorRate = 0.1 })
-	accept("node faults", func(c *Config) {
-		c.NodeFault.StragglerFactor = 2
-		c.NodeFault.StragglerNode = 0
-	})
-	accept("kill + quorum", func(c *Config) {
-		c.NodeFault.KillAt = 100 * sim.Millisecond
-		c.NodeFault.BarrierTimeout = 50 * sim.Millisecond
-	})
-	accept("failure domains", func(c *Config) {
-		c.Domain = fault.DomainConfig{
-			Domains:    fault.SplitDomains("rack", c.Disks, c.Procs, 4),
-			KillDomain: "rack1", KillAt: 100 * sim.Millisecond,
-		}
-	})
-
-	// Every rejecting table entry names its feature and message; every
-	// supported axis documents itself with a nil predicate.
-	for _, cap := range compactCapabilities {
-		if cap.feature == "" {
-			t.Error("capability table entry with an empty feature name")
-		}
-		if (cap.blocked == nil) != (cap.reject == nil) {
-			t.Errorf("capability %q: blocked and reject must be both set or both nil", cap.feature)
+			t.Errorf("%s: rejected under CompactNodes: %v", name, err)
 		}
 	}
 }
@@ -241,10 +237,10 @@ func TestConfigOverflowGuards(t *testing.T) {
 	}
 }
 
-// TestCompactBytesPerNode measures the compact engine's live heap per
-// node after a 20k-node run — the budget that makes 100k–1M node
-// sweeps feasible. The goroutine engine cannot pass this bar: its
-// stacks alone are 2 KB/node.
+// TestCompactBytesPerNode measures the live heap per node after a
+// 20k-node run — the budget that makes 100k–1M node sweeps feasible.
+// A goroutine per node could not pass this bar: its stack alone is at
+// least 2 KB.
 func TestCompactBytesPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 20k-node engine")
@@ -327,11 +323,11 @@ func totalReads(r *Result) int {
 	return n
 }
 
-// compactFaultConfigs is the fault-path matrix for the compact engine:
-// every injection axis PR 10 lifted — transient disk errors, latency
-// spikes with timeouts, disk death with degraded remap, stragglers and
-// stalls, kill-plus-quorum, and correlated failure domains (storms,
-// straggler racks, rack kill).
+// compactFaultConfigs is the fault-path matrix in the inline wake
+// order: transient disk errors, latency spikes with timeouts, disk
+// death with degraded remap, stragglers and stalls, kill-plus-quorum
+// (global, and local with survivor takeover), and correlated failure
+// domains (storms, straggler racks, rack kill).
 func compactFaultConfigs() map[string]Config {
 	m := map[string]Config{}
 	base := func() Config {
@@ -380,6 +376,18 @@ func compactFaultConfigs() map[string]Config {
 	m["node/kill+quorum"] = c
 
 	c = base()
+	c.Pattern.Kind = pattern.LRP
+	c.Pattern.BlocksPerProc = 12
+	c.Prefetch = true
+	c.Sync = barrier.EveryNPerProc
+	c.SyncEveryPerProc = 4
+	c.NodeFault = fault.NodeConfig{
+		Seed: 5, KillAt: 100 * sim.Millisecond, KillNode: 3,
+		BarrierTimeout: 60 * sim.Millisecond,
+	}
+	m["node/local-kill+takeover"] = c
+
+	c = base()
 	c.Prefetch = true
 	c.Domain = fault.DomainConfig{
 		Seed:        9,
@@ -404,7 +412,7 @@ func compactFaultConfigs() map[string]Config {
 	return m
 }
 
-// TestCompactFaultDeterminism extends the compact engine's determinism
+// TestCompactFaultDeterminism extends the inline order's determinism
 // contract to every fault path: byte-identical Results on repeat runs.
 func TestCompactFaultDeterminism(t *testing.T) {
 	t.Parallel()
@@ -419,8 +427,8 @@ func TestCompactFaultDeterminism(t *testing.T) {
 }
 
 // TestCompactFaultConservation: under every fault configuration the
-// global reference string is still read exactly once end to end —
-// retries, remaps, quorum releases, and rack kills redistribute work,
+// reference strings are still read exactly once end to end — retries,
+// remaps, quorum releases, takeovers and rack kills redistribute work,
 // they never lose or duplicate it.
 func TestCompactFaultConservation(t *testing.T) {
 	t.Parallel()
@@ -428,8 +436,12 @@ func TestCompactFaultConservation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			res := MustRun(cfg)
-			if got := totalReads(res); got != cfg.Pattern.TotalBlocks {
-				t.Fatalf("read %d of %d blocks", got, cfg.Pattern.TotalBlocks)
+			want := cfg.Pattern.TotalBlocks
+			if cfg.Pattern.Kind.Local() {
+				want = cfg.Procs * cfg.Pattern.BlocksPerProc
+			}
+			if got := totalReads(res); got != want {
+				t.Fatalf("read %d of %d blocks", got, want)
 			}
 			if res.TotalTime <= 0 {
 				t.Fatal("no virtual time elapsed")

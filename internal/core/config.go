@@ -122,19 +122,15 @@ type Config struct {
 	// observability kernel-event counts differ).
 	AuditEvery sim.Duration
 
-	// CompactNodes selects the goroutine-free compact engine: each
-	// processor runs as an event-driven state machine in kernel context
-	// instead of a spawned goroutine, cutting per-node memory from a
-	// goroutine stack (2 KB minimum) to a flat record well under 1 KB —
-	// the representation that makes 100k–1M node runs fit in memory.
-	// Results are deterministic (same seed and config give the same
-	// bytes) but not byte-identical to the goroutine engine:
-	// same-instant work interleaves differently, so contention counts
-	// and hence exact timings can differ. The full fault surface —
-	// disk faults with retry/backoff, node faults, and failure domains
-	// — is supported; what is not appears in compactCapabilities (the
-	// single source of truth), and Validate rejects those
-	// combinations.
+	// CompactNodes picks the same-instant wake order of the processors
+	// (see compact.go). False parks a waiting node behind the events
+	// already due when its event fires, as a blocked process is; this
+	// order reproduces the paper-scale goldens. True wakes it inline at
+	// the firing; this order reproduces the cluster goldens. Both orders
+	// are deterministic and support every configuration, but they give
+	// different Result bytes, since same-instant work interleaves
+	// differently. The field stays in Results and in the pinned cluster
+	// digests, which serialize it.
 	CompactNodes bool `json:"compactNodes,omitempty"`
 
 	// Seed drives computation-delay randomness (and, via Pattern.Seed,
@@ -268,13 +264,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: failure-domain node kills support only global access patterns, not %v", c.Pattern.Kind)
 		}
 	}
-	if c.CompactNodes {
-		for _, cap := range compactCapabilities {
-			if cap.blocked != nil && cap.blocked(c) {
-				return cap.reject(c)
-			}
-		}
-	}
 	// Cluster-scale configurations multiply Procs by per-node counts
 	// (CacheCapacity, pattern sizing); reject products that overflow int
 	// rather than silently wrapping into a negative capacity.
@@ -295,47 +284,6 @@ func (c *Config) Validate() error {
 // mulOK reports whether a × b fits in an int; both factors are already
 // validated positive.
 func mulOK(a, b int) bool { return a <= math.MaxInt/b }
-
-// compactCapability is one feature axis of the compact engine. The
-// table below is the single source of truth for what CompactNodes
-// supports: supported axes document themselves (blocked nil), and the
-// rest carry the predicate Validate uses to reject the combination
-// plus the exact rejection message, pinned by
-// TestCompactValidateRejects.
-type compactCapability struct {
-	feature string
-	blocked func(*Config) bool  // nil: the axis is supported
-	reject  func(*Config) error // rejection for a blocked combination
-}
-
-// compactCapabilities enumerates the compact engine's feature surface.
-// PR 10 lifted the disk-fault, node-fault, and failure-domain
-// rejections — the cnode state machine carries explicit backoff and
-// dead states for them (see compact.go); the axes that remain blocked
-// are structural: local patterns need per-process reference strings
-// the flat cursor does not model, and the trace hook fires per access
-// on paths the compact engine fuses.
-var compactCapabilities = []compactCapability{
-	{feature: "global access patterns"},
-	{feature: "prefetching with backpressure"},
-	{feature: "disk fault injection (transient/spike/stuck/timeout, retry with virtual-time backoff, degraded remap off dead disks)"},
-	{feature: "node fault injection (stragglers, stalls, kill-at-virtual-time, barrier quorum timeouts, cache squeezes)"},
-	{feature: "failure domains (correlated kills, latency storms, straggler spread)"},
-	{
-		feature: "local access patterns",
-		blocked: func(c *Config) bool { return c.Pattern.Kind.Local() },
-		reject: func(c *Config) error {
-			return fmt.Errorf("core: CompactNodes supports only global access patterns, not %v", c.Pattern.Kind)
-		},
-	},
-	{
-		feature: "tracing",
-		blocked: func(c *Config) bool { return c.Trace != nil },
-		reject: func(c *Config) error {
-			return fmt.Errorf("core: CompactNodes does not support tracing")
-		},
-	},
-}
 
 // CacheCapacity returns the total buffer frames for this configuration:
 // one per processor per RU-set slot, plus the prefetch buffers when

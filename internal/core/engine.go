@@ -64,16 +64,13 @@ type Engine struct {
 	// Observability sink (nil unless cfg.Obs is set).
 	obs obs.Sink
 
-	// nodes holds all mutable per-node state in one flat,
-	// index-addressed array — cursor, finish/death flags, the prefetch
-	// scheduler and its action-in-flight bookkeeping, the fault-retry
-	// jitter stream — replacing the per-concern parallel slices that
-	// used to scatter a node's state across eight allocations. One
-	// cache line each, no pointer web to chase at 100k+ nodes.
+	// nodes holds the per-node state the engine's shared paths read —
+	// cursor, finish/death flags, the prefetch action in flight, the
+	// fault-retry jitter stream — in one flat, index-addressed array.
 	nodes []nodeState
 
-	// cnodes is the compact engine's node population (nil unless
-	// cfg.CompactNodes): one flat record per processor, no goroutines.
+	// cnodes is the processor population: one flat state-machine
+	// record per processor (compact.go), built by Run.
 	cnodes []cnode
 
 	globalCursor int
@@ -85,13 +82,12 @@ type Engine struct {
 // ~100 bytes of engine state per node plus what the node actually
 // pins.
 type nodeState struct {
-	sched       *prefetch.Scheduler // nil when not prefetching
-	retryRNG    *rng.Source         // backoff jitter; nil without disk faults
-	localCursor int                 // next index into pat.Local[node]
-	actionBlock int                 // block of the action in flight (obs only)
-	actionStart sim.Time            // start of the action in flight
+	retryRNG    *rng.Source // backoff jitter; nil without disk faults
+	localCursor int         // next index into pat.Local[node]
+	actionBlock int         // block of the action in flight (obs only)
+	actionStart sim.Time    // start of the action in flight
 
-	finished     bool // clean finish recorded (invariant auditor)
+	finished     bool // read its share and withdrew (invariant auditor)
 	dead         bool // kill fired for this node
 	actionIssued bool // action in flight allocated a frame (obs only)
 }
@@ -252,35 +248,29 @@ func New(cfg Config) (*Engine, error) {
 // measurements. It must be called at most once per Engine.
 func (e *Engine) Run() *Result {
 	defer e.dumpFlightOnPanic()
-	if e.cfg.CompactNodes {
-		return e.runCompact()
-	}
-	prefetching := e.policy != nil || e.pred != nil
 	e.armNodeFaults()
 	e.armDomainFaults()
-	for node := 0; node < e.cfg.Procs; node++ {
-		node := node
-		p := e.k.Spawn(fmt.Sprintf("proc%d", node), 0, func(p *sim.Proc) {
-			e.procBody(p, node)
-		})
-		if prefetching {
-			sched := prefetch.NewScheduler(e.k, p,
-				func(deadline sim.Time) (sim.Duration, bool) { return e.beginAction(node, deadline) },
-				func() { e.finishAction(node) })
-			if e.obs != nil {
-				sched.SetObserver(e.obs)
-			}
-			if e.ninj != nil && e.ninj.Config().Backpressure {
-				sched.SetGate(e.prefetchAllowed)
-			}
-			e.nodes[node].sched = sched
-		}
+	e.cnodes = make([]cnode, e.cfg.Procs)
+	for i := range e.cnodes {
+		n := &e.cnodes[i]
+		n.e = e
+		n.id = i
+		n.rng = *rng.New(e.cfg.Seed, uint64(i)+1000)
+		n.ru.size = e.cfg.RUSetSize
+		n.action.n = n
+		n.pc = cpcMain
+		// Start every node at t=0 through the event queue, in node
+		// order.
+		e.k.ScheduleWake(0, n)
 	}
 	if e.cfg.AuditEvery > 0 {
 		e.aud = e.buildAuditor()
 		e.aud.Start()
 	}
 	e.k.Run()
+	if err := e.deadlock(); err != nil {
+		panic(err)
+	}
 	if e.aud != nil {
 		e.aud.Sweep()
 	}
@@ -293,12 +283,10 @@ func (e *Engine) Run() *Result {
 type flightDumper interface{ DumpFlight(cause any) }
 
 // dumpFlightOnPanic gives the observability sink its last word when a
-// run dies: any panic crossing Engine.Run — the kernel's deadlock
-// detector, an audit Violation, a compact-node stall — is handed to
-// the sink's flight recorder before being re-raised, so cluster-scale
-// failures arrive with their last-N-events context instead of a bare
-// stack. Deferred from Run so it covers both engines and every panic
-// path through the kernel.
+// run dies: any panic crossing Engine.Run — a deadlock, an audit
+// Violation, an exhausted retry policy — is handed to the sink's flight
+// recorder before being re-raised, so cluster-scale failures arrive
+// with their last-N-events context instead of a bare stack.
 func (e *Engine) dumpFlightOnPanic() {
 	r := recover()
 	if r == nil {
@@ -311,7 +299,7 @@ func (e *Engine) dumpFlightOnPanic() {
 }
 
 // collectResult fills the Result's run-wide measurements once the
-// kernel has drained; shared by the goroutine and compact engines.
+// kernel has drained.
 func (e *Engine) collectResult() *Result {
 	e.res.TotalTime = sim.Duration(e.maxFinish)
 	e.res.Cache = e.bcache.Stats()
@@ -342,7 +330,7 @@ func (e *Engine) collectResult() *Result {
 
 // armNodeFaults schedules the node-fault events that fire at a
 // configured virtual time — the processor kill and the cache-capacity
-// squeeze — before the processes start. With no node faults this is a
+// squeeze — before the nodes start. With no node faults this is a
 // no-op and the run is byte-identical to the pre-fault engine.
 func (e *Engine) armNodeFaults() {
 	if e.ninj == nil {
@@ -363,7 +351,7 @@ func (e *Engine) armNodeFaults() {
 
 // armDomainFaults schedules the failure-domain node kill: every node
 // of the killed domain goes dead at the event's virtual time, and each
-// crashes out (abandon / cAbandon) at its next read boundary. The
+// crashes out (cAbandon) at its next read boundary. The
 // domain's disk kills are scheduled at construction, with the disks.
 func (e *Engine) armDomainFaults() {
 	if e.dinj == nil {
@@ -381,11 +369,11 @@ func (e *Engine) armDomainFaults() {
 	})
 }
 
-// prefetchAllowed is the backpressure gate installed on every prefetch
-// scheduler when NodeFault.Backpressure is set: an idle wait hosts no
-// action while the prefetch buffer class has neither a free nor a
-// reclaimable frame, so cache pressure throttles the prefetcher
-// instead of sending it on fruitless (and costly) buffer hunts.
+// prefetchAllowed is the backpressure gate beginAction consults when
+// NodeFault.Backpressure is set: an idle wait hosts no action while the
+// prefetch buffer class has neither a free nor a reclaimable frame, so
+// cache pressure throttles the prefetcher instead of sending it on
+// fruitless (and costly) buffer hunts.
 func (e *Engine) prefetchAllowed() bool {
 	if e.bcache.AvailableFrames(cache.PrefetchClass) > 0 {
 		return true
@@ -431,140 +419,6 @@ func (e *Engine) usesGenerations() bool {
 	return false
 }
 
-// procBody is the synthetic application run by each processor: claim the
-// next block of the access pattern, read it through the file system,
-// simulate computation, and synchronize per the configured style.
-func (e *Engine) procBody(p *sim.Proc, node int) {
-	computeRNG := rng.New(e.cfg.Seed, uint64(node)+1000)
-	ru := newRUSet(e.cfg.RUSetSize)
-	passedGens := 0
-	myReads := 0
-	for {
-		if e.killArmed && e.nodes[node].dead {
-			e.abandon(p, node, ru, myReads)
-			return
-		}
-		if e.usesGenerations() {
-			for passedGens < e.gens.Raised() {
-				passedGens++
-				e.syncArrive(p, node)
-			}
-		}
-		idx, block, ok := e.nextRead(node)
-		if !ok {
-			break
-		}
-		e.readBlock(p, node, ru, idx, block)
-		myReads++
-		e.gens.ReadDone()
-		portionEnded := e.portionEnded(node, idx)
-		if e.cfg.Sync == barrier.PerPortion && e.pat.Kind.Global() && portionEnded {
-			e.gens.Raise()
-		}
-		if d := e.cfg.ComputeMean; d > 0 {
-			cstart := p.Now()
-			p.Advance(sim.Millis(computeRNG.Exp(d.Millis())))
-			if e.obs != nil {
-				e.obs.Span(obs.Span{
-					Track: obs.ProcTrack(node), Kind: obs.SpanCompute,
-					Start: int64(cstart), End: int64(p.Now()), Block: -1,
-				})
-			}
-		}
-		switch {
-		case e.cfg.Sync == barrier.EveryNPerProc && myReads%e.cfg.SyncEveryPerProc == 0:
-			e.syncArrive(p, node)
-		case e.cfg.Sync == barrier.PerPortion && e.pat.Kind.Local() && portionEnded:
-			e.syncArrive(p, node)
-		}
-	}
-	ru.drain(e.bcache)
-	if e.usesGenerations() {
-		for passedGens < e.gens.Raised() {
-			passedGens++
-			e.syncArrive(p, node)
-		}
-	}
-	if e.bar != nil {
-		e.bar.Withdraw(node)
-	}
-	if e.orphansPosted != nil {
-		e.takeover(p, node, ru, &myReads)
-	}
-	e.res.PerProc[node].Reads = myReads
-	e.res.PerProc[node].Finish = p.Now()
-	if p.Now() > e.maxFinish {
-		e.maxFinish = p.Now()
-	}
-	e.nodes[node].finished = true
-}
-
-// abandon is a killed processor's exit: it unpins what it holds, posts
-// its unread blocks for survivors to claim, records its stats, and
-// returns without withdrawing from the barrier — crash semantics. Its
-// barrier membership is recovered by the quorum watchdog (when armed)
-// rather than a clean withdrawal, so a kill under synchronization
-// without a barrier timeout deadlocks the survivors by design.
-func (e *Engine) abandon(p *sim.Proc, node int, ru *ruSet, myReads int) {
-	ru.drain(e.bcache)
-	var orphaned int
-	if e.pat.Kind.Local() {
-		c := e.nodes[node].localCursor
-		orphaned = len(e.pat.Local[node]) - c
-		e.orphans = append(e.orphans, e.pat.Local[node][c:]...)
-		e.nodes[node].localCursor = len(e.pat.Local[node])
-	}
-	e.killErr = fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
-		node, orphaned, fault.ErrProcDead)
-	e.res.Faults.Node.DeadProcs++
-	if e.res.Faults.Node.KilledAtMillis == 0 {
-		e.res.Faults.Node.KilledAtMillis = sim.Duration(p.Now()).Millis()
-	}
-	e.res.PerProc[node].Reads = myReads
-	e.res.PerProc[node].Finish = p.Now()
-	if p.Now() > e.maxFinish {
-		e.maxFinish = p.Now()
-	}
-	// Domain kills (global patterns only, no takeover FIFO) never
-	// create the orphan event; a single-victim NodeFault kill always
-	// does. Domain kills also take several victims, so guard the Fire.
-	if e.orphansPosted != nil && !e.orphansPosted.Fired() {
-		e.orphansPosted.Fire()
-	}
-}
-
-// takeover is the survivors' side of a processor kill: once a
-// survivor's own workload is done (and it has withdrawn from the
-// barrier), it waits for the victim's unread blocks to be posted and
-// reads them, claiming one at a time from a shared FIFO so the load
-// spreads over however many survivors are free. Only local patterns
-// post orphans — a global pattern's unclaimed entries are drained by
-// the surviving self-scheduled readers with no special handling. The
-// designated victim, if it finished its whole workload before the kill
-// landed, posts an empty set so survivors do not wait forever.
-func (e *Engine) takeover(p *sim.Proc, node int, ru *ruSet, myReads *int) {
-	if kn, _, _ := e.ninj.Kills(); node == kn {
-		if !e.orphansPosted.Fired() {
-			e.orphansPosted.Fire()
-		}
-		return
-	}
-	if !e.orphansPosted.Fired() {
-		e.orphansPosted.Wait(p)
-	}
-	for len(e.orphans) > 0 {
-		block := e.orphans[0]
-		e.orphans = e.orphans[1:]
-		e.readBlock(p, node, ru, -1, block)
-		*myReads++
-		e.res.Faults.Node.TakeoverReads++
-		if e.obs != nil {
-			e.obs.Add(obs.CtrTakeoverReads, 1)
-		}
-	}
-	ru.drain(e.bcache)
-}
-
 // nextRead claims the next access: the process's own next string entry
 // for local patterns, or the next unclaimed entry of the shared string
 // for global patterns (self-scheduling).
@@ -596,175 +450,18 @@ func (e *Engine) portionEnded(node, idx int) bool {
 	return idx == por.End()-1
 }
 
-// readBlock performs one file system read: cache lookup, demand fetch on
-// a miss, and waiting (with idle-time prefetching) when the data are not
-// yet present.
-func (e *Engine) readBlock(p *sim.Proc, node int, ru *ruSet, idx, block int) {
-	start := p.Now()
-	e.trace(Event{T: start, Node: node, Kind: EvReadStart, Block: block, Index: idx})
-	// Toss-immediately: make room in the RU set before acquiring, so a
-	// processor never pins more than RUSetSize buffers.
-	ru.makeRoom(e.bcache)
-	if e.policy != nil && idx >= 0 {
-		// Takeover reads (idx -1) replay another node's blocks; they
-		// carry no reference-string position for the oracle to note.
-		e.policy.NoteDemand(node, idx)
-	}
-	if e.pred != nil {
-		e.pred.ObserveDemand(node, block)
-	}
-	var buf *cache.Buffer
-	attempts := 0
-	for {
-		if buf = e.bcache.Lookup(block); buf != nil {
-			ready := e.bcache.Pin(node, buf)
-			e.fsWork(p, node, e.cfg.Memory.Hit)
-			if buf.Home() != node {
-				// NUMA: the buffer lives on the fetching node's memory.
-				e.fsWork(p, node, e.cfg.Memory.RemoteBuffer)
-			}
-			if ready {
-				e.trace(Event{T: p.Now(), Node: node, Kind: EvReadyHit, Block: block, Index: idx})
-				e.res.HitWaitAll.Add(0)
-			} else {
-				e.trace(Event{T: p.Now(), Node: node, Kind: EvUnreadyHit, Block: block, Index: idx})
-				wait := e.waitEvent(p, node, block, buf.IODone, buf.FetchDone(), IdleRemoteIO)
-				e.res.HitWaitAll.Add(wait.Millis())
-				e.res.HitWaitUnready.Add(wait.Millis())
-				if buf.FillErr() != nil {
-					// The fill we piled onto failed; back off and retry.
-					e.failedRead(p, node, buf, block, &attempts)
-					continue
-				}
-			}
-			break
-		}
-		// Miss: pay the demand-fetch setup cost, then claim a frame and
-		// start the transfer. The block may appear while the setup cost
-		// elapses (another process fetched it) — then it is a hit.
-		e.fsWork(p, node, e.cfg.Memory.Miss)
-		if e.bcache.Lookup(block) != nil {
-			continue
-		}
-		nbuf := e.bcache.AllocateDemand(node, block)
-		if nbuf == nil {
-			fwStart := p.Now()
-			e.bcache.Freed.Sleep(p)
-			if e.obs != nil {
-				e.obs.Span(obs.Span{
-					Track: obs.ProcTrack(node), Kind: obs.SpanFrameWait,
-					Start: int64(fwStart), End: int64(p.Now()), Block: block,
-				})
-			}
-			continue
-		}
-		dsk, phys := e.place(block)
-		req := e.disks.Submit(dsk, block, phys, false)
-		e.bcache.BeginFetchFrom(nbuf, &req.Complete, req.EstDone, req)
-		e.trace(Event{T: p.Now(), Node: node, Kind: EvDemandFetch, Block: block, Index: idx})
-		e.waitEvent(p, node, block, nbuf.IODone, req.EstDone, IdleOwnIO)
-		if nbuf.FillErr() != nil {
-			e.failedRead(p, node, nbuf, block, &attempts)
-			continue
-		}
-		buf = nbuf
-		break
-	}
-	ru.add(buf)
-	rt := p.Now().Sub(start)
-	e.res.ReadTime.Add(rt.Millis())
-	e.res.ReadTimeHist.Add(rt.Millis())
-	e.res.PerProc[node].ReadTime.Add(rt.Millis())
-	e.trace(Event{T: p.Now(), Node: node, Kind: EvReadDone, Block: block, Index: idx})
-	if e.obs != nil {
-		e.obs.Span(obs.Span{
-			Track: obs.ProcTrack(node), Kind: obs.SpanRead,
-			Start: int64(start), End: int64(p.Now()), Block: block,
-		})
-	}
-}
-
-// syncArrive takes the process through one barrier generation,
-// prefetching while it waits.
-func (e *Engine) syncArrive(p *sim.Proc, node int) {
-	arrival := p.Now()
-	e.trace(Event{T: arrival, Node: node, Kind: EvSyncArrive, Block: -1, Index: -1})
-	ev, last := e.bar.Arrive(node)
-	if !last {
-		e.waitEvent(p, node, -1, ev, sim.MaxTime, IdleSync)
-	}
-	wait := ev.FiredAt().Sub(arrival)
-	e.res.SyncTime.Add(wait.Millis())
-	e.res.PerProc[node].SyncWait.Add(wait.Millis())
-	e.trace(Event{T: p.Now(), Node: node, Kind: EvSyncRelease, Block: -1, Index: -1})
-}
-
-// waitEvent is the heart of idle-time prefetching (§III): while the
-// process is logically idle waiting for ev, the local file system
-// component repeatedly performs prefetch actions, releasing control only
-// at the completion of an action. An action that runs past the firing
-// of ev delays the process's resumption — the prefetch overrun.
-// deadline is the file system's estimate of when the idle period ends
-// (known exactly for disk waits, unknown — MaxTime — for sync waits);
-// it gates the MinPrefetchTime heuristic. The return value is the
-// logical wait: from call to event firing.
-//
-// The prefetch actions themselves run as the node's Scheduler chain in
-// kernel context (see prefetch.Scheduler); the process parks once for
-// the whole wait rather than once per action.
-//
-// The wait's span runs from the call to the actual resume — so a
-// prefetch action that overruns the event stays nested inside it — and
-// carries the logical wait in Arg. block is the awaited block, or -1
-// for sync waits.
-func (e *Engine) waitEvent(p *sim.Proc, node, block int, ev *sim.Event, deadline sim.Time, kind IdleKind) sim.Duration {
-	start := p.Now()
-	if ev.Fired() {
-		return 0
-	}
-	var logical sim.Duration
-	if e.nodes[node].sched == nil {
-		ev.Wait(p)
-		logical = p.Now().Sub(start)
-	} else {
-		ranAction := e.nodes[node].sched.Wait(ev, deadline)
-		logical = ev.FiredAt().Sub(start)
-		if ranAction {
-			over := p.Now().Sub(ev.FiredAt())
-			if over < 0 {
-				over = 0
-			}
-			e.res.Overrun.Add(over.Millis())
-		}
-	}
-	e.res.IdleTime[kind].Add(logical.Millis())
-	if e.obs != nil {
-		var sk obs.SpanKind
-		switch kind {
-		case IdleSync:
-			sk = obs.SpanSyncWait
-		case IdleOwnIO:
-			sk = obs.SpanDemandWait
-		default:
-			sk = obs.SpanHitWait
-		}
-		e.obs.Span(obs.Span{
-			Track: obs.ProcTrack(node), Kind: sk,
-			Start: int64(start), End: int64(p.Now()),
-			Block: block, Arg: int64(logical),
-		})
-	}
-	return logical
-}
-
 // beginAction performs the first half of one prefetch action in kernel
 // context: select a block, claim a frame, start the I/O (without
 // waiting for it), and price the work under the NUMA cost model. It
-// returns ok=false when there is nothing to do — no candidate block, or
-// the MinPrefetchTime heuristic suppresses the action — and the
-// action's duration when one (successful or failed) is under way;
-// finishAction completes it after that duration elapses.
+// returns ok=false when there is nothing to do — the backpressure gate
+// refuses, there is no candidate block, or the MinPrefetchTime
+// heuristic suppresses the action — and the action's duration when one
+// (successful or failed) is under way; finishAction completes it after
+// that duration elapses.
 func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
+	if e.bpGate && !e.prefetchAllowed() {
+		return 0, false
+	}
 	now := e.k.Now()
 	if e.cfg.MinPrefetchTime > 0 && deadline != sim.MaxTime {
 		if deadline.Sub(now) < e.cfg.MinPrefetchTime {
@@ -858,29 +555,6 @@ func (e *Engine) finishAction(node int) {
 			Track: obs.ProcTrack(node), Kind: obs.SpanPrefetchAction,
 			Start: int64(n.actionStart), End: int64(e.k.Now()),
 			Block: n.actionBlock, Arg: arg,
-		})
-	}
-}
-
-// fsWork charges the processor for one file system operation under the
-// NUMA cost model. Contention is the number of *other* processors
-// currently executing file system code (not those merely blocked
-// waiting for I/O — a blocked processor does not touch the shared data
-// structures). Every operation consumes at least one microsecond even
-// under a zero-cost model, which guarantees the idle-time prefetch loop
-// always advances virtual time (a failed attempt retried at zero cost
-// would otherwise spin forever).
-func (e *Engine) fsWork(p *sim.Proc, node int, c memory.Cost) {
-	others := e.track.Enter()
-	d := e.price(node, c, others)
-	start := p.Now()
-	p.Advance(d)
-	e.track.Exit()
-	if e.obs != nil {
-		e.obs.Span(obs.Span{
-			Track: obs.ProcTrack(node), Kind: obs.SpanFSWork,
-			Start: int64(start), End: int64(p.Now()),
-			Block: -1, Arg: int64(others),
 		})
 	}
 }

@@ -2,12 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/disk"
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // place locates a block on a disk, remapping it onto a surviving disk
@@ -34,35 +30,6 @@ func (e *Engine) place(block int) (dsk, phys int) {
 		}
 	}
 	return dsk, phys
-}
-
-// failedRead releases a buffer whose demand fill failed and backs the
-// process off in virtual time before the caller's retry. Exhausting a
-// bounded retry policy panics: the synthetic application replays a
-// fixed reference string and has no error path, so a permanent read
-// failure is a configuration choice (the default policy is unlimited
-// and, with degraded-mode remapping, always makes progress).
-func (e *Engine) failedRead(p *sim.Proc, node int, buf *cache.Buffer, block int, attempts *int) {
-	err := buf.FillErr()
-	e.bcache.Unpin(buf)
-	*attempts++
-	if e.retry.Exhausted(*attempts) {
-		panic(fmt.Sprintf("core: node %d: read of block %d failed after %d attempts: %v",
-			node, block, *attempts, err))
-	}
-	e.res.Faults.ReadRetries++
-	e.trace(Event{T: p.Now(), Node: node, Kind: EvReadRetry, Block: block, Index: -1,
-		Outcome: classifyFault(err), Attempt: *attempts})
-	start := p.Now()
-	p.Advance(e.retry.Backoff(*attempts, e.nodes[node].retryRNG))
-	if e.obs != nil {
-		e.obs.Add(obs.CtrReadRetries, 1)
-		e.obs.Span(obs.Span{
-			Track: obs.ProcTrack(node), Kind: obs.SpanBackoff,
-			Start: int64(start), End: int64(p.Now()),
-			Block: block, Arg: int64(*attempts),
-		})
-	}
 }
 
 // classifyFault maps a fill error onto the trace's fault outcomes via

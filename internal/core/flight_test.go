@@ -138,13 +138,15 @@ func TestNoDumpOnCleanRun(t *testing.T) {
 }
 
 // TestFlightDumpFaultDeadlocks table-tests the fault-injected
-// deadlocks on both engines: a correlated rack kill under barrier
-// synchronization without a quorum timeout, and a processor kill under
-// prefetch backpressure. Killed processes never withdraw from their
-// barriers, so both shapes deadlock by design — and every variant must
-// route its panic through the telemetry flight recorder before
-// re-raising, so a cluster-scale post-mortem always has the last spans
-// and the per-track digest naming the stuck processors.
+// deadlocks in both wake orders ("goroutine" names the blocked-process
+// order, which the goroutine engine ran; "compact" the inline order): a
+// correlated rack kill under barrier synchronization without a quorum
+// timeout, and a processor kill under prefetch backpressure. Killed
+// processors never withdraw from their barriers, so both shapes
+// deadlock by design — and every variant must panic with a
+// *sim.DeadlockError routed through the telemetry flight recorder
+// before re-raising, so a cluster-scale post-mortem always has the last
+// spans and the per-track digest naming the stuck processors.
 func TestFlightDumpFaultDeadlocks(t *testing.T) {
 	domainKill := func(c *Config) {
 		c.Sync = barrier.EveryNTotal
@@ -192,6 +194,9 @@ func TestFlightDumpFaultDeadlocks(t *testing.T) {
 				if r == nil {
 					t.Fatal("fault-injected run did not deadlock")
 				}
+				if _, ok := r.(*sim.DeadlockError); !ok {
+					t.Fatalf("panic value %T, want *sim.DeadlockError", r)
+				}
 				out := human.String()
 				for _, want := range []string{
 					"=== telemetry flight recorder ===",
@@ -213,11 +218,11 @@ func TestFlightDumpFaultDeadlocks(t *testing.T) {
 	}
 }
 
-// TestFlightDumpCompactViolation: the compact engine's panic paths
-// route through the same defer. Corrupt the shared pattern cursor via
-// a scheduled kernel event mid-run (compact mode rejects cfg.Trace, so
-// the goroutine test's hook is unavailable); the auditor's Violation
-// must still arrive with a flight dump attached.
+// TestFlightDumpCompactViolation: the inline order's panic paths route
+// through the same defer. Corrupt the shared pattern cursor from a
+// scheduled kernel event mid-run, rather than from a trace hook as
+// TestFlightDumpOnViolation does; the auditor's Violation must still
+// arrive with a flight dump attached.
 func TestFlightDumpCompactViolation(t *testing.T) {
 	cfg := DefaultConfig(pattern.GW)
 	cfg.Procs = 4

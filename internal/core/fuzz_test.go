@@ -39,18 +39,13 @@ func TestConfigSpaceFuzz(t *testing.T) {
 // tests.
 func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 	return func(seed uint64, raw [11]uint8) bool {
-		// Every fourth draw runs the compact (goroutine-free) engine at
-		// a bounded cluster size — up to ~5k procs and disks — so the
-		// flat-node state machines, the cache index, and the event
-		// heap under load face the same invariants as the
-		// goroutine engine — including the disk-, node-, and
-		// domain-fault dims. Compact runs support only global access
-		// patterns; that dim is re-drawn below.
+		// Every fourth draw runs in the inline wake order (CompactNodes)
+		// at a bounded cluster size — up to ~5k procs and disks — so the
+		// state machines, the cache index, and the event heap under load
+		// face the same invariants as the small draws, including the
+		// disk-, node-, and domain-fault dims.
 		compact := raw[10]%4 == 0
 		kind := pattern.Kinds[int(raw[0])%len(pattern.Kinds)]
-		if compact {
-			kind = []pattern.Kind{pattern.GFP, pattern.GRP, pattern.GW}[int(raw[0])%3]
-		}
 		style := barrier.Styles[int(raw[1])%len(barrier.Styles)]
 		if kind == pattern.LW && style == barrier.PerPortion {
 			style = barrier.None
@@ -71,6 +66,7 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 			// keeps each cluster draw affordable inside a fuzz round.
 			cfg.Disks = 1 + int(raw[3])*16 // 1..4081
 			cfg.Pattern.TotalBlocks = procs * (2 + int(raw[4])%3)
+			cfg.Pattern.BlocksPerProc = 2 + int(raw[4])%3
 		}
 		cfg.Pattern.Seed = seed
 		cfg.Seed = seed
@@ -102,9 +98,8 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 		// draw fault dimensions that preserve the accounting
 		// invariants: stragglers, stalls, capacity squeezes, transient
 		// disk errors, and domain storms slow a run without changing
-		// which blocks are read. Both engines face the same fault dims
-		// — the compact state machines learned the full fault paths.
-		// Disk/processor kills reshape per-proc accounting and are
+		// which blocks are read. Both wake orders face the same fault
+		// dims. Disk/processor kills reshape per-proc accounting and are
 		// corner-cased in TestFuzzSeeds and the compact fault tests
 		// instead.
 		cfg.AuditEvery = 5 * sim.Millisecond
@@ -221,15 +216,15 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 // FuzzConfigSpace is the native fuzzing entry over the same invariant
 // checker the quick.Check fuzz drives: the engine's configuration
 // space including the completion-safe node-fault dimensions and the
-// bounded cluster-scale compact-engine draws (byte 10). CI smokes
+// bounded cluster-scale draws in the inline wake order (byte 10). CI smokes
 // it briefly (`go test ./internal/core -run=NONE -fuzz=FuzzConfigSpace
 // -fuzztime=30s`); run it longer locally to explore.
 func FuzzConfigSpace(f *testing.F) {
 	f.Add(uint64(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1})
 	f.Add(uint64(3), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint64(11), []byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245})
-	// A compact cluster draw: byte 10 ≡ 0 (mod 4) routes through the
-	// goroutine-free engine at a few thousand nodes.
+	// A cluster draw: byte 10 ≡ 0 (mod 4) runs the inline wake order at
+	// a few thousand nodes.
 	f.Add(uint64(5), []byte{2, 1, 200, 40, 1, 3, 10, 1, 2, 0, 4})
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
 		var fixed [11]uint8

@@ -144,6 +144,31 @@ func TestProcKillQuorumCompletes(t *testing.T) {
 	}
 }
 
+// A processor kill that lands while its victim is parked at a
+// generation barrier takes effect at the victim's next read boundary,
+// not at the barrier's release: the loop head checks for a kill once,
+// before the generation catch-up. The pins were generated on the
+// goroutine engine, which cnodes replaced; a cnode that rechecked the
+// kill after each catch-up barrier died at 203.098 ms.
+func TestKillAfterCatchUpBarrier(t *testing.T) {
+	cfg := smallConfig(pattern.GW, 4, 64)
+	cfg.Sync = barrier.EveryNTotal
+	cfg.SyncEveryTotal = 8
+	cfg.NodeFault = fault.NodeConfig{
+		Seed:           1,
+		KillAt:         160 * sim.Millisecond,
+		KillNode:       2,
+		BarrierTimeout: 50 * sim.Millisecond,
+	}
+	res := MustRun(cfg)
+	if got := res.Faults.Node.KilledAtMillis; got != 241.288 {
+		t.Errorf("KilledAtMillis = %v, want 241.288", got)
+	}
+	if got := res.TotalTime; got != 1448193*sim.Microsecond {
+		t.Errorf("TotalTime = %v, want 1448193µs", got)
+	}
+}
+
 // The same kill without a barrier timeout is the classic pathology the
 // quorum release exists to fix: every survivor blocks forever at the
 // next barrier and the kernel's deadlock detector names them.

@@ -7,10 +7,10 @@ import (
 )
 
 // kernelCounter reports whether c measures the simulation substrate
-// rather than the modelled file system. The two engines execute the
-// same model on different substrates — the goroutine engine parks one
-// process per node, the compact engine multiplexes continuations — so
-// their event/wake/step/spawn counts legitimately differ.
+// rather than the modelled file system. The two wake orders execute the
+// same model with different event traffic — a node woken inline at a
+// firing dispatches no event of its own — so their event and wake
+// counts legitimately differ.
 func kernelCounter(c obs.Counter) bool {
 	switch c {
 	case obs.CtrKernelEvents, obs.CtrKernelWakes, obs.CtrKernelSteps, obs.CtrKernelSpawns:
@@ -20,13 +20,11 @@ func kernelCounter(c obs.Counter) bool {
 }
 
 // TestCompactCounterParity is the observability counterpart of
-// TestCompactConservation: for every configuration the compact engine
-// supports, a CounterSink must see identical totals for every model
-// counter with CompactNodes on vs off — not just conserved aggregates
-// but the full split (ready/unready hits, prefetch issues and
-// consumptions, barrier generations, disk requests). The compact
-// engine's emission sites are separate code (cWait/recordWait/cstep vs
-// the goroutine bodies), and this is the test that keeps them honest.
+// TestCompactConservation: for every configuration of the matrix, a
+// CounterSink must see identical totals for every model counter in
+// both wake orders — not just conserved aggregates but the full split
+// (ready/unready hits, prefetch issues and consumptions, barrier
+// generations, disk requests).
 func TestCompactCounterParity(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactConfigs() {
@@ -47,12 +45,12 @@ func TestCompactCounterParity(t *testing.T) {
 					continue
 				}
 				if got[i] != want[i] {
-					t.Errorf("%s: compact engine counted %d, goroutine engine %d",
+					t.Errorf("%s: inline order counted %d, blocked order %d",
 						c, got[i], want[i])
 				}
 			}
-			// The substrate counters must still be live on both
-			// engines — a parity test that passes because nothing was
+			// The substrate counters must still be live in both
+			// orders — a parity test that passes because nothing was
 			// counted proves nothing.
 			if got[obs.CtrKernelEvents] == 0 || want[obs.CtrKernelEvents] == 0 {
 				t.Error("a run dispatched no kernel events; sink not wired?")

@@ -39,9 +39,6 @@ func TestObservedRunCountersConsistent(t *testing.T) {
 	if got := c.Get(obs.CtrCachePrefetchesIssued); got != res.Cache.PrefetchesIssued {
 		t.Errorf("prefetches issued counter %d, result says %d", got, res.Cache.PrefetchesIssued)
 	}
-	if got := c.Get(obs.CtrKernelSpawns); got != int64(cfg.Procs) {
-		t.Errorf("spawns %d, want %d", got, cfg.Procs)
-	}
 	// Every demand miss and every issued prefetch is one disk request.
 	if got := c.Get(obs.CtrDiskRequests); got != misses+c.Get(obs.CtrCachePrefetchesIssued) {
 		t.Errorf("disk requests %d != misses %d + prefetches %d",

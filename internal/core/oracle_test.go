@@ -16,15 +16,11 @@ import (
 // from fixed-access FIFO disks. Nothing overlaps and nothing queues:
 // each read costs exactly the memory model's miss price plus one disk
 // access, so the run ends at reads × (DiskAccess + Miss.Base) exactly.
-// Every pattern runs on the goroutine engine; the global patterns also
-// run on the compact engine.
+// Every pattern runs in both same-instant wake orders.
 func TestClosedFormSingleReader(t *testing.T) {
 	t.Parallel()
 	for _, kind := range pattern.Kinds {
 		for _, compact := range []bool{false, true} {
-			if compact && kind.Local() {
-				continue // the compact engine runs global patterns only
-			}
 			for _, disks := range []int{1, 4, 20} {
 				for _, access := range []sim.Duration{30 * sim.Millisecond, 7 * sim.Millisecond} {
 					cfg := DefaultConfig(kind)

@@ -12,13 +12,6 @@ type ruSet struct {
 	bufs []*cache.Buffer
 }
 
-func newRUSet(size int) *ruSet {
-	if size <= 0 {
-		panic("core: RU set size must be positive")
-	}
-	return &ruSet{size: size}
-}
-
 // makeRoom unpins the oldest entries until there is room for one more,
 // so it is called before acquiring a new buffer. It shifts the rest down
 // in place, so the backing array is reused by the next add.
@@ -41,6 +34,3 @@ func (r *ruSet) drain(c *cache.Cache) {
 	}
 	r.bufs = nil
 }
-
-// len reports the current occupancy.
-func (r *ruSet) len() int { return len(r.bufs) }

@@ -8,13 +8,15 @@ package sim
 // must be associated with a kernel before use; use NewEvent, or Init for
 // events embedded in larger records.
 //
-// An event can release two kinds of parties when it fires: Waiter
+// An event can release two kinds of parties when it fires:
 // continuations (AddWaiter/OnFire), which run synchronously in kernel
-// context at the instant of firing, and blocked processes (Wait/
-// Enqueue), which are scheduled to resume at that instant, after every
-// continuation has run. Both sides keep a single inline slot plus an
-// overflow slice, so the overwhelmingly common one-party case costs no
-// allocation.
+// context at the instant of firing, and blocked parties (Wait/
+// AddBlocked), which are queued to wake at that instant, after every
+// continuation has run and every event already due. A blocked process
+// is queued as its resumption step, so a state machine that parks with
+// AddBlocked wakes exactly where a process would. Both sides keep a
+// single inline slot plus an overflow slice, so the overwhelmingly
+// common one-party case costs no allocation.
 type Event struct {
 	k       *Kernel
 	label   string
@@ -22,8 +24,8 @@ type Event struct {
 	firedAt Time
 	c0      Waiter   // first continuation
 	conts   []Waiter // further continuations, in registration order
-	p0      *Proc    // first blocked process
-	procs   []*Proc  // further blocked processes, in arrival order
+	b0      Waiter   // first blocked party
+	blocked []Waiter // further blocked parties, in arrival order
 }
 
 // NewEvent returns an unfired event on kernel k.
@@ -69,10 +71,10 @@ func (e *Event) FiredAt() Time {
 }
 
 // Fire marks the event as having occurred now, wakes every continuation,
-// and schedules every blocked process to resume at the current instant.
-// Continuations run synchronously, before any process resumes, so state
-// transitions they perform (e.g. a cache buffer becoming Ready) are
-// visible to every process released. Firing an already-fired event
+// and queues every blocked party to wake at the current instant.
+// Continuations run synchronously, before any blocked party wakes, so
+// state transitions they perform (e.g. a cache buffer becoming Ready)
+// are visible to every party released. Firing an already-fired event
 // panics: events are one-shot by design, and double-firing always
 // indicates a bookkeeping bug in the caller.
 func (e *Event) Fire() {
@@ -89,18 +91,18 @@ func (e *Event) Fire() {
 		w.Wake()
 	}
 	e.conts = nil
-	if p := e.p0; p != nil {
-		e.p0 = nil
-		e.k.scheduleStep(p)
+	if w := e.b0; w != nil {
+		e.b0 = nil
+		e.k.push(e.k.now, w)
 	}
-	for _, p := range e.procs {
-		e.k.scheduleStep(p)
+	for _, w := range e.blocked {
+		e.k.push(e.k.now, w)
 	}
-	e.procs = nil
+	e.blocked = nil
 }
 
 // AddWaiter registers w to be woken, in kernel context, at the moment
-// the event fires — before any blocked process resumes. If the event has
+// the event fires — before any blocked party wakes. If the event has
 // already fired, w is woken immediately. Continuations are woken in
 // registration order.
 func (e *Event) AddWaiter(w Waiter) {
@@ -121,7 +123,7 @@ type funcWaiter func()
 func (f funcWaiter) Wake() { f() }
 
 // OnFire registers fn to run, in kernel context, at the moment the
-// event fires — before any waiting process resumes. If the event has
+// event fires — before any blocked party wakes. If the event has
 // already fired, fn runs immediately. It is AddWaiter for callers with
 // no natural record to hang a Wake method on; hot paths prefer
 // AddWaiter, which avoids allocating a closure.
@@ -134,38 +136,32 @@ func (e *Event) Wait(p *Proc) Duration {
 		return 0
 	}
 	start := p.k.now
-	e.enqueue(p)
+	e.AddBlocked((*procStep)(p))
 	p.park(e.Label())
 	return p.k.now.Sub(start)
 }
 
-// Enqueue registers an already-parked process to be resumed when the
-// event fires, in FIFO order with every other blocked process. It is
-// the event-driven counterpart of Wait: continuation code running in
-// kernel context on behalf of a process that parked earlier (Proc.Park)
-// uses it to hand the wakeup over to the event without blocking
-// anything itself. It panics if the event has already fired — the
-// caller should have resumed the process directly.
-func (e *Event) Enqueue(p *Proc) {
+// AddBlocked queues w among the event's blocked parties: when the event
+// fires, w.Wake runs from an event scheduled at the firing instant, in
+// FIFO order with every blocked process and after every continuation.
+// It is how a state machine parks exactly where a blocked process
+// would. It panics if the event has already fired — the caller should
+// have continued directly.
+func (e *Event) AddBlocked(w Waiter) {
 	if e.fired {
-		panic("sim: Enqueue on fired event (" + e.Label() + ")")
+		panic("sim: AddBlocked on fired event (" + e.Label() + ")")
 	}
-	p.waiting = e.Label()
-	e.enqueue(p)
-}
-
-func (e *Event) enqueue(p *Proc) {
-	if e.p0 == nil && len(e.procs) == 0 {
-		e.p0 = p
+	if e.b0 == nil && len(e.blocked) == 0 {
+		e.b0 = w
 		return
 	}
-	e.procs = append(e.procs, p)
+	e.blocked = append(e.blocked, w)
 }
 
-// Waiters reports how many processes are currently blocked on the event.
+// Waiters reports how many parties are currently blocked on the event.
 func (e *Event) Waiters() int {
-	n := len(e.procs)
-	if e.p0 != nil {
+	n := len(e.blocked)
+	if e.b0 != nil {
 		n++
 	}
 	return n

@@ -7,11 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Waiter is a non-blocking continuation. Wake runs in kernel context at
-// the instant its trigger occurs — an Event firing (Event.AddWaiter) or
-// a timer expiring (Kernel.ScheduleWake/AfterWake). It must not block,
-// but may schedule further events, fire Events, and resume parked
-// processes. Implementing Wake on a record that already exists (a disk
+// Waiter is a non-blocking continuation. Wake runs in kernel context
+// when its trigger occurs — an Event firing (inline with AddWaiter,
+// queued with AddBlocked) or a timer expiring (Kernel.ScheduleWake/
+// AfterWake). It must not block, but may schedule further events and
+// fire Events. Implementing Wake on a record that already exists (a disk
 // request, a cache buffer) makes registering the continuation free of
 // allocation, which is why the simulator's hot completion paths are
 // Waiters rather than closures.
@@ -29,11 +29,12 @@ type Waiter interface {
 //
 // Two styles of scheduling coexist. The blocking Proc API (Advance,
 // Event.Wait, WaitQueue.Sleep) reads naturally but costs two coroutine
-// switches per block/resume pair. The continuation API (Waiter,
-// Event.AddWaiter, ScheduleWake) stays in kernel context and costs a
-// plain function call, so the simulator's inner loops — I/O completion,
-// cache wakeups, prefetch chaining — use it exclusively; only top-level
-// process logic blocks.
+// switches per block/resume pair; the file system API (internal/fs) and
+// its clients use it. The continuation API (Waiter, Event.AddWaiter,
+// Event.AddBlocked, ScheduleWake) stays in kernel context and costs a
+// plain function call, so the testbed — I/O completion, cache wakeups,
+// prefetch chaining, and the processors themselves (core's cnodes) —
+// uses it exclusively.
 type Kernel struct {
 	now     Time
 	heap    eventHeap

@@ -598,40 +598,48 @@ func TestEventAddWaiterAfterFired(t *testing.T) {
 	}
 }
 
-func TestParkEnqueueResume(t *testing.T) {
-	k := NewKernel()
-	ev := NewEvent(k)
-	var log []string
-	// proc parks itself; a continuation chain hands it to the event.
-	p := k.Spawn("parked", 0, func(p *Proc) {
-		p.Park("a continuation chain")
-		log = append(log, fmt.Sprintf("woke@%d", p.Now()))
-	})
-	k.After(10, func() { ev.Enqueue(p) })
-	k.After(20, func() { ev.Fire() })
-	// A second proc resumed directly from kernel context.
-	q := k.Spawn("resumed", 0, func(p *Proc) {
-		p.Park("a direct resume")
-		log = append(log, fmt.Sprintf("direct@%d", p.Now()))
-	})
-	k.After(5, func() { k.Resume(q) })
-	k.Run()
-	if fmt.Sprint(log) != "[direct@5 woke@20]" {
-		t.Fatalf("log: %v", log)
-	}
-}
-
-func TestEnqueueOnFiredEventPanics(t *testing.T) {
+func TestAddBlockedOnFiredEventPanics(t *testing.T) {
 	k := NewKernel()
 	ev := NewEvent(k)
 	ev.Fire()
-	p := k.Spawn("p", 0, func(p *Proc) {})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Enqueue on fired event did not panic")
+			t.Fatal("AddBlocked on fired event did not panic")
 		}
 	}()
-	ev.Enqueue(p)
+	ev.AddBlocked(&waked{new([]string), "late"})
+}
+
+// TestEventBlockedPartiesQueueFIFO pins the blocked-party wake order:
+// at a firing, continuations run inline; blocked processes and waiters
+// parked with AddBlocked wake in arrival order, behind every event
+// already due at that instant.
+func TestEventBlockedPartiesQueueFIFO(t *testing.T) {
+	k := NewKernel()
+	ev := NewEvent(k)
+	var log []string
+	k.Spawn("p1", 0, func(p *Proc) {
+		ev.Wait(p)
+		log = append(log, "p1")
+	})
+	k.Schedule(1, func() { ev.AddBlocked(&waked{&log, "w1"}) })
+	k.Spawn("p2", 2, func(p *Proc) {
+		ev.Wait(p)
+		log = append(log, "p2")
+	})
+	k.Schedule(3, func() {
+		ev.AddBlocked(&waked{&log, "w2"})
+		ev.AddWaiter(&waked{&log, "cont"})
+		if ev.Waiters() != 4 {
+			t.Errorf("waiters = %d, want 4", ev.Waiters())
+		}
+	})
+	k.Schedule(10, func() { ev.Fire() })
+	k.Schedule(10, func() { log = append(log, "due") })
+	k.Run()
+	if got, want := fmt.Sprint(log), "[cont due p1 w1 p2 w2]"; got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
 }
 
 // TestAdvanceFastPathOrdering pins that the in-place clock advance is

@@ -10,8 +10,8 @@ import (
 )
 
 // scheduleStep queues a resumption of p at the current instant, after
-// every event already due now. This is how Event.Fire and WaitQueue
-// wakeups release blocked processes without allocating.
+// every event already due now. This is how WaitQueue wakeups and Yield
+// release processes without allocating.
 func (k *Kernel) scheduleStep(p *Proc) { k.push(k.now, (*procStep)(p)) }
 
 // procStep is a Proc queued for resumption. Its Wake steps the process,
@@ -103,15 +103,6 @@ func (k *Kernel) step(p *Proc) {
 	p.next()
 }
 
-// Resume transfers control to a process parked with Park (or any
-// blocking wait), running it until it next blocks or finishes. It must
-// be called in kernel context at the instant the process should
-// continue. Ordinary waiters are resumed by Event.Fire in FIFO order;
-// Resume is for continuation code that knows its process must run right
-// now — e.g. a prefetch scheduler resuming its processor the moment the
-// awaited event has fired and the in-flight action has completed.
-func (k *Kernel) Resume(p *Proc) { k.step(p) }
-
 // park returns control to the kernel until something re-schedules this
 // process. reason labels the process in deadlock diagnostics. Process
 // context only.
@@ -120,14 +111,6 @@ func (p *Proc) park(reason string) {
 	p.yield(struct{}{})
 	p.waiting = ""
 }
-
-// Park blocks the process until kernel-context code resumes it — via
-// Kernel.Resume, or by handing it to an event with Event.Enqueue. The
-// reason labels the process in deadlock diagnostics. Callers must
-// guarantee that a wakeup is, or will be, arranged: parking with nothing
-// pointing back at the process deadlocks the simulation. Process context
-// only.
-func (p *Proc) Park(reason string) { p.park(reason) }
 
 // Advance blocks the process for d of virtual time.
 func (p *Proc) Advance(d Duration) {

@@ -53,34 +53,6 @@ func TestProcPanicPropagatesFromRun(t *testing.T) {
 	}
 }
 
-// TestNestedResume: a continuation fired from inside process A resumes
-// parked process B, and B runs to its next park before A continues.
-func TestNestedResume(t *testing.T) {
-	k := NewKernel()
-	ev := NewEvent(k)
-	var log []string
-	b := k.Spawn("b", 0, func(p *Proc) {
-		log = append(log, "b parks")
-		p.Park("a direct resume")
-		log = append(log, fmt.Sprintf("b resumed@%d", p.Now()))
-		p.Yield()
-		log = append(log, fmt.Sprintf("b done@%d", p.Now()))
-	})
-	k.Spawn("a", 0, func(p *Proc) {
-		p.Advance(5)
-		ev.OnFire(func() { k.Resume(b) })
-		ev.Fire()
-		log = append(log, "a continues")
-		p.Advance(5)
-		log = append(log, fmt.Sprintf("a done@%d", p.Now()))
-	})
-	k.Run()
-	want := "[b parks b resumed@5 a continues b done@5 a done@10]"
-	if got := fmt.Sprint(log); got != want {
-		t.Fatalf("log = %s, want %s", got, want)
-	}
-}
-
 // TestFinishedProcHoldsNoCoroutine: no process has a coroutine before
 // its first step, and none keeps one once its body has returned.
 func TestFinishedProcHoldsNoCoroutine(t *testing.T) {

@@ -9,12 +9,14 @@
 // letting process code be written in a natural blocking style.
 //
 // Alongside the blocking Proc API the kernel offers an event-driven
-// continuation API — Waiter, Event.AddWaiter, Kernel.ScheduleWake —
-// that runs entirely in kernel context with no coroutine switch and no
-// per-event closure allocation. Hot paths (I/O completion, cache
-// wakeups, prefetch chaining) use continuations; top-level process
-// logic blocks. Both styles schedule through the same typed event heap,
-// so mixing them preserves determinism.
+// continuation API — Waiter, Event.AddWaiter, Event.AddBlocked,
+// Kernel.ScheduleWake — that runs entirely in kernel context with no
+// coroutine switch and no per-event closure allocation. The testbed's
+// processors are state machines on continuations; the blocking API
+// serves the file system API and its clients. Both styles schedule
+// through the same event heap, and a waiter parked with AddBlocked
+// wakes exactly where a blocked process would, so mixing them preserves
+// determinism.
 //
 // Time is virtual and counted in microseconds from the start of the run.
 package sim

@@ -230,7 +230,7 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 func MustRun(cfg Config) *Result { return core.MustRun(cfg) }
 
 // ScaleConfig returns a cluster-scale configuration: nodes processor
-// nodes over disks disks on the compact (goroutine-free) engine, with
+// nodes over disks disks in the inline wake order (CompactNodes), with
 // the uncontended memory model and two prefetch buffers per node. The
 // base for 100k-1M node runs; see RunScaleSweep for the full study.
 func ScaleConfig(nodes, disks int, prefetch bool) Config {
