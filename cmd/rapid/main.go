@@ -1,6 +1,6 @@
 // Command rapid runs one RAPID Transit testbed experiment and prints
-// its measurements, optionally recording the access trace for off-line
-// analysis.
+// its measurements, optionally recording the run's span trace
+// (rapidtrace v1, read by cmd/trace) and its off-line access analysis.
 //
 // Examples:
 //
@@ -19,7 +19,6 @@ import (
 	rapid "repro"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -68,9 +67,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rackStrag   = fs.String("rack-straggle", "", "spread compute stragglers across this rack's processors")
 		stragFactor = fs.Float64("rack-straggle-factor", 2, "compute slowdown of an affected processor")
 		stragRate   = fs.Float64("rack-straggle-rate", 0, "fraction of the rack's processors affected [0,1] (0 disables the spread)")
-		traceFile   = fs.String("trace", "", "write the access trace to this file")
-		analyze     = fs.Bool("analyze", false, "print off-line trace analysis")
-		spansFile   = fs.String("trace-out", "", "write the observability span trace to this file")
+		traceFile   = fs.String("trace", "", "write the span trace (rapidtrace v1) to this file")
+		analyze     = fs.Bool("analyze", false, "print the off-line access analysis of the span trace")
 		perfFile    = fs.String("perfetto", "", "write a Perfetto trace-event JSON to this file")
 		timeline    = fs.Bool("timeline", false, "print the ASCII span timeline")
 		telJSON     = fs.String("telemetry", "", "write the windowed telemetry snapshot JSON to this file")
@@ -178,20 +176,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := build(*prefetch)
-	var rec *trace.Recorder
-	if *traceFile != "" || *analyze {
-		rec = trace.NewRecorder()
-		cfg.Trace = rec.Hook()
-	}
 	var spans *obs.Recorder
-	if *spansFile != "" || *perfFile != "" || *timeline {
+	if *traceFile != "" || *analyze || *perfFile != "" || *timeline {
 		spans = obs.NewRecorder()
 		cfg.Obs = spans
 	}
 	var tel *telemetry.Sink
 	if *telJSON != "" || *telCSV != "" || *sampleK > 0 || *sampleOut != "" || *samplePerf != "" {
 		if spans != nil {
-			return fmt.Errorf("telemetry flags cannot be combined with the full-trace flags (-trace-out, -perfetto, -timeline); the run has one sink")
+			return fmt.Errorf("telemetry flags cannot be combined with the full-trace flags (-trace, -analyze, -perfetto, -timeline); the run has one sink")
 		}
 		k := *sampleK
 		if k == 0 && (*sampleOut != "" || *samplePerf != "") {
@@ -227,47 +220,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 				ps.PrefetchesIssued, ps.PrefetchAttempts, ps.Finish)
 		}
 	}
-	if rec != nil {
+	if spans != nil {
 		if *traceFile != "" {
-			f, err := os.Create(*traceFile)
-			if err != nil {
+			if err := writeFile(*traceFile, func(w io.Writer) error {
+				_, err := spans.WriteTo(w)
+				return err
+			}); err != nil {
 				return err
 			}
-			if _, err := rec.WriteTo(f); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "trace: %d events -> %s\n", rec.Len(), *traceFile)
+			fmt.Fprintf(stdout, "trace: %d spans -> %s\n", len(spans.Spans), *traceFile)
 		}
 		if *analyze {
-			fmt.Fprint(stdout, trace.Analyze(rec.Events()))
-		}
-	}
-	if spans != nil {
-		if *spansFile != "" {
-			f, err := os.Create(*spansFile)
-			if err != nil {
-				return err
-			}
-			if _, err := spans.WriteTo(f); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "spans: %d -> %s\n", len(spans.Spans), *spansFile)
+			fmt.Fprint(stdout, obs.Analyze(spans))
 		}
 		if *perfFile != "" {
-			f, err := os.Create(*perfFile)
-			if err != nil {
-				return err
-			}
-			if err := spans.WritePerfetto(f); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(*perfFile, spans.WritePerfetto); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "perfetto: %d spans -> %s\n", len(spans.Spans), *perfFile)

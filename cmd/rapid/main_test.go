@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -295,6 +297,8 @@ func TestCompareMode(t *testing.T) {
 	}
 }
 
+// -trace writes the run's span trace and -analyze prints the access
+// analysis of the same recorder, which the written file reproduces.
 func TestTraceAndAnalyze(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
 	args := append([]string{"-pattern", "gw", "-prefetch", "-trace", path, "-analyze"}, small...)
@@ -302,11 +306,38 @@ func TestTraceAndAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatalf("trace file not written: %v", err)
+	}
+	defer f.Close()
+	rec, err := obs.Read(f)
+	if err != nil {
+		t.Fatalf("trace file is not a span trace: %v", err)
 	}
 	if !strings.Contains(got, "trace:") {
 		t.Fatalf("trace confirmation missing:\n%s", got)
+	}
+	if want := obs.Analyze(rec).String(); !strings.Contains(got, want) {
+		t.Fatalf("output lacks the trace file's analysis\n%s\noutput:\n%s", want, got)
+	}
+}
+
+// The full-trace flags and the telemetry flags each need the run's one
+// sink, so combining them is refused; -trace and -analyze share the
+// full-trace recorder.
+func TestTraceAndTelemetryRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-trace", filepath.Join(dir, "a.trace"), "-telemetry", filepath.Join(dir, "a.json")},
+		{"-analyze", "-telemetry-csv", filepath.Join(dir, "b.csv")},
+		{"-analyze", "-sample", "4"},
+		{"-timeline", "-sample-out", filepath.Join(dir, "c.spans")},
+	} {
+		_, _, err := runCmd(t, append(args, small...)...)
+		if err == nil || !strings.Contains(err.Error(), "one sink") {
+			t.Errorf("run(%v) = %v, want the one-sink error", args, err)
+		}
 	}
 }
 
@@ -315,7 +346,7 @@ func TestObservabilityFlags(t *testing.T) {
 	spans := filepath.Join(dir, "run.spans")
 	perf := filepath.Join(dir, "run.json")
 	args := append([]string{"-pattern", "gw", "-sync", "each", "-prefetch",
-		"-trace-out", spans, "-perfetto", perf, "-timeline"}, small...)
+		"-trace", spans, "-perfetto", perf, "-timeline"}, small...)
 	got, _, err := runCmd(t, args...)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +356,7 @@ func TestObservabilityFlags(t *testing.T) {
 			t.Fatalf("%s not written: %v", path, err)
 		}
 	}
-	for _, want := range []string{"spans:", "perfetto:", "timeline", "legend:", "proc0"} {
+	for _, want := range []string{"trace:", "perfetto:", "timeline", "legend:", "proc0"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}

@@ -1,13 +1,12 @@
-// Command trace records and inspects virtual-time observability traces
-// of RAPID Transit runs (see internal/obs). It turns "the total moved"
-// into "which processor spent its time where": record a run's spans,
-// summarize the idle-time accounting, render an ASCII timeline, export
+// Command trace inspects the virtual-time span traces (rapidtrace v1,
+// see internal/obs) that `rapid -trace` records. It turns "the total
+// moved" into "which processor spent its time where": summarize the
+// idle-time accounting, render an ASCII timeline, export
 // Chrome/Perfetto JSON for ui.perfetto.dev, and diff two runs'
 // accounting (prefetch on vs. off, faulted vs. clean).
 //
 // Subcommands:
 //
-//	trace record  [run flags] -o run.spans     record one run's span trace
 //	trace summary run.spans                    counters + idle-time accounting
 //	trace timeline [filters] run.spans         ASCII Gantt timeline
 //	trace dump    [filters] run.spans          filtered span listing
@@ -19,8 +18,8 @@
 //
 // Examples:
 //
-//	trace record -pattern gw -sync each -prefetch -o pf.spans
-//	trace record -pattern gw -sync each -o nopf.spans
+//	rapid -pattern gw -sync each -prefetch -trace pf.spans
+//	rapid -pattern gw -sync each -trace nopf.spans
 //	trace diff nopf.spans pf.spans
 //	trace timeline -proc 3 -to 200000 pf.spans
 package main
@@ -32,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	rapid "repro"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
@@ -49,12 +47,10 @@ func main() {
 // with arbitrary arguments and capture its output.
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: trace {record|summary|timeline|dump|perfetto|verify|diff|timeseries} [flags] [files]")
+		return fmt.Errorf("usage: trace {summary|timeline|dump|perfetto|verify|diff|timeseries} [flags] [files]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
-	case "record":
-		return cmdRecord(rest, stdout, stderr)
 	case "timeseries":
 		return cmdTimeseries(rest, stdout, stderr)
 	case "summary":
@@ -71,73 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cmdDiff(rest, stdout, stderr)
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
-}
-
-// cmdRecord runs one experiment with a span recorder installed and
-// writes the trace. The run flags mirror cmd/rapid's essentials.
-func cmdRecord(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("trace record", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		patternName = fs.String("pattern", "gw", "access pattern: lfp, lrp, lw, gfp, grp, gw")
-		syncName    = fs.String("sync", "none", "sync style: each, total, portion, none")
-		prefetch    = fs.Bool("prefetch", false, "enable prefetching")
-		ioBound     = fs.Bool("iobound", false, "no computation per block (I/O bound)")
-		procs       = fs.Int("procs", 20, "number of processors (and disks)")
-		blocks      = fs.Int("blocks", 2000, "total blocks read (global patterns)")
-		perProc     = fs.Int("perproc", 100, "blocks read per process (local patterns)")
-		seed        = fs.Uint64("seed", 1, "random seed")
-		faultRate   = fs.Float64("fault-rate", 0, "per-request transient read-error probability [0,1)")
-		faultSeed   = fs.Uint64("fault-seed", 1, "seed for all fault draws")
-		out         = fs.String("o", "", "output span-trace file (required)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("record: -o is required")
-	}
-	kind, err := rapid.ParsePatternKind(*patternName)
-	if err != nil {
-		return err
-	}
-	style, err := rapid.ParseSyncStyle(*syncName)
-	if err != nil {
-		return err
-	}
-	cfg := rapid.DefaultConfig(kind)
-	cfg.Procs = *procs
-	cfg.Disks = *procs
-	cfg.Pattern.Procs = *procs
-	cfg.Pattern.TotalBlocks = *blocks
-	cfg.Pattern.BlocksPerProc = *perProc
-	cfg.Pattern.Seed = *seed
-	cfg.Sync = style
-	cfg.Prefetch = *prefetch
-	cfg.Seed = *seed
-	cfg.Fault = rapid.FaultConfig{Seed: *faultSeed, ReadErrorRate: *faultRate}
-	if *ioBound {
-		cfg.ComputeMean = 0
-	}
-	rec := obs.NewRecorder()
-	cfg.Obs = rec
-	res, err := rapid.Run(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if _, err := rec.WriteTo(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "recorded %s: %d spans, %d events processed, total time %v -> %s\n",
-		cfg.Label(), len(rec.Spans), rec.Counters.Get(obs.CtrKernelEvents), res.TotalTime, *out)
-	return nil
 }
 
 func loadTrace(path string) (*obs.Recorder, error) {

@@ -19,20 +19,32 @@ func runCmd(t *testing.T, args ...string) (stdout string, err error) {
 	return out.String(), err
 }
 
-// record produces a small deterministic span trace in the test's temp
-// dir and returns its path.
-func record(t *testing.T, dir, name string, extra ...string) string {
+// record writes the span trace of a small deterministic run into dir,
+// the run `rapid -pattern gw -sync each -procs 4 -blocks 120 -seed 7
+// -trace` records, and returns its path.
+func record(t *testing.T, dir, name string, prefetch bool) string {
 	t.Helper()
+	cfg := rapid.DefaultConfig(rapid.GW)
+	cfg.Procs, cfg.Disks, cfg.Pattern.Procs = 4, 4, 4
+	cfg.Pattern.TotalBlocks = 120
+	cfg.Pattern.Seed, cfg.Seed = 7, 7
+	cfg.Sync = rapid.SyncEveryNEach
+	cfg.Prefetch = prefetch
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
+	if _, err := rapid.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, name)
-	args := append([]string{"record",
-		"-pattern", "gw", "-sync", "each", "-procs", "4", "-blocks", "120", "-seed", "7",
-		"-o", path}, extra...)
-	out, err := runCmd(t, args...)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "spans") {
-		t.Fatalf("record output: %q", out)
+	if _, err := rec.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return path
 }
@@ -41,8 +53,6 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"nosuchcmd"},
-		{"record"}, // missing -o
-		{"record", "-pattern", "bogus", "-o", "x"},
 		{"summary"},           // missing file
 		{"summary", "a", "b"}, // too many files
 		{"diff", "only-one"},  // needs two
@@ -56,7 +66,7 @@ func TestUsageErrors(t *testing.T) {
 
 func TestRecordSummaryTimeline(t *testing.T) {
 	dir := t.TempDir()
-	spans := record(t, dir, "pf.spans", "-prefetch")
+	spans := record(t, dir, "pf.spans", true)
 
 	sum, err := runCmd(t, "summary", spans)
 	if err != nil {
@@ -87,7 +97,7 @@ func TestRecordSummaryTimeline(t *testing.T) {
 
 func TestPerfettoExportAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	spans := record(t, dir, "pf.spans", "-prefetch")
+	spans := record(t, dir, "pf.spans", true)
 	jsonPath := filepath.Join(dir, "pf.json")
 	if _, err := runCmd(t, "perfetto", "-o", jsonPath, spans); err != nil {
 		t.Fatal(err)
@@ -106,8 +116,8 @@ func TestPerfettoExportAndVerify(t *testing.T) {
 
 func TestDiffPrefetchOnOff(t *testing.T) {
 	dir := t.TempDir()
-	pf := record(t, dir, "pf.spans", "-prefetch")
-	nopf := record(t, dir, "nopf.spans")
+	pf := record(t, dir, "pf.spans", true)
+	nopf := record(t, dir, "nopf.spans", false)
 	out, err := runCmd(t, "diff", nopf, pf)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +131,8 @@ func TestDiffPrefetchOnOff(t *testing.T) {
 
 func TestRecordDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	a := record(t, dir, "a.spans", "-prefetch")
-	b := record(t, dir, "b.spans", "-prefetch")
+	a := record(t, dir, "a.spans", true)
+	b := record(t, dir, "b.spans", true)
 	da, err := os.ReadFile(a)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +142,7 @@ func TestRecordDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(da) != string(db) {
-		t.Fatal("two identical record invocations produced different traces")
+		t.Fatal("two identical runs wrote different traces")
 	}
 	if len(da) == 0 {
 		t.Fatal("empty trace recorded")
@@ -146,7 +156,7 @@ func TestRecordDeterministic(t *testing.T) {
 // silently shorter accounting.
 func TestMalformedTraceErrors(t *testing.T) {
 	dir := t.TempDir()
-	good, err := os.ReadFile(record(t, dir, "good.spans"))
+	good, err := os.ReadFile(record(t, dir, "good.spans", false))
 	if err != nil {
 		t.Fatal(err)
 	}

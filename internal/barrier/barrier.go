@@ -79,7 +79,7 @@ type Barrier struct {
 	// Quorum watchdog state (inert while timeout is zero).
 	timeout        sim.Duration
 	quorumReleases int
-	firstQuorumAt  sim.Time // instant of the first quorum release (0 = none)
+	firstQuorumAt  sim.Time // first quorum release since ResetFirstQuorum (0 = none)
 	excisions      []error  // one per excision, wrapping fault.ErrBarrierTimeout
 
 	obs      obs.Sink // nil = no observability (the common case)
@@ -134,11 +134,17 @@ func (b *Barrier) Generations() int { return b.generations }
 // without their full membership.
 func (b *Barrier) QuorumReleases() int { return b.quorumReleases }
 
-// FirstQuorumAt returns the virtual time of the first quorum release,
-// or zero if the watchdog never fired. Against a fault's kill time
+// FirstQuorumAt returns the virtual time of the first quorum release
+// since the last ResetFirstQuorum (or the start of the run), or zero
+// if the watchdog has not fired since. Against a fault's kill time
 // this is the recovery layer's detection latency: how long the
 // survivors waited before giving up on the dead.
 func (b *Barrier) FirstQuorumAt() sim.Time { return b.firstQuorumAt }
+
+// ResetFirstQuorum forgets the quorum releases so far, so that
+// FirstQuorumAt reports the first one from now on; the engine calls it
+// when a kill lands.
+func (b *Barrier) ResetFirstQuorum() { b.firstQuorumAt = 0 }
 
 // Excisions returns one error per member excision, each wrapping
 // fault.ErrBarrierTimeout with the generation and member excised. A

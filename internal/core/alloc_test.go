@@ -1,17 +1,23 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/barrier"
+	"repro/internal/fault"
 	"repro/internal/pattern"
+	"repro/internal/sim"
 )
 
 // TestAllocsPerRead pins the simulator's allocation rate per block read
-// on two reference cells: the paper-scale gw prefetching run and a
-// 2k-node compact cluster cell. What remains is mostly set-up and the
-// disk layer's per-request records, about two allocations per read
-// (2.06 and 1.92); the bounds leave ~40% headroom.
+// on three reference cells: the paper-scale gw prefetching run, a
+// 2k-node compact cluster cell, and the same cell under the chaos
+// composition of the cluster-chaos benchmark workload (transient read
+// errors, node stalls, a rack storm and straggler spread, and a rack
+// kill at a quarter of the clean run). What remains is mostly set-up
+// and the disk layer's per-request records, about two allocations per
+// read (2.06, 1.92 and 2.12); the bounds leave ~40% headroom.
 // Event-queue slot regrowth, at 6 to 11 allocations per read, fails
 // here.
 func TestAllocsPerRead(t *testing.T) {
@@ -19,10 +25,27 @@ func TestAllocsPerRead(t *testing.T) {
 	paper.Sync = barrier.EveryNPerProc
 	paper.Prefetch = true
 
-	const nodes = 2000
-	cluster := ScaleConfig(nodes, nodes/4, true)
+	const nodes, disks, racks = 2000, 500, 16
+	cluster := ScaleConfig(nodes, disks, true)
 	cluster.Pattern.TotalBlocks = 16 * nodes
 	cluster.ComputeMean = 7 * cluster.DiskAccess
+
+	chaos := cluster
+	chaos.Fault = fault.Config{Seed: 12, ReadErrorRate: 0.01}
+	chaos.NodeFault.Seed = 6
+	chaos.NodeFault.StallRate = 0.01
+	chaos.NodeFault.StallMean = sim.Millisecond
+	chaos.Domain = fault.DomainConfig{
+		Seed:        10,
+		Domains:     fault.SplitDomains("rack", disks, nodes, racks),
+		StormDomain: "rack0", StormAt: 50 * sim.Millisecond,
+		StormFor: 200 * sim.Millisecond, StormFactor: 3,
+		StormJitter:     10 * sim.Millisecond,
+		StragglerDomain: fmt.Sprintf("rack%d", racks-1),
+		StragglerFactor: 2, StragglerRate: 0.25,
+		KillDomain: fmt.Sprintf("rack%d", racks/2),
+		KillAt:     MustRun(cluster).TotalTime / 4,
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -32,6 +55,7 @@ func TestAllocsPerRead(t *testing.T) {
 	}{
 		{"paper-gw-prefetch", paper, 5, 3.0},
 		{"compact-2k-nodes", cluster, 2, 2.7},
+		{"chaos-2k-nodes", chaos, 2, 3.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reads := 0

@@ -134,11 +134,16 @@ type cnode struct {
 	action cnodeAction
 
 	// attempts counts failed fills of the current read (retry/backoff
-	// bookkeeping, reset when a new read is claimed).
+	// bookkeeping, reset when a new read is claimed), and failClass is
+	// the obs fault class of the last one.
 	attempts int32
+	// ordinal numbers the current read among all reads of the run, in
+	// the order they started; its SpanRead carries it.
+	ordinal int32
 
 	pc         cpc
 	afterSync  cpc
+	failClass  uint8
 	hitReady   bool
 	ranAction  bool
 	inFSWork   bool
@@ -382,7 +387,6 @@ func (e *Engine) cDelay(n *cnode, d sim.Duration, next cpc) bool {
 // continues inline).
 func (e *Engine) cSyncArrive(n *cnode, next cpc) bool {
 	arrival := e.k.Now()
-	e.trace(Event{T: arrival, Node: n.id, Kind: EvSyncArrive, Block: -1, Index: -1})
 	ev, last := e.bar.Arrive(n.id)
 	n.afterSync = next
 	if last || ev.Fired() {
@@ -398,7 +402,6 @@ func (e *Engine) cSyncArrive(n *cnode, next cpc) bool {
 func (e *Engine) syncReleased(n *cnode, wait sim.Duration) {
 	e.res.SyncTime.Add(wait.Millis())
 	e.res.PerProc[n.id].SyncWait.Add(wait.Millis())
-	e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvSyncRelease, Block: -1, Index: -1})
 }
 
 // cFailedRead releases the buffer whose fill failed, books the retry,
@@ -420,8 +423,7 @@ func (e *Engine) cFailedRead(n *cnode) bool {
 			n.id, n.block, n.attempts, err))
 	}
 	e.res.Faults.ReadRetries++
-	e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadRetry, Block: n.block, Index: -1,
-		Outcome: classifyFault(err), Attempt: int(n.attempts)})
+	n.failClass = faultClass(err)
 	n.waitStart = e.k.Now()
 	return e.cDelay(n, e.retry.Backoff(int(n.attempts), e.nodes[n.id].retryRNG), cpcBackoff)
 }
@@ -448,6 +450,10 @@ func (e *Engine) cAbandon(n *cnode) {
 	e.res.Faults.Node.DeadProcs++
 	if e.res.Faults.Node.KilledAtMillis == 0 {
 		e.res.Faults.Node.KilledAtMillis = sim.Duration(e.k.Now()).Millis()
+		if e.bar != nil {
+			// Detection is the first quorum release after the kill.
+			e.bar.ResetFirstQuorum()
+		}
 	}
 	e.cFinish(n, cpcDead)
 	// Domain kills (global patterns only, no takeover FIFO) never
@@ -474,7 +480,8 @@ func (e *Engine) beginRead(n *cnode, idx, block int) {
 	n.idx, n.block = idx, block
 	n.readStart = e.k.Now()
 	n.attempts = 0
-	e.trace(Event{T: n.readStart, Node: n.id, Kind: EvReadStart, Block: block, Index: idx})
+	n.ordinal = e.readsStarted
+	e.readsStarted++
 	// Toss-immediately: make room in the RU set before acquiring, so a
 	// processor never pins more than RUSetSize buffers.
 	n.ru.makeRoom(e.bcache)
@@ -542,12 +549,10 @@ func (e *Engine) cstep(n *cnode) {
 
 		case cpcHitBranch:
 			if n.hitReady {
-				e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadyHit, Block: n.block, Index: n.idx})
 				e.res.HitWaitAll.Add(0)
 				n.pc = cpcReadDone
 				continue
 			}
-			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvUnreadyHit, Block: n.block, Index: n.idx})
 			if n.buf.IODone.Fired() {
 				n.lastWait = 0
 				n.pc = cpcHitWaited
@@ -587,7 +592,6 @@ func (e *Engine) cstep(n *cnode) {
 			dsk, phys := e.place(n.block)
 			req := e.disks.Submit(dsk, n.block, phys, false)
 			e.bcache.BeginFetchFrom(nbuf, &req.Complete, req.EstDone, req)
-			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvDemandFetch, Block: n.block, Index: n.idx})
 			if nbuf.IODone.Fired() {
 				n.lastWait = 0
 				n.pc = cpcDemandWaited
@@ -620,7 +624,7 @@ func (e *Engine) cstep(n *cnode) {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanBackoff,
 					Start: int64(n.waitStart), End: int64(e.k.Now()),
-					Block: n.block, Arg: int64(n.attempts),
+					Block: n.block, Arg: int64(n.attempts)<<2 | int64(n.failClass),
 				})
 			}
 			n.pc = cpcLookup
@@ -631,11 +635,11 @@ func (e *Engine) cstep(n *cnode) {
 			e.res.ReadTime.Add(rt.Millis())
 			e.res.ReadTimeHist.Add(rt.Millis())
 			e.res.PerProc[n.id].ReadTime.Add(rt.Millis())
-			e.trace(Event{T: e.k.Now(), Node: n.id, Kind: EvReadDone, Block: n.block, Index: n.idx})
 			if e.obs != nil {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanRead,
-					Start: int64(n.readStart), End: int64(e.k.Now()), Block: n.block,
+					Start: int64(n.readStart), End: int64(e.k.Now()),
+					Block: n.block, Arg: int64(n.ordinal),
 				})
 			}
 			n.buf = nil

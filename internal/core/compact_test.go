@@ -156,13 +156,12 @@ func TestCompactConservation(t *testing.T) {
 // TestCompactValidateRejects checks that CompactNodes adds no
 // Validate carve-out: with it set, every configuration below is
 // accepted or rejected exactly as without it — local patterns and
-// tracing included, which the inline order once refused.
+// local kills included, which the inline order once refused.
 func TestCompactValidateRejects(t *testing.T) {
 	t.Parallel()
 	cases := map[string]func(*Config){
 		"plain":         func(c *Config) {},
 		"local pattern": func(c *Config) { *c = DefaultConfig(pattern.LFP) },
-		"trace":         func(c *Config) { c.Trace = func(Event) {} },
 		"local kill + takeover": func(c *Config) {
 			*c = DefaultConfig(pattern.LRP)
 			c.NodeFault.KillAt = 100 * sim.Millisecond
@@ -196,7 +195,7 @@ func TestCompactValidateRejects(t *testing.T) {
 			t.Errorf("%s: CompactNodes validates as %s, without it %s", name, got, want)
 		}
 	}
-	for _, name := range []string{"local pattern", "trace", "local kill + takeover"} {
+	for _, name := range []string{"local pattern", "local kill + takeover"} {
 		cfg := DefaultConfig(pattern.GW)
 		cases[name](&cfg)
 		cfg.CompactNodes = true
@@ -450,41 +449,53 @@ func TestCompactFaultConservation(t *testing.T) {
 	}
 }
 
-// TestCompactKillRecoveryObservability drives the compact kill path and
-// checks the recovery measures PR 10 added: the kill instant, the
-// quorum detection latency, the degraded window, and the wrapped
-// fault.ErrProcDead.
+// TestCompactKillRecoveryObservability drives the kill path and checks
+// the recovery measures: the kill instant, the quorum detection latency
+// (the first quorum release after the kill), the degraded window, and
+// the wrapped fault.ErrProcDead. The lfp run is `rapid -pattern lfp
+// -sync each -proc-kill-at 2500 -barrier-timeout 100`, whose quorum
+// releases start long before the kill lands.
 func TestCompactKillRecoveryObservability(t *testing.T) {
 	t.Parallel()
-	cfg := compactFaultConfigs()["node/kill+quorum"]
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run()
-	n := res.Faults.Node
-	if n.DeadProcs != 1 || n.AliveProcs != cfg.Procs-1 {
-		t.Fatalf("dead/alive = %d/%d, want 1/%d", n.DeadProcs, n.AliveProcs, cfg.Procs-1)
-	}
-	if n.QuorumReleases == 0 || n.Excisions == 0 {
-		t.Fatalf("watchdog never acted: %d releases, %d excisions", n.QuorumReleases, n.Excisions)
-	}
-	if n.KilledAtMillis <= 0 {
-		t.Fatalf("KilledAtMillis = %g, want > 0", n.KilledAtMillis)
-	}
-	if n.FirstQuorumAtMillis < n.KilledAtMillis {
-		t.Fatalf("first quorum release %g ms precedes the kill at %g ms",
-			n.FirstQuorumAtMillis, n.KilledAtMillis)
-	}
-	if want := res.TotalTimeMillis() - n.KilledAtMillis; n.DegradedMillis != want {
-		t.Fatalf("DegradedMillis = %g, want %g", n.DegradedMillis, want)
-	}
-	if kerr := e.KillError(); kerr == nil || !errors.Is(kerr, fault.ErrProcDead) {
-		t.Fatalf("kill error %v does not wrap fault.ErrProcDead", kerr)
-	}
-	// The victim's stats freeze at its death.
-	if res.PerProc[cfg.NodeFault.KillNode].Finish <= 0 {
-		t.Fatal("victim has no finish time")
+	lfp := DefaultConfig(pattern.LFP)
+	lfp.Sync = barrier.EveryNPerProc
+	lfp.NodeFault = fault.NodeConfig{Seed: 1, KillAt: 2500 * sim.Millisecond, BarrierTimeout: 100 * sim.Millisecond}
+	for name, cfg := range map[string]Config{
+		"node/kill+quorum": compactFaultConfigs()["node/kill+quorum"],
+		"lfp/each":         lfp,
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := e.Run()
+			n := res.Faults.Node
+			if n.DeadProcs != 1 || n.AliveProcs != cfg.Procs-1 {
+				t.Fatalf("dead/alive = %d/%d, want 1/%d", n.DeadProcs, n.AliveProcs, cfg.Procs-1)
+			}
+			if n.QuorumReleases == 0 || n.Excisions == 0 {
+				t.Fatalf("watchdog never acted: %d releases, %d excisions", n.QuorumReleases, n.Excisions)
+			}
+			if n.KilledAtMillis <= 0 {
+				t.Fatalf("KilledAtMillis = %g, want > 0", n.KilledAtMillis)
+			}
+			if n.FirstQuorumAtMillis < n.KilledAtMillis {
+				t.Fatalf("first quorum release %g ms precedes the kill at %g ms",
+					n.FirstQuorumAtMillis, n.KilledAtMillis)
+			}
+			if want := res.TotalTimeMillis() - n.KilledAtMillis; n.DegradedMillis != want {
+				t.Fatalf("DegradedMillis = %g, want %g", n.DegradedMillis, want)
+			}
+			if kerr := e.KillError(); kerr == nil || !errors.Is(kerr, fault.ErrProcDead) {
+				t.Fatalf("kill error %v does not wrap fault.ErrProcDead", kerr)
+			}
+			// The victim's stats freeze at its death.
+			if res.PerProc[cfg.NodeFault.KillNode].Finish <= 0 {
+				t.Fatal("victim has no finish time")
+			}
+		})
 	}
 }
 

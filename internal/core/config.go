@@ -137,13 +137,11 @@ type Config struct {
 	// random portion geometry).
 	Seed uint64
 
-	// Trace, if non-nil, receives an event for every file system action.
-	// It is excluded from JSON encodings of the Config.
-	Trace func(Event) `json:"-"`
-
 	// Obs, if non-nil, receives typed spans and counters from every
-	// subsystem of the run (see internal/obs). Excluded from JSON
-	// encodings; nil costs one branch per emission site.
+	// subsystem of the run (see internal/obs). An obs.Recorder here
+	// records the run's exact access pattern, which obs.Analyze
+	// summarizes. Excluded from JSON encodings; nil costs one branch
+	// per emission site.
 	Obs obs.Sink `json:"-"`
 }
 
@@ -254,6 +252,17 @@ func (c *Config) Validate() error {
 		if err := c.Domain.CheckAgainst(c.Disks, c.Procs); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
+		// A disk or processor kill on top of the domain kill must still
+		// leave a survivor: with no disk every read retries forever,
+		// and with no processor the run ends with blocks unread.
+		if d, ok := c.Domain.Killed(); ok {
+			if c.Fault.KillAt > 0 && !d.ContainsDisk(c.Fault.KillDisk) && d.DiskCount+1 >= c.Disks {
+				return fmt.Errorf("core: Fault.KillDisk %d and domain %q together leave no surviving disk", c.Fault.KillDisk, d.Name)
+			}
+			if c.NodeFault.KillAt > 0 && !d.ContainsNode(c.NodeFault.KillNode) && d.NodeCount+1 >= c.Procs {
+				return fmt.Errorf("core: NodeFault.KillNode %d and domain %q together leave no surviving processor", c.NodeFault.KillNode, d.Name)
+			}
+		}
 		// A domain node kill crashes its victims without posting their
 		// unread blocks for takeover (whole-rack orphan redistribution
 		// is not modelled); under a local pattern those blocks would
@@ -334,106 +343,4 @@ func (k IdleKind) String() string {
 		return "remote-io"
 	}
 	return fmt.Sprintf("IdleKind(%d)", int(k))
-}
-
-// EventKind classifies trace events.
-type EventKind int
-
-// Trace event kinds.
-const (
-	EvReadStart EventKind = iota
-	EvReadyHit
-	EvUnreadyHit
-	EvDemandFetch
-	EvPrefetchIssue
-	EvPrefetchFail
-	EvReadDone
-	EvSyncArrive
-	EvSyncRelease
-	// EvReadRetry records a demand read backing off after a failed fill
-	// (fault injection). Its Outcome and Attempt fields carry what
-	// failed and which retry this is.
-	EvReadRetry
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvReadStart:
-		return "read-start"
-	case EvReadyHit:
-		return "ready-hit"
-	case EvUnreadyHit:
-		return "unready-hit"
-	case EvDemandFetch:
-		return "demand-fetch"
-	case EvPrefetchIssue:
-		return "prefetch"
-	case EvPrefetchFail:
-		return "prefetch-fail"
-	case EvReadDone:
-		return "read-done"
-	case EvSyncArrive:
-		return "sync-arrive"
-	case EvSyncRelease:
-		return "sync-release"
-	case EvReadRetry:
-		return "read-retry"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// FaultOutcome classifies how a traced operation failed, mirroring the
-// disk layer's typed errors. Zero (OutcomeNone) means no fault and is
-// omitted from serialized traces, keeping fault-free trace files in
-// the original five-field format.
-type FaultOutcome int
-
-// Fault outcomes.
-const (
-	OutcomeNone FaultOutcome = iota
-	OutcomeTransient
-	OutcomeTimeout
-	OutcomeDead
-)
-
-// String names the outcome.
-func (o FaultOutcome) String() string {
-	switch o {
-	case OutcomeNone:
-		return "none"
-	case OutcomeTransient:
-		return "transient"
-	case OutcomeTimeout:
-		return "timeout"
-	case OutcomeDead:
-		return "dead"
-	}
-	return fmt.Sprintf("FaultOutcome(%d)", int(o))
-}
-
-// ParseFaultOutcome converts an outcome name back to its FaultOutcome.
-func ParseFaultOutcome(s string) (FaultOutcome, error) {
-	for o := OutcomeNone; o <= OutcomeDead; o++ {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown fault outcome %q", s)
-}
-
-// Event is one trace record: the exact access pattern the paper records
-// for off-line analysis.
-type Event struct {
-	T     sim.Time
-	Node  int
-	Kind  EventKind
-	Block int // -1 when not applicable
-	Index int // reference-string index, -1 when not applicable
-
-	// Outcome and Attempt carry fault detail on EvReadRetry events
-	// (and are zero otherwise): what failed, and the 1-based retry
-	// count this backoff precedes.
-	Outcome FaultOutcome
-	Attempt int
 }

@@ -74,6 +74,7 @@ type Engine struct {
 	cnodes []cnode
 
 	globalCursor int
+	readsStarted int32 // the next read's ordinal (cnode.ordinal)
 	maxFinish    sim.Time
 }
 
@@ -478,13 +479,12 @@ func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
 	case cache.FailGlobalLimit, cache.FailNodeLimit:
 		return 0, false
 	}
-	var block, idx int
+	var block int
 	var ok bool
 	if e.policy != nil {
-		block, idx, ok = e.policy.Select(node, e.bcache.Contains)
+		block, _, ok = e.policy.Select(node, e.bcache.Contains)
 	} else {
 		block, ok = e.pred.Predict(node, e.bcache.Contains)
-		idx = -1
 	}
 	if !ok {
 		return 0, false
@@ -503,11 +503,9 @@ func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
 		// A failed speculative fill demotes silently in the cache; the
 		// block is refetched on demand if ever actually read.
 		e.bcache.BeginFetchFrom(buf, &req.Complete, req.EstDone, req)
-		e.trace(Event{T: now, Node: node, Kind: EvPrefetchIssue, Block: block, Index: idx})
 		e.res.PerProc[node].PrefetchesIssued++
 		cost = e.cfg.Memory.PrefetchAction
 	} else {
-		e.trace(Event{T: now, Node: node, Kind: EvPrefetchFail, Block: block, Index: idx})
 		cost = e.cfg.Memory.PrefetchFail
 	}
 	if e.obs != nil {
@@ -556,11 +554,5 @@ func (e *Engine) finishAction(node int) {
 			Start: int64(n.actionStart), End: int64(e.k.Now()),
 			Block: n.actionBlock, Arg: arg,
 		})
-	}
-}
-
-func (e *Engine) trace(ev Event) {
-	if e.cfg.Trace != nil {
-		e.cfg.Trace(ev)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/barrier"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/predict"
 	"repro/internal/sim"
@@ -36,6 +38,18 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Sync = barrier.EveryNPerProc; c.SyncEveryPerProc = 0 },
 		func(c *Config) { c.Sync = barrier.EveryNTotal; c.SyncEveryTotal = 0 },
 		func(c *Config) { c.Pattern.Procs = 3 },
+		// A disk kill outside the killed rack takes the last disk: every
+		// read would retry forever.
+		func(c *Config) {
+			*c = rackKillConfig(pattern.GFP, 2, 3)
+			c.Fault.KillAt, c.Fault.KillDisk = sim.Second, 0
+		},
+		// A processor kill outside the killed rack takes the last
+		// processor: the run would end with blocks unread.
+		func(c *Config) {
+			*c = rackKillConfig(pattern.GW, 3, 3)
+			c.NodeFault.KillAt, c.NodeFault.KillNode = sim.Second, 0
+		},
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(pattern.GW)
@@ -44,6 +58,27 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
+	// Kills inside the killed rack leave the other rack alive.
+	inside := rackKillConfig(pattern.GFP, 2, 3)
+	inside.Fault.KillAt, inside.Fault.KillDisk = sim.Second, 1
+	inside.NodeFault.KillAt, inside.NodeFault.KillNode = sim.Second, 1
+	if err := inside.Validate(); err != nil {
+		t.Errorf("kills inside the killed rack rejected: %v", err)
+	}
+}
+
+// rackKillConfig is a small run split into two racks, rack1 (the upper
+// half of the disks and processors) killed at 100 ms under a barrier
+// timeout.
+func rackKillConfig(kind pattern.Kind, procs, disks int) Config {
+	cfg := smallConfig(kind, procs, 15*procs)
+	cfg.Disks = disks
+	cfg.NodeFault.BarrierTimeout = 50 * sim.Millisecond
+	cfg.Domain = fault.DomainConfig{
+		Domains:    fault.SplitDomains("rack", disks, procs, 2),
+		KillDomain: "rack1", KillAt: 100 * sim.Millisecond,
+	}
+	return cfg
 }
 
 func TestCacheCapacity(t *testing.T) {
@@ -75,25 +110,12 @@ func TestLabel(t *testing.T) {
 	}
 }
 
-func TestIdleKindAndEventKindStrings(t *testing.T) {
+func TestIdleKindStrings(t *testing.T) {
 	if IdleSync.String() != "sync" || IdleOwnIO.String() != "own-io" || IdleRemoteIO.String() != "remote-io" {
 		t.Fatal("idle kind names wrong")
 	}
 	if IdleKind(9).String() == "" {
 		t.Fatal("unknown idle kind should format")
-	}
-	kinds := []EventKind{EvReadStart, EvReadyHit, EvUnreadyHit, EvDemandFetch,
-		EvPrefetchIssue, EvPrefetchFail, EvReadDone, EvSyncArrive, EvSyncRelease}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Fatalf("event kind %d bad name %q", k, s)
-		}
-		seen[s] = true
-	}
-	if EventKind(99).String() == "" {
-		t.Fatal("unknown event kind should format")
 	}
 }
 
@@ -237,35 +259,55 @@ func TestSeedChangesComputeDraws(t *testing.T) {
 	}
 }
 
+// TestTraceEventsEmitted checks the span trace a run records: spans in
+// end-time order on each track, one read span per block read whose Args number the
+// reads 0..n-1 in start order, prefetch and barrier spans, and hit and
+// miss counters that sum to the reads.
 func TestTraceEventsEmitted(t *testing.T) {
 	t.Parallel()
-	var events []Event
+	rec := obs.NewRecorder()
 	cfg := smallConfig(pattern.GW, 2, 20)
 	cfg.Prefetch = true
 	cfg.Sync = barrier.EveryNPerProc
 	cfg.SyncEveryPerProc = 5
-	cfg.Trace = func(ev Event) { events = append(events, ev) }
+	cfg.Obs = rec
 	MustRun(cfg)
-	byKind := map[EventKind]int{}
-	lastT := sim.Time(0)
-	for _, ev := range events {
-		byKind[ev.Kind]++
-		if ev.T < lastT {
-			t.Fatal("trace times went backwards")
+	byKind := map[obs.SpanKind]int{}
+	starts := make([]int64, 20) // start time by read ordinal
+	for i := range starts {
+		starts[i] = -1
+	}
+	lastEnd := map[obs.Track]int64{}
+	for _, s := range rec.Spans {
+		byKind[s.Kind]++
+		if s.End < lastEnd[s.Track] {
+			t.Fatalf("span end times went backwards on %v", s.Track)
 		}
-		lastT = ev.T
+		lastEnd[s.Track] = s.End
+		if s.Kind == obs.SpanRead {
+			if s.Arg < 0 || s.Arg >= 20 || starts[s.Arg] >= 0 {
+				t.Fatalf("read ordinal %d out of range or repeated", s.Arg)
+			}
+			starts[s.Arg] = s.Start
+		}
 	}
-	if byKind[EvReadStart] != 20 || byKind[EvReadDone] != 20 {
-		t.Fatalf("read events: %v", byKind)
+	if byKind[obs.SpanRead] != 20 {
+		t.Fatalf("read spans: %v", byKind)
 	}
-	if byKind[EvPrefetchIssue] == 0 {
-		t.Fatalf("no prefetch events: %v", byKind)
+	for i := 1; i < len(starts); i++ {
+		if starts[i] < starts[i-1] {
+			t.Fatalf("read %d starts at %d, before read %d at %d", i, starts[i], i-1, starts[i-1])
+		}
 	}
-	if byKind[EvSyncArrive] == 0 || byKind[EvSyncRelease] == 0 {
-		t.Fatalf("no sync events: %v", byKind)
+	if byKind[obs.SpanPrefetchAction] == 0 {
+		t.Fatalf("no prefetch spans: %v", byKind)
 	}
-	if byKind[EvDemandFetch]+byKind[EvReadyHit]+byKind[EvUnreadyHit] != 20 {
-		t.Fatalf("access outcomes don't sum to reads: %v", byKind)
+	if byKind[obs.SpanSyncWait] == 0 || byKind[obs.SpanBarrierGen] == 0 {
+		t.Fatalf("no sync spans: %v", byKind)
+	}
+	c := &rec.Counters
+	if c[obs.CtrCacheMisses]+c[obs.CtrCacheReadyHits]+c[obs.CtrCacheUnreadyHits] != 20 {
+		t.Fatalf("access outcomes don't sum to reads: %v", c)
 	}
 }
 

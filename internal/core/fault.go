@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/disk"
+	"repro/internal/obs"
 )
 
 // place locates a block on a disk, remapping it onto a surviving disk
@@ -32,18 +33,17 @@ func (e *Engine) place(block int) (dsk, phys int) {
 	return dsk, phys
 }
 
-// classifyFault maps a fill error onto the trace's fault outcomes via
-// the disk layer's typed errors.
-func classifyFault(err error) FaultOutcome {
+// faultClass maps a fill error onto the obs fault classes a SpanBackoff
+// carries, via the disk layer's typed errors; 0 for an unclassified
+// error.
+func faultClass(err error) uint8 {
 	switch {
-	case err == nil:
-		return OutcomeNone
 	case errors.Is(err, disk.ErrTransient):
-		return OutcomeTransient
+		return obs.FaultTransient
 	case errors.Is(err, disk.ErrTimeout):
-		return OutcomeTimeout
+		return obs.FaultTimeout
 	case errors.Is(err, disk.ErrDead):
-		return OutcomeDead
+		return obs.FaultDead
 	}
-	return OutcomeNone
+	return 0
 }

@@ -91,19 +91,11 @@ func TestFlightDumpOnViolation(t *testing.T) {
 	sink, human, _ := flightSink()
 	cfg.Obs = sink
 
-	var eng *Engine
-	done := false
-	cfg.Trace = func(ev Event) {
-		if !done && ev.T > sim.Time(100*sim.Millisecond) {
-			done = true
-			eng.globalCursor = -5
-		}
-	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng = e
+	e.k.Schedule(sim.Time(100*sim.Millisecond), func() { e.globalCursor = -5 })
 
 	defer func() {
 		r := recover()

@@ -451,19 +451,11 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 			cfg := smallConfig(pattern.GW, 4, 200)
 			cfg.Sync = barrier.EveryNPerProc
 			cfg.AuditEvery = 5 * sim.Millisecond
-			var eng *Engine
-			done := false
-			cfg.Trace = func(ev Event) {
-				if !done && ev.T > sim.Time(100*sim.Millisecond) {
-					done = true
-					tc.corrupt(eng)
-				}
-			}
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng = e
+			e.k.Schedule(sim.Time(100*sim.Millisecond), func() { tc.corrupt(e) })
 			defer func() {
 				r := recover()
 				if r == nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -79,19 +81,25 @@ func TestObservedRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestObservedRunDoesNotPerturb runs the same configuration bare and
-// with a recorder: the sink must not change a single virtual-time
-// outcome.
+// TestObservedRunDoesNotPerturb runs every configuration of the trace
+// matrix bare and with a recorder: the sink must not change a single
+// byte of the Result.
 func TestObservedRunDoesNotPerturb(t *testing.T) {
 	t.Parallel()
-	bare := observedConfig(nil)
-	res1 := MustRun(bare)
-	rec := obs.NewRecorder()
-	res2 := MustRun(observedConfig(rec))
-	if res1.TotalTime != res2.TotalTime || res1.Cache != res2.Cache {
-		t.Fatalf("observation perturbed the run: %v %+v vs %v %+v",
-			res1.TotalTime, res1.Cache, res2.TotalTime, res2.Cache)
-	}
+	forEachPinnedTrace(func(name string, cfg Config) {
+		bare, err := json.Marshal(MustRun(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = obs.NewRecorder()
+		observed, err := json.Marshal(MustRun(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bare, observed) {
+			t.Errorf("%s: observation perturbed the Result", name)
+		}
+	})
 }
 
 // TestObservedRunPerfettoValid exports a real traced run (with faults,

@@ -57,8 +57,9 @@ type NodeFaultCounters struct {
 	// Recovery observability (all zero when no processor dies).
 	// KilledAtMillis is the virtual time the first kill landed (the
 	// victim reached its next read boundary and crashed out);
-	// FirstQuorumAtMillis is the first quorum release — the survivors'
-	// detection instant; DegradedMillis is the degraded window, kill
+	// FirstQuorumAtMillis is the first quorum release after it (the
+	// first of the run if no kill landed) — the survivors' detection
+	// instant; DegradedMillis is the degraded window, kill
 	// landing to last survivor finish (MTTR in a run that ends rather
 	// than repairs).
 	KilledAtMillis      float64

@@ -144,13 +144,27 @@ func (c DomainConfig) Enabled() bool {
 // KillsDisks reports whether the scheduled kill takes down at least
 // one disk (false when no kill is scheduled or the domain holds none).
 func (c DomainConfig) KillsDisks() bool {
-	return c.killEnabled() && c.find(c.KillDomain) >= 0 && c.Domains[c.find(c.KillDomain)].DiskCount > 0
+	d, ok := c.Killed()
+	return ok && d.DiskCount > 0
 }
 
 // KillsNodes reports whether the scheduled kill takes down at least
 // one node.
 func (c DomainConfig) KillsNodes() bool {
-	return c.killEnabled() && c.find(c.KillDomain) >= 0 && c.Domains[c.find(c.KillDomain)].NodeCount > 0
+	d, ok := c.Killed()
+	return ok && d.NodeCount > 0
+}
+
+// Killed returns the domain the scheduled kill takes down, if any.
+func (c DomainConfig) Killed() (Domain, bool) {
+	if !c.killEnabled() {
+		return Domain{}, false
+	}
+	i := c.find(c.KillDomain)
+	if i < 0 {
+		return Domain{}, false
+	}
+	return c.Domains[i], true
 }
 
 // find returns the index of the named domain, or -1.
@@ -222,8 +236,7 @@ func (c DomainConfig) CheckAgainst(disks, procs int) error {
 				d.Name, d.NodeStart, d.NodeStart+d.NodeCount, procs)
 		}
 	}
-	if c.killEnabled() {
-		d := c.Domains[c.find(c.KillDomain)]
+	if d, ok := c.Killed(); ok {
 		if d.DiskCount >= disks {
 			return fmt.Errorf("fault: killing domain %q leaves no surviving disk", d.Name)
 		}
@@ -257,8 +270,7 @@ func NewDomains(cfg DomainConfig) *DomainInjector {
 		panic(err)
 	}
 	di := &DomainInjector{cfg: cfg}
-	if cfg.killEnabled() {
-		d := cfg.Domains[cfg.find(cfg.KillDomain)]
+	if d, ok := cfg.Killed(); ok {
 		for i := 0; i < d.DiskCount; i++ {
 			di.killDisks = append(di.killDisks, d.DiskStart+i)
 		}

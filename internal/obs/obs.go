@@ -47,9 +47,12 @@ const (
 	// SpanCompute is the synthetic application's computation between
 	// block reads.
 	SpanCompute SpanKind = iota
-	// SpanRead covers one whole block read, EvReadStart to EvReadDone.
-	// Its children decompose it; its exclusive time is list-walking
-	// overhead not separately priced.
+	// SpanRead covers one whole block read, from the claim of the
+	// block to its completion. Its children decompose it; its
+	// exclusive time is list-walking overhead not separately priced.
+	// Arg carries the read's start ordinal: the run numbers its reads
+	// in the order they start, so sorting by Arg recovers the merged
+	// request stream that the end-ordered trace does not keep.
 	SpanRead
 	// SpanFSWork is one priced file system operation under the NUMA
 	// cost model. Arg carries the contention level (other processors
@@ -70,7 +73,9 @@ const (
 	// to be freed.
 	SpanFrameWait
 	// SpanBackoff is the virtual-time retry backoff after a failed
-	// fill. Arg carries the attempt number.
+	// fill. Arg carries the attempt number shifted left by two, over
+	// the fault class of the failed fill (FaultTransient, FaultTimeout
+	// or FaultDead; 0 if unclassified) in the low two bits.
 	SpanBackoff
 	// SpanPrefetchAction is one idle-time prefetch action, begin to
 	// completion, including its memory-contention cost. Arg is 1 when

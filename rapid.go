@@ -55,10 +55,6 @@ type (
 	Result = core.Result
 	// ProcStats is the per-processor breakdown within a Result.
 	ProcStats = core.ProcStats
-	// Event is one trace record of file system activity.
-	Event = core.Event
-	// EventKind classifies trace events.
-	EventKind = core.EventKind
 
 	// PatternKind identifies one of the six parallel file access
 	// patterns (LFP, LRP, LW, GFP, GRP, GW).
