@@ -349,10 +349,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}{
 		{"off", func() obs.Sink { return nil }},
 		{"windowed", func() obs.Sink {
-			return telemetry.New(telemetry.Config{Nodes: nodes, FlightSpans: -1})
+			return telemetry.New(telemetry.Config{Nodes: nodes})
 		}},
 		{"windowed-sampled64", func() obs.Sink {
-			return telemetry.New(telemetry.Config{Nodes: nodes, SampleK: 64, FlightSpans: -1})
+			return telemetry.New(telemetry.Config{Nodes: nodes, SampleK: 64})
 		}},
 	}
 	for _, arm := range arms {

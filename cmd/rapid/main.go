@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	rapid "repro"
 	"repro/internal/obs"
@@ -82,6 +83,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		asJSON      = fs.Bool("json", false, "emit the full result as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := refuseDropped(fs, *compare, *asJSON); err != nil {
 		return err
 	}
 
@@ -276,6 +280,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// reportFlags are the flags that add a sink, an output file or a report
+// to the printed result.
+var reportFlags = map[string]bool{
+	"trace": true, "analyze": true, "perfetto": true, "timeline": true,
+	"telemetry": true, "telemetry-csv": true, "telemetry-window": true,
+	"sample": true, "sample-out": true, "sample-perfetto": true,
+	"procstats": true, "hist": true,
+}
+
+// refuseDropped rejects the report flags a run in -compare mode (two
+// results and a comparison) or -json mode (one encoded result) would
+// drop: neither attaches a sink or prints anything but its results.
+// -compare also drops -json.
+func refuseDropped(fs *flag.FlagSet, compare, asJSON bool) error {
+	if !compare && !asJSON {
+		return nil
+	}
+	var dropped []string
+	fs.Visit(func(f *flag.Flag) {
+		if reportFlags[f.Name] || compare && f.Name == "json" {
+			dropped = append(dropped, "-"+f.Name)
+		}
+	})
+	if len(dropped) == 0 {
+		return nil
+	}
+	mode := "-json"
+	if compare {
+		mode = "-compare"
+	}
+	return fmt.Errorf("%s prints only its results and cannot be combined with %s",
+		mode, strings.Join(dropped, ", "))
 }
 
 // writeFile creates path, streams write into it, and closes it,

@@ -341,6 +341,37 @@ func TestTraceAndTelemetryRefused(t *testing.T) {
 	}
 }
 
+// -compare and -json print only their results, so every flag that adds
+// a sink, a file or a report is refused in either mode, and no file is
+// written; -compare also refuses -json.
+func TestResultOnlyModesRefuseReportFlags(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "out")
+	reports := [][]string{
+		{"-trace", file}, {"-analyze"}, {"-perfetto", file}, {"-timeline"},
+		{"-telemetry", file}, {"-telemetry-csv", file}, {"-telemetry-window", "50"},
+		{"-sample", "4"}, {"-sample-out", file}, {"-sample-perfetto", file},
+		{"-procstats"}, {"-hist"},
+	}
+	for _, mode := range []string{"-compare", "-json"} {
+		for _, flags := range reports {
+			args := append(append([]string{mode}, flags...), small...)
+			_, _, err := runCmd(t, args...)
+			if err == nil || !strings.Contains(err.Error(), mode+" prints only its results") ||
+				!strings.Contains(err.Error(), flags[0]) {
+				t.Errorf("run(%v) = %v, want %s refusing %s", args, err, mode, flags[0])
+			}
+			if _, err := os.Stat(file); err == nil {
+				t.Fatalf("run(%v) wrote %s", args, file)
+			}
+		}
+	}
+	_, _, err := runCmd(t, append([]string{"-compare", "-json", "-trace", file, "-hist"}, small...)...)
+	if err == nil || !strings.Contains(err.Error(), "with -hist, -json, -trace") {
+		t.Errorf("-compare -json -trace -hist = %v, want all three flags named", err)
+	}
+}
+
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	spans := filepath.Join(dir, "run.spans")

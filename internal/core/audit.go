@@ -40,9 +40,9 @@ func (e *Engine) buildAuditor() *audit.Auditor {
 // auditMembership checks that every cleanly finished process has left
 // the barrier.
 func (e *Engine) auditMembership() error {
-	for node := range e.nodes {
-		if e.nodes[node].finished && e.bar.Member(node) {
-			return fmt.Errorf("core: node %d finished but is still a barrier member", node)
+	for i := range e.cnodes {
+		if n := &e.cnodes[i]; n.finished && e.bar.Member(n.id) {
+			return fmt.Errorf("core: node %d finished but is still a barrier member", n.id)
 		}
 	}
 	return nil
@@ -57,10 +57,10 @@ func (e *Engine) auditCursors() error {
 		}
 		return nil
 	}
-	for node := range e.nodes {
-		c := e.nodes[node].localCursor
-		if c < 0 || c > len(e.pat.Local[node]) {
-			return fmt.Errorf("core: node %d local cursor %d outside [0, %d]", node, c, len(e.pat.Local[node]))
+	for i := range e.cnodes {
+		n := &e.cnodes[i]
+		if c := n.localCursor; c < 0 || c > len(e.pat.Local[n.id]) {
+			return fmt.Errorf("core: node %d local cursor %d outside [0, %d]", n.id, c, len(e.pat.Local[n.id]))
 		}
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 
 // Each processor runs as an event-driven state machine, a cnode, in
 // kernel context: no goroutine, no coroutine, no stack. A cnode is a
-// flat record of ~200 bytes in one contiguous array, which is what lets
+// flat record of 240 bytes in one contiguous array, which is what lets
 // a 100k–1M node run fit under 1 KB per node.
 //
 // Every point where the synthetic application blocks (an I/O
@@ -23,10 +23,12 @@ import (
 // processor kill) or advances the clock (file system work, the
 // computation delay, a retry backoff) is a program counter the node
 // parks at, and the wake re-enters cstep. Idle-time prefetching is a
-// chain of actions: each action's completion timer (the node's embedded
-// cnodeAction) begins the next one directly, and the node continues
-// once the awaited event has fired and the action in flight has
-// completed (§III).
+// chain of actions: each action's completion timer wakes the node,
+// which begins the next one directly, and the node continues once the
+// awaited event has fired and the action in flight has completed
+// (§III). The node is the only Waiter it needs: while an action runs it
+// is not registered on the awaited event, so every wake is either the
+// timer it armed last or the event it parked on after its last action.
 //
 // A parked node wakes in one of two same-instant orders, both
 // deterministic. By default it joins the event's FIFO of blocked
@@ -95,17 +97,21 @@ const (
 	cpcDead
 )
 
-// cnode is one processor. Everything a blocking process would keep on
-// its stack lives here explicitly; the whole population is one
-// contiguous []cnode allocation. Word-sized fields come first and
-// the byte-sized flags share one trailing slot: at 100k–1M nodes every
+// cnode is one processor: everything a blocking process would keep on
+// its stack, and everything the engine tracks per processor, lives
+// here explicitly; the whole population is one contiguous []cnode
+// allocation, built by Run. Word-sized fields come first and the
+// byte-sized flags share the trailing slots: at 100k–1M nodes every
 // padding hole in this struct is a megabyte.
 type cnode struct {
 	e  *Engine
 	id int
 
-	rng rng.Source // computation-delay stream, by value
-	ru  ruSet      // pinned recently-used buffers
+	rng      rng.Source  // computation-delay stream, by value
+	retryRNG *rng.Source // backoff jitter; nil unless a disk can die
+	ru       ruSet       // pinned recently-used buffers
+
+	localCursor int // next index into pat.Local[id]
 
 	// Current read; idx is -1 for a takeover read.
 	idx, block int
@@ -131,7 +137,10 @@ type cnode struct {
 	frameWaitStart sim.Time
 	computeStart   sim.Time
 
-	action cnodeAction
+	// The prefetch action in flight: its start, and its block and
+	// whether it allocated a frame (obs only).
+	actionStart sim.Time
+	actionBlock int
 
 	// attempts counts failed fills of the current read (retry/backoff
 	// bookkeeping, reset when a new read is claimed), and failClass is
@@ -141,25 +150,22 @@ type cnode struct {
 	// the order they started; its SpanRead carries it.
 	ordinal int32
 
-	pc         cpc
-	afterSync  cpc
-	failClass  uint8
-	hitReady   bool
-	ranAction  bool
-	inFSWork   bool
-	portionEnd bool // the read just done ended a per-portion sync portion
+	pc           cpc
+	afterSync    cpc
+	failClass    uint8
+	hitReady     bool
+	ranAction    bool
+	inFSWork     bool
+	inAction     bool
+	actionIssued bool
+	portionEnd   bool // the read just done ended a per-portion sync portion
+	finished     bool // read its share and withdrew (invariant auditor)
+	dead         bool // kill fired for this node
 }
 
-// cnodeAction is the node's prefetch-action completion waiter — the
-// second waiter identity a node needs, since an action timer runs
-// concurrently with the node's own event wait.
-type cnodeAction struct{ n *cnode }
-
-// Wake finishes the in-flight prefetch action (sim.Waiter).
-func (a *cnodeAction) Wake() { a.n.e.cActionWake(a.n) }
-
 // Wake re-enters the node's state machine (sim.Waiter): event fired,
-// timer elapsed, or frame freed.
+// timer elapsed (file system work, a prefetch action, a delay), or
+// frame freed.
 func (n *cnode) Wake() { n.e.cWake(n) }
 
 // ScaleConfig returns the cluster-scale configuration the -scale sweep
@@ -249,10 +255,14 @@ func (e *Engine) park(n *cnode, ev *sim.Event) {
 }
 
 // cWake is the node's generic wake: close out whatever the node was
-// parked on — file system work, an event wait, a timer — then continue
-// the state machine.
+// parked on — file system work, a prefetch action, an event wait, a
+// timer — then continue the state machine.
 func (e *Engine) cWake(n *cnode) {
 	switch {
+	case n.inAction:
+		n.inAction = false
+		e.cActionWake(n)
+		return
 	case n.inFSWork:
 		e.track.Exit()
 		n.inFSWork = false
@@ -282,7 +292,7 @@ func (e *Engine) cWake(n *cnode) {
 // fired, possibly overrun), begin another action, or hand the wakeup to
 // the event.
 func (e *Engine) cActionWake(n *cnode) {
-	e.finishAction(n.id)
+	e.finishAction(n)
 	ev := n.waitEv
 	if ev.Fired() {
 		n.waitEv = nil
@@ -296,11 +306,21 @@ func (e *Engine) cActionWake(n *cnode) {
 		e.cstep(n)
 		return
 	}
-	if d, ok := e.beginAction(n.id, n.waitDeadline); ok {
-		e.k.AfterWake(d, &n.action)
-		return
+	if !e.cAction(n) {
+		e.park(n, ev)
 	}
-	e.park(n, ev)
+}
+
+// cAction begins a prefetch action in the node's idle wait and arms
+// its completion timer, which wakes the node itself; it reports whether
+// an action began.
+func (e *Engine) cAction(n *cnode) bool {
+	d, ok := e.beginAction(n, n.waitDeadline)
+	if ok {
+		n.inAction = true
+		e.k.AfterWake(d, n)
+	}
+	return ok
 }
 
 // recordWait books the idle time of the wait just ended and emits its
@@ -342,9 +362,8 @@ func (e *Engine) cWait(n *cnode, ev *sim.Event, deadline sim.Time, kind IdleKind
 		if e.obs != nil {
 			e.obs.Add(obs.CtrPrefetchWaits, 1)
 		}
-		if d, ok := e.beginAction(n.id, deadline); ok {
+		if e.cAction(n) {
 			n.ranAction = true
-			e.k.AfterWake(d, &n.action)
 			return
 		}
 	}
@@ -425,7 +444,7 @@ func (e *Engine) cFailedRead(n *cnode) bool {
 	e.res.Faults.ReadRetries++
 	n.failClass = faultClass(err)
 	n.waitStart = e.k.Now()
-	return e.cDelay(n, e.retry.Backoff(int(n.attempts), e.nodes[n.id].retryRNG), cpcBackoff)
+	return e.cDelay(n, e.retry.Backoff(int(n.attempts), n.retryRNG), cpcBackoff)
 }
 
 // cAbandon is a killed node's exit: crash semantics. The node unpins
@@ -440,10 +459,9 @@ func (e *Engine) cAbandon(n *cnode) {
 	n.ru.drain(e.bcache)
 	var orphaned int
 	if e.pat.Kind.Local() {
-		ns := &e.nodes[n.id]
-		orphaned = len(e.pat.Local[n.id]) - ns.localCursor
-		e.orphans = append(e.orphans, e.pat.Local[n.id][ns.localCursor:]...)
-		ns.localCursor = len(e.pat.Local[n.id])
+		orphaned = len(e.pat.Local[n.id]) - n.localCursor
+		e.orphans = append(e.orphans, e.pat.Local[n.id][n.localCursor:]...)
+		n.localCursor = len(e.pat.Local[n.id])
 	}
 	e.killErr = fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
 		n.id, orphaned, fault.ErrProcDead)
@@ -505,7 +523,7 @@ func (e *Engine) cstep(n *cnode) {
 	for {
 		switch n.pc {
 		case cpcMain:
-			if e.killArmed && e.nodes[n.id].dead {
+			if n.dead {
 				e.cAbandon(n)
 				return
 			}
@@ -519,7 +537,7 @@ func (e *Engine) cstep(n *cnode) {
 				}
 				continue
 			}
-			idx, block, ok := e.nextRead(n.id)
+			idx, block, ok := e.nextRead(n)
 			if !ok {
 				n.ru.drain(e.bcache)
 				n.pc = cpcEndGens
@@ -701,7 +719,7 @@ func (e *Engine) cstep(n *cnode) {
 			if e.bar != nil {
 				e.bar.Withdraw(n.id)
 			}
-			e.nodes[n.id].finished = true
+			n.finished = true
 			if e.orphansPosted == nil {
 				e.cFinish(n, cpcDone)
 				return

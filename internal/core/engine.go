@@ -36,8 +36,9 @@ type Engine struct {
 	res    *Result
 
 	// Fault injection (nil/zero unless cfg.Fault.Enabled()): the
-	// injector wired into the disks and the effective retry policy;
-	// each node's backoff-jitter stream lives in its nodeState.
+	// injector wired into the disks. The effective retry policy is set
+	// whenever a disk can die; each node's backoff-jitter stream lives
+	// in its cnode.
 	inj   *fault.Injector
 	retry fault.RetryPolicy
 
@@ -49,13 +50,12 @@ type Engine struct {
 
 	// Node-level fault injection (nil/zero unless
 	// cfg.NodeFault.Enabled()): the per-processor injector, the kill
-	// bookkeeping (whether a kill is armed, the FIFO of blocks the
-	// victim abandoned and the event announcing it), the wrapped
+	// bookkeeping (the FIFO of blocks the victim abandoned and the
+	// event announcing it), the wrapped
 	// fault.ErrProcDead describing an executed kill, and the auditor
 	// itself (nil unless cfg.AuditEvery > 0).
 	ninj          *fault.NodeInjector
 	bpGate        bool
-	killArmed     bool
 	orphans       []int
 	orphansPosted *sim.Event
 	killErr       error
@@ -64,33 +64,13 @@ type Engine struct {
 	// Observability sink (nil unless cfg.Obs is set).
 	obs obs.Sink
 
-	// nodes holds the per-node state the engine's shared paths read —
-	// cursor, finish/death flags, the prefetch action in flight, the
-	// fault-retry jitter stream — in one flat, index-addressed array.
-	nodes []nodeState
-
-	// cnodes is the processor population: one flat state-machine
-	// record per processor (compact.go), built by Run.
+	// cnodes is the processor population: one flat record per
+	// processor (compact.go), built by Run.
 	cnodes []cnode
 
 	globalCursor int
 	readsStarted int32 // the next read's ordinal (cnode.ordinal)
 	maxFinish    sim.Time
-}
-
-// nodeState is the engine's per-node record. Fields pack by size; the
-// struct stays well under a cache line pair so cluster-scale runs pay
-// ~100 bytes of engine state per node plus what the node actually
-// pins.
-type nodeState struct {
-	retryRNG    *rng.Source // backoff jitter; nil without disk faults
-	localCursor int         // next index into pat.Local[node]
-	actionBlock int         // block of the action in flight (obs only)
-	actionStart sim.Time    // start of the action in flight
-
-	finished     bool // read its share and withdrew (invariant auditor)
-	dead         bool // kill fired for this node
-	actionIssued bool // action in flight allocated a frame (obs only)
 }
 
 // New validates the configuration, generates the access pattern, and
@@ -118,7 +98,6 @@ func New(cfg Config) (*Engine, error) {
 		pat:    pat,
 		layout: interleave.NewWithStrategy(cfg.Layout, pat.FileBlocks, cfg.Disks, cfg.BlockSize),
 		disks:  disk.NewScheduledArray(k, cfg.Disks, profile, cfg.DiskSched),
-		nodes:  make([]nodeState, cfg.Procs),
 		res: &Result{
 			Config:       cfg,
 			PerProc:      make([]ProcStats, cfg.Procs),
@@ -178,14 +157,7 @@ func New(cfg Config) (*Engine, error) {
 	e.gens = barrier.NewGenCounter(genEvery)
 	if cfg.Fault.Enabled() {
 		e.inj = fault.New(cfg.Fault, cfg.Disks)
-		e.retry = cfg.Retry
-		if !e.retry.Enabled() {
-			e.retry = fault.DefaultRetry()
-		}
 		e.disks.SetFaults(e.inj)
-		for node := range e.nodes {
-			e.nodes[node].retryRNG = e.inj.RetryStream(node)
-		}
 	}
 	if cfg.NodeFault.Enabled() {
 		e.ninj = fault.NewNodes(cfg.NodeFault, cfg.Procs)
@@ -193,22 +165,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Domain.Enabled() {
 		e.dinj = fault.NewDomains(cfg.Domain)
-		if kills, at := e.dinj.DiskKills(); len(kills) > 0 {
-			for _, di := range kills {
-				e.disks.ScheduleKill(di, at)
-			}
-			// Dead disks fail fills, so reads need the retry machinery
-			// even without a per-disk injector; the backoff-jitter
-			// streams derive from the domain seed in that case.
-			if e.inj == nil {
-				e.retry = cfg.Retry
-				if !e.retry.Enabled() {
-					e.retry = fault.DefaultRetry()
-				}
-				for node := range e.nodes {
-					e.nodes[node].retryRNG = fault.RetryJitterStream(cfg.Domain.Seed, node)
-				}
-			}
+		kills, at := e.dinj.DiskKills()
+		for _, di := range kills {
+			e.disks.ScheduleKill(di, at)
 		}
 		for i := 0; i < cfg.Disks; i++ {
 			if start, end, factor, ok := e.dinj.Storm(i); ok {
@@ -217,6 +176,14 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.diskDeaths = e.inj != nil || (e.dinj != nil && cfg.Domain.KillsDisks())
+	if e.diskDeaths {
+		// Dead disks fail fills, so reads need the retry machinery even
+		// without a per-disk injector.
+		e.retry = cfg.Retry
+		if !e.retry.Enabled() {
+			e.retry = fault.DefaultRetry()
+		}
+	}
 	for node := 0; node < cfg.Procs; node++ {
 		e.res.PerProc[node].Node = node
 	}
@@ -251,14 +218,22 @@ func (e *Engine) Run() *Result {
 	defer e.dumpFlightOnPanic()
 	e.armNodeFaults()
 	e.armDomainFaults()
+	// The backoff-jitter streams derive from the fault seed, or from
+	// the domain seed when only a domain kill takes disks down.
+	jitterSeed := e.cfg.Fault.Seed
+	if e.inj == nil {
+		jitterSeed = e.cfg.Domain.Seed
+	}
 	e.cnodes = make([]cnode, e.cfg.Procs)
 	for i := range e.cnodes {
 		n := &e.cnodes[i]
 		n.e = e
 		n.id = i
 		n.rng = *rng.New(e.cfg.Seed, uint64(i)+1000)
+		if e.diskDeaths {
+			n.retryRNG = fault.RetryJitterStream(jitterSeed, i)
+		}
 		n.ru.size = e.cfg.RUSetSize
-		n.action.n = n
 		n.pc = cpcMain
 		// Start every node at t=0 through the event queue, in node
 		// order.
@@ -338,9 +313,8 @@ func (e *Engine) armNodeFaults() {
 		return
 	}
 	if kn, at, ok := e.ninj.Kills(); ok {
-		e.killArmed = true
 		e.orphansPosted = sim.NewEvent(e.k).SetLabel("orphaned work posted")
-		e.k.Schedule(sim.Time(at), func() { e.nodes[kn].dead = true })
+		e.k.Schedule(sim.Time(at), func() { e.cnodes[kn].dead = true })
 	}
 	ncfg := e.ninj.Config()
 	if ncfg.SqueezeAt > 0 {
@@ -358,16 +332,13 @@ func (e *Engine) armDomainFaults() {
 	if e.dinj == nil {
 		return
 	}
-	nodes, at := e.dinj.NodeKills()
-	if len(nodes) == 0 {
-		return
+	if nodes, at := e.dinj.NodeKills(); len(nodes) > 0 {
+		e.k.Schedule(sim.Time(at), func() {
+			for _, kn := range nodes {
+				e.cnodes[kn].dead = true
+			}
+		})
 	}
-	e.killArmed = true
-	e.k.Schedule(sim.Time(at), func() {
-		for _, kn := range nodes {
-			e.nodes[kn].dead = true
-		}
-	})
 }
 
 // prefetchAllowed is the backpressure gate beginAction consults when
@@ -420,10 +391,10 @@ func (e *Engine) usesGenerations() bool {
 	return false
 }
 
-// nextRead claims the next access: the process's own next string entry
+// nextRead claims the node's next access: its own next string entry
 // for local patterns, or the next unclaimed entry of the shared string
 // for global patterns (self-scheduling).
-func (e *Engine) nextRead(node int) (idx, block int, ok bool) {
+func (e *Engine) nextRead(n *cnode) (idx, block int, ok bool) {
 	if e.pat.Kind.Global() {
 		if e.globalCursor >= len(e.pat.Global) {
 			return 0, 0, false
@@ -432,12 +403,12 @@ func (e *Engine) nextRead(node int) (idx, block int, ok bool) {
 		e.globalCursor++
 		return idx, e.pat.Global[idx], true
 	}
-	c := e.nodes[node].localCursor
-	if c >= len(e.pat.Local[node]) {
+	c := n.localCursor
+	if c >= len(e.pat.Local[n.id]) {
 		return 0, 0, false
 	}
-	e.nodes[node].localCursor = c + 1
-	return c, e.pat.Local[node][c], true
+	n.localCursor = c + 1
+	return c, e.pat.Local[n.id][c], true
 }
 
 // portionEnded reports whether reference-string index idx is the last
@@ -459,7 +430,8 @@ func (e *Engine) portionEnded(node, idx int) bool {
 // heuristic suppresses the action — and the action's duration when one
 // (successful or failed) is under way; finishAction completes it after
 // that duration elapses.
-func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
+func (e *Engine) beginAction(n *cnode, deadline sim.Time) (sim.Duration, bool) {
+	node := n.id
 	if e.bpGate && !e.prefetchAllowed() {
 		return 0, false
 	}
@@ -489,11 +461,11 @@ func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	e.nodes[node].actionStart = now
+	n.actionStart = now
 	e.res.PerProc[node].PrefetchAttempts++
 	if e.obs != nil {
 		e.obs.Add(obs.CtrPrefetchActions, 1)
-		e.nodes[node].actionBlock = block
+		n.actionBlock = block
 	}
 	buf, res := e.bcache.AllocatePrefetch(node, block)
 	var cost memory.Cost
@@ -509,7 +481,7 @@ func (e *Engine) beginAction(node int, deadline sim.Time) (sim.Duration, bool) {
 		cost = e.cfg.Memory.PrefetchFail
 	}
 	if e.obs != nil {
-		e.nodes[node].actionIssued = res == cache.PrefetchOK
+		n.actionIssued = res == cache.PrefetchOK
 	}
 	others := e.track.Enter()
 	return e.price(node, cost, others), true
@@ -540,9 +512,8 @@ func (e *Engine) price(node int, c memory.Cost, others int) sim.Duration {
 // finishAction completes the action begun by beginAction: the processor
 // leaves the file system (releasing its contention slot) and the
 // action's elapsed time is recorded.
-func (e *Engine) finishAction(node int) {
+func (e *Engine) finishAction(n *cnode) {
 	e.track.Exit()
-	n := &e.nodes[node]
 	e.res.PrefetchActionTime.Add(e.k.Now().Sub(n.actionStart).Millis())
 	if e.obs != nil {
 		var arg int64
@@ -550,7 +521,7 @@ func (e *Engine) finishAction(node int) {
 			arg = 1
 		}
 		e.obs.Span(obs.Span{
-			Track: obs.ProcTrack(node), Kind: obs.SpanPrefetchAction,
+			Track: obs.ProcTrack(n.id), Kind: obs.SpanPrefetchAction,
 			Start: int64(n.actionStart), End: int64(e.k.Now()),
 			Block: n.actionBlock, Arg: arg,
 		})

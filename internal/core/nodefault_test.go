@@ -444,7 +444,7 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 		corrupt   func(e *Engine)
 	}{
 		{"cursor-bounds", func(e *Engine) { e.globalCursor = -5 }},
-		{"barrier-membership", func(e *Engine) { e.nodes[0].finished = true }},
+		{"barrier-membership", func(e *Engine) { e.cnodes[0].finished = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.invariant, func(t *testing.T) {

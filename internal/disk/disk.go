@@ -148,12 +148,10 @@ type Disk struct {
 	pending []*Request
 	current *Request
 
-	busy    sim.Duration // accumulated service time
-	served  int64
-	resp    metrics.Summary // response times, ms
-	qdelay  metrics.Summary // queue delays, ms
-	qdepth  metrics.Summary // queue depth seen at submission
-	pfCount int64
+	busy   sim.Duration // accumulated service time
+	served int64
+	resp   metrics.Summary // response times, ms
+	qdelay metrics.Summary // queue delays, ms
 
 	inj    *fault.Injector // nil = no fault injection (the common case)
 	dead   bool            // permanently offline (fault.Config.KillAt)
@@ -248,16 +246,7 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 		base = d.current.Done
 	}
 	req.EstDone = base.Add(sim.Duration(queued+1) * d.profile.Access)
-	// Queue depth including the request in service, as seen on arrival.
-	depth := len(d.pending)
-	if d.current != nil {
-		depth++
-	}
-	d.qdepth.Add(float64(depth))
 	d.served++
-	if prefetch {
-		d.pfCount++
-	}
 	if d.obs != nil {
 		d.obs.Add(obs.CtrDiskRequests, 1)
 		if prefetch {
@@ -406,9 +395,6 @@ func (d *Disk) pickNext(now sim.Time) int {
 // Served returns the number of requests this disk has accepted.
 func (d *Disk) Served() int64 { return d.served }
 
-// PrefetchServed returns how many of the served requests were prefetches.
-func (d *Disk) PrefetchServed() int64 { return d.pfCount }
-
 // BusyTime returns the total virtual time the disk spent transferring.
 func (d *Disk) BusyTime() sim.Duration { return d.busy }
 
@@ -417,10 +403,6 @@ func (d *Disk) ResponseStats() metrics.Summary { return d.resp }
 
 // QueueDelayStats returns summary statistics of queueing delays in ms.
 func (d *Disk) QueueDelayStats() metrics.Summary { return d.qdelay }
-
-// QueueDepthStats returns summary statistics of the queue depth observed
-// at each submission.
-func (d *Disk) QueueDepthStats() metrics.Summary { return d.qdepth }
 
 // Utilization returns the fraction of the interval [0, end] the disk
 // spent busy.

@@ -52,8 +52,8 @@ func TestFIFOQueueing(t *testing.T) {
 	if r3.Done != sim.Time(90*sim.Millisecond) || r3.QueueDelay() != 50*sim.Millisecond {
 		t.Fatalf("r3 done %v delay %v", r3.Done, r3.QueueDelay())
 	}
-	if d.Served() != 3 || d.PrefetchServed() != 1 {
-		t.Fatalf("served=%d prefetches=%d", d.Served(), d.PrefetchServed())
+	if d.Served() != 3 {
+		t.Fatalf("served = %d, want 3", d.Served())
 	}
 }
 
@@ -107,10 +107,6 @@ func TestResponseStats(t *testing.T) {
 	qd := d.QueueDelayStats()
 	if qd.Mean() != 15 {
 		t.Fatalf("queue delay mean = %v, want 15", qd.Mean())
-	}
-	qs := d.QueueDepthStats()
-	if qs.Max() != 1 {
-		t.Fatalf("queue depth max = %v, want 1", qs.Max())
 	}
 }
 

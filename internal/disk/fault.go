@@ -196,6 +196,25 @@ func (a *Array) SetStorm(i int, start, end sim.Duration, factor float64) {
 // Alive reports whether disk i is still serving requests.
 func (a *Array) Alive(i int) bool { return a.disks[i].Alive() }
 
+// Remap picks the disk that serves a degraded-mode read of block when
+// its home disk has died: the recovery read (mirror or parity
+// reconstruction) goes to the same physical position on a surviving
+// disk, found by a block-dependent stride so a dead disk's load spreads
+// over every survivor instead of piling onto one neighbour. The walk
+// skips dead disks, so it handles any number of them (a domain kill
+// takes a whole rack); it returns home when no other disk is alive.
+// The array must have at least two disks.
+func (a *Array) Remap(home, block int) int {
+	n := len(a.disks)
+	step := 1 + block%(n-1)
+	for i := 0; i < n; i++ {
+		if d := (home + step + i) % n; d != home && a.disks[d].Alive() {
+			return d
+		}
+	}
+	return home
+}
+
 // AliveCount returns how many disks are still serving requests.
 func (a *Array) AliveCount() int {
 	n := 0

@@ -278,3 +278,46 @@ func TestSchedulingUnderSpikesServesAll(t *testing.T) {
 		}
 	}
 }
+
+// killed returns an array of n disks with the listed ones dead.
+func killed(n int, dead ...int) *Array {
+	k := sim.NewKernel()
+	a := NewArray(k, n, 30*sim.Millisecond)
+	for _, i := range dead {
+		a.ScheduleKill(i, 0)
+	}
+	k.Run()
+	return a
+}
+
+// Remap spreads a dead disk's blocks over every survivor, never lands
+// on a dead disk, and falls back to the home disk only when no other
+// disk is alive.
+func TestRemap(t *testing.T) {
+	a := killed(4, 1)
+	used := map[int]bool{}
+	for b := 0; b < 12; b++ {
+		d := a.Remap(1, b)
+		if d == 1 || !a.Alive(d) {
+			t.Fatalf("block %d remapped to disk %d", b, d)
+		}
+		used[d] = true
+	}
+	if len(used) != 3 {
+		t.Fatalf("blocks of the dead disk spread over %v, want all 3 survivors", used)
+	}
+
+	a = killed(5, 1, 2, 3)
+	for b := 0; b < 12; b++ {
+		if d := a.Remap(1, b); d != 0 && d != 4 {
+			t.Fatalf("block %d remapped to disk %d, want a survivor (0 or 4)", b, d)
+		}
+	}
+
+	a = killed(3, 0, 1, 2)
+	for b := 0; b < 6; b++ {
+		if d := a.Remap(1, b); d != 1 {
+			t.Fatalf("block %d remapped to disk %d with no survivor, want home 1", b, d)
+		}
+	}
+}

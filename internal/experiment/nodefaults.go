@@ -109,10 +109,10 @@ func RunNodeFaultSweep(opts Options, factors []float64) *NodeFaultSweepResult {
 }
 
 // deadlocks runs the configuration expecting it may hang: it returns
-// true (with the diagnostic) when the kernel's deadlock detector
+// true (with the diagnostic) when the engine's deadlock detector
 // fires, false when the run completes, and re-panics on anything else.
-// A deadlocked run leaks its parked process goroutines — acceptable in
-// a claims audit, which runs the probe exactly once.
+// A deadlocked run leaves nothing behind: its processors are cnodes in
+// kernel context, with no goroutine to leak.
 func deadlocks(cfg core.Config) (deadlocked bool, msg string) {
 	defer func() {
 		if r := recover(); r != nil {

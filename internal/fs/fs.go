@@ -331,25 +331,16 @@ func (f *File) OpenHandle(node int) *Handle {
 }
 
 // place maps a logical block to (disk, physical block), remapping off
-// a dead disk onto a survivor: degraded mode models the recovery read
-// (mirror or parity reconstruction) as an ordinary access at the same
-// physical position on another disk, spread across survivors by block
-// number so one death does not funnel all its load onto one neighbour.
+// a dead disk onto a survivor (disk.Array.Remap): degraded mode models
+// the recovery read as an ordinary access at the same physical position
+// on another disk.
 func (fs *FileSystem) place(f *File, block int) (diskID, phys int) {
 	d, p := f.locate(block)
 	if fs.inj == nil || fs.disks.Alive(d) {
 		return d, p
 	}
-	n := fs.opts.Disks
 	fs.fstats.DegradedReads++
-	step := 1 + block%(n-1)
-	for i := 0; i < n; i++ {
-		d2 := (d + step + i) % n
-		if d2 != d && fs.disks.Alive(d2) {
-			return d2, p
-		}
-	}
-	return d, p // no survivor; Validate guarantees this cannot arise
+	return fs.disks.Remap(d, block), p
 }
 
 // Read obtains the given logical block, blocking the process until the

@@ -19,12 +19,7 @@
 // remaining transparent and tunable.
 package memory
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Cost is the cost model for one class of file-system operation.
 type Cost struct {
@@ -123,26 +118,19 @@ func Uncontended() Model {
 	return m
 }
 
-// Tracker counts processors currently active in the I/O subsystem and
-// records the distribution of that count over operations. It is the
-// "contention for internal data structures" signal fed to Cost.At.
+// Tracker counts processors currently active in the I/O subsystem. It
+// is the "contention for internal data structures" signal fed to
+// Cost.At.
 type Tracker struct {
 	active int
-	peak   int
-	seen   metrics.Summary // active counts sampled at each Enter
 }
 
 // Enter marks one processor as active in the I/O subsystem and returns
 // the number of *other* processors that were already active — the
 // contention the entering operation experiences.
 func (t *Tracker) Enter() int {
-	others := t.active
 	t.active++
-	if t.active > t.peak {
-		t.peak = t.active
-	}
-	t.seen.Add(float64(others))
-	return others
+	return t.active - 1
 }
 
 // Exit marks one processor as having left the I/O subsystem.
@@ -156,15 +144,3 @@ func (t *Tracker) Exit() {
 // Active returns the number of processors currently in the I/O
 // subsystem.
 func (t *Tracker) Active() int { return t.active }
-
-// Peak returns the maximum simultaneous activity observed.
-func (t *Tracker) Peak() int { return t.peak }
-
-// ContentionStats summarizes the "others active" counts observed at each
-// Enter.
-func (t *Tracker) ContentionStats() metrics.Summary { return t.seen }
-
-// String describes the tracker state.
-func (t *Tracker) String() string {
-	return fmt.Sprintf("active=%d peak=%d mean-others=%.2f", t.active, t.peak, t.seen.Mean())
-}

@@ -41,13 +41,10 @@ type lastActivity struct {
 	end  int64
 }
 
-func newFlight(spanCap, ctrCap int) *Flight {
-	if ctrCap <= 0 {
-		ctrCap = 1
-	}
+func newFlight() *Flight {
 	return &Flight{
-		spans:    make([]obs.Span, spanCap),
-		ctrs:     make([]ctrDelta, ctrCap),
+		spans:    make([]obs.Span, FlightSpans),
+		ctrs:     make([]ctrDelta, FlightCtrs),
 		lastSeen: make(map[obs.Track]lastActivity),
 	}
 }

@@ -112,12 +112,6 @@ type Config struct {
 	Nodes      int
 	SampleSeed uint64
 
-	// FlightSpans and FlightCtrs size the flight-recorder rings; zero
-	// selects the defaults (256 spans, 128 counter deltas). Negative
-	// disables the flight recorder.
-	FlightSpans int
-	FlightCtrs  int
-
 	// FlightOut receives the human-readable crash dump when DumpFlight
 	// fires; nil selects os.Stderr. FlightTrace, when non-nil, also
 	// receives the ring as a rapidtrace v1 stream.
@@ -131,15 +125,16 @@ type Config struct {
 // windows.
 const DefaultWindow = 100_000
 
+// The flight recorder's rings hold the last FlightSpans spans and the
+// last FlightCtrs counter increments.
+const (
+	FlightSpans = 256
+	FlightCtrs  = 128
+)
+
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.FlightSpans == 0 {
-		c.FlightSpans = 256
-	}
-	if c.FlightCtrs == 0 {
-		c.FlightCtrs = 128
 	}
 	return c
 }
@@ -190,7 +185,7 @@ type Sink struct {
 // New returns an empty telemetry sink.
 func New(cfg Config) *Sink {
 	cfg = cfg.withDefaults()
-	s := &Sink{cfg: cfg}
+	s := &Sink{cfg: cfg, flight: newFlight()}
 	if cfg.SampleK > 0 {
 		s.sampled = obs.NewRecorder()
 		s.sampleIDs = SampleNodes(cfg.SampleSeed, cfg.Nodes, cfg.SampleK)
@@ -198,9 +193,6 @@ func New(cfg Config) *Sink {
 		for _, id := range s.sampleIDs {
 			s.sampleSet[id] = struct{}{}
 		}
-	}
-	if cfg.FlightSpans > 0 {
-		s.flight = newFlight(cfg.FlightSpans, cfg.FlightCtrs)
 	}
 	return s
 }
@@ -237,9 +229,7 @@ func (s *Sink) Span(sp obs.Span) {
 	if s.sampled != nil && s.trackSampled(sp.Track) {
 		s.sampled.Span(sp)
 	}
-	if s.flight != nil {
-		s.flight.span(sp)
-	}
+	s.flight.span(sp)
 }
 
 // trackSampled reports whether a track belongs to the full-fidelity
@@ -265,9 +255,7 @@ func (s *Sink) Add(c obs.Counter, delta int64) {
 		t = s.now()
 	}
 	s.windowAt(t).Ctrs[c] += delta
-	if s.flight != nil {
-		s.flight.ctr(t, c, delta)
-	}
+	s.flight.ctr(t, c, delta)
 }
 
 // Totals returns the whole-run counter totals.
@@ -285,7 +273,7 @@ func (s *Sink) Sampled() *obs.Recorder { return s.sampled }
 // sampling is off).
 func (s *Sink) SampleIDs() []int { return s.sampleIDs }
 
-// Flight returns the flight recorder, or nil when disabled.
+// Flight returns the flight recorder.
 func (s *Sink) Flight() *Flight { return s.flight }
 
 // DumpFlight writes the flight-recorder crash report for the given
@@ -293,11 +281,8 @@ func (s *Sink) Flight() *Flight { return s.flight }
 // Config.FlightTrace is set, the ring as rapidtrace v1. The core
 // engine calls this on any sink that implements it when a run panics
 // — kernel deadlock, audit violation, or compact-node stall — then
-// re-raises the panic. No-op when the flight recorder is disabled.
+// re-raises the panic.
 func (s *Sink) DumpFlight(cause any) {
-	if s.flight == nil {
-		return
-	}
 	out := s.cfg.FlightOut
 	if out == nil {
 		out = os.Stderr

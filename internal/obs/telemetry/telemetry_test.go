@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,23 +175,27 @@ func TestSampledRecorder(t *testing.T) {
 	}
 }
 
-// TestFlightRing: the ring keeps the last N spans and the dump names
-// the stalest track first.
+// TestFlightRing: the rings keep the last FlightSpans spans and
+// FlightCtrs counter increments, and the dump names the stalest track
+// first.
 func TestFlightRing(t *testing.T) {
-	s := New(Config{Window: 100, FlightSpans: 4, FlightCtrs: 2})
-	for i := int64(0); i < 10; i++ {
-		s.Span(span(obs.ProcTrack(int(i)), obs.SpanCompute, i*10, i*10+5))
+	s := New(Config{Window: 100})
+	const extra = 6
+	for i := int64(0); i < FlightSpans+extra; i++ {
+		s.Span(span(obs.ProcTrack(int(i%10)), obs.SpanCompute, i*10, i*10+5))
 	}
-	s.Add(obs.CtrDiskRequests, 1)
-	s.Add(obs.CtrDiskRequests, 2)
-	s.Add(obs.CtrDiskRequests, 3) // ring of 2: keeps +2, +3
+	for d := int64(1); d <= FlightCtrs+1; d++ {
+		s.Add(obs.CtrDiskRequests, d) // the ring drops +1
+	}
 
 	spans := s.Flight().Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(spans))
+	if len(spans) != FlightSpans {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), FlightSpans)
 	}
-	if spans[0].Start != 60 || spans[3].Start != 90 {
-		t.Errorf("ring spans [%d..%d], want oldest-first 60..90", spans[0].Start, spans[3].Start)
+	first, last := int64(extra*10), int64((FlightSpans+extra-1)*10)
+	if spans[0].Start != first || spans[len(spans)-1].Start != last {
+		t.Errorf("ring spans [%d..%d], want oldest-first %d..%d",
+			spans[0].Start, spans[len(spans)-1].Start, first, last)
 	}
 
 	var buf bytes.Buffer
@@ -198,20 +203,21 @@ func TestFlightRing(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"cause: test cause",
-		"proc0", // stalest track leads the digest
-		"last 4 spans (6 older dropped)",
-		"disk-requests +2",
-		"disk-requests +3",
+		// proc2 was last heard at span 252, before every other track.
+		"stalest first):\n  proc2 ",
+		fmt.Sprintf("last %d spans (%d older dropped)", FlightSpans, extra),
+		"disk-requests +2\n",
+		fmt.Sprintf("disk-requests +%d\n", FlightCtrs+1),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "disk-requests +1") {
+	if strings.Contains(out, "disk-requests +1\n") {
 		t.Error("dump contains an increment the ring should have dropped")
 	}
-	// The stalest track is named before the freshest.
-	if strings.Index(out, "proc0") > strings.Index(out, "proc9") {
+	// The stalest track is named before the freshest (proc1, span 261).
+	if strings.Index(out, "proc2") > strings.Index(out, "proc1") {
 		t.Error("dump digest not sorted stalest-first")
 	}
 }
@@ -219,7 +225,7 @@ func TestFlightRing(t *testing.T) {
 // TestFlightTraceRoundTrips: the crash ring exports as a valid
 // rapidtrace v1 stream.
 func TestFlightTraceRoundTrips(t *testing.T) {
-	s := New(Config{Window: 100, FlightSpans: 8})
+	s := New(Config{Window: 100})
 	for i := int64(0); i < 5; i++ {
 		s.Span(span(obs.ProcTrack(0), obs.SpanCompute, i*10, i*10+5))
 	}
@@ -249,9 +255,6 @@ func TestDumpFlight(t *testing.T) {
 	if _, err := obs.Read(&trace); err != nil {
 		t.Errorf("trace dump unreadable: %v", err)
 	}
-	// Disabled flight recorder: DumpFlight is a no-op, not a panic.
-	off := New(Config{Window: 100, FlightSpans: -1})
-	off.DumpFlight("cause")
 }
 
 // TestSnapshotExports covers CSV and JSON round-trip basics.

@@ -20,7 +20,8 @@ type Waiter interface {
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel,
-// spawn processes with Spawn, then call Run. The zero value is not usable.
+// schedule events or spawn processes, then call Run. The zero value is
+// not usable.
 //
 // The kernel is strictly sequential: although each process runs as its
 // own coroutine, control is handed off synchronously so that exactly one
@@ -31,18 +32,17 @@ type Waiter interface {
 // Event.Wait, WaitQueue.Sleep) reads naturally but costs two coroutine
 // switches per block/resume pair; the file system API (internal/fs) and
 // its clients use it. The continuation API (Waiter, Event.AddWaiter,
-// Event.AddBlocked, ScheduleWake) stays in kernel context and costs a
-// plain function call, so the testbed — I/O completion, cache wakeups,
-// prefetch chaining, and the processors themselves (core's cnodes) —
-// uses it exclusively.
+// Event.AddBlocked, WaitQueue.AddWaiter, ScheduleWake) stays in kernel
+// context and costs a plain function call, so the testbed — I/O
+// completion, cache wakeups, prefetch chaining, and the processors
+// themselves (core's cnodes) — uses it exclusively.
 type Kernel struct {
 	now     Time
 	heap    eventHeap
 	seq     uint64
 	procs   []*Proc
 	running bool
-	active  int  // live (not yet finished) processes
-	limit   Time // RunUntil deadline; bounds the Advance fast path
+	active  int // live (not yet finished) processes
 
 	obs obs.Sink // nil = no observability (the common case)
 }
@@ -55,7 +55,7 @@ func (k *Kernel) SetObserver(s obs.Sink) { k.obs = s }
 // NewKernel returns a kernel with the clock at time zero and no pending
 // events.
 func NewKernel() *Kernel {
-	return &Kernel{limit: MaxTime}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -129,10 +129,10 @@ func (k *Kernel) dispatch(e *event) {
 // live processes remaining with no pending events. A panic in a process
 // body propagates out of Run with the same value.
 //
-// Every Run and RunUntil call on one kernel must run with the same
-// OS-thread lock state (runtime.LockOSThread), since process coroutines
-// are created inside them and must be resumed as they were created. A
-// mismatch is a fatal runtime error, not a panic.
+// Every Run call on one kernel must run with the same OS-thread lock
+// state (runtime.LockOSThread), since process coroutines are created
+// inside Run and must be resumed as they were created. A mismatch is a
+// fatal runtime error, not a panic.
 func (k *Kernel) Run() {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -147,32 +147,6 @@ func (k *Kernel) Run() {
 	if k.active > 0 {
 		panic(k.deadlockError())
 	}
-}
-
-// RunUntil executes events with times <= deadline and then stops,
-// leaving the clock at the last executed event (or deadline if nothing
-// ran past it). Remaining events stay queued; Run or RunUntil may be
-// called again. It reports whether any events remain. Process panics and
-// the OS-thread lock rule are as for Run.
-func (k *Kernel) RunUntil(deadline Time) bool {
-	if k.running {
-		panic("sim: RunUntil called reentrantly")
-	}
-	k.running = true
-	k.limit = deadline
-	defer func() {
-		k.running = false
-		k.limit = MaxTime
-	}()
-	for k.heap.len() > 0 && k.heap.peekTime() <= deadline {
-		e := k.heap.pop()
-		k.now = e.at
-		k.dispatch(&e)
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-	return k.heap.len() > 0
 }
 
 // PendingEvents returns how many events are currently queued. The

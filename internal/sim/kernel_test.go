@@ -207,25 +207,6 @@ func TestDeadlockDetection(t *testing.T) {
 	k.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	fired := []Time{}
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		k.Schedule(at, func() { fired = append(fired, at) })
-	}
-	if more := k.RunUntil(25); !more {
-		t.Fatal("RunUntil reported no remaining events")
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want first two", fired)
-	}
-	k.Run()
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after Run, want all four", fired)
-	}
-}
-
 func TestWaitQueueFIFO(t *testing.T) {
 	k := NewKernel()
 	q := NewWaitQueue(k)
@@ -233,15 +214,20 @@ func TestWaitQueueFIFO(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		k.Spawn(name, 0, func(p *Proc) {
-			q.Sleep(p)
+			if waited := q.Sleep(p); waited != 10 {
+				t.Errorf("%s slept %v, want 10", name, waited)
+			}
 			order = append(order, name)
 		})
 	}
-	k.Spawn("waker", 0, func(p *Proc) {
-		p.Advance(10)
-		q.WakeOne()
-		p.Advance(10)
+	k.Schedule(10, func() {
+		if q.Len() != 3 {
+			t.Errorf("Len = %d before WakeAll, want 3", q.Len())
+		}
 		q.WakeAll()
+		if q.Len() != 0 {
+			t.Errorf("Len = %d after WakeAll, want 0", q.Len())
+		}
 	})
 	k.Run()
 	if fmt.Sprint(order) != "[a b c]" {
@@ -249,54 +235,25 @@ func TestWaitQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestWakeOneOnEmptyQueue(t *testing.T) {
+// TestWaitQueueArrivalOrder: processes and waiters share one FIFO, so a
+// waiter queued before a sleeping process wakes before it, and one
+// queued after it wakes after it.
+func TestWaitQueueArrivalOrder(t *testing.T) {
 	k := NewKernel()
 	q := NewWaitQueue(k)
-	if q.WakeOne() {
-		t.Fatal("WakeOne on empty queue reported success")
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		k.Spawn(fmt.Sprintf("p%d", i), 0, func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Advance(10)
-			inside--
-			sem.Release()
-		})
-	}
+	var log []string
+	q.AddWaiter(&waked{&log, "early"})
+	k.Spawn("proc", 0, func(p *Proc) {
+		q.Sleep(p)
+		log = append(log, "proc")
+	})
+	k.Schedule(10, func() {
+		q.AddWaiter(&waked{&log, "late"})
+		q.WakeAll()
+	})
 	k.Run()
-	if maxInside != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxInside)
-	}
-	if k.Now() != 30 {
-		t.Fatalf("end time = %v, want 30 (3 batches of 10)", k.Now())
-	}
-	if sem.Count() != 2 {
-		t.Fatalf("final count = %d, want 2", sem.Count())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
+	if fmt.Sprint(log) != "[early proc late]" {
+		t.Fatalf("wake order: %v", log)
 	}
 }
 
@@ -316,23 +273,6 @@ func TestSpawnDuringRun(t *testing.T) {
 	k.Run()
 	if !childRan {
 		t.Fatal("child never ran")
-	}
-}
-
-func TestYield(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	k.Spawn("a", 0, func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", 0, func(p *Proc) {
-		order = append(order, "b1")
-	})
-	k.Run()
-	if fmt.Sprint(order) != "[a1 b1 a2]" {
-		t.Fatalf("yield order: %v", order)
 	}
 }
 
@@ -428,50 +368,6 @@ func TestEventOnFireAfterFired(t *testing.T) {
 	ev.OnFire(func() { ran = true })
 	if !ran {
 		t.Fatal("OnFire on a fired event must run immediately")
-	}
-}
-
-func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
-	k := NewKernel()
-	k.Schedule(10, func() {})
-	if more := k.RunUntil(25); more {
-		t.Fatal("RunUntil reported remaining events")
-	}
-	if k.Now() != 25 {
-		t.Fatalf("clock after RunUntil(25) = %v, want 25", k.Now())
-	}
-	// A deadline in the past must not move the clock backwards.
-	if k.RunUntil(20); k.Now() != 25 {
-		t.Fatalf("clock after RunUntil(20) = %v, want 25 (no rewind)", k.Now())
-	}
-	// Events scheduled at the deadline itself still run.
-	ran := false
-	k.Schedule(40, func() { ran = true })
-	k.RunUntil(40)
-	if !ran || k.Now() != 40 {
-		t.Fatalf("deadline event: ran=%v clock=%v, want true/40", ran, k.Now())
-	}
-}
-
-func TestRunUntilBoundsAdvanceFastPath(t *testing.T) {
-	k := NewKernel()
-	var resumedAt Time = -1
-	k.Spawn("p", 0, func(p *Proc) {
-		p.Advance(100) // past the deadline; must stay queued, not jump the clock
-		resumedAt = p.Now()
-	})
-	if more := k.RunUntil(30); !more {
-		t.Fatal("resume event should remain queued")
-	}
-	if resumedAt != -1 {
-		t.Fatalf("process resumed during RunUntil(30), at %v", resumedAt)
-	}
-	if k.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", k.Now())
-	}
-	k.Run()
-	if resumedAt != 100 {
-		t.Fatalf("process resumed at %v, want 100", resumedAt)
 	}
 }
 

@@ -9,11 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// scheduleStep queues a resumption of p at the current instant, after
-// every event already due now. This is how WaitQueue wakeups and Yield
-// release processes without allocating.
-func (k *Kernel) scheduleStep(p *Proc) { k.push(k.now, (*procStep)(p)) }
-
 // procStep is a Proc queued for resumption. Its Wake steps the process,
 // so a resumption is an ordinary event record: the pointer conversion
 // allocates nothing, and the observer can still tell steps from
@@ -60,12 +55,12 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn may be called before Run, or from process/callback context during
 // the run.
 //
-// The process's coroutine is created at its first step, inside Run or
-// RunUntil, so it takes the OS-thread lock state of the goroutine that
-// runs the kernel, not that of the goroutine calling Spawn. A panic in
-// fn unwinds the process and propagates out of Run or RunUntil with the
-// same value, so a recover around the run — such as core's flight
-// recorder hook in Engine.Run — sees process panics too.
+// The process's coroutine is created at its first step, inside Run, so
+// it takes the OS-thread lock state of the goroutine that runs the
+// kernel, not that of the goroutine calling Spawn. A panic in fn
+// unwinds the process and propagates out of Run with the same value,
+// so a recover around the run — such as core's flight recorder hook in
+// Engine.Run — sees process panics too.
 func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
 	k.checkFuture(at)
 	p := &Proc{k: k, name: name, body: fn}
@@ -126,21 +121,13 @@ func (p *Proc) Advance(d Duration) {
 	// instant, a round trip through the heap would accomplish nothing
 	// but two coroutine switches — the resume event would be popped
 	// immediately after being pushed. Advancing the clock in place is
-	// observationally identical. (Bounded by k.limit so that RunUntil
-	// still stops at its deadline; an event already queued at the same
+	// observationally identical. (An event already queued at the same
 	// instant has a smaller seq and must run first, hence the strict
 	// comparison.)
-	if at <= k.limit && (k.heap.len() == 0 || at < k.heap.peekTime()) {
+	if k.heap.len() == 0 || at < k.heap.peekTime() {
 		k.now = at
 		return
 	}
 	k.push(at, (*procStep)(p))
 	p.park("the clock")
-}
-
-// Yield reschedules the process at the current instant, letting every
-// other event due now run first.
-func (p *Proc) Yield() {
-	p.k.scheduleStep(p)
-	p.park("its turn")
 }

@@ -14,15 +14,17 @@ import (
 // a fatal runtime error, which no recover can catch.
 func TestSpawnLockedRunUnlocked(t *testing.T) {
 	k := NewKernel()
+	ev := NewEvent(k)
 	finished := 0
 	runtime.LockOSThread()
 	for i := 0; i < 4; i++ {
 		k.Spawn(fmt.Sprintf("p%d", i), 0, func(p *Proc) {
 			p.Advance(Duration(i + 1)) // staggered: every Advance queues a step
-			p.Yield()
+			ev.Wait(p)
 			finished++
 		})
 	}
+	k.Schedule(10, ev.Fire)
 	runtime.UnlockOSThread()
 	k.Run()
 	if finished != 4 {
@@ -57,13 +59,15 @@ func TestProcPanicPropagatesFromRun(t *testing.T) {
 // its first step, and none keeps one once its body has returned.
 func TestFinishedProcHoldsNoCoroutine(t *testing.T) {
 	k := NewKernel()
+	ev := NewEvent(k)
 	var procs []*Proc
 	for i := 0; i < 3; i++ {
 		procs = append(procs, k.Spawn(fmt.Sprintf("p%d", i), 0, func(p *Proc) {
 			p.Advance(Duration(i + 1))
-			p.Yield()
+			ev.Wait(p)
 		}))
 	}
+	k.Schedule(10, ev.Fire)
 	for _, p := range procs {
 		if p.next != nil {
 			t.Fatalf("%s has a coroutine before Run", p.Name())

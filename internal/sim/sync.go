@@ -1,24 +1,18 @@
 package sim
 
-// WaitQueue is a FIFO queue of blocked processes. Unlike Event it is
-// reusable: processes join with Sleep and are released one at a time
-// (WakeOne) or all at once (WakeAll). It is the building block for
-// semaphores, buffer-availability waits, and similar multi-shot
-// conditions. The backing array is retained across wakeups, so a
-// long-lived queue stops allocating once it has seen its high-water
-// mark of sleepers.
+// WaitQueue is a reusable FIFO of blocked parties. Unlike Event it is
+// multi-shot: parties join with Sleep (a process) or AddWaiter (a
+// state machine) and WakeAll releases everyone queued so far, in
+// arrival order; it is the building block for buffer-availability
+// waits and similar conditions. A process is queued as its resumption
+// step, as Event.Wait queues it, so processes and waiters share one
+// FIFO. The backing array is retained across wakeups, so a long-lived
+// queue stops allocating once it has seen its high-water mark of
+// sleepers.
 type WaitQueue struct {
 	k     *Kernel
 	label string
-	procs []*Proc
-	head  int // index of the longest-waiting process
-
-	// Continuation-API waiters (AddWaiter). They are woken after the
-	// blocked processes, each via a scheduled wake event so a wakeup
-	// costs the same sequence-number budget as a process resumption —
-	// an engine that mixes both styles stays deterministic.
-	ws     []Waiter
-	wsHead int
+	ws    []Waiter
 }
 
 // NewWaitQueue returns an empty wait queue on kernel k.
@@ -42,14 +36,14 @@ func (q *WaitQueue) Label() string {
 	return q.label
 }
 
-// Len reports how many processes and waiters are blocked on the queue.
-func (q *WaitQueue) Len() int { return len(q.procs) - q.head + len(q.ws) - q.wsHead }
+// Len reports how many parties are blocked on the queue.
+func (q *WaitQueue) Len() int { return len(q.ws) }
 
 // Sleep blocks the process until it is woken, returning the time spent
 // blocked.
 func (q *WaitQueue) Sleep(p *Proc) Duration {
 	start := p.k.now
-	q.procs = append(q.procs, p)
+	q.ws = append(q.ws, (*procStep)(p))
 	p.park(q.Label())
 	return p.k.now.Sub(start)
 }
@@ -57,97 +51,17 @@ func (q *WaitQueue) Sleep(p *Proc) Duration {
 // AddWaiter blocks a continuation-API waiter until it is woken: the
 // counterpart of Sleep for state machines that have no process. The
 // waiter's Wake runs from a scheduled event at the wake instant, not
-// inline, mirroring how a woken process resumes.
+// inline, exactly where a woken process resumes.
 func (q *WaitQueue) AddWaiter(w Waiter) {
 	q.ws = append(q.ws, w)
 }
 
-// WakeOne releases the longest-waiting process — or, with no blocked
-// processes, the longest-waiting waiter — and reports whether anything
-// was released.
-func (q *WaitQueue) WakeOne() bool {
-	if q.head < len(q.procs) {
-		p := q.procs[q.head]
-		q.procs[q.head] = nil
-		q.head++
-		if q.head == len(q.procs) {
-			q.procs = q.procs[:0]
-			q.head = 0
-		}
-		q.k.scheduleStep(p)
-		return true
-	}
-	if q.wsHead < len(q.ws) {
-		w := q.ws[q.wsHead]
-		q.ws[q.wsHead] = nil
-		q.wsHead++
-		if q.wsHead == len(q.ws) {
-			q.ws = q.ws[:0]
-			q.wsHead = 0
-		}
-		q.k.ScheduleWake(q.k.now, w)
-		return true
-	}
-	return false
-}
-
-// WakeAll releases every blocked process, then every waiter, in FIFO
-// order.
+// WakeAll releases every blocked party, in FIFO order, each from an
+// event at the current instant behind the events already due.
 func (q *WaitQueue) WakeAll() {
-	for i := q.head; i < len(q.procs); i++ {
-		q.k.scheduleStep(q.procs[i])
-		q.procs[i] = nil
-	}
-	q.procs = q.procs[:0]
-	q.head = 0
-	for i := q.wsHead; i < len(q.ws); i++ {
-		q.k.ScheduleWake(q.k.now, q.ws[i])
+	for i, w := range q.ws {
+		q.k.push(q.k.now, w)
 		q.ws[i] = nil
 	}
 	q.ws = q.ws[:0]
-	q.wsHead = 0
-}
-
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	count int
-	queue *WaitQueue
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(k *Kernel, count int) *Semaphore {
-	if count < 0 {
-		panic("sim: negative semaphore count")
-	}
-	return &Semaphore{count: count, queue: NewWaitQueue(k).SetLabel("a semaphore")}
-}
-
-// Count returns the number of currently available units.
-func (s *Semaphore) Count() int { return s.count }
-
-// Acquire takes one unit, blocking the process until one is available,
-// and returns the time spent blocked.
-func (s *Semaphore) Acquire(p *Proc) Duration {
-	var waited Duration
-	for s.count == 0 {
-		waited += s.queue.Sleep(p)
-	}
-	s.count--
-	return waited
-}
-
-// TryAcquire takes one unit without blocking and reports whether it
-// succeeded.
-func (s *Semaphore) TryAcquire() bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	return true
-}
-
-// Release returns one unit and wakes one waiter, if any.
-func (s *Semaphore) Release() {
-	s.count++
-	s.queue.WakeOne()
 }
