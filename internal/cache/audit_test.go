@@ -3,6 +3,8 @@ package cache
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // Seeded corruption of the cache's internal bookkeeping must be caught
@@ -36,6 +38,17 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 			corrupt: func(c *Cache) {
 				buf := c.AllocateDemand(0, 9)
 				buf.prefetched = true
+			},
+		},
+		{
+			name: "unpinned frame keeps its fill source",
+			want: "still holds its fill source",
+			corrupt: func(c *Cache) {
+				buf := c.AllocateDemand(0, 11)
+				ev := sim.NewEvent(c.k)
+				c.BeginFetchFrom(buf, ev, c.k.Now(), &failSource{})
+				ev.Fire()
+				buf.pins = 0 // dropped without Unpin, which releases the source
 			},
 		},
 		{

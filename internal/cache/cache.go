@@ -58,11 +58,15 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// ErrorSource reports whether the transfer backing a fill failed. The
-// disk layer's *Request implements it; the cache consults it when the
-// fill's completion event fires to decide between Ready and Failed.
+// ErrorSource is the transfer backing a fill. The disk layer's
+// *Request implements it. The cache consults FetchError when the fill's
+// completion event fires, to decide between Ready and Failed, and calls
+// Release once the fill has completed and the frame has no pins: from
+// then on no party can still be waiting on the transfer's completion
+// event, so its record may be reused.
 type ErrorSource interface {
 	FetchError() error
+	Release()
 }
 
 // Buffer is one cache frame. The struct is deliberately narrow: frame
@@ -99,7 +103,8 @@ type Buffer struct {
 	IODone *sim.Event
 	// fetchSrc classifies the transfer's outcome when IODone fires
 	// (nil when the caller cannot fail, e.g. tests driving bare
-	// events). fillErr holds the failure while waiters drain.
+	// events), and is released once the fill has completed and the
+	// frame has no pins. fillErr holds the failure while waiters drain.
 	fetchSrc ErrorSource
 	fillErr  error
 	// fetchStarted records when the transfer was enqueued; fetchDone is
@@ -341,10 +346,10 @@ type Cache struct {
 	// doneSentinel is a single pre-fired event swapped into IODone when
 	// a fill completes successfully. Post-completion readers only ever
 	// ask Fired() (a processor's waits return before touching anything
-	// else on a fired event), and dropping the real
-	// event releases the disk request it is embedded in — without the
-	// swap every frame would pin its last request's full record, which
-	// at cluster scale is hundreds of retained bytes per node.
+	// else on a fired event). The real event is embedded in a disk
+	// request, which is recycled for another transfer once the frame
+	// releases it, so a Ready frame must not keep pointing into it: a
+	// later reader would find an unrelated transfer's unfired event.
 	doneSentinel *sim.Event
 
 	// Freed wakes processes waiting for a frame to become available.
@@ -663,14 +668,26 @@ func (c *Cache) markReady(buf *Buffer) {
 		c.fillSpan(buf, int(buf.block), false)
 	}
 	buf.state = Ready
-	buf.fetchSrc = nil
 	// Swap the fill's event for the shared fired sentinel: readers
-	// after this point only check Fired(), and keeping the real event
-	// would retain the whole disk request embedding it.
+	// after this point only check Fired(), and the real event belongs
+	// to a disk request that is recycled once released.
 	buf.IODone = c.doneSentinel
+	if buf.pins == 0 {
+		c.releaseSrc(buf)
+	}
 	// A ready, unpinned, non-prefetched buffer would be reusable, but
 	// that combination cannot arise here: demand fetches stay pinned by
 	// their requester and prefetched buffers await consumption.
+}
+
+// releaseSrc releases a completed fill's source once the frame has no
+// pins: every party that could still be waiting on its completion
+// event held one.
+func (c *Cache) releaseSrc(buf *Buffer) {
+	if src := buf.fetchSrc; src != nil {
+		buf.fetchSrc = nil
+		src.Release()
+	}
 }
 
 // failFetch handles a fill whose transfer completed with an error. The
@@ -691,7 +708,6 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 	block := int(buf.block)
 	delete(c.byBlock, block)
 	buf.block = -1
-	buf.fetchSrc = nil
 	if buf.prefetched {
 		// Unconsumed prefetches are never pinned (invariant), so the
 		// frame can recycle on the spot.
@@ -714,8 +730,10 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 	buf.fillErr = err
 }
 
-// recycle returns a frame whose fill failed to its class free list.
+// recycle returns a frame whose fill failed to its class free list,
+// releasing the fill's source: the frame has no pins left.
 func (c *Cache) recycle(buf *Buffer) {
+	c.releaseSrc(buf)
 	buf.state = Invalid
 	buf.IODone = nil
 	buf.fillErr = nil
@@ -723,10 +741,10 @@ func (c *Cache) recycle(buf *Buffer) {
 	c.Freed.WakeAll()
 }
 
-// Unpin releases one pin. When the last pin drops and the buffer is
-// Ready and not an unconsumed prefetch, the frame joins its class's
-// reusable list (still satisfying lookups) and a waiter, if any, is
-// woken.
+// Unpin releases one pin. When the last pin drops from a Ready buffer,
+// its completed fill's source is released, and unless the buffer is an
+// unconsumed prefetch the frame joins its class's reusable list (still
+// satisfying lookups) and a waiter, if any, is woken.
 func (c *Cache) Unpin(buf *Buffer) {
 	if buf.pins <= 0 {
 		panic("cache: Unpin without pin")
@@ -736,9 +754,12 @@ func (c *Cache) Unpin(buf *Buffer) {
 		c.recycle(buf)
 		return
 	}
-	if buf.pins == 0 && buf.state == Ready && !buf.prefetched {
-		c.lru[buf.class].pushTail(buf)
-		c.Freed.WakeAll()
+	if buf.pins == 0 && buf.state == Ready {
+		c.releaseSrc(buf)
+		if !buf.prefetched {
+			c.lru[buf.class].pushTail(buf)
+			c.Freed.WakeAll()
+		}
 	}
 }
 
@@ -808,9 +829,9 @@ func (c *Cache) CheckInvariants() {
 }
 
 // Audit checks the cache's internal bookkeeping — free-list and LRU
-// membership, pin counts, fill states, prefetched-unused accounting,
-// retired frames — returning a descriptive error on the first
-// inconsistency. It never mutates state.
+// membership, pin counts, fill states, fill sources, prefetched-unused
+// accounting, retired frames — returning a descriptive error on the
+// first inconsistency. It never mutates state.
 func (c *Cache) Audit() error {
 	for class := DemandClass; class <= PrefetchClass; class++ {
 		walked := 0
@@ -869,6 +890,12 @@ func (c *Cache) Audit() error {
 		}
 		if b.state != Failed && b.fillErr != nil {
 			return fmt.Errorf("cache: %v buffer %d carries a fill error", b.state, b.id)
+		}
+		if b.fetchSrc != nil && b.state != Fetching && b.pins == 0 {
+			// The source should have been released when the fill
+			// completed or the last pin dropped; its record may already
+			// serve another transfer.
+			return fmt.Errorf("cache: unpinned %v buffer %d still holds its fill source", b.state, b.id)
 		}
 	}
 	if retired != c.retired {

@@ -8,10 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// failSource is a test ErrorSource whose error can be set per fill.
-type failSource struct{ err error }
+// failSource is a test ErrorSource whose error can be set per fill. It
+// counts the releases of the fills it backs.
+type failSource struct {
+	err      error
+	released int
+}
 
 func (f *failSource) FetchError() error { return f.err }
+func (f *failSource) Release()          { f.released++ }
 
 var errBoom = errors.New("injected fill failure")
 
@@ -226,10 +231,40 @@ func TestBeginFetchFromSuccessPath(t *testing.T) {
 		if buf.State() != Ready || buf.FillErr() != nil {
 			t.Errorf("state=%v err=%v, want Ready/nil", buf.State(), buf.FillErr())
 		}
+		// The requester's pin keeps the source: it may still read the
+		// fill's event.
+		if src.released != 0 {
+			t.Errorf("source released %d time(s) while the frame is pinned", src.released)
+		}
 		c.Unpin(buf)
+		if src.released != 1 {
+			t.Errorf("source released %d time(s) after the last unpin, want 1", src.released)
+		}
 		c.CheckInvariants()
 	})
 	k.Run()
+}
+
+// An unpinned prefetch fill releases its source as it completes, and a
+// failed one as its frame recycles.
+func TestUnpinnedFillReleasesOnCompletion(t *testing.T) {
+	for _, err := range []error{nil, errBoom} {
+		k := sim.NewKernel()
+		c := newFaultCache(k)
+		src := &failSource{err: err}
+		buf, res := c.AllocatePrefetch(1, 5)
+		if res != PrefetchOK {
+			t.Fatalf("prefetch allocation: %v", res)
+		}
+		ev := sim.NewEvent(k)
+		c.BeginFetchFrom(buf, ev, k.Now().Add(sim.Millisecond), src)
+		k.Schedule(k.Now().Add(sim.Millisecond), ev.Fire)
+		k.Run()
+		if src.released != 1 {
+			t.Errorf("err=%v: source released %d time(s), want 1", err, src.released)
+		}
+		c.CheckInvariants()
+	}
 }
 
 // A fill begun against an already-fired event (a dead disk refusing
@@ -253,7 +288,13 @@ func TestFailedFillOnFiredEvent(t *testing.T) {
 		if !errors.Is(buf.FillErr(), errBoom) {
 			t.Errorf("FillErr = %v, want errBoom", buf.FillErr())
 		}
+		if src.released != 0 {
+			t.Errorf("failed frame released its source while pinned")
+		}
 		c.Unpin(buf)
+		if src.released != 1 {
+			t.Errorf("source released %d time(s) after the failed frame recycled, want 1", src.released)
+		}
 		c.CheckInvariants()
 	})
 	k.Run()

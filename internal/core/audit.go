@@ -12,15 +12,12 @@ import (
 // fails. Called from Run when cfg.AuditEvery is positive.
 func (e *Engine) buildAuditor() *audit.Auditor {
 	a := audit.New(e.k, e.cfg.AuditEvery)
-	// No lost wakeups: the kernel's live-process count matches its
-	// process table and no event is scheduled in the past.
-	a.Register("kernel-wakeups", e.k.Audit)
-	// Cache refcounts, fill states, free lists, LRU membership, and
-	// retired frames are mutually consistent.
+	// Cache refcounts, fill states and sources, free lists, LRU
+	// membership, and retired frames are mutually consistent.
 	a.Register("cache-consistent", e.bcache.Audit)
 	// Disk queues: dead and idle disks hold no queue, in-service
 	// requests are timestamped consistently, FIFO queues stay in
-	// arrival order.
+	// arrival order, and no queued record is back on the free list.
 	a.Register("disk-queues", e.disks.Audit)
 	if e.bar != nil {
 		// Barrier party/arrival counts agree with the membership and

@@ -15,7 +15,7 @@ import (
 
 // Each processor runs as an event-driven state machine, a cnode, in
 // kernel context: no goroutine, no coroutine, no stack. A cnode is a
-// flat record of 240 bytes in one contiguous array, which is what lets
+// flat record of 232 bytes in one contiguous array, which is what lets
 // a 100k–1M node run fit under 1 KB per node.
 //
 // Every point where the synthetic application blocks (an I/O
@@ -615,7 +615,7 @@ func (e *Engine) cstep(n *cnode) {
 				n.pc = cpcDemandWaited
 				continue
 			}
-			e.cWait(n, nbuf.IODone, req.EstDone, IdleOwnIO, cpcDemandWaited)
+			e.cWait(n, nbuf.IODone, nbuf.FetchDone(), IdleOwnIO, cpcDemandWaited)
 			return
 
 		case cpcFrameWaited:

@@ -225,15 +225,24 @@ func (e *Engine) Run() *Result {
 		jitterSeed = e.cfg.Domain.Seed
 	}
 	e.cnodes = make([]cnode, e.cfg.Procs)
+	// Per-node slices come from one slab each, not one allocation per
+	// node: the RU sets, and the jitter streams when a disk can die.
+	ru := e.cfg.RUSetSize
+	ruSlab := make([]*cache.Buffer, e.cfg.Procs*ru)
+	var jitter []rng.Source
+	if e.diskDeaths {
+		jitter = make([]rng.Source, e.cfg.Procs)
+	}
 	for i := range e.cnodes {
 		n := &e.cnodes[i]
 		n.e = e
 		n.id = i
-		n.rng = *rng.New(e.cfg.Seed, uint64(i)+1000)
+		n.rng = rng.Make(e.cfg.Seed, uint64(i)+1000)
 		if e.diskDeaths {
-			n.retryRNG = fault.RetryJitterStream(jitterSeed, i)
+			jitter[i] = fault.RetryJitterStream(jitterSeed, i)
+			n.retryRNG = &jitter[i]
 		}
-		n.ru.size = e.cfg.RUSetSize
+		n.ru.bufs = ruSlab[i*ru : i*ru : (i+1)*ru]
 		n.pc = cpcMain
 		// Start every node at t=0 through the event queue, in node
 		// order.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/barrier"
+	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/pattern"
 	"repro/internal/sim"
@@ -437,19 +438,41 @@ func TestChaosAuditSmoke(t *testing.T) {
 
 // Seeded mid-run corruption of engine state must trip the invariant
 // auditor with the named invariant, not surface as a wrong number at
-// the end of the run.
+// the end of the run. The disk, cache and barrier packages seed the
+// corruptions their exported API cannot reach — a lost disk hold, a
+// fill source kept by an unpinned frame, barrier-counts — in their own
+// audit tests.
 func TestAuditorCatchesSeededCorruption(t *testing.T) {
 	cases := []struct {
-		invariant string
-		corrupt   func(e *Engine)
+		invariant, want string // want: a phrase of the violation's cause
+		prefetch        bool
+		corrupt         func(e *Engine)
 	}{
-		{"cursor-bounds", func(e *Engine) { e.globalCursor = -5 }},
-		{"barrier-membership", func(e *Engine) { e.cnodes[0].finished = true }},
+		{"cursor-bounds", "global cursor -5", false, func(e *Engine) { e.globalCursor = -5 }},
+		{"barrier-membership", "still a barrier member", false, func(e *Engine) { e.cnodes[0].finished = true }},
+		{"disk-queues", "lost the disk's hold", false, func(e *Engine) {
+			// A record reset to its free-list state while still queued,
+			// as a recycler that ignored the disk's hold would leave
+			// it; it waits behind the first submission's transfer.
+			e.disks.Submit(0, 0, 0, false)
+			*e.disks.Submit(0, 1, 0, false) = disk.Request{}
+		}},
+		{"cache-consistent", "prefetched-unused buffer", true, func(e *Engine) {
+			// A pin on a prefetched block that no read has consumed.
+			for b := 0; b < e.pat.FileBlocks; b++ {
+				if buf := e.bcache.Lookup(b); buf != nil && buf.Prefetched() {
+					e.bcache.Retain(buf)
+					return
+				}
+			}
+			panic("no unconsumed prefetch to pin")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.invariant, func(t *testing.T) {
 			cfg := smallConfig(pattern.GW, 4, 200)
 			cfg.Sync = barrier.EveryNPerProc
+			cfg.Prefetch = tc.prefetch
 			cfg.AuditEvery = 5 * sim.Millisecond
 			e, err := New(cfg)
 			if err != nil {
@@ -467,6 +490,9 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 				}
 				if v.Invariant != tc.invariant {
 					t.Fatalf("invariant %q tripped, want %q", v.Invariant, tc.invariant)
+				}
+				if !strings.Contains(v.Err.Error(), tc.want) {
+					t.Fatalf("violation %v, want one mentioning %q", v.Err, tc.want)
 				}
 			}()
 			e.Run()

@@ -5,17 +5,23 @@ import "fmt"
 // Audit checks the disk's queue invariants — a dead disk holds no
 // queue, an idle live disk holds no queue (dispatch always pulls),
 // the request in service is timestamped consistently with the clock,
-// and a FIFO queue is ordered by arrival — returning a descriptive
-// error on the first violation. It never mutates simulation state.
+// a FIFO queue is ordered by arrival, and every queued or in-service
+// request still carries the disk's hold (a record without it may
+// already be back on the free list) — returning a descriptive error on
+// the first violation. It never mutates simulation state.
 func (d *Disk) Audit() error {
 	now := d.k.Now()
-	if d.dead && len(d.pending) > 0 {
-		return fmt.Errorf("disk %d: dead with %d queued request(s)", d.id, len(d.pending))
+	pending := d.pending()
+	if d.dead && len(pending) > 0 {
+		return fmt.Errorf("disk %d: dead with %d queued request(s)", d.id, len(pending))
 	}
-	if !d.dead && d.current == nil && len(d.pending) > 0 {
-		return fmt.Errorf("disk %d: idle with %d queued request(s)", d.id, len(d.pending))
+	if !d.dead && d.current == nil && len(pending) > 0 {
+		return fmt.Errorf("disk %d: idle with %d queued request(s)", d.id, len(pending))
 	}
 	if r := d.current; r != nil {
+		if r.holds&holdDisk == 0 {
+			return fmt.Errorf("disk %d: in-service request for block %d has lost the disk's hold", d.id, r.Block)
+		}
 		if r.Started < r.Enqueued {
 			return fmt.Errorf("disk %d: in-service request for block %d started %v before its enqueue %v", d.id, r.Block, r.Started, r.Enqueued)
 		}
@@ -24,7 +30,10 @@ func (d *Disk) Audit() error {
 		}
 	}
 	var prev *Request
-	for _, r := range d.pending {
+	for _, r := range pending {
+		if r.holds&holdDisk == 0 {
+			return fmt.Errorf("disk %d: queued request for block %d has lost the disk's hold", d.id, r.Block)
+		}
 		if r.Enqueued > now {
 			return fmt.Errorf("disk %d: queued request for block %d enqueued at future time %v", d.id, r.Block, r.Enqueued)
 		}
@@ -36,11 +45,18 @@ func (d *Disk) Audit() error {
 	return nil
 }
 
-// Audit checks every disk in the array, returning the first violation.
+// Audit checks every disk in the array, then that every record on the
+// request free list has both holds dropped, returning the first
+// violation.
 func (a *Array) Audit() error {
 	for _, d := range a.disks {
 		if err := d.Audit(); err != nil {
 			return err
+		}
+	}
+	for _, r := range a.free {
+		if r.holds != 0 {
+			return fmt.Errorf("disk: free-list request for block %d on disk %d is still held", r.Block, r.Disk)
 		}
 	}
 	return nil

@@ -107,11 +107,17 @@ func ParseSchedPolicy(s string) (SchedPolicy, error) {
 // assigned when the disk dispatches and completes the request; EstDone
 // is the file system's estimate at submission (exact under FIFO with a
 // fixed access time).
+//
+// Records are recycled through their array's free list. A request
+// carries two holds and is reused only once both are dropped: the
+// disk's, dropped after Complete has fired, and the consumer's, dropped
+// by Release (DESIGN.md, "Disk request records").
 type Request struct {
 	Disk     int
 	Block    int       // logical file block, for tracing
 	Physical int       // physical block on the disk
 	Prefetch bool      // issued by the prefetcher rather than on demand
+	holds    uint8     // holdDisk | holdConsumer while in use; 0 on the free list
 	Enqueued sim.Time  // when the request joined the disk queue
 	Started  sim.Time  // when the disk began servicing it
 	Done     sim.Time  // when the transfer completed
@@ -122,11 +128,45 @@ type Request struct {
 	owner *Disk // for the completion timer's Wake
 }
 
+// The two holds on a request record.
+const (
+	holdDisk     uint8 = 1 << iota // dropped once Complete has fired
+	holdConsumer                   // dropped by Release
+)
+
 // Wake delivers the completion at Done: the request itself is the
 // timer's continuation (sim.Waiter), so completing an I/O allocates no
 // closure and resumes no goroutine beyond the processes actually
 // waiting on Complete.
 func (r *Request) Wake() { r.owner.complete(r) }
+
+// Release drops the consumer's hold: the caller will not touch the
+// request, or its Complete event, again. The record returns to its
+// array's free list once the disk has dropped its hold too, so a
+// release inside one of Complete's continuations is safe. A second
+// Release panics. A consumer that never releases only forgoes the
+// recycling.
+func (r *Request) Release() {
+	if r.holds&holdConsumer == 0 {
+		panic(fmt.Sprintf("disk: request for block %d on disk %d released twice", r.Block, r.Disk))
+	}
+	r.holds &^= holdConsumer
+	if r.holds == 0 {
+		r.owner.arr.put(r)
+	}
+}
+
+// drop releases the disk's hold on a request whose Complete has fired
+// and returned.
+func (d *Disk) drop(r *Request) {
+	if r.holds&holdDisk == 0 {
+		panic(fmt.Sprintf("disk %d: request for block %d dropped twice", d.id, r.Block))
+	}
+	r.holds &^= holdDisk
+	if r.holds == 0 {
+		d.arr.put(r)
+	}
+}
 
 // ResponseTime is the paper's "effective disk access time": queueing
 // delay plus physical access.
@@ -145,7 +185,11 @@ type Disk struct {
 	headPos int // physical position of the head; -1 before any request
 	scanUp  bool
 
-	pending []*Request
+	// The waiting requests are queue[head:]. Serving the front advances
+	// head rather than the slice base, so the backing array is kept for
+	// enqueue to reuse.
+	queue   []*Request
+	head    int
 	current *Request
 
 	busy   sim.Duration // accumulated service time
@@ -165,6 +209,8 @@ type Disk struct {
 	stormFactor float64
 
 	obs obs.Sink // nil = no observability (the common case)
+
+	arr *Array // owns the request free list
 }
 
 // SetObserver installs an observability sink: request counters at
@@ -184,8 +230,16 @@ func NewWithProfile(k *sim.Kernel, id int, profile Profile) *Disk {
 }
 
 // NewScheduled returns a disk with the given service model and queue
-// scheduling policy.
+// scheduling policy. The disk recycles its requests on its own.
 func NewScheduled(k *sim.Kernel, id int, profile Profile, policy SchedPolicy) *Disk {
+	checkModel(profile, policy)
+	d := &Disk{k: k, id: id, profile: profile, policy: policy, headPos: -1, scanUp: true}
+	d.arr = &Array{disks: []*Disk{d}}
+	return d
+}
+
+// checkModel panics on an invalid service model or policy.
+func checkModel(profile Profile, policy SchedPolicy) {
 	if profile.Access <= 0 {
 		panic(fmt.Sprintf("disk: non-positive access time %v", profile.Access))
 	}
@@ -197,7 +251,6 @@ func NewScheduled(k *sim.Kernel, id int, profile Profile, policy SchedPolicy) *D
 	default:
 		panic(fmt.Sprintf("disk: unknown scheduling policy %d", int(policy)))
 	}
-	return &Disk{k: k, id: id, profile: profile, policy: policy, headPos: -1, scanUp: true}
 }
 
 // ID returns the disk's index within its array.
@@ -214,7 +267,10 @@ func (d *Disk) Policy() SchedPolicy { return d.policy }
 
 // QueueLength returns the number of requests waiting (excluding the one
 // in service).
-func (d *Disk) QueueLength() int { return len(d.pending) }
+func (d *Disk) QueueLength() int { return len(d.queue) - d.head }
+
+// pending returns the waiting requests, oldest first.
+func (d *Disk) pending() []*Request { return d.queue[d.head:] }
 
 // Submit enqueues a read of the given logical block, stored at physical
 // block phys on this disk, and returns the request. The request's
@@ -229,18 +285,20 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 		return d.submitDead(block, phys, prefetch)
 	}
 	now := d.k.Now()
-	req := &Request{
+	req := d.arr.get()
+	*req = Request{
 		Disk:     d.id,
 		Block:    block,
 		Physical: phys,
 		Prefetch: prefetch,
+		holds:    holdDisk | holdConsumer,
 		Enqueued: now,
 		owner:    d,
 	}
 	req.Complete.Init(d.k, "disk I/O completion")
 	// Completion estimate for the file system's idle-time planning:
 	// exact under FIFO with a fixed access time, a heuristic otherwise.
-	queued := len(d.pending)
+	queued := d.QueueLength()
 	base := now
 	if d.current != nil {
 		base = d.current.Done
@@ -253,11 +311,26 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 			d.obs.Add(obs.CtrDiskPrefetchRequests, 1)
 		}
 	}
-	d.pending = append(d.pending, req)
+	d.enqueue(req)
 	if d.current == nil {
 		d.dispatch()
 	}
 	return req
+}
+
+// enqueue appends req to the queue. When the backing array is full and
+// at least half of it has been served, the waiting tail moves to the
+// front (an empty queue rewinds) instead of growing a new array. Left
+// to append, the next request to an idle disk would reallocate, and a
+// disk busy for a whole run would carry every request it ever served.
+func (d *Disk) enqueue(req *Request) {
+	if n := len(d.queue); n == cap(d.queue) && d.head > 0 && 2*d.head >= n {
+		live := copy(d.queue, d.queue[d.head:])
+		clear(d.queue[live:])
+		d.queue = d.queue[:live]
+		d.head = 0
+	}
+	d.queue = append(d.queue, req)
 }
 
 // dispatch picks, times, and (when an injector is attached) faults the
@@ -265,21 +338,21 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 // scheduling its completion. Kernel or process context; must only be
 // called when idle.
 func (d *Disk) dispatch() {
-	if len(d.pending) == 0 {
+	if d.head == len(d.queue) {
 		d.current = nil
 		return
 	}
 	now := d.k.Now()
-	i := d.pickNext(now)
-	req := d.pending[i]
-	// Remove index i by shifting the prefix right and advancing the
-	// slice base. For FIFO (i == 0, the common case) this moves
-	// nothing; removing by copying the suffix down would move the whole
+	i := d.head + d.pickNext(now)
+	req := d.queue[i]
+	// Remove index i by shifting the waiting prefix right and advancing
+	// head. For FIFO (i == head, the common case) this moves nothing;
+	// removing by copying the suffix down would move the whole
 	// remaining queue on every serve, which at cluster scale — 100k+
 	// requests deep on a handful of disks — turns the run quadratic.
-	copy(d.pending[1:i+1], d.pending[:i])
-	d.pending[0] = nil
-	d.pending = d.pending[1:]
+	copy(d.queue[d.head+1:i+1], d.queue[d.head:i])
+	d.queue[d.head] = nil
+	d.head++
 	service := d.profile.ServiceTime(d.headPos, req.Physical)
 	// Storms stretch the base service before the fault draw, so a spike
 	// multiplies the stormed time and the timeout watchdog still caps
@@ -329,6 +402,7 @@ func (d *Disk) complete(req *Request) {
 	}
 	req.Complete.Fire()
 	d.dispatch()
+	d.drop(req)
 }
 
 // starvationBound caps how long a reordering policy may pass over the
@@ -343,16 +417,17 @@ const starvationBound = 32
 // pickNext chooses the pending index to serve next at dispatch
 // instant now.
 func (d *Disk) pickNext(now sim.Time) int {
-	if d.policy == FIFO || d.headPos < 0 || len(d.pending) == 1 {
+	pending := d.pending()
+	if d.policy == FIFO || d.headPos < 0 || len(pending) == 1 {
 		return 0
 	}
-	if now.Sub(d.pending[0].Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
+	if now.Sub(pending[0].Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
 		return 0
 	}
 	switch d.policy {
 	case SSTF:
 		best, bestDist := 0, -1
-		for i, r := range d.pending {
+		for i, r := range pending {
 			dist := r.Physical - d.headPos
 			if dist < 0 {
 				dist = -dist
@@ -366,7 +441,7 @@ func (d *Disk) pickNext(now sim.Time) int {
 		// Nearest request in the sweep direction; reverse if none.
 		pick := func(up bool) (int, bool) {
 			best, bestDist := -1, -1
-			for i, r := range d.pending {
+			for i, r := range pending {
 				dist := r.Physical - d.headPos
 				if !up {
 					dist = -dist
@@ -413,9 +488,41 @@ func (d *Disk) Utilization(end sim.Time) float64 {
 	return float64(d.busy) / float64(sim.Duration(end))
 }
 
-// Array is a set of parallel independent disks.
+// Array is a set of parallel independent disks. It recycles their
+// request records through one free list.
 type Array struct {
 	disks []*Disk
+	free  []*Request // released records, ready for reuse
+	out   int        // records handed out and not yet back on free
+}
+
+// get hands out a request record, recycled when one is free.
+func (a *Array) get() *Request {
+	a.out++
+	n := len(a.free)
+	if n == 0 {
+		return new(Request)
+	}
+	r := a.free[n-1]
+	a.free[n-1] = nil
+	a.free = a.free[:n-1]
+	return r
+}
+
+// put takes back a record whose holds are both dropped. When it is the
+// last one out, every queue is idle: the free list and the queues'
+// backing arrays are dropped, so an array kept after its run retains
+// none of them.
+func (a *Array) put(r *Request) {
+	a.out--
+	if a.out > 0 {
+		a.free = append(a.free, r)
+		return
+	}
+	a.free = nil
+	for _, d := range a.disks {
+		d.queue, d.head = nil, 0
+	}
 }
 
 // NewArray creates n disks with a common fixed access time.
@@ -434,9 +541,12 @@ func NewScheduledArray(k *sim.Kernel, n int, profile Profile, policy SchedPolicy
 	if n <= 0 {
 		panic("disk: array needs at least one disk")
 	}
+	checkModel(profile, policy)
 	a := &Array{disks: make([]*Disk, n)}
+	slab := make([]Disk, n)
 	for i := range a.disks {
-		a.disks[i] = NewScheduled(k, i, profile, policy)
+		slab[i] = Disk{k: k, id: i, profile: profile, policy: policy, headPos: -1, scanUp: true, arr: a}
+		a.disks[i] = &slab[i]
 	}
 	return a
 }

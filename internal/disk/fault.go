@@ -123,14 +123,15 @@ func (d *Disk) kill() {
 		d.fstats.DeadFailed++
 	}
 	now := d.k.Now()
-	pending := d.pending
-	d.pending = nil
+	pending := d.pending()
+	d.queue, d.head = nil, 0
 	for _, req := range pending {
 		req.Err = fmt.Errorf("disk %d: %w", d.id, ErrDead)
 		req.Started = now
 		req.Done = now
 		d.fstats.DeadFailed++
 		req.Complete.Fire()
+		d.drop(req)
 	}
 }
 
@@ -139,11 +140,13 @@ func (d *Disk) kill() {
 // Submit returns, so waiters registered afterwards wake immediately).
 func (d *Disk) submitDead(block, phys int, prefetch bool) *Request {
 	now := d.k.Now()
-	req := &Request{
+	req := d.arr.get()
+	*req = Request{
 		Disk:     d.id,
 		Block:    block,
 		Physical: phys,
 		Prefetch: prefetch,
+		holds:    holdDisk | holdConsumer,
 		Enqueued: now,
 		Started:  now,
 		Done:     now,
@@ -154,6 +157,7 @@ func (d *Disk) submitDead(block, phys int, prefetch bool) *Request {
 	req.Complete.Init(d.k, "disk I/O completion")
 	d.fstats.DeadFailed++
 	req.Complete.Fire()
+	d.drop(req)
 	return req
 }
 

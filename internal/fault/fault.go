@@ -165,7 +165,7 @@ type Outcome struct {
 // serializes all access, as everywhere in the simulator).
 type Injector struct {
 	cfg     Config
-	streams []*rng.Source
+	streams []rng.Source
 
 	obs obs.Sink // nil = no observability (the common case)
 }
@@ -192,9 +192,9 @@ func New(cfg Config, disks int) *Injector {
 	if cfg.StuckRate > 0 && cfg.StuckDelay == 0 {
 		cfg.StuckDelay = defaultStuckDelay
 	}
-	inj := &Injector{cfg: cfg, streams: make([]*rng.Source, disks)}
+	inj := &Injector{cfg: cfg, streams: make([]rng.Source, disks)}
 	for d := range inj.streams {
-		inj.streams[d] = rng.New(cfg.Seed, diskStreamBase+uint64(d))
+		inj.streams[d] = rng.Make(cfg.Seed, diskStreamBase+uint64(d))
 	}
 	return inj
 }
@@ -216,7 +216,7 @@ func (i *Injector) Kills() (disk int, at sim.Duration, ok bool) {
 // positive SpikeMean occurs, so the per-disk stream stays aligned with
 // the disk's dispatch sequence regardless of outcomes elsewhere.
 func (i *Injector) Decide(disk int) Outcome {
-	s := i.streams[disk]
+	s := &i.streams[disk]
 	var out Outcome
 	errDraw := s.Float64()
 	spikeDraw := s.Float64()
@@ -257,14 +257,16 @@ func (i *Injector) SpikeMultiplier() float64 {
 // node's retry backoff. Distinct from every disk stream, so adding a
 // retry in one place never perturbs fault draws elsewhere.
 func (i *Injector) RetryStream(node int) *rng.Source {
-	return RetryJitterStream(i.cfg.Seed, node)
+	s := RetryJitterStream(i.cfg.Seed, node)
+	return &s
 }
 
 // RetryJitterStream derives one node's retry-backoff jitter stream
-// from a raw seed, for callers that schedule disk deaths without a
-// full Injector (failure-domain kills still need retryable reads).
-func RetryJitterStream(seed uint64, node int) *rng.Source {
-	return rng.New(seed, retryStreamBase+uint64(node))
+// from a raw seed, by value, for callers that schedule disk deaths
+// without a full Injector (failure-domain kills still need retryable
+// reads) and keep one stream per node in a slice.
+func RetryJitterStream(seed uint64, node int) rng.Source {
+	return rng.Make(seed, retryStreamBase+uint64(node))
 }
 
 // RetryPolicy is a capped-exponential-backoff retry schedule in

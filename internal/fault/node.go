@@ -149,7 +149,7 @@ const nodeStreamBase = 1 << 22
 // access.
 type NodeInjector struct {
 	cfg     NodeConfig
-	streams []*rng.Source
+	streams []rng.Source
 	stalls  int64
 
 	obs obs.Sink // nil = no observability (the common case)
@@ -170,9 +170,9 @@ func NewNodes(cfg NodeConfig, procs int) *NodeInjector {
 	// the per-processor allocation — at cluster scale those streams
 	// would cost more memory than the whole compact node state.
 	if cfg.StallRate > 0 {
-		ni.streams = make([]*rng.Source, procs)
+		ni.streams = make([]rng.Source, procs)
 		for n := range ni.streams {
-			ni.streams[n] = rng.New(cfg.Seed, nodeStreamBase+uint64(n))
+			ni.streams[n] = rng.Make(cfg.Seed, nodeStreamBase+uint64(n))
 		}
 	}
 	return ni
@@ -207,7 +207,7 @@ func (ni *NodeInjector) ScaleAction(node int, c memory.Cost, others int) sim.Dur
 	}
 	d := c.At(others)
 	if ni.cfg.StallRate > 0 {
-		s := ni.streams[node]
+		s := &ni.streams[node]
 		if s.Float64() < ni.cfg.StallRate {
 			d += sim.Millis(s.Exp(ni.cfg.StallMean.Millis()))
 			ni.stalls++

@@ -150,10 +150,13 @@ type FileSystem struct {
 	nextBase  int   // next global block id
 	diskAlloc []int // next physical block per disk
 
-	// Write-behind bookkeeping.
+	// Write-behind bookkeeping. Finished write-behind records wait on
+	// wbFree for reuse; the list is dropped when pendingWrites reaches
+	// 0, so a file system kept after its run retains none of them.
 	pendingWrites int
 	writesDrained *sim.WaitQueue
 	writesIssued  int64
+	wbFree        []*writeback
 
 	// Fault machinery (nil/zero when Options.Faults is inert).
 	inj     *fault.Injector
@@ -508,19 +511,28 @@ func (h *Handle) Write(p *sim.Proc, block int) sim.Duration {
 	d, phys := fs.place(f, block)
 	fs.pendingWrites++
 	fs.writesIssued++
-	w := &writeback{fs: fs, f: f, buf: buf, block: block}
+	var w *writeback
+	if n := len(fs.wbFree); n > 0 {
+		w = fs.wbFree[n-1]
+		fs.wbFree[n-1] = nil
+		fs.wbFree = fs.wbFree[:n-1]
+	} else {
+		w = new(writeback)
+	}
+	*w = writeback{fs: fs, f: f, buf: buf, block: block}
 	w.req = fs.disks.Submit(d, id, phys, false)
 	w.req.Complete.AddWaiter(w)
 	return p.Now().Sub(start)
 }
 
 // writeback is the continuation (sim.Waiter) registered on a write's
-// disk completion: it releases the retained frame and, when the last
-// outstanding write lands, wakes Sync callers. Running it in kernel
-// context keeps write-behind off the goroutine-handoff path entirely.
-// Under fault injection it is also the retry loop: a failed write is
-// resubmitted after a virtual-time backoff (a kernel timer, since no
-// process is attached to a write-behind).
+// disk completion: it releases the disk request and the retained frame
+// and, when the last outstanding write lands, wakes Sync callers.
+// Running it in kernel context keeps write-behind off the
+// goroutine-handoff path entirely. Under fault injection it is also the
+// retry loop: a failed write is resubmitted after a virtual-time
+// backoff (a kernel timer, since no process is attached to a
+// write-behind).
 type writeback struct {
 	fs      *FileSystem
 	f       *File
@@ -532,14 +544,23 @@ type writeback struct {
 
 func (w *writeback) Wake() {
 	fs := w.fs
-	if w.req.Err != nil && fs.retryWrite(w) {
+	err := w.req.Err
+	// The write-behind is the request's only consumer, and it is done
+	// with it: a retry submits a fresh request.
+	w.req.Release()
+	w.req = nil
+	if err != nil && fs.retryWrite(w) {
 		return
 	}
 	fs.bc.Unpin(w.buf)
 	fs.pendingWrites--
 	if fs.pendingWrites == 0 {
+		fs.wbFree = nil
 		fs.writesDrained.WakeAll()
+		return
 	}
+	*w = writeback{}
+	fs.wbFree = append(fs.wbFree, w)
 }
 
 // retryWrite resubmits a failed write-back after backoff. It returns

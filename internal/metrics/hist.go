@@ -76,12 +76,14 @@ func (h *Histogram) Add(x float64) {
 		h.under++
 		return
 	}
-	i := int((x - h.min) / h.width)
-	if i >= len(h.buckets) {
+	// Compare before converting: past 2^63 buckets (or NaN) the int
+	// conversion would wrap to a negative index.
+	f := (x - h.min) / h.width
+	if !(f < float64(len(h.buckets))) {
 		h.over++
 		return
 	}
-	h.buckets[i]++
+	h.buckets[int(f)]++
 }
 
 // N returns the number of observations.
@@ -135,14 +137,21 @@ func (h *Histogram) Render(width int) string {
 	return b.String()
 }
 
+// histogramJSON is a Histogram's encoding, its fields in the sorted key
+// order of the map encoding it replaced (same bytes, fewer objects).
+type histogramJSON struct {
+	Buckets []int64 `json:"buckets"`
+	Min     float64 `json:"min"`
+	N       int64   `json:"n"`
+	Over    int64   `json:"over"`
+	Under   int64   `json:"under"`
+	Width   float64 `json:"width"`
+}
+
 // MarshalJSON encodes the histogram geometry and counts.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(map[string]any{
-		"min":     h.min,
-		"width":   h.width,
-		"buckets": h.buckets,
-		"under":   h.under,
-		"over":    h.over,
-		"n":       h.count,
+	return json.Marshal(histogramJSON{
+		Buckets: h.buckets, Min: h.min, N: h.count,
+		Over: h.over, Under: h.under, Width: h.width,
 	})
 }

@@ -169,3 +169,52 @@ func TestHistogramJSON(t *testing.T) {
 		t.Fatalf("JSON = %s", b)
 	}
 }
+
+// The struct encodings must give the bytes of the map encodings they
+// replaced, which sort their keys: the result digests and goldens hash
+// these bytes.
+func TestJSONMatchesMapEncoding(t *testing.T) {
+	mapSummary := func(s *Summary) ([]byte, error) {
+		return json.Marshal(map[string]any{
+			"n": s.N(), "mean": s.Mean(), "min": s.Min(), "max": s.Max(), "stddev": s.Stddev(),
+		})
+	}
+	mapHistogram := func(h *Histogram) ([]byte, error) {
+		return json.Marshal(map[string]any{
+			"min": h.min, "width": h.width, "buckets": h.buckets,
+			"under": h.under, "over": h.over, "n": h.count,
+		})
+	}
+	check := func(name string, got []byte, gotErr error, want []byte, wantErr error) {
+		t.Helper()
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: errors %v and %v", name, gotErr, wantErr)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: %s, map encoding %s", name, got, want)
+		}
+	}
+	summaries := map[string][]float64{
+		"empty":      nil,
+		"one sample": {3.25},
+		"negative":   {-1.5, -7, 2},
+		"1e-7":       {1e-7, 3e-7},
+		"1e21":       {1e21, 2.5e21, 7},
+	}
+	for name, xs := range summaries {
+		var s Summary
+		for _, x := range xs {
+			s.Add(x)
+		}
+		got, gotErr := json.Marshal(&s)
+		want, wantErr := mapSummary(&s)
+		check("summary "+name, got, gotErr, want, wantErr)
+		h := NewHistogram(-2, 0.5, 6)
+		for _, x := range xs {
+			h.Add(x)
+		}
+		got, gotErr = json.Marshal(h)
+		want, wantErr = mapHistogram(h)
+		check("histogram "+name, got, gotErr, want, wantErr)
+	}
+}

@@ -13,7 +13,7 @@ package rng
 import "math"
 
 // Source is a deterministic pseudo-random stream. The zero value is not
-// valid; use New.
+// valid; use New or Make.
 type Source struct {
 	state uint64
 	inc   uint64 // odd; selects the stream
@@ -24,8 +24,15 @@ const pcgMultiplier = 6364136223846793005
 // New returns a stream derived from seed and stream id. Distinct
 // (seed, stream) pairs give statistically independent sequences.
 func New(seed, stream uint64) *Source {
-	s := &Source{inc: stream<<1 | 1}
-	s.state = 0
+	s := Make(seed, stream)
+	return &s
+}
+
+// Make is New by value: the same stream, for callers that keep their
+// streams inside a larger record or one slice, so that a stream per
+// node or disk costs no allocation of its own.
+func Make(seed, stream uint64) Source {
+	s := Source{inc: stream<<1 | 1}
 	s.next() // scramble the initial state per the PCG reference
 	s.state += seed
 	s.next()
