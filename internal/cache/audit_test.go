@@ -71,7 +71,7 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c := newTestCache(2, 2, 1, 4, 4)
+			_, c := newTestCache(2, 2, 1, 4)
 			if err := c.Audit(); err != nil {
 				t.Fatalf("fresh cache fails audit: %v", err)
 			}

@@ -237,13 +237,11 @@ type Options struct {
 	// processor per RU-set slot in the paper).
 	DemandFrames int
 	// PrefetchFrames is the number of prefetch-class frames (three per
-	// processor in the paper; zero disables prefetch allocation).
+	// processor in the paper; zero disables prefetch allocation). It
+	// also caps the blocks prefetched but not yet used, globally.
 	PrefetchFrames int
 	// Nodes is the number of processor nodes (for per-node accounting).
 	Nodes int
-	// MaxPrefetchedUnused caps blocks that have been prefetched but not
-	// yet used, globally. Zero disables prefetch allocation entirely.
-	MaxPrefetchedUnused int
 	// MaxPerNodePrefetched, if non-zero, additionally caps the
 	// prefetched-unused blocks attributed to each node (strict per-node
 	// buffer allocation).
@@ -338,9 +336,10 @@ type Cache struct {
 
 	// onPrefetchDemote, when set, is called with the block id each time
 	// a failed fill silently demotes an unconsumed prefetch — the one
-	// drop that removes a block ahead of the demand cursor. The oracle
-	// policy's monotone scan cursor hangs its fault-run exactness on
-	// this callback (prefetch.Policy.Demote). Runs in kernel context.
+	// drop that removes a block ahead of the demand cursor. The engine
+	// registers its prefetch source's Demote; the oracle policy's
+	// monotone scan cursor hangs its fault-run exactness on it. Runs in
+	// kernel context.
 	onPrefetchDemote func(block int)
 
 	// doneSentinel is a single pre-fired event swapped into IODone when
@@ -550,7 +549,7 @@ func (c *Cache) Retain(buf *Buffer) {
 // requires hunting through the buffer lists, i.e. a failed (and costly)
 // prefetch action, as the paper observed in its lfp experiments.
 func (c *Cache) CanPrefetch(node int) PrefetchFail {
-	if c.prefetchedUnused >= c.opts.MaxPrefetchedUnused {
+	if c.prefetchedUnused >= c.opts.PrefetchFrames {
 		// With mistake eviction enabled, a full pool may still admit a
 		// prefetch by recycling a misprediction — but finding one costs
 		// a real (possibly failed) action, so the cheap check passes.
@@ -577,7 +576,7 @@ func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
 		return nil, FailNodeLimit
 	}
 	var buf *Buffer
-	if c.prefetchedUnused >= c.opts.MaxPrefetchedUnused {
+	if c.prefetchedUnused >= c.opts.PrefetchFrames {
 		// Over the prefetched-unused cap: only mistake eviction can
 		// admit this prefetch (it frees both a slot and a frame).
 		if c.opts.EvictablePrefetched {

@@ -9,13 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestCache(demand, pf, nodes, maxPF, maxPerNode int) (*sim.Kernel, *Cache) {
+func newTestCache(demand, pf, nodes, maxPerNode int) (*sim.Kernel, *Cache) {
 	k := sim.NewKernel()
 	c := New(k, Options{
 		DemandFrames:         demand,
 		PrefetchFrames:       pf,
 		Nodes:                nodes,
-		MaxPrefetchedUnused:  maxPF,
 		MaxPerNodePrefetched: maxPerNode,
 	})
 	return k, c
@@ -53,7 +52,7 @@ func TestPrefetchFailString(t *testing.T) {
 }
 
 func TestDemandFetchLifecycle(t *testing.T) {
-	k, c := newTestCache(4, 0, 2, 0, 0)
+	k, c := newTestCache(4, 0, 2, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		if c.Contains(7) {
 			t.Error("empty cache claims block 7")
@@ -88,7 +87,7 @@ func TestDemandFetchLifecycle(t *testing.T) {
 }
 
 func TestReadyAndUnreadyHits(t *testing.T) {
-	k, c := newTestCache(4, 0, 2, 0, 0)
+	k, c := newTestCache(4, 0, 2, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 3)
 		ev, at := fakeFetch(k, 30*sim.Millisecond)
@@ -132,7 +131,7 @@ func TestEmptyStatsRatios(t *testing.T) {
 }
 
 func TestPrefetchLifecycle(t *testing.T) {
-	k, c := newTestCache(2, 2, 2, 2, 0)
+	k, c := newTestCache(2, 2, 2, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf, res := c.AllocatePrefetch(1, 9)
 		if res != PrefetchOK {
@@ -168,7 +167,7 @@ func TestPrefetchLifecycle(t *testing.T) {
 }
 
 func TestPrefetchGlobalLimit(t *testing.T) {
-	k, c := newTestCache(8, 2, 2, 2, 0)
+	k, c := newTestCache(8, 2, 2, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
 			buf, res := c.AllocatePrefetch(0, i)
@@ -190,7 +189,7 @@ func TestPrefetchGlobalLimit(t *testing.T) {
 }
 
 func TestPrefetchPerNodeLimit(t *testing.T) {
-	k, c := newTestCache(2, 8, 2, 8, 2)
+	k, c := newTestCache(2, 8, 2, 2)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
 			buf, res := c.AllocatePrefetch(1, i)
@@ -216,7 +215,7 @@ func TestPrefetchPerNodeLimit(t *testing.T) {
 }
 
 func TestPrefetchInCache(t *testing.T) {
-	k, c := newTestCache(2, 2, 1, 4, 0)
+	k, c := newTestCache(2, 2, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 5)
 		ev, at := fakeFetch(k, sim.Millisecond)
@@ -229,8 +228,11 @@ func TestPrefetchInCache(t *testing.T) {
 	k.Run()
 }
 
+// TestPrefetchNoBuffer: a consumed prefetch frame no longer counts
+// against the prefetched-unused cap, but while its reader pins it the
+// class has no frame to give.
 func TestPrefetchNoBuffer(t *testing.T) {
-	k, c := newTestCache(1, 1, 1, 5, 0)
+	k, c := newTestCache(1, 1, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf, res := c.AllocatePrefetch(0, 0)
 		if res != PrefetchOK {
@@ -238,9 +240,11 @@ func TestPrefetchNoBuffer(t *testing.T) {
 		}
 		ev, at := fakeFetch(k, sim.Millisecond)
 		c.BeginFetch(buf, ev, at)
+		c.Pin(0, buf)
 		if _, res := c.AllocatePrefetch(0, 1); res != FailNoBuffer {
 			t.Fatalf("expected no-buffer, got %v", res)
 		}
+		c.Unpin(buf)
 	})
 	k.Run()
 	if c.Stats().FailsNoBuffer != 1 {
@@ -249,7 +253,7 @@ func TestPrefetchNoBuffer(t *testing.T) {
 }
 
 func TestEvictionLRUOrder(t *testing.T) {
-	k, c := newTestCache(2, 0, 1, 0, 0)
+	k, c := newTestCache(2, 0, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		// Fill both frames with blocks 0, 1, unpin both (0 is older).
 		for b := 0; b < 2; b++ {
@@ -283,7 +287,7 @@ func TestEvictionLRUOrder(t *testing.T) {
 }
 
 func TestReusableHitRemovesFromLRU(t *testing.T) {
-	k, c := newTestCache(2, 0, 1, 0, 0)
+	k, c := newTestCache(2, 0, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
@@ -304,7 +308,7 @@ func TestReusableHitRemovesFromLRU(t *testing.T) {
 }
 
 func TestAllocateDemandExhausted(t *testing.T) {
-	k, c := newTestCache(1, 0, 1, 0, 0)
+	k, c := newTestCache(1, 0, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
@@ -319,7 +323,7 @@ func TestAllocateDemandExhausted(t *testing.T) {
 }
 
 func TestFreedWakesWaiter(t *testing.T) {
-	k, c := newTestCache(1, 0, 1, 0, 0)
+	k, c := newTestCache(1, 0, 1, 0)
 	var woke bool
 	k.Spawn("holder", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
@@ -346,7 +350,7 @@ func TestFreedWakesWaiter(t *testing.T) {
 }
 
 func TestPinPanicsOnInvalid(t *testing.T) {
-	_, c := newTestCache(1, 0, 1, 0, 0)
+	_, c := newTestCache(1, 0, 1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Pin on invalid buffer did not panic")
@@ -356,7 +360,7 @@ func TestPinPanicsOnInvalid(t *testing.T) {
 }
 
 func TestUnpinPanicsWithoutPin(t *testing.T) {
-	k, c := newTestCache(1, 0, 1, 0, 0)
+	k, c := newTestCache(1, 0, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
@@ -374,7 +378,7 @@ func TestUnpinPanicsWithoutPin(t *testing.T) {
 }
 
 func TestAllocateDemandPanicsIfCached(t *testing.T) {
-	k, c := newTestCache(2, 0, 1, 0, 0)
+	k, c := newTestCache(2, 0, 1, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
@@ -410,7 +414,7 @@ func TestNewPanics(t *testing.T) {
 // operations and checks invariants continuously.
 func TestRandomWorkloadInvariants(t *testing.T) {
 	check := func(seed uint64) bool {
-		k, c := newTestCache(4, 4, 4, 4, 2)
+		k, c := newTestCache(4, 4, 4, 2)
 		r := rng.New(seed, 0)
 		ok := true
 		k.Spawn("driver", 0, func(p *sim.Proc) {
@@ -462,7 +466,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 }
 
 func TestBufferHomeNode(t *testing.T) {
-	k, c := newTestCache(4, 2, 4, 2, 0)
+	k, c := newTestCache(4, 2, 4, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(3, 7)
 		if buf.Home() != 3 {
@@ -494,7 +498,7 @@ func TestBufferHomeNode(t *testing.T) {
 func TestBlockIndexConcurrentReaders(t *testing.T) {
 	t.Parallel()
 	k := sim.NewKernel()
-	c := New(k, Options{DemandFrames: 512, PrefetchFrames: 64, Nodes: 8, MaxPrefetchedUnused: 64})
+	c := New(k, Options{DemandFrames: 512, PrefetchFrames: 64, Nodes: 8})
 	for i := 0; i < 512; i++ {
 		if c.AllocateWrite(i%8, i) == nil {
 			t.Fatal("allocation failed")

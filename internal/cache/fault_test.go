@@ -22,10 +22,9 @@ var errBoom = errors.New("injected fill failure")
 
 func newFaultCache(k *sim.Kernel) *Cache {
 	return New(k, Options{
-		DemandFrames:        4,
-		PrefetchFrames:      2,
-		Nodes:               2,
-		MaxPrefetchedUnused: 2,
+		DemandFrames:   4,
+		PrefetchFrames: 2,
+		Nodes:          2,
 	})
 }
 

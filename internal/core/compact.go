@@ -241,7 +241,7 @@ func (e *Engine) waitingOn(n *cnode) string {
 }
 
 // prefetching reports whether this run prefetches.
-func (e *Engine) prefetching() bool { return e.policy != nil || e.pred != nil }
+func (e *Engine) prefetching() bool { return e.src != nil }
 
 // park registers n to wake when ev fires: behind the events already
 // due at the firing, as a blocked process wakes, or inline at the
@@ -503,13 +503,8 @@ func (e *Engine) beginRead(n *cnode, idx, block int) {
 	// Toss-immediately: make room in the RU set before acquiring, so a
 	// processor never pins more than RUSetSize buffers.
 	n.ru.makeRoom(e.bcache)
-	if e.policy != nil && idx >= 0 {
-		// Takeover reads replay another node's blocks; they carry no
-		// reference-string position for the oracle to note.
-		e.policy.NoteDemand(n.id, idx)
-	}
-	if e.pred != nil {
-		e.pred.ObserveDemand(n.id, block)
+	if e.src != nil {
+		e.src.Demand(n.id, idx, block)
 	}
 	n.pc = cpcLookup
 }

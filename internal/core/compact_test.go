@@ -10,7 +10,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/fault"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -55,7 +55,7 @@ func compactConfigs() map[string]Config {
 
 	c = base(pattern.GW)
 	c.Prefetch = true
-	c.Predictor = predict.SEQ
+	c.Predictor = prefetch.SEQ
 	m["gw/seq"] = c
 
 	c = base(pattern.GFP)

@@ -16,7 +16,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -62,11 +62,11 @@ type Config struct {
 	// Prefetch enables the prefetching file system.
 	Prefetch bool
 	// Predictor selects how prefetch candidates are chosen: the paper's
-	// oracle reference-string policies (predict.Oracle, the default) or
-	// one of the on-the-fly predictors that observe only the demand
-	// stream and can mispredict (predict.OBL, predict.SEQ,
-	// predict.GAPS).
-	Predictor predict.Kind
+	// oracle reference-string policies (prefetch.Oracle, the default)
+	// or one of the on-the-fly predictors that observe only the demand
+	// stream and can mispredict (prefetch.OBL, prefetch.SEQ,
+	// prefetch.GAPS).
+	Predictor prefetch.Kind
 	// PrefetchBuffersPerProc is the number of prefetch buffers added per
 	// processor node (3 in the paper).
 	PrefetchBuffersPerProc int
@@ -196,7 +196,7 @@ func (c *Config) Validate() error {
 	if c.Lead < 0 {
 		return fmt.Errorf("core: negative Lead %d", c.Lead)
 	}
-	if c.Lead > 0 && c.Predictor != predict.Oracle {
+	if c.Lead > 0 && c.Predictor != prefetch.Oracle {
 		return fmt.Errorf("core: minimum prefetch lead requires the oracle policy, not %v", c.Predictor)
 	}
 	if c.MinPrefetchTime < 0 {

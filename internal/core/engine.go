@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pattern"
-	"repro/internal/predict"
 	"repro/internal/prefetch"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -28,12 +27,16 @@ type Engine struct {
 	layout *interleave.Layout
 	disks  *disk.Array
 	bcache *cache.Cache
-	policy *prefetch.Policy  // oracle policy; nil unless prefetching with Oracle
-	pred   predict.Predictor // on-the-fly predictor; nil unless selected
-	bar    *barrier.Barrier
-	gens   *barrier.GenCounter
-	track  memory.Tracker
-	res    *Result
+	// src is the prefetch candidate source, nil unless prefetching;
+	// inCache is bcache.Contains, bound once: a method value passed
+	// through the interface call escapes, and would allocate on every
+	// prefetch action.
+	src     prefetch.Source
+	inCache func(block int) bool
+	bar     *barrier.Barrier
+	gens    *barrier.GenCounter
+	track   memory.Tracker
+	res     *Result
 
 	// Fault injection (nil/zero unless cfg.Fault.Enabled()): the
 	// injector wired into the disks. The effective retry policy is set
@@ -111,38 +114,23 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.PerNodePrefetchLimit {
 			perNode = cfg.PrefetchBuffersPerProc
 		}
-		if cfg.Predictor == predict.Oracle {
-			e.policy = prefetch.NewPolicy(pat, cfg.Lead)
-			// The forward-only scan cursor is exact only when every
-			// drop of a block ahead of the demand cursor is reported
-			// back to the policy and the string never repeats a block;
-			// see SetMonotone. Fault injection stays exact through the
-			// prefetch-demote hook wired below — without the cursor,
-			// chaos cells pay an O(prefetch buffers) cache walk per
-			// selection and cluster-scale runs turn quadratic in the
-			// node count.
-			if cfg.Lead == 0 && pat.Kind.Global() {
-				e.policy.SetMonotone(true)
-			}
-		} else {
-			e.pred = predict.New(cfg.Predictor, cfg.Procs, pat.FileBlocks)
-		}
+		e.src = prefetch.New(cfg.Predictor, pat, cfg.Lead)
 	}
 	e.bcache = cache.New(k, cache.Options{
 		DemandFrames:         cfg.Procs * cfg.RUSetSize,
 		PrefetchFrames:       maxPF,
 		Nodes:                cfg.Procs,
-		MaxPrefetchedUnused:  maxPF,
 		MaxPerNodePrefetched: perNode,
 		// On-the-fly predictors mispredict; their mistakes must be
 		// evictable or they would permanently clog the prefetch pool.
-		EvictablePrefetched: e.pred != nil,
+		EvictablePrefetched: cfg.Predictor != prefetch.Oracle,
 	})
-	if e.policy != nil && cfg.Lead == 0 && pat.Kind.Global() {
-		// The monotone cursor's one blind spot: a failed prefetch fill
-		// removes a block the scan may have verified while the
-		// transfer was in flight. The hook rolls the cursor back.
-		e.bcache.SetPrefetchDemoteHook(e.policy.Demote)
+	e.inCache = e.bcache.Contains
+	if e.src != nil {
+		// A failed prefetch fill removes a block the oracle's monotone
+		// cursor may have verified while the transfer was in flight;
+		// the source queues it to be scanned again.
+		e.bcache.SetPrefetchDemoteHook(e.src.Demote)
 	}
 	if cfg.Sync != barrier.None {
 		e.bar = barrier.New(k, cfg.Procs)
@@ -460,13 +448,7 @@ func (e *Engine) beginAction(n *cnode, deadline sim.Time) (sim.Duration, bool) {
 	case cache.FailGlobalLimit, cache.FailNodeLimit:
 		return 0, false
 	}
-	var block int
-	var ok bool
-	if e.policy != nil {
-		block, _, ok = e.policy.Select(node, e.bcache.Contains)
-	} else {
-		block, ok = e.pred.Predict(node, e.bcache.Contains)
-	}
+	block, ok := e.src.Next(node, e.inCache)
 	if !ok {
 		return 0, false
 	}

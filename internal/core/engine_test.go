@@ -8,7 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -456,7 +456,7 @@ func TestReadyPlusUnreadyPlusMissesEqualsReads(t *testing.T) {
 
 func TestPredictorModes(t *testing.T) {
 	t.Parallel()
-	for _, pk := range []predict.Kind{predict.OBL, predict.SEQ, predict.GAPS} {
+	for _, pk := range []prefetch.Kind{prefetch.OBL, prefetch.SEQ, prefetch.GAPS} {
 		cfg := smallConfig(pattern.GW, 4, 200)
 		cfg.Prefetch = true
 		cfg.Predictor = pk
@@ -464,7 +464,7 @@ func TestPredictorModes(t *testing.T) {
 		if r.Cache.Accesses() != 200 {
 			t.Fatalf("%v: accesses = %d", pk, r.Cache.Accesses())
 		}
-		if pk != predict.OBL && r.Cache.PrefetchesIssued == 0 {
+		if pk != prefetch.OBL && r.Cache.PrefetchesIssued == 0 {
 			t.Errorf("%v: no prefetches on a sequential global stream", pk)
 		}
 		// Determinism with predictors too.
@@ -480,7 +480,7 @@ func TestPredictorMispredictionsEvicted(t *testing.T) {
 	// lfp has portion gaps, so OBL overshoots at each portion end.
 	cfg := smallConfig(pattern.LFP, 4, 60)
 	cfg.Prefetch = true
-	cfg.Predictor = predict.OBL
+	cfg.Predictor = prefetch.OBL
 	r := MustRun(cfg)
 	wasted := r.Cache.PrefetchesIssued - r.Cache.PrefetchesConsumed
 	if wasted == 0 {
@@ -491,7 +491,7 @@ func TestPredictorMispredictionsEvicted(t *testing.T) {
 func TestLeadWithPredictorRejected(t *testing.T) {
 	cfg := smallConfig(pattern.GW, 4, 100)
 	cfg.Prefetch = true
-	cfg.Predictor = predict.SEQ
+	cfg.Predictor = prefetch.SEQ
 	cfg.Lead = 5
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("lead + predictor accepted")

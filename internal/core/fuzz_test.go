@@ -13,7 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/interleave"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -87,11 +87,11 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 		if cfg.Prefetch {
 			switch raw[6] % 4 {
 			case 1:
-				cfg.Predictor = predict.OBL
+				cfg.Predictor = prefetch.OBL
 			case 2:
-				cfg.Predictor = predict.SEQ
+				cfg.Predictor = prefetch.SEQ
 			case 3:
-				cfg.Predictor = predict.GAPS
+				cfg.Predictor = prefetch.GAPS
 			}
 		}
 		// Every fuzzed run is swept by the invariant auditor, and some
@@ -263,7 +263,7 @@ func TestFuzzSeeds(t *testing.T) {
 			c.DiskSched = disk.SSTF
 			c.DiskSeekPerBlock = 50 * sim.Microsecond
 			c.DiskMaxSeek = 10 * sim.Millisecond
-			c.Predictor = predict.GAPS
+			c.Predictor = prefetch.GAPS
 		},
 		// A mid-run processor kill under quorum-released barriers: the
 		// watchdog and takeover must keep the run completing for every

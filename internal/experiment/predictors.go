@@ -7,14 +7,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 )
 
 // PredictorRow is one (pattern, predictor) measurement of the
 // on-the-fly prediction study.
 type PredictorRow struct {
 	Kind      pattern.Kind
-	Predictor predict.Kind
+	Predictor prefetch.Kind
 	// ExecReduction and ReadReduction are percentage improvements over
 	// the same cell without prefetching.
 	ExecReduction float64
@@ -43,7 +43,7 @@ type PredictorStudy struct {
 // the every-N-per-process synchronization style.
 func RunPredictorStudy(opts Options) *PredictorStudy {
 	study := &PredictorStudy{}
-	preds := []predict.Kind{predict.Oracle, predict.OBL, predict.SEQ, predict.GAPS}
+	preds := []prefetch.Kind{prefetch.Oracle, prefetch.OBL, prefetch.SEQ, prefetch.GAPS}
 	// One base run per pattern followed by its predictor runs: stride
 	// 1+len(preds) in the flat batch.
 	var cfgs []core.Config
@@ -77,7 +77,7 @@ func RunPredictorStudy(opts Options) *PredictorStudy {
 }
 
 // Row returns the measurement for a (pattern, predictor) pair, or nil.
-func (s *PredictorStudy) Row(kind pattern.Kind, pk predict.Kind) *PredictorRow {
+func (s *PredictorStudy) Row(kind pattern.Kind, pk prefetch.Kind) *PredictorRow {
 	for i := range s.Rows {
 		if s.Rows[i].Kind == kind && s.Rows[i].Predictor == pk {
 			return &s.Rows[i]
@@ -113,10 +113,10 @@ func (s *PredictorStudy) Figure() *metrics.Figure {
 		XLabel: "pattern (0=lfp 1=lrp 2=lw 3=gfp 4=grp 5=gw)",
 		YLabel: "% reduction in total execution time",
 	}
-	markers := map[predict.Kind]byte{
-		predict.Oracle: 'O', predict.OBL: 'b', predict.SEQ: 's', predict.GAPS: 'g',
+	markers := map[prefetch.Kind]byte{
+		prefetch.Oracle: 'O', prefetch.OBL: 'b', prefetch.SEQ: 's', prefetch.GAPS: 'g',
 	}
-	series := map[predict.Kind]*metrics.Series{}
+	series := map[prefetch.Kind]*metrics.Series{}
 	for _, r := range s.Rows {
 		sr := series[r.Predictor]
 		if sr == nil {

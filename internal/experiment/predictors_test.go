@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 )
 
 // Built once under sync.Once so parallel tests can share the fixture;
@@ -29,14 +29,14 @@ func TestPredictorStudyShape(t *testing.T) {
 		t.Fatalf("rows = %d, want 24", len(s.Rows))
 	}
 	for _, kind := range pattern.Kinds {
-		oracle := s.Row(kind, predict.Oracle)
+		oracle := s.Row(kind, prefetch.Oracle)
 		if oracle == nil {
 			t.Fatalf("missing oracle row for %v", kind)
 		}
 		if oracle.Wasted != 0 {
 			t.Errorf("%v: oracle wasted %d prefetches (it never mispredicts)", kind, oracle.Wasted)
 		}
-		for _, pk := range predict.Kinds {
+		for _, pk := range prefetch.Kinds {
 			r := s.Row(kind, pk)
 			if r == nil {
 				t.Fatalf("missing %v row for %v", pk, kind)
@@ -55,20 +55,20 @@ func TestPredictorStudyNarrative(t *testing.T) {
 	s := testStudy(t)
 	// GAPS captures globally sequential patterns that local-view
 	// predictors cannot.
-	gwGaps := s.Row(pattern.GW, predict.GAPS)
-	gwOBL := s.Row(pattern.GW, predict.OBL)
+	gwGaps := s.Row(pattern.GW, prefetch.GAPS)
+	gwOBL := s.Row(pattern.GW, prefetch.OBL)
 	if gwGaps.HitRatio <= gwOBL.HitRatio {
 		t.Errorf("gw: GAPS hit %.3f should beat OBL %.3f", gwGaps.HitRatio, gwOBL.HitRatio)
 	}
 	// GAPS is blind to local patterns: it never gains confidence, so it
 	// issues (almost) nothing.
-	lfpGaps := s.Row(pattern.LFP, predict.GAPS)
+	lfpGaps := s.Row(pattern.LFP, prefetch.GAPS)
 	if lfpGaps.Issued > int64(TestScale().Procs*TestScale().BlocksPerProc)/10 {
 		t.Errorf("lfp: GAPS issued %d prefetches on a pattern it cannot see", lfpGaps.Issued)
 	}
 	// SEQ beats OBL on local fixed portions (longer confident runs).
-	lfpSeq := s.Row(pattern.LFP, predict.SEQ)
-	lfpOBL := s.Row(pattern.LFP, predict.OBL)
+	lfpSeq := s.Row(pattern.LFP, prefetch.SEQ)
+	lfpOBL := s.Row(pattern.LFP, prefetch.OBL)
 	if lfpSeq.HitRatio < lfpOBL.HitRatio-0.05 {
 		t.Errorf("lfp: SEQ hit %.3f should be at least OBL's %.3f", lfpSeq.HitRatio, lfpOBL.HitRatio)
 	}
@@ -95,7 +95,7 @@ func TestPredictorStudyTableAndFigure(t *testing.T) {
 			t.Fatalf("series %s has %d points", sr.Name, len(sr.Points))
 		}
 	}
-	if s.Row(pattern.GW, predict.Kind(99)) != nil {
+	if s.Row(pattern.GW, prefetch.Kind(99)) != nil {
 		t.Fatal("Row returned something for unknown predictor")
 	}
 }

@@ -63,7 +63,7 @@ type Options struct {
 
 // runnerOpts maps the experiment options onto the execution engine.
 func (o Options) runnerOpts() runner.Options {
-	return runner.Options{Workers: o.Workers, Seed: o.Seed, Progress: o.Progress}
+	return runner.Options{Workers: o.Workers, Progress: o.Progress}
 }
 
 // runAll submits one batch of independent configurations to the worker

@@ -158,6 +158,10 @@ type FileSystem struct {
 	writesIssued  int64
 	wbFree        []*writeback
 
+	// submitted wakes the lookups that found a readahead frame claimed
+	// but not yet submitted (see lookup).
+	submitted *sim.WaitQueue
+
 	// Fault machinery (nil/zero when Options.Faults is inert).
 	inj     *fault.Injector
 	retry   fault.RetryPolicy
@@ -193,16 +197,16 @@ func New(k *sim.Kernel, opts Options) (*FileSystem, error) {
 		disks: disk.NewArrayWithProfile(k, o.Disks, o.DiskProfile),
 		files: make(map[string]*File),
 		bc: cache.New(k, cache.Options{
-			DemandFrames:        o.CacheFrames,
-			PrefetchFrames:      o.ReadaheadFrames,
-			Nodes:               o.Nodes,
-			MaxPrefetchedUnused: o.ReadaheadFrames,
+			DemandFrames:   o.CacheFrames,
+			PrefetchFrames: o.ReadaheadFrames,
+			Nodes:          o.Nodes,
 			// Readahead is speculative; mistakes must be evictable.
 			EvictablePrefetched: true,
 		}),
 		diskAlloc: make([]int, o.Disks),
 	}
 	fs.writesDrained = sim.NewWaitQueue(k).SetLabel("write-behind drain")
+	fs.submitted = sim.NewWaitQueue(k).SetLabel("a readahead submit")
 	if o.Faults.Enabled() {
 		fs.inj = fault.New(o.Faults, o.Disks)
 		fs.retry = o.Retry
@@ -373,7 +377,7 @@ func (h *Handle) TryRead(p *sim.Proc, block int) (sim.Duration, error) {
 	id := f.globalID(block)
 	attempts := 0
 	for {
-		if buf := fs.bc.Lookup(id); buf != nil {
+		if buf := fs.lookup(p, id); buf != nil {
 			ready := fs.bc.Pin(h.node, buf)
 			fs.work(p, fs.opts.Memory.Hit)
 			if !ready {
@@ -412,6 +416,21 @@ func (h *Handle) TryRead(p *sim.Proc, block int) (sim.Duration, error) {
 	}
 	f.readahead(p, h.node, block)
 	return p.Now().Sub(start), nil
+}
+
+// lookup returns the frame holding block id, or nil. A readahead
+// claims its frame before it pays for the action and submits the disk
+// request only after, so a frame can be in the block map with no
+// transfer to wait on yet; lookup sleeps until the next readahead
+// submit and looks again.
+func (fs *FileSystem) lookup(p *sim.Proc, id int) *cache.Buffer {
+	for {
+		buf := fs.bc.Lookup(id)
+		if buf == nil || buf.State() != cache.Fetching || buf.IODone != nil {
+			return buf
+		}
+		fs.submitted.Sleep(p)
+	}
 }
 
 // failedRead releases a failed fill and sleeps the retry backoff in
@@ -456,6 +475,7 @@ func (f *File) readahead(p *sim.Proc, node, after int) {
 		// A failed speculative fill demotes silently in the cache;
 		// readahead never retries — the block comes back on demand.
 		fs.bc.BeginFetchFrom(buf, &req.Complete, req.EstDone, req)
+		fs.submitted.WakeAll()
 	}
 }
 
@@ -476,7 +496,7 @@ func (h *Handle) Write(p *sim.Proc, block int) sim.Duration {
 	id := f.globalID(block)
 	var buf *cache.Buffer
 	for {
-		if buf = fs.bc.Lookup(id); buf != nil {
+		if buf = fs.lookup(p, id); buf != nil {
 			ready := fs.bc.Pin(h.node, buf)
 			fs.work(p, fs.opts.Memory.Hit)
 			if !ready {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/memory"
 	"repro/internal/sim"
 )
 
@@ -343,4 +344,56 @@ func TestWriteValidation(t *testing.T) {
 		h.Write(p, 4)
 	})
 	k.Run()
+}
+
+// touchDuringReadahead has client 0 read block 0 at t=0, which
+// readaheads blocks 1 and 2, and client 1 touch block 2 at 36 ms. By
+// then the readahead has claimed block 2's frame but is still paying
+// for the action, so the disk request is not submitted yet: touch must
+// wait for it rather than for a transfer that does not exist. The
+// memory cost model is what opens the window.
+func touchDuringReadahead(t *testing.T, touch func(*Handle, *sim.Proc)) *FileSystem {
+	k := sim.NewKernel()
+	fs := MustNew(k, Options{
+		Disks:           4,
+		CacheFrames:     8,
+		ReadaheadFrames: 8,
+		Readahead:       2,
+		Nodes:           2,
+		Memory:          memory.Default(),
+	})
+	f, _ := fs.Create("data", 64)
+	k.Spawn("client0", 0, func(p *sim.Proc) {
+		h := f.OpenHandle(0)
+		defer h.Close()
+		h.Read(p, 0)
+	})
+	k.Spawn("client1", 0, func(p *sim.Proc) {
+		h := f.OpenHandle(1)
+		defer h.Close()
+		p.Advance(36 * sim.Millisecond)
+		touch(h, p)
+	})
+	k.Run()
+	fs.bc.CheckInvariants()
+	// Block 2 is fetched once, by the readahead, and the touch is an
+	// unready hit on it.
+	if s := fs.CacheStats(); s.Misses != 1 || s.UnreadyHits != 1 || s.PrefetchesConsumed != 1 {
+		t.Fatalf("cache stats %+v: want 1 miss, 1 unready hit, 1 prefetch consumed", s)
+	}
+	return fs
+}
+
+func TestReadDuringReadaheadSubmit(t *testing.T) {
+	touchDuringReadahead(t, func(h *Handle, p *sim.Proc) { h.Read(p, 2) })
+}
+
+func TestWriteDuringReadaheadSubmit(t *testing.T) {
+	fs := touchDuringReadahead(t, func(h *Handle, p *sim.Proc) {
+		h.Write(p, 2)
+		h.file.fs.Sync(p)
+	})
+	if fs.PendingWrites() != 0 || fs.WritesIssued() != 1 {
+		t.Fatalf("pending %d, issued %d: want the one write drained", fs.PendingWrites(), fs.WritesIssued())
+	}
 }

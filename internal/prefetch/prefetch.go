@@ -1,8 +1,12 @@
-// Package prefetch implements the paper's prefetching policies: for each
-// access pattern, a predictor that always chooses a block genuinely
-// needed in the near future ("optimistic" — the reference strings are
-// supplied in advance, §IV-B), tempered by the restrictions the paper
-// imposes so that only feasibly-predictable information is used:
+// Package prefetch chooses the blocks the file system prefetches. Every
+// candidate source sits behind one interface, Source, and New builds
+// the one a configuration selects.
+//
+// The oracle, Policy, is the paper's: for each access pattern, a
+// predictor that always chooses a block genuinely needed in the near
+// future ("optimistic" — the reference strings are supplied in advance,
+// §IV-B), tempered by the restrictions the paper imposes so that only
+// feasibly-predictable information is used:
 //
 //   - Local patterns prefetch only from the issuing process's own
 //     reference string; global patterns prefetch from the shared string.
@@ -12,6 +16,9 @@
 //   - An optional minimum prefetch lead (§V-E) skips candidates closer
 //     than `lead` accesses ahead of the demand position, relaxed near
 //     the end of the reference string as in the paper.
+//
+// The on-the-fly predictors (OBL, SEQ, GAPS; predict.go) see only the
+// demand stream, the future work the paper defers.
 package prefetch
 
 import (
@@ -20,14 +27,109 @@ import (
 	"repro/internal/pattern"
 )
 
-// Policy selects prefetch candidates for a generated pattern. It is
-// driven by the engine: NoteDemand records demand progress, Select
-// proposes the next block to prefetch.
+// Source proposes prefetch candidates. The engine reports every demand
+// read to it and asks it for a candidate whenever a processor has idle
+// time to spend on a prefetch action.
+type Source interface {
+	// Demand records that node issued a demand read of block at
+	// reference-string index idx: into the node's own string for local
+	// patterns, into the shared one for global patterns. idx is -1 for
+	// a takeover read of a killed node's block.
+	Demand(node, idx, block int)
+	// Next proposes the next block node should prefetch, skipping
+	// blocks for which inCache reports true. ok is false when the
+	// source has no candidate right now.
+	Next(node int, inCache func(block int) bool) (block int, ok bool)
+	// Demote reports that block, prefetched but never consumed, left
+	// the cache because its fill failed.
+	Demote(block int)
+}
+
+// Kind selects a candidate source. The values are part of the JSON
+// encoding of every configuration that names one.
+type Kind int
+
+// Candidate sources: the paper's reference-string oracle and the three
+// on-the-fly predictors.
+const (
+	Oracle Kind = iota
+	OBL
+	SEQ
+	GAPS
+)
+
+// Kinds lists the on-the-fly predictor kinds (excluding Oracle).
+var Kinds = []Kind{OBL, SEQ, GAPS}
+
+// String names the kind.
+func (k Kind) String() string {
+	switch k {
+	case Oracle:
+		return "oracle"
+	case OBL:
+		return "obl"
+	case SEQ:
+		return "seq"
+	case GAPS:
+		return "gaps"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Parse converts a source name to a Kind.
+func Parse(s string) (Kind, error) {
+	for _, k := range []Kind{Oracle, OBL, SEQ, GAPS} {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("prefetch: unknown predictor %q", s)
+}
+
+// New builds the candidate source of the given kind for a generated
+// pattern: the oracle Policy with minimum prefetch lead lead (0
+// reproduces the paper's base strategy), or an on-the-fly predictor.
+// It panics on an unknown kind, a negative lead, or a lead for a
+// predictor.
+func New(kind Kind, pat *pattern.Pattern, lead int) Source {
+	if kind == Oracle {
+		return newPolicy(pat, lead)
+	}
+	if lead != 0 {
+		panic(fmt.Sprintf("prefetch: minimum lead %d needs the oracle, not %v", lead, kind))
+	}
+	return newPredictor(kind, pat.Procs, pat.FileBlocks)
+}
+
+// Policy is the oracle Source: it selects prefetch candidates from a
+// generated pattern's reference strings.
+//
+// On a global pattern with zero lead it scans with a forward-only
+// cursor: indices a scan has verified in-cache are never re-examined,
+// turning Next from a walk over every cached-ahead entry (O(prefetch
+// buffers) per call — the quadratic term that dominates cluster-scale
+// runs) into an amortized O(1) cursor advance.
+//
+// The cursor is exact — byte-identical selections — only when every way
+// a block at an index at or above the demand cursor can leave the cache
+// is reported back through Demote, and the string never repeats a
+// block. A global pattern with zero lead guarantees both: generators
+// emit each block once, every read notes demand (so consumed blocks sit
+// below the cursor by the time they become evictable), the oracle's
+// unconsumed prefetched frames are not subject to mistake eviction, and
+// without a lead window the verified range stays contiguous. Fault
+// injection is covered, not disqualifying: a failed demand fill drops a
+// block already below the demand cursor, a capacity squeeze claims
+// frames exactly as an allocation would (consumed blocks only), and the
+// one remaining hole — a failed prefetch fill silently demoting a block
+// the scan may have verified while its transfer was in flight — is
+// plugged by the cache's demote hook calling Demote.
 type Policy struct {
 	pat  *pattern.Pattern
 	lead int
 
-	// monotone enables the forward-only scan cursor (see SetMonotone).
+	// monotone enables the forward-only scan cursor: a global pattern
+	// with zero lead.
 	monotone bool
 
 	// indexOf maps a block id to its reference-string index, built
@@ -53,13 +155,13 @@ type stringState struct {
 	holes []int
 }
 
-// NewPolicy builds the policy for a pattern with the given minimum
-// prefetch lead (0 reproduces the paper's base strategy).
-func NewPolicy(pat *pattern.Pattern, lead int) *Policy {
+// newPolicy builds the oracle for a pattern with the given minimum
+// prefetch lead.
+func newPolicy(pat *pattern.Pattern, lead int) *Policy {
 	if lead < 0 {
 		panic(fmt.Sprintf("prefetch: negative lead %d", lead))
 	}
-	p := &Policy{pat: pat, lead: lead}
+	p := &Policy{pat: pat, lead: lead, monotone: lead == 0 && pat.Kind.Global()}
 	if pat.Kind.Local() {
 		p.states = make([]stringState, len(pat.Local))
 		for i := range pat.Local {
@@ -71,48 +173,16 @@ func NewPolicy(pat *pattern.Pattern, lead int) *Policy {
 	return p
 }
 
-// Lead returns the configured minimum prefetch lead.
-func (p *Policy) Lead() int { return p.lead }
-
-// SetMonotone enables a forward-only scan cursor: indices a scan has
-// verified in-cache are never re-examined, turning Select from a walk
-// over every cached-ahead entry (O(prefetch buffers) per call — the
-// quadratic term that dominates cluster-scale runs) into an amortized
-// O(1) cursor advance.
-//
-// The optimization is exact — byte-identical selections — only when
-// every way a block at an index at or above the demand cursor can
-// leave the cache is reported back through Demote, and the string
-// never repeats a block. The engine enables it exactly when it can
-// guarantee both: a global pattern (generators emit each block once;
-// every read notes demand, so consumed blocks sit below the cursor by
-// the time they become evictable), the oracle policy (unconsumed
-// prefetched frames are not subject to mistake eviction), and zero
-// lead (a lead window makes verified ranges non-contiguous). Fault
-// injection is covered, not disqualifying: a failed demand fill drops
-// a block already below the demand cursor, a capacity squeeze claims
-// frames exactly as an allocation would (consumed blocks only), and
-// the one remaining hole — a failed prefetch fill silently demoting a
-// block the scan may have verified while its transfer was in flight —
-// is plugged by the cache's demote hook calling Demote. Panics if the
-// policy has a lead.
-func (p *Policy) SetMonotone(on bool) {
-	if on && p.lead != 0 {
-		panic("prefetch: monotone scan requires zero lead")
-	}
-	p.monotone = on
-}
-
 // Demote reports that block, previously present in the cache, was
 // dropped without being consumed (a failed prefetch fill under fault
 // injection). If the cursor has passed the block's string index, the
 // index is queued as a hole that the next scans re-examine before
 // resuming at the cursor — the invalidation that keeps the monotone
 // cursor exact on faulted runs without re-verifying everything between
-// the hole and the cursor. No-op when the cursor is off, for local
-// patterns, or for a block outside the string.
+// the hole and the cursor. No-op when the cursor is off (local patterns
+// and lead runs) or for a block outside the string.
 func (p *Policy) Demote(block int) {
-	if !p.monotone || p.pat.Kind.Local() {
+	if !p.monotone {
 		return
 	}
 	if p.indexOf == nil {
@@ -183,12 +253,14 @@ func (p *Policy) stateFor(node int) *stringState {
 	return &p.states[0]
 }
 
-// NoteDemand records that the access at reference-string index idx has
-// been issued by a process (for local patterns, index into that node's
-// string; for global patterns, into the shared string). Demand progress
-// both defines the prefetch horizon for irregular patterns and anchors
-// the minimum-lead window.
-func (p *Policy) NoteDemand(node, idx int) {
+// Demand records that the access at reference-string index idx has
+// been issued by a process. Demand progress both defines the prefetch
+// horizon for irregular patterns and anchors the minimum-lead window.
+// A takeover read (idx < 0) carries no string position and is ignored.
+func (p *Policy) Demand(node, idx, _ int) {
+	if idx < 0 {
+		return
+	}
 	st := p.stateFor(node)
 	if idx < 0 || idx >= len(st.str) {
 		panic(fmt.Sprintf("prefetch: demand index %d out of range", idx))
@@ -197,9 +269,6 @@ func (p *Policy) NoteDemand(node, idx int) {
 		st.nextDemand = idx + 1
 	}
 }
-
-// NextDemand returns the node's (or the global) demand cursor.
-func (p *Policy) NextDemand(node int) int { return p.stateFor(node).nextDemand }
 
 // horizon returns one past the last reference-string index the policy
 // may prefetch for this state.
@@ -221,12 +290,12 @@ func (st *stringState) horizon(regular bool) int {
 	return por.End()
 }
 
-// Select proposes the next block for node to prefetch: the nearest
+// Next proposes the next block for node to prefetch: the nearest
 // future access whose block is not already cached, at least `lead`
 // accesses ahead of the demand cursor (relaxed near the end of the
 // string), and within the portion horizon for irregular patterns.
 // It reports ok=false when no candidate exists right now.
-func (p *Policy) Select(node int, inCache func(block int) bool) (block, idx int, ok bool) {
+func (p *Policy) Next(node int, inCache func(block int) bool) (block int, ok bool) {
 	st := p.stateFor(node)
 	regular := p.pat.Kind.Regular()
 	if p.pat.Kind.Local() {
@@ -234,25 +303,25 @@ func (p *Policy) Select(node int, inCache func(block int) bool) (block, idx int,
 	}
 	limit := st.horizon(regular)
 	start := st.nextDemand + p.lead
-	if block, idx, ok = p.scan(st, start, limit, inCache); ok {
-		return block, idx, true
+	if block, ok = p.scan(st, start, limit, inCache); ok {
+		return block, true
 	}
 	// Near the end of the string the lead window may be empty; the paper
 	// relaxes the restriction there so the tail can still be prefetched.
 	if p.lead > 0 && start > limit-1 {
 		return p.scan(st, st.nextDemand, limit, inCache)
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // scan walks [from, to) of the state's string for the first uncached
 // block. In monotone mode the holes are the only indices below the
 // cursor that can be uncached, so it first returns the lowest hole
 // still uncached, leaving it queued, and otherwise starts at the cursor
-// and advances it past everything it verifies; the returned index
-// itself is not passed, since the caller's prefetch of it may still
-// fail.
-func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (block, idx int, ok bool) {
+// and advances it past everything it verifies; the returned block's
+// index itself is not passed, since the caller's prefetch of it may
+// still fail.
+func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (block int, ok bool) {
 	if from < 0 {
 		from = 0
 	}
@@ -264,9 +333,9 @@ func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (bl
 			// Every index from `from` to the hole is cached, and the
 			// hole lies below the cursor.
 			if i := st.holes[0]; i < to {
-				return st.str[i], i, true
+				return st.str[i], true
 			}
-			return 0, 0, false
+			return 0, false
 		}
 		if st.scanFrom > from {
 			from = st.scanFrom
@@ -277,18 +346,11 @@ func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (bl
 			if p.monotone {
 				st.scanFrom = i
 			}
-			return st.str[i], i, true
+			return st.str[i], true
 		}
 	}
 	if p.monotone && to > st.scanFrom {
 		st.scanFrom = to
 	}
-	return 0, 0, false
-}
-
-// Exhausted reports whether the node's demand stream has consumed its
-// whole reference string.
-func (p *Policy) Exhausted(node int) bool {
-	st := p.stateFor(node)
-	return st.nextDemand >= len(st.str)
+	return 0, false
 }

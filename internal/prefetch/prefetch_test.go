@@ -10,6 +10,10 @@ import (
 
 func noneCached(int) bool { return false }
 
+// anyBlock stands in for the demanded block in calls to the oracle's
+// Demand, which tracks string positions only.
+const anyBlock = -1
+
 func cachedSet(blocks ...int) func(int) bool {
 	m := map[int]bool{}
 	for _, b := range blocks {
@@ -25,70 +29,67 @@ func smallGW(total int) *pattern.Pattern {
 }
 
 func TestSelectNearestFuture(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	block, idx, ok := p.Select(0, noneCached)
-	if !ok || block != 0 || idx != 0 {
-		t.Fatalf("Select = %d,%d,%v", block, idx, ok)
+	p := newPolicy(smallGW(10), 0)
+	block, ok := p.Next(0, noneCached)
+	if !ok || block != 0 {
+		t.Fatalf("Next = %d,%v", block, ok)
 	}
-	p.NoteDemand(0, 0)
-	p.NoteDemand(0, 1)
-	block, idx, ok = p.Select(0, noneCached)
-	if !ok || block != 2 || idx != 2 {
-		t.Fatalf("after demand: Select = %d,%d,%v", block, idx, ok)
+	p.Demand(0, 0, anyBlock)
+	p.Demand(0, 1, anyBlock)
+	block, ok = p.Next(0, noneCached)
+	if !ok || block != 2 {
+		t.Fatalf("after demand: Next = %d,%v", block, ok)
 	}
 }
 
 func TestSelectSkipsCached(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	block, _, ok := p.Select(0, cachedSet(0, 1, 2))
+	p := newPolicy(smallGW(10), 0)
+	block, ok := p.Next(0, cachedSet(0, 1, 2))
 	if !ok || block != 3 {
-		t.Fatalf("Select = %d,%v, want 3", block, ok)
+		t.Fatalf("Next = %d,%v, want 3", block, ok)
 	}
 }
 
 func TestSelectExhausted(t *testing.T) {
-	p := NewPolicy(smallGW(3), 0)
-	if _, _, ok := p.Select(0, cachedSet(0, 1, 2)); ok {
-		t.Fatal("Select found candidate with everything cached")
+	p := newPolicy(smallGW(3), 0)
+	if _, ok := p.Next(0, cachedSet(0, 1, 2)); ok {
+		t.Fatal("Next found candidate with everything cached")
 	}
 	for i := 0; i < 3; i++ {
-		p.NoteDemand(0, i)
+		p.Demand(0, i, anyBlock)
 	}
-	if !p.Exhausted(0) {
-		t.Fatal("Exhausted false after full demand")
-	}
-	if _, _, ok := p.Select(0, noneCached); ok {
-		t.Fatal("Select found candidate past end of string")
+	if _, ok := p.Next(0, noneCached); ok {
+		t.Fatal("Next found candidate past end of string")
 	}
 }
 
 func TestLeadWindow(t *testing.T) {
-	p := NewPolicy(smallGW(100), 10)
-	block, _, ok := p.Select(0, noneCached)
+	p := newPolicy(smallGW(100), 10)
+	block, ok := p.Next(0, noneCached)
 	if !ok || block != 10 {
-		t.Fatalf("lead Select = %d,%v, want 10", block, ok)
+		t.Fatalf("lead Next = %d,%v, want 10", block, ok)
 	}
-	p.NoteDemand(0, 0)
-	block, _, ok = p.Select(0, noneCached)
+	p.Demand(0, 0, anyBlock)
+	block, ok = p.Next(0, noneCached)
 	if !ok || block != 11 {
-		t.Fatalf("lead Select after demand = %d, want 11", block)
+		t.Fatalf("lead Next after demand = %d, want 11", block)
 	}
 }
 
 func TestLeadRelaxedNearEnd(t *testing.T) {
-	p := NewPolicy(smallGW(10), 50) // lead longer than the string
-	block, _, ok := p.Select(0, noneCached)
+	p := newPolicy(smallGW(10), 50) // lead longer than the string
+	block, ok := p.Next(0, noneCached)
 	if !ok || block != 0 {
-		t.Fatalf("relaxed Select = %d,%v, want 0", block, ok)
+		t.Fatalf("relaxed Next = %d,%v, want 0", block, ok)
 	}
 	// After demand has nearly exhausted the string, the tail must still
 	// be reachable.
 	for i := 0; i < 8; i++ {
-		p.NoteDemand(0, i)
+		p.Demand(0, i, anyBlock)
 	}
-	block, _, ok = p.Select(0, noneCached)
+	block, ok = p.Next(0, noneCached)
 	if !ok || block != 8 {
-		t.Fatalf("tail Select = %d,%v, want 8", block, ok)
+		t.Fatalf("tail Next = %d,%v, want 8", block, ok)
 	}
 }
 
@@ -96,10 +97,10 @@ func TestLeadWindowEmptyButNotAtEnd(t *testing.T) {
 	// With lead=5 on a 100-block string, demand at 0: window [5,100).
 	// All of [5,100) cached → no candidate, but NO relaxation (we are
 	// not near the end), so blocks 1..4 must not be offered.
-	p := NewPolicy(smallGW(100), 5)
+	p := newPolicy(smallGW(100), 5)
 	cached := func(b int) bool { return b >= 5 }
-	if _, _, ok := p.Select(0, cached); ok {
-		t.Fatal("Select offered a block inside the lead window")
+	if _, ok := p.Next(0, cached); ok {
+		t.Fatal("Next offered a block inside the lead window")
 	}
 }
 
@@ -109,31 +110,29 @@ func TestIrregularPortionHorizon(t *testing.T) {
 	cfg.MinPortion, cfg.MaxPortion = 4, 16
 	cfg.MinGap, cfg.MaxGap = 4, 16
 	pat := pattern.MustGenerate(cfg)
-	p := NewPolicy(pat, 0)
+	p := newPolicy(pat, 0)
 	first := pat.GlobalPortions[0]
 	// Before any demand, only the first portion is prefetchable.
 	for i := 0; i < first.Len; i++ {
-		block, idx, ok := p.Select(0, cachedBelowIdx(pat.Global, i))
+		block, ok := p.Next(0, cachedBelowIdx(pat.Global, i))
 		if !ok {
 			t.Fatalf("no candidate at step %d", i)
 		}
-		if idx != i || block != pat.Global[i] {
-			t.Fatalf("step %d: got idx %d", i, idx)
+		if block != pat.Global[i] {
+			t.Fatalf("step %d: got block %d, want %d", i, block, pat.Global[i])
 		}
 	}
 	// Everything in portion 0 cached: no candidate until demand enters
 	// portion 1.
-	if _, _, ok := p.Select(0, cachedBelowIdx(pat.Global, first.Len)); ok {
+	if _, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len)); ok {
 		t.Fatal("prefetched past unestablished portion boundary")
 	}
 	// Demand reaches into portion 1: its remainder becomes available.
-	p.NoteDemand(0, first.Len)
-	second := pat.GlobalPortions[1]
-	block, idx, ok := p.Select(0, cachedBelowIdx(pat.Global, first.Len+1))
-	if !ok || idx != first.Len+1 || block != pat.Global[first.Len+1] {
-		t.Fatalf("portion 1: got %d,%d,%v (want idx %d)", block, idx, ok, first.Len+1)
+	p.Demand(0, first.Len, pat.Global[first.Len])
+	block, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len+1))
+	if !ok || block != pat.Global[first.Len+1] {
+		t.Fatalf("portion 1: got %d,%v (want %d)", block, ok, pat.Global[first.Len+1])
 	}
-	_ = second
 }
 
 func cachedBelowIdx(str []int, n int) func(int) bool {
@@ -148,13 +147,13 @@ func TestRegularCrossesPortions(t *testing.T) {
 	cfg := pattern.Defaults(pattern.GFP)
 	cfg.TotalBlocks = 40
 	pat := pattern.MustGenerate(cfg)
-	p := NewPolicy(pat, 0)
+	p := newPolicy(pat, 0)
 	// All of portion 0 cached; candidate should come from portion 1
 	// even with no demand there (regular patterns may run ahead).
 	first := pat.GlobalPortions[0]
-	block, idx, ok := p.Select(0, cachedBelowIdx(pat.Global, first.Len))
-	if !ok || idx != first.Len {
-		t.Fatalf("regular cross-portion Select = %d,%d,%v", block, idx, ok)
+	block, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len))
+	if !ok || block != pat.Global[first.Len] {
+		t.Fatalf("regular cross-portion Next = %d,%v, want %d", block, ok, pat.Global[first.Len])
 	}
 }
 
@@ -163,11 +162,11 @@ func TestLocalPatternPerNodeStrings(t *testing.T) {
 	cfg.Procs = 3
 	cfg.BlocksPerProc = 20
 	pat := pattern.MustGenerate(cfg)
-	p := NewPolicy(pat, 0)
-	b0, _, ok0 := p.Select(0, noneCached)
-	b1, _, ok1 := p.Select(1, noneCached)
+	p := newPolicy(pat, 0)
+	b0, ok0 := p.Next(0, noneCached)
+	b1, ok1 := p.Next(1, noneCached)
 	if !ok0 || !ok1 {
-		t.Fatal("local Select failed")
+		t.Fatal("local Next failed")
 	}
 	if b0 == b1 {
 		t.Fatal("different nodes selected the same block in a disjoint pattern")
@@ -177,37 +176,53 @@ func TestLocalPatternPerNodeStrings(t *testing.T) {
 			b0, b1, pat.Local[0][0], pat.Local[1][0])
 	}
 	// Demand progress on node 0 must not affect node 1.
-	p.NoteDemand(0, 0)
-	if p.NextDemand(1) != 0 {
+	p.Demand(0, 0, anyBlock)
+	if p.states[1].nextDemand != 0 {
 		t.Fatal("demand leaked across local nodes")
 	}
 }
 
 func TestGlobalSharedCursor(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	p.NoteDemand(3, 4) // any node updates the shared cursor
-	if p.NextDemand(0) != 5 {
-		t.Fatalf("shared cursor = %d, want 5", p.NextDemand(0))
+	p := newPolicy(smallGW(10), 0)
+	p.Demand(3, 4, anyBlock) // any node updates the shared cursor
+	if got := p.stateFor(0).nextDemand; got != 5 {
+		t.Fatalf("shared cursor = %d, want 5", got)
 	}
 }
 
 func TestNoteDemandMonotone(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	p.NoteDemand(0, 5)
-	p.NoteDemand(0, 2) // out-of-order claims must not move the cursor back
-	if p.NextDemand(0) != 6 {
-		t.Fatalf("cursor = %d, want 6", p.NextDemand(0))
+	p := newPolicy(smallGW(10), 0)
+	p.Demand(0, 5, anyBlock)
+	p.Demand(0, 2, anyBlock) // out-of-order claims must not move the cursor back
+	if got := p.stateFor(0).nextDemand; got != 6 {
+		t.Fatalf("cursor = %d, want 6", got)
 	}
 }
 
 func TestNoteDemandPanicsOutOfRange(t *testing.T) {
-	p := NewPolicy(smallGW(5), 0)
+	p := newPolicy(smallGW(5), 0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range NoteDemand did not panic")
+			t.Fatal("out-of-range Demand did not panic")
 		}
 	}()
-	p.NoteDemand(0, 5)
+	p.Demand(0, 5, anyBlock)
+}
+
+// TestTakeoverDemand: a takeover read (idx -1) has no position in the
+// reader's string, so the oracle ignores it; a predictor observes its
+// block like any other demand.
+func TestTakeoverDemand(t *testing.T) {
+	p := newPolicy(smallGW(10), 0)
+	p.Demand(0, -1, 7)
+	if got := p.stateFor(0).nextDemand; got != 0 {
+		t.Fatalf("oracle cursor after a takeover read = %d, want 0", got)
+	}
+	o := predictor(OBL, 1, 10)
+	o.Demand(0, -1, 7)
+	if block, ok := o.Next(0, noneCached); !ok || block != 8 {
+		t.Fatalf("OBL after a takeover read of 7: Next = %d,%v, want 8", block, ok)
+	}
 }
 
 func TestNewPolicyPanicsOnNegativeLead(t *testing.T) {
@@ -216,13 +231,7 @@ func TestNewPolicyPanicsOnNegativeLead(t *testing.T) {
 			t.Fatal("negative lead did not panic")
 		}
 	}()
-	NewPolicy(smallGW(5), -1)
-}
-
-func TestLeadAccessor(t *testing.T) {
-	if NewPolicy(smallGW(5), 7).Lead() != 7 {
-		t.Fatal("Lead accessor wrong")
-	}
+	New(Oracle, smallGW(5), -1)
 }
 
 func TestLRPHorizonPerProcess(t *testing.T) {
@@ -230,17 +239,17 @@ func TestLRPHorizonPerProcess(t *testing.T) {
 	cfg.Procs = 2
 	cfg.BlocksPerProc = 30
 	pat := pattern.MustGenerate(cfg)
-	p := NewPolicy(pat, 0)
+	p := newPolicy(pat, 0)
 	// For each proc, with nothing cached, the first candidate is its own
 	// first block, and with the whole first portion cached there is no
 	// candidate (portion horizon).
 	for proc := 0; proc < 2; proc++ {
-		block, _, ok := p.Select(proc, noneCached)
+		block, ok := p.Next(proc, noneCached)
 		if !ok || block != pat.Local[proc][0] {
 			t.Fatalf("proc %d first candidate = %d,%v", proc, block, ok)
 		}
 		first := pat.LocalPortions[proc][0]
-		if _, _, ok := p.Select(proc, cachedBelowIdx(pat.Local[proc], first.Len)); ok {
+		if _, ok := p.Next(proc, cachedBelowIdx(pat.Local[proc], first.Len)); ok {
 			t.Fatalf("proc %d prefetched past its portion horizon", proc)
 		}
 	}
@@ -251,49 +260,53 @@ func TestLRPHorizonPerProcess(t *testing.T) {
 // out (a failed prefetch fill) is invisible to the cursor until Demote
 // reports it, and re-examined afterwards.
 func TestDemoteQueuesHole(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	p.SetMonotone(true)
+	p := newPolicy(smallGW(10), 0)
 	// Blocks 0-4 cached: the scan verifies them and parks the cursor
 	// at the first uncached index, 5.
-	block, _, ok := p.Select(0, cachedSet(0, 1, 2, 3, 4))
+	block, ok := p.Next(0, cachedSet(0, 1, 2, 3, 4))
 	if !ok || block != 5 {
-		t.Fatalf("Select = %d,%v, want 5", block, ok)
+		t.Fatalf("Next = %d,%v, want 5", block, ok)
 	}
 	// Block 2 silently leaves the cache: the cursor never looks back —
 	// exactly the hole the cache's demote hook plugs.
-	if block, _, _ = p.Select(0, cachedSet(0, 1, 3, 4, 5)); block != 6 {
-		t.Fatalf("Select after silent drop = %d, want 6 (cursor is forward-only)", block)
+	if block, _ = p.Next(0, cachedSet(0, 1, 3, 4, 5)); block != 6 {
+		t.Fatalf("Next after silent drop = %d, want 6 (cursor is forward-only)", block)
 	}
 	p.Demote(2)
-	if block, _, ok = p.Select(0, cachedSet(0, 1, 3, 4, 5)); !ok || block != 2 {
-		t.Fatalf("Select after Demote = %d,%v, want 2", block, ok)
+	if block, ok = p.Next(0, cachedSet(0, 1, 3, 4, 5)); !ok || block != 2 {
+		t.Fatalf("Next after Demote = %d,%v, want 2", block, ok)
 	}
 }
 
-// TestDemoteNoops: Demote must be inert when the cursor is off, for
-// local patterns, and for block ids outside the string.
+// TestDemoteNoops: Demote must be inert when the cursor is off (a lead
+// or a local pattern) and for block ids outside the string.
 func TestDemoteNoops(t *testing.T) {
-	p := NewPolicy(smallGW(10), 0)
-	p.Demote(3) // cursor off
-	if block, _, ok := p.Select(0, noneCached); !ok || block != 0 {
-		t.Fatalf("Select = %d,%v, want 0", block, ok)
+	p := newPolicy(smallGW(10), 2)
+	if block, ok := p.Next(0, cachedSet(2, 3, 4)); !ok || block != 5 {
+		t.Fatalf("Next = %d,%v, want 5", block, ok)
+	}
+	p.Demote(3) // a lead turns the cursor off
+	if p.monotone || len(p.states[0].holes) != 0 {
+		t.Fatalf("lead policy: monotone %v, holes %v", p.monotone, p.states[0].holes)
 	}
 
-	p = NewPolicy(smallGW(10), 0)
-	p.SetMonotone(true)
+	p = newPolicy(smallGW(10), 0)
 	p.Demote(-1) // outside the string: ignored
 	p.Demote(99)
-	if block, _, ok := p.Select(0, noneCached); !ok || block != 0 {
-		t.Fatalf("Select = %d,%v, want 0", block, ok)
+	if block, ok := p.Next(0, noneCached); !ok || block != 0 {
+		t.Fatalf("Next = %d,%v, want 0", block, ok)
 	}
 
 	cfg := pattern.Defaults(pattern.LFP)
 	cfg.Procs = 2
 	cfg.BlocksPerProc = 10
-	lp := NewPolicy(pattern.MustGenerate(cfg), 0)
+	lp := newPolicy(pattern.MustGenerate(cfg), 0)
 	lp.Demote(3) // local pattern: per-node strings never get the cursor
-	if _, _, ok := lp.Select(0, noneCached); !ok {
-		t.Fatal("local Select found no candidate")
+	if lp.monotone {
+		t.Fatal("local pattern got the monotone cursor")
+	}
+	if _, ok := lp.Next(0, noneCached); !ok {
+		t.Fatal("local Next found no candidate")
 	}
 }
 
@@ -301,26 +314,25 @@ func TestDemoteNoops(t *testing.T) {
 // re-examined on its own, not by re-verifying every cached index
 // between it and the cursor.
 func TestDemoteCostsConstantProbes(t *testing.T) {
-	p := NewPolicy(smallGW(1000), 0)
-	p.SetMonotone(true)
+	p := newPolicy(smallGW(1000), 0)
 	cached := map[int]bool{}
 	for b := 0; b < 900; b++ {
 		cached[b] = true
 	}
 	probes := 0
 	inCache := func(b int) bool { probes++; return cached[b] }
-	if block, _, ok := p.Select(0, inCache); !ok || block != 900 {
-		t.Fatalf("Select = %d,%v, want 900", block, ok)
+	if block, ok := p.Next(0, inCache); !ok || block != 900 {
+		t.Fatalf("Next = %d,%v, want 900", block, ok)
 	}
 	delete(cached, 10)
 	p.Demote(10)
 	probes = 0
-	if block, _, ok := p.Select(0, inCache); !ok || block != 10 {
-		t.Fatalf("Select after Demote = %d,%v, want 10", block, ok)
+	if block, ok := p.Next(0, inCache); !ok || block != 10 {
+		t.Fatalf("Next after Demote = %d,%v, want 10", block, ok)
 	}
 	cached[10] = true // prefetched again
-	if block, _, ok := p.Select(0, inCache); !ok || block != 900 {
-		t.Fatalf("Select after refill = %d,%v, want 900", block, ok)
+	if block, ok := p.Next(0, inCache); !ok || block != 900 {
+		t.Fatalf("Next after refill = %d,%v, want 900", block, ok)
 	}
 	if probes > 4 {
 		t.Fatalf("%d cache probes for one hole 890 indices behind the cursor", probes)
@@ -330,7 +342,9 @@ func TestDemoteCostsConstantProbes(t *testing.T) {
 // TestMonotoneMatchesPlainScan is an oracle for the monotone cursor:
 // over random streams of selects (most of them prefetched), demand
 // reads, evictions of consumed blocks and demotes of unconsumed ones,
-// a monotone policy selects exactly what the plain scan selects.
+// a monotone policy selects exactly what the plain scan selects. (The
+// blocks of a global string are distinct, so equal blocks mean equal
+// string positions.)
 func TestMonotoneMatchesPlainScan(t *testing.T) {
 	for _, kind := range []pattern.Kind{pattern.GW, pattern.GRP, pattern.GFP} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -339,28 +353,28 @@ func TestMonotoneMatchesPlainScan(t *testing.T) {
 				cfg.TotalBlocks = 400
 				pat := pattern.MustGenerate(cfg)
 				str := pat.Global
-				mono, plain := NewPolicy(pat, 0), NewPolicy(pat, 0)
-				mono.SetMonotone(true)
+				mono, plain := newPolicy(pat, 0), newPolicy(pat, 0)
+				plain.monotone = false
 				cached := map[int]bool{}
 				inCache := func(b int) bool { return cached[b] }
 				rnd := rand.New(rand.NewSource(seed))
 				for step := 0; step < 2000; step++ {
-					next := mono.NextDemand(0)
+					next := mono.states[0].nextDemand
 					switch op := rnd.Intn(10); {
 					case op < 5:
-						mb, mi, mok := mono.Select(0, inCache)
-						pb, pi, pok := plain.Select(0, inCache)
-						if mb != pb || mi != pi || mok != pok {
-							t.Fatalf("step %d: monotone Select = %d,%d,%v, plain = %d,%d,%v",
-								step, mb, mi, mok, pb, pi, pok)
+						mb, mok := mono.Next(0, inCache)
+						pb, pok := plain.Next(0, inCache)
+						if mb != pb || mok != pok {
+							t.Fatalf("step %d: monotone Next = %d,%v, plain = %d,%v",
+								step, mb, mok, pb, pok)
 						}
 						if mok && rnd.Intn(4) > 0 {
 							cached[mb] = true
 						}
 					case op < 7:
 						if next < len(str) {
-							mono.NoteDemand(0, next)
-							plain.NoteDemand(0, next)
+							mono.Demand(0, next, str[next])
+							plain.Demand(0, next, str[next])
 							cached[str[next]] = true
 						}
 					case op < 9:

@@ -39,24 +39,6 @@ func Make(seed, stream uint64) Source {
 	return s
 }
 
-// Split returns a new independent stream derived from this one,
-// deterministically. Useful for giving each simulated process its own
-// stream from a single experiment seed.
-func (s *Source) Split(stream uint64) *Source {
-	return New(s.Uint64(), stream)
-}
-
-// SplitSeed deterministically derives an independent scalar seed from a
-// base seed and a run index: the first 64-bit draw of the (seed, run)
-// stream. Distinct runs of one suite get unrelated seeds without any
-// shared mutable state, so a batch of runs can be executed in any order
-// (or concurrently) and still reproduce exactly. The mapping is pure
-// integer arithmetic, identical on every platform and Go version; the
-// golden tests lock its values.
-func SplitSeed(seed, run uint64) uint64 {
-	return New(seed, run).Uint64()
-}
-
 func (s *Source) next() uint32 {
 	old := s.state
 	s.state = old*pcgMultiplier + s.inc

@@ -44,12 +44,50 @@ func TestStreamsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(9, 0)
-	c1 := parent.Split(1)
-	c2 := parent.Split(2)
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children produced identical first draw")
+// TestStreamGolden pins the first draws of two streams. The generator
+// is pure integer arithmetic — no math/rand, no map iteration, no float
+// rounding — so they must reproduce on every platform and Go version;
+// a failure here means previously published experiment numbers are no
+// longer reproducible.
+func TestStreamGolden(t *testing.T) {
+	t.Parallel()
+	// The base stream (seed 1, stream 0)...
+	s := New(1, 0)
+	for i, want := range []uint32{0xe2393051, 0x01112f35, 0xd3509d35, 0x0b932f4a, 0x8aa46776, 0x8c532036} {
+		if got := s.Uint32(); got != want {
+			t.Errorf("New(1,0) draw %d = %#08x, want %#08x", i, got, want)
+		}
+	}
+	// ...and a stream with a full-width seed and a non-zero stream id.
+	s3 := New(0xf23931515903bd3a, 3)
+	for i, want := range []uint64{0xdf79895123ada224, 0xc6d2406b391731c8, 0xdab38c261c8e7c83, 0x5feb258225cc24f4} {
+		if got := s3.Uint64(); got != want {
+			t.Errorf("stream 3 draw %d = %#016x, want %#016x", i, got, want)
+		}
+	}
+}
+
+// TestDerivedStreamsNonOverlapping: the first 10k 64-bit draws of each
+// of 8 streams of one seed are pairwise disjoint — no stream ever
+// replays a prefix (or any window) of another, which the per-node
+// streams (one seed, a stream id per node) rely on. With 80k draws
+// from a 2^64 space, even a single shared value indicates the streams
+// are correlated rather than independent.
+func TestDerivedStreamsNonOverlapping(t *testing.T) {
+	t.Parallel()
+	const streams = 8
+	const draws = 10000
+	seen := make(map[uint64]int, streams*draws)
+	for stream := 0; stream < streams; stream++ {
+		s := New(1, uint64(stream))
+		for d := 0; d < draws; d++ {
+			v := s.Uint64()
+			if prev, dup := seen[v]; dup && prev != stream {
+				t.Fatalf("streams %d and %d both drew %#016x within their first %d draws",
+					prev, stream, v, draws)
+			}
+			seen[v] = stream
+		}
 	}
 }
 

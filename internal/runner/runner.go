@@ -3,17 +3,15 @@
 // Every experiment in this repository — the 46-pair factorial suite,
 // the Fig. 12–16 parameter sweeps, the §VI extension studies — is a
 // batch of completely independent core.Engine runs: each run builds its
-// own kernel, disks, cache, and RNG streams from its Config, so nothing
-// is shared between runs. That makes the batch embarrassingly parallel,
-// and this package provides the one execution engine all of them use:
-// a bounded worker pool with
+// own kernel, disks, cache, and RNG streams from its Config's seeds, so
+// nothing is shared between runs and adding or reordering runs cannot
+// perturb results. That makes the batch embarrassingly parallel, and
+// this package provides the one execution engine all of them use: a
+// bounded worker pool with
 //
 //   - ordered result collection: results[i] always corresponds to
 //     job i, so downstream rendering is byte-identical to the serial
 //     path no matter how the scheduler interleaves the workers;
-//   - per-run isolated RNG streams derived by splitting the suite seed
-//     (rng.SplitSeed(seed, runIndex)); no run ever draws from another
-//     run's stream, so adding or reordering runs cannot perturb results;
 //   - panic capture: a crashed run becomes a *PanicError in the batch
 //     error instead of killing the whole suite;
 //   - a serial reference path: Workers == 1 executes every job in
@@ -34,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 )
 
 // Options configures one batch execution.
@@ -43,9 +40,6 @@ type Options struct {
 	// means runtime.GOMAXPROCS(0); 1 selects the serial reference path
 	// (submission order, calling goroutine, no pool).
 	Workers int
-	// Seed is the suite seed from which each run's private stream is
-	// derived (Ctx.Seed = rng.SplitSeed(Seed, index)).
-	Seed uint64
 	// Progress, if non-nil, is called once per completed job with the
 	// number finished so far and the batch size. Calls are serialized
 	// and done is strictly increasing, but — under parallelism — the
@@ -61,18 +55,6 @@ func (o Options) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Ctx is the per-job context handed to each job function.
-type Ctx struct {
-	// Index is the job's position in the batch; results are collected
-	// at this index.
-	Index int
-	// Seed is the job's private scalar seed, split off the suite seed.
-	Seed uint64
-	// RNG is a private stream seeded from Seed. Jobs that need auxiliary
-	// randomness draw from it instead of any shared source.
-	RNG *rng.Source
-}
-
 // PanicError reports a job that panicked. The batch continues; the
 // panic surfaces in the error returned by Map.
 type PanicError struct {
@@ -85,12 +67,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: run %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Map runs n jobs through the pool and returns their results in job
-// order. Failed jobs (error or panic) leave the zero value at their
+// Map runs job(0), …, job(n-1) through the pool and returns their
+// results in job order. Failed jobs (error or panic) leave the zero value at their
 // index; all failures are joined into the returned error. The result
 // slice contents depend only on the jobs themselves, never on the
 // worker count or scheduling.
-func Map[T any](opts Options, n int, job func(*Ctx) (T, error)) ([]T, error) {
+func Map[T any](opts Options, n int, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
 	if n == 0 {
@@ -111,11 +93,10 @@ func Map[T any](opts Options, n int, job func(*Ctx) (T, error)) ([]T, error) {
 				mu.Unlock()
 			}
 		}()
-		seed := rng.SplitSeed(opts.Seed, uint64(i))
 		// Label the job body so CPU profiles of a suite attribute samples
 		// to individual runs (pprof -tagfocus run=17).
 		pprof.Do(context.Background(), pprof.Labels("run", strconv.Itoa(i)), func(context.Context) {
-			results[i], errs[i] = job(&Ctx{Index: i, Seed: seed, RNG: rng.New(seed, uint64(i))})
+			results[i], errs[i] = job(i)
 		})
 	}
 
@@ -153,11 +134,11 @@ func Map[T any](opts Options, n int, job func(*Ctx) (T, error)) ([]T, error) {
 // RunConfigs executes one simulation per configuration and returns the
 // results in configuration order.
 func RunConfigs(opts Options, cfgs []core.Config) ([]*core.Result, error) {
-	return Map(opts, len(cfgs), func(c *Ctx) (res *core.Result, err error) {
+	return Map(opts, len(cfgs), func(i int) (res *core.Result, err error) {
 		// The cfg label (pattern/sync/io/pf) stacks on Map's run index, so
 		// profiles can be sliced by experimental cell (-tagfocus cfg=...).
-		pprof.Do(context.Background(), pprof.Labels("cfg", cfgs[c.Index].Label()), func(context.Context) {
-			res, err = core.Run(cfgs[c.Index])
+		pprof.Do(context.Background(), pprof.Labels("cfg", cfgs[i].Label()), func(context.Context) {
+			res, err = core.Run(cfgs[i])
 		})
 		return res, err
 	})

@@ -3,7 +3,6 @@ package runner
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pattern"
-	"repro/internal/rng"
 )
 
 func TestOrderedResults(t *testing.T) {
@@ -20,9 +18,9 @@ func TestOrderedResults(t *testing.T) {
 	// Jobs finish out of order (later jobs sleep less), but results
 	// must land at their submission index.
 	n := 32
-	got, err := Map(Options{Workers: 8}, n, func(c *Ctx) (int, error) {
-		time.Sleep(time.Duration(n-c.Index) * 100 * time.Microsecond)
-		return c.Index * c.Index, nil
+	got, err := Map(Options{Workers: 8}, n, func(i int) (int, error) {
+		time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
+		return i * i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +36,7 @@ func TestWorkerBound(t *testing.T) {
 	t.Parallel()
 	const workers = 3
 	var active, peak atomic.Int64
-	_, err := Map(Options{Workers: workers}, 40, func(c *Ctx) (int, error) {
+	_, err := Map(Options{Workers: workers}, 40, func(i int) (int, error) {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -63,8 +61,8 @@ func TestSerialReferenceOrder(t *testing.T) {
 	// Workers == 1 must execute jobs in submission order on the calling
 	// goroutine — the reference path for the equivalence guarantee.
 	var order []int
-	_, err := Map(Options{Workers: 1}, 10, func(c *Ctx) (int, error) {
-		order = append(order, c.Index) // safe: single goroutine
+	_, err := Map(Options{Workers: 1}, 10, func(i int) (int, error) {
+		order = append(order, i) // safe: single goroutine
 		return 0, nil
 	})
 	if err != nil {
@@ -79,11 +77,11 @@ func TestSerialReferenceOrder(t *testing.T) {
 
 func TestPanicCapture(t *testing.T) {
 	t.Parallel()
-	got, err := Map(Options{Workers: 4}, 8, func(c *Ctx) (int, error) {
-		if c.Index == 3 {
+	got, err := Map(Options{Workers: 4}, 8, func(i int) (int, error) {
+		if i == 3 {
 			panic("boom")
 		}
-		return c.Index + 1, nil
+		return i + 1, nil
 	})
 	if err == nil {
 		t.Fatal("want error from panicked run")
@@ -113,42 +111,14 @@ func TestPanicCapture(t *testing.T) {
 func TestErrorsJoined(t *testing.T) {
 	t.Parallel()
 	sentinel := errors.New("sentinel")
-	_, err := Map(Options{Workers: 2}, 6, func(c *Ctx) (int, error) {
-		if c.Index%2 == 0 {
-			return 0, fmt.Errorf("job %d: %w", c.Index, sentinel)
+	_, err := Map(Options{Workers: 2}, 6, func(i int) (int, error) {
+		if i%2 == 0 {
+			return 0, fmt.Errorf("job %d: %w", i, sentinel)
 		}
 		return 0, nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("joined error %v does not wrap sentinel", err)
-	}
-}
-
-func TestDerivedStreamsIsolatedAndStable(t *testing.T) {
-	t.Parallel()
-	draw := func(workers int) []uint64 {
-		out, err := Map(Options{Workers: workers, Seed: 42}, 8, func(c *Ctx) (uint64, error) {
-			if c.Seed != rng.SplitSeed(42, uint64(c.Index)) {
-				t.Errorf("run %d: seed not split from suite seed", c.Index)
-			}
-			return c.RNG.Uint64(), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	serial := draw(1)
-	parallel := draw(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("per-run streams depend on worker count:\n%v\n%v", serial, parallel)
-	}
-	seen := map[uint64]int{}
-	for i, v := range serial {
-		if j, dup := seen[v]; dup {
-			t.Fatalf("runs %d and %d drew the same first value %#x", j, i, v)
-		}
-		seen[v] = i
 	}
 }
 
@@ -161,7 +131,7 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 			t.Errorf("total = %d, want %d", total, n)
 		}
 		calls = append(calls, done) // safe: Progress is serialized
-	}}, n, func(c *Ctx) (int, error) { return 0, nil })
+	}}, n, func(i int) (int, error) { return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +160,7 @@ func TestEffectiveWorkersDefault(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	t.Parallel()
-	got, err := Map(Options{}, 0, func(c *Ctx) (int, error) { return 1, nil })
+	got, err := Map(Options{}, 0, func(i int) (int, error) { return 1, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v, %v", got, err)
 	}

@@ -155,26 +155,6 @@ func (k *Kernel) Run() {
 // alive artificially (and mask the deadlock detector).
 func (k *Kernel) PendingEvents() int { return k.heap.len() }
 
-// Audit checks the kernel's internal invariants — the clock never sits
-// past the next due event, and the live-process count agrees with the
-// spawned processes that have not finished — returning a descriptive
-// error on the first violation. It never mutates state.
-func (k *Kernel) Audit() error {
-	live := 0
-	for _, p := range k.procs {
-		if !p.done {
-			live++
-		}
-	}
-	if live != k.active {
-		return fmt.Errorf("kernel: active count %d but %d live process(es)", k.active, live)
-	}
-	if k.heap.len() > 0 && k.heap.peekTime() < k.now {
-		return fmt.Errorf("kernel: next event due %v is before now %v", k.heap.peekTime(), k.now)
-	}
-	return nil
-}
-
 // BlockedProc describes one live blocked process at deadlock time.
 type BlockedProc struct {
 	Name    string // the process's diagnostic name

@@ -42,7 +42,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/predict"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 )
 
@@ -69,7 +69,7 @@ type (
 
 	// PredictorKind selects how prefetch candidates are chosen: the
 	// paper's oracle policies or an on-the-fly predictor.
-	PredictorKind = predict.Kind
+	PredictorKind = prefetch.Kind
 
 	// LayoutStrategy selects how file blocks are placed on the disks.
 	LayoutStrategy = interleave.Strategy
@@ -196,10 +196,10 @@ const (
 // predictors that observe only the demand stream (the paper's §VI
 // future work).
 const (
-	PredictOracle = predict.Oracle
-	PredictOBL    = predict.OBL  // one-block lookahead
-	PredictSEQ    = predict.SEQ  // adaptive per-process run detection
-	PredictGAPS   = predict.GAPS // global sequentiality detection
+	PredictOracle = prefetch.Oracle
+	PredictOBL    = prefetch.OBL  // one-block lookahead
+	PredictSEQ    = prefetch.SEQ  // adaptive per-process run detection
+	PredictGAPS   = prefetch.GAPS // global sequentiality detection
 )
 
 // Virtual time units.
@@ -376,7 +376,7 @@ func RunPredictorStudy(opts SuiteOptions) *experiment.PredictorStudy {
 
 // ParsePredictorKind converts a predictor name ("oracle", "obl", "seq",
 // "gaps") to a PredictorKind.
-func ParsePredictorKind(s string) (PredictorKind, error) { return predict.Parse(s) }
+func ParsePredictorKind(s string) (PredictorKind, error) { return prefetch.Parse(s) }
 
 // Fig1Motivation runs the demonstration of Fig. 1: uneven
 // prefetching benefits reduce the average read time without reducing
