@@ -61,7 +61,7 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 				for i := range c.arena {
 					b := &c.arena[i]
 					if b.retired {
-						b.onLRU = true
+						b.list = onLRU
 						return
 					}
 				}

@@ -19,7 +19,7 @@ func BenchmarkDemandCycle(b *testing.B) {
 			ev := sim.NewEvent(k)
 			at := k.Now().Add(sim.Microsecond)
 			k.Schedule(at, ev.Fire)
-			c.BeginFetch(buf, ev, at)
+			c.BeginFetchFrom(buf, ev, at, nil)
 			ev.Wait(p)
 			c.Unpin(buf)
 		}
@@ -38,7 +38,7 @@ func BenchmarkLookupHit(b *testing.B) {
 		ev := sim.NewEvent(k)
 		at := k.Now().Add(sim.Microsecond)
 		k.Schedule(at, ev.Fire)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

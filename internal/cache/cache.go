@@ -77,12 +77,11 @@ type Buffer struct {
 	id    int32
 	block int32 // logical block held, or -1 when Invalid
 	pins  int32
-	// prefetchedBy is the node that issued the prefetch; home is the
-	// node whose processor fetched the block: on a NUMA machine the
-	// buffer memory lives there, and other nodes pay remote references
-	// to copy from it (paper footnote 1).
-	prefetchedBy int32
-	home         int32
+	// home is the node whose processor fetched the block: on a NUMA
+	// machine the buffer memory lives there, and other nodes pay remote
+	// references to copy from it (paper footnote 1). An unconsumed
+	// prefetch counts against its home node's prefetch allowance.
+	home int32
 
 	// state/class are one byte each; class is fixed at construction.
 	state State
@@ -93,10 +92,9 @@ type Buffer struct {
 	// frame from service: it sits Invalid, off every list, and is never
 	// claimed again.
 	retired bool
-	// List-membership flags for the shared intrusive linkage below.
-	onLRU  bool
-	onFree bool
-	onPF   bool
+	// list is the intrusive list the frame is on, linked through
+	// prev/next below.
+	list listKind
 
 	// IODone fires when the in-flight transfer completes. Valid while
 	// Fetching (and afterwards, fired).
@@ -113,12 +111,11 @@ type Buffer struct {
 	fetchStarted sim.Time
 	fetchDone    sim.Time
 
-	// Intrusive linkage, shared by the free list (singly linked through
-	// next, onFree), the reusable LRU list (doubly linked, onLRU), and
-	// the prefetched-unconsumed order list (doubly linked, onPF). The
-	// three memberships are mutually exclusive — free requires Invalid,
-	// the LRU requires Ready and not prefetched, pfOrder requires
-	// prefetched — so one pair of links serves all three; Audit enforces
+	// Intrusive linkage, shared by the free list, the reusable LRU list
+	// and the prefetched-unconsumed order list. The three memberships
+	// are mutually exclusive — free requires Invalid, the LRU requires
+	// Ready and not prefetched, pfOrder requires prefetched — so one
+	// pair of links and one list field serve all three; Audit enforces
 	// the exclusions.
 	prev, next *Buffer
 
@@ -146,9 +143,6 @@ func (b *Buffer) Wake() {
 // contents; on error they Unpin and retry the block.
 func (b *Buffer) FillErr() error { return b.fillErr }
 
-// ID returns the frame number.
-func (b *Buffer) ID() int { return int(b.id) }
-
 // Block returns the logical block held (or -1).
 func (b *Buffer) Block() int { return int(b.block) }
 
@@ -165,13 +159,6 @@ func (b *Buffer) Prefetched() bool { return b.prefetched }
 // Home returns the node whose processor fetched the block (where the
 // buffer memory lives on a NUMA machine).
 func (b *Buffer) Home() int { return int(b.home) }
-
-// Class returns the frame's fixed class.
-func (b *Buffer) Class() Class { return b.class }
-
-// FetchStarted returns when the in-flight (or completed) transfer was
-// enqueued.
-func (b *Buffer) FetchStarted() sim.Time { return b.fetchStarted }
 
 // FetchDone returns the file system's estimate of when the in-flight
 // (or completed) transfer completes, derived from the disk queue state
@@ -316,8 +303,8 @@ type Cache struct {
 	// Per-class intrusive free lists and reusable LRU lists. A
 	// reusable frame is Ready, unpinned, and not an unconsumed
 	// prefetch; it still satisfies lookups until recycled.
-	free [2]freeList
-	lru  [2]lruList
+	free [2]bufList
+	lru  [2]bufList
 
 	prefetchedUnused int
 	perNode          []int
@@ -328,7 +315,7 @@ type Cache struct {
 	// the shared prev/next links) so that consuming a prefetch unlinks
 	// in O(1): with one unconsumed prefetch per node, a slice here
 	// turns cluster-scale runs quadratic in the node count.
-	pfOrder pfList
+	pfOrder bufList
 
 	stats Stats
 
@@ -399,6 +386,9 @@ func New(k *sim.Kernel, opts Options) *Cache {
 	c := &Cache{
 		k:       k,
 		opts:    opts,
+		free:    [2]bufList{{kind: onFree}, {kind: onFree}},
+		lru:     [2]bufList{{kind: onLRU}, {kind: onLRU}},
+		pfOrder: bufList{kind: onPF},
 		perNode: make([]int, opts.Nodes),
 		Freed:   sim.NewWaitQueue(k).SetLabel("a freed cache frame"),
 	}
@@ -417,7 +407,7 @@ func New(k *sim.Kernel, opts Options) *Cache {
 		}
 		b := &c.arena[i]
 		b.id, b.block, b.class, b.owner = int32(i), -1, class, c
-		c.free[class].push(b)
+		c.free[class].pushHead(b)
 	}
 	return c
 }
@@ -452,14 +442,14 @@ func (c *Cache) Pin(node int, buf *Buffer) (ready bool) {
 	if buf.state == Invalid || buf.state == Failed {
 		panic(fmt.Sprintf("cache: Pin on %v buffer", buf.state))
 	}
-	if buf.onLRU {
+	if buf.list == onLRU {
 		c.lru[buf.class].remove(buf)
 	}
 	buf.pins++
 	if buf.prefetched {
 		buf.prefetched = false
 		c.prefetchedUnused--
-		c.perNode[buf.prefetchedBy]--
+		c.perNode[buf.home]--
 		c.stats.PrefetchesConsumed++
 		if c.obs != nil {
 			c.obs.Add(obs.CtrCachePrefetchesConsumed, 1)
@@ -536,7 +526,7 @@ func (c *Cache) Retain(buf *Buffer) {
 	if buf.state == Invalid {
 		panic("cache: Retain on invalid buffer")
 	}
-	if buf.onLRU {
+	if buf.list == onLRU {
 		c.lru[buf.class].remove(buf)
 	}
 	buf.pins++
@@ -599,7 +589,6 @@ func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
 	buf.block = int32(block)
 	buf.state = Fetching
 	buf.prefetched = true
-	buf.prefetchedBy = int32(node)
 	buf.home = int32(node)
 	c.byBlock[block] = buf
 	c.prefetchedUnused++
@@ -621,7 +610,7 @@ func (c *Cache) evictUnconsumedPrefetch() *Buffer {
 			c.pfOrder.remove(b)
 			b.prefetched = false
 			c.prefetchedUnused--
-			c.perNode[b.prefetchedBy]--
+			c.perNode[b.home]--
 			c.stats.PrefetchesEvicted++
 			c.stats.Evictions++
 			delete(c.byBlock, int(b.block))
@@ -634,15 +623,10 @@ func (c *Cache) evictUnconsumedPrefetch() *Buffer {
 	return nil
 }
 
-// BeginFetch associates an in-flight disk transfer with the buffer: the
-// buffer becomes Ready the moment done fires (before any waiter
-// resumes). estDone is the completion estimate available at submission,
-// kept for idle-time planning.
-func (c *Cache) BeginFetch(buf *Buffer, done *sim.Event, estDone sim.Time) {
-	c.BeginFetchFrom(buf, done, estDone, nil)
-}
-
-// BeginFetchFrom is BeginFetch for transfers that can fail: src is
+// BeginFetchFrom associates an in-flight disk transfer with the
+// buffer: the buffer becomes Ready the moment done fires (before any
+// waiter resumes). estDone is the completion estimate available at
+// submission, kept for idle-time planning. src, when non-nil, is
 // consulted when done fires, and a reported error routes the buffer
 // through the failed-fill path (waiters wake with the error via
 // FillErr; an unconsumed prefetch is demoted silently) instead of
@@ -713,7 +697,7 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 		c.stats.FailedPrefetchFills++
 		buf.prefetched = false
 		c.prefetchedUnused--
-		c.perNode[buf.prefetchedBy]--
+		c.perNode[buf.home]--
 		c.dropFromOrder(buf)
 		c.recycle(buf)
 		if c.onPrefetchDemote != nil {
@@ -736,7 +720,7 @@ func (c *Cache) recycle(buf *Buffer) {
 	buf.state = Invalid
 	buf.IODone = nil
 	buf.fillErr = nil
-	c.free[buf.class].push(buf)
+	c.free[buf.class].pushHead(buf)
 	c.Freed.WakeAll()
 }
 
@@ -763,7 +747,7 @@ func (c *Cache) Unpin(buf *Buffer) {
 }
 
 func (c *Cache) dropFromOrder(buf *Buffer) {
-	if buf.onPF {
+	if buf.list == onPF {
 		c.pfOrder.remove(buf)
 	}
 }
@@ -771,7 +755,7 @@ func (c *Cache) dropFromOrder(buf *Buffer) {
 // claimFrame takes an invalid frame of the class from its free list, or
 // recycles the class's least recently used reusable frame.
 func (c *Cache) claimFrame(class Class) *Buffer {
-	if buf := c.free[class].pop(); buf != nil {
+	if buf := c.free[class].popHead(); buf != nil {
 		return buf
 	}
 	buf := c.lru[class].popHead()
@@ -835,7 +819,7 @@ func (c *Cache) Audit() error {
 	for class := DemandClass; class <= PrefetchClass; class++ {
 		walked := 0
 		for b := c.free[class].head; b != nil; b = b.next {
-			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.onLRU || !b.onFree || b.class != class || b.fillErr != nil || b.retired {
+			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.list != onFree || b.class != class || b.fillErr != nil || b.retired {
 				return fmt.Errorf("cache: corrupt free buffer %d", b.id)
 			}
 			if walked++; walked > c.free[class].len {
@@ -854,7 +838,7 @@ func (c *Cache) Audit() error {
 		b := &c.arena[i]
 		if b.retired {
 			retired++
-			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.onLRU || b.prefetched {
+			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.list != noList || b.prefetched {
 				return fmt.Errorf("cache: retired buffer %d still in service", b.id)
 			}
 			continue
@@ -873,18 +857,18 @@ func (c *Cache) Audit() error {
 				return fmt.Errorf("cache: prefetched block in demand frame %d", b.id)
 			}
 			pf++
-			perNode[b.prefetchedBy]++
+			perNode[b.home]++
 		}
-		if b.onLRU && (b.pins != 0 || b.state != Ready || b.prefetched) {
+		if b.list == onLRU && (b.pins != 0 || b.state != Ready || b.prefetched) {
 			return fmt.Errorf("cache: buffer %d on LRU in wrong state", b.id)
 		}
-		if b.onFree && (b.state != Invalid || b.onLRU) {
+		if b.list == onFree && b.state != Invalid {
 			return fmt.Errorf("cache: buffer %d on free list in wrong state", b.id)
 		}
-		if b.state == Invalid && !b.onFree && !b.retired {
+		if b.state == Invalid && b.list != onFree && !b.retired {
 			return fmt.Errorf("cache: invalid buffer %d off the free list", b.id)
 		}
-		if b.state == Failed && (b.block != -1 || b.pins == 0 || b.prefetched || b.onLRU || b.fillErr == nil) {
+		if b.state == Failed && (b.block != -1 || b.pins == 0 || b.prefetched || b.list != noList || b.fillErr == nil) {
 			return fmt.Errorf("cache: failed buffer %d in wrong state", b.id)
 		}
 		if b.state != Failed && b.fillErr != nil {
@@ -914,7 +898,7 @@ func (c *Cache) Audit() error {
 		if !b.prefetched {
 			return fmt.Errorf("cache: consumed buffer %d still in pfOrder", b.id)
 		}
-		if b.onLRU || b.onFree || !b.onPF {
+		if b.list != onPF {
 			return fmt.Errorf("cache: pfOrder buffer %d with conflicting list membership", b.id)
 		}
 		walked++
@@ -935,116 +919,63 @@ func (c *Cache) Audit() error {
 	return nil
 }
 
-// freeList is an intrusive LIFO stack of Invalid frames threaded
-// through Buffer.next: no backing array to grow, no pointer slab for
-// the GC to scan, and O(1) push/pop, claiming the most recently freed
-// frame first.
-type freeList struct {
-	head *Buffer
-	len  int
-}
+// listKind names the intrusive list a frame is on.
+type listKind uint8
 
-func (f *freeList) push(b *Buffer) {
-	if b.onFree {
-		panic("cache: buffer already on free list")
-	}
-	b.onFree = true
-	b.next = f.head
-	f.head = b
-	f.len++
-}
+const (
+	noList listKind = iota
+	onFree
+	onLRU
+	onPF
+)
 
-func (f *freeList) pop() *Buffer {
-	b := f.head
-	if b == nil {
-		return nil
-	}
-	f.head = b.next
-	b.next = nil
-	b.onFree = false
-	f.len--
-	return b
-}
-
-// lruList is an intrusive doubly-linked list of reusable buffers,
-// ordered least recently used first.
-type lruList struct {
+// bufList is an intrusive doubly-linked list of buffers threaded
+// through Buffer's prev/next links: no backing array to grow, no
+// pointer slab for the GC to scan, and O(1) push, pop and removal. A
+// free list pushes and pops at the head, so the most recently freed
+// frame is claimed first; an LRU list, least recently used first, and
+// the prefetch order, oldest first, push at the tail. kind is the
+// membership its frames carry.
+type bufList struct {
 	head, tail *Buffer
 	len        int
+	kind       listKind
 }
 
-func (l *lruList) pushTail(b *Buffer) {
-	if b.onLRU {
-		panic("cache: buffer already on LRU")
-	}
-	b.onLRU = true
-	b.prev = l.tail
-	b.next = nil
-	if l.tail != nil {
-		l.tail.next = b
-	} else {
-		l.head = b
-	}
-	l.tail = b
-	l.len++
-}
-
-func (l *lruList) remove(b *Buffer) {
-	if !b.onLRU {
-		panic("cache: removing buffer not on LRU")
-	}
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		l.head = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	} else {
-		l.tail = b.prev
-	}
-	b.prev, b.next = nil, nil
-	b.onLRU = false
-	l.len--
-}
-
-func (l *lruList) popHead() *Buffer {
-	if l.head == nil {
-		return nil
-	}
-	b := l.head
-	l.remove(b)
-	return b
-}
-
-// pfList is an intrusive doubly-linked list of prefetched-unconsumed
-// buffers, oldest first. It shares Buffer's prev/next links with the
-// free and LRU lists: a prefetched-unconsumed frame is never Invalid
-// (free) and never consumed (LRU), so the memberships cannot overlap.
-type pfList struct {
-	head, tail *Buffer
-	len        int
-}
-
-func (l *pfList) pushTail(b *Buffer) {
-	if b.onPF || b.onLRU || b.onFree {
+// join marks b as a member of the list; a frame is on at most one.
+func (l *bufList) join(b *Buffer) {
+	if b.list != noList {
 		panic("cache: buffer already on a list")
 	}
-	b.onPF = true
-	b.prev = l.tail
-	b.next = nil
+	b.list = l.kind
+	l.len++
+}
+
+func (l *bufList) pushHead(b *Buffer) {
+	l.join(b)
+	b.prev, b.next = nil, l.head
+	if l.head != nil {
+		l.head.prev = b
+	} else {
+		l.tail = b
+	}
+	l.head = b
+}
+
+func (l *bufList) pushTail(b *Buffer) {
+	l.join(b)
+	b.prev, b.next = l.tail, nil
 	if l.tail != nil {
 		l.tail.next = b
 	} else {
 		l.head = b
 	}
 	l.tail = b
-	l.len++
 }
 
-func (l *pfList) remove(b *Buffer) {
-	if !b.onPF {
-		panic("cache: removing buffer not on pfOrder")
+func (l *bufList) remove(b *Buffer) {
+	if b.list != l.kind {
+		panic("cache: removing buffer not on the list")
 	}
 	if b.prev != nil {
 		b.prev.next = b.next
@@ -1057,6 +988,14 @@ func (l *pfList) remove(b *Buffer) {
 		l.tail = b.prev
 	}
 	b.prev, b.next = nil, nil
-	b.onPF = false
+	b.list = noList
 	l.len--
+}
+
+func (l *bufList) popHead() *Buffer {
+	b := l.head
+	if b != nil {
+		l.remove(b)
+	}
+	return b
 }

@@ -65,7 +65,7 @@ func TestDemandFetchLifecycle(t *testing.T) {
 			t.Fatalf("after alloc: %v pins=%d block=%d", buf.State(), buf.Pins(), buf.Block())
 		}
 		ev, at := fakeFetch(k, 30*sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		if buf.State() != Ready {
 			t.Fatalf("after IO: state %v", buf.State())
@@ -91,7 +91,7 @@ func TestReadyAndUnreadyHits(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 3)
 		ev, at := fakeFetch(k, 30*sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		// Second requester while fetching: unready hit.
 		b2 := c.Lookup(3)
 		if b2 != buf {
@@ -144,7 +144,7 @@ func TestPrefetchLifecycle(t *testing.T) {
 			t.Fatalf("prefetchedUnused = %d", c.PrefetchedUnused())
 		}
 		ev, at := fakeFetch(k, 30*sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		p.Advance(40 * sim.Millisecond)
 		// Consume: first use of the prefetched block.
 		if ready := c.Pin(0, c.Lookup(9)); !ready {
@@ -175,7 +175,7 @@ func TestPrefetchGlobalLimit(t *testing.T) {
 				t.Fatalf("prefetch %d failed: %v", i, res)
 			}
 			ev, at := fakeFetch(k, sim.Millisecond)
-			c.BeginFetch(buf, ev, at)
+			c.BeginFetchFrom(buf, ev, at, nil)
 		}
 		if _, res := c.AllocatePrefetch(0, 99); res != FailGlobalLimit {
 			t.Fatalf("expected global limit, got %v", res)
@@ -197,7 +197,7 @@ func TestPrefetchPerNodeLimit(t *testing.T) {
 				t.Fatalf("prefetch %d: %v", i, res)
 			}
 			ev, at := fakeFetch(k, sim.Millisecond)
-			c.BeginFetch(buf, ev, at)
+			c.BeginFetchFrom(buf, ev, at, nil)
 		}
 		if _, res := c.AllocatePrefetch(1, 50); res != FailNodeLimit {
 			t.Fatalf("expected node limit, got %v", res)
@@ -219,7 +219,7 @@ func TestPrefetchInCache(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 5)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		if _, res := c.AllocatePrefetch(0, 5); res != FailInCache {
 			t.Fatalf("expected in-cache, got %v", res)
 		}
@@ -239,7 +239,7 @@ func TestPrefetchNoBuffer(t *testing.T) {
 			t.Fatalf("first prefetch: %v", res)
 		}
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		c.Pin(0, buf)
 		if _, res := c.AllocatePrefetch(0, 1); res != FailNoBuffer {
 			t.Fatalf("expected no-buffer, got %v", res)
@@ -259,7 +259,7 @@ func TestEvictionLRUOrder(t *testing.T) {
 		for b := 0; b < 2; b++ {
 			buf := c.AllocateDemand(0, b)
 			ev, at := fakeFetch(k, sim.Millisecond)
-			c.BeginFetch(buf, ev, at)
+			c.BeginFetchFrom(buf, ev, at, nil)
 			ev.Wait(p)
 			c.Unpin(buf)
 		}
@@ -275,7 +275,7 @@ func TestEvictionLRUOrder(t *testing.T) {
 			t.Error("block 1 should survive")
 		}
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		c.Unpin(buf)
 		c.CheckInvariants()
@@ -291,7 +291,7 @@ func TestReusableHitRemovesFromLRU(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		c.Unpin(buf) // now reusable
 		// Hit it again: should pin and leave the reusable list.
@@ -312,7 +312,7 @@ func TestAllocateDemandExhausted(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		// Frame is pinned and fetching; a second demand gets nil.
 		if got := c.AllocateDemand(0, 1); got != nil {
 			t.Fatal("allocation should fail with all frames pinned")
@@ -328,7 +328,7 @@ func TestFreedWakesWaiter(t *testing.T) {
 	k.Spawn("holder", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		p.Advance(10 * sim.Millisecond)
 		c.Unpin(buf)
@@ -364,7 +364,7 @@ func TestUnpinPanicsWithoutPin(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		c.Unpin(buf)
 		defer func() {
@@ -382,7 +382,7 @@ func TestAllocateDemandPanicsIfCached(t *testing.T) {
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 0)
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		defer func() {
 			if recover() == nil {
 				t.Error("duplicate AllocateDemand did not panic")
@@ -432,14 +432,14 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 						pins = append(pins, pinned{buf})
 					} else if buf := c.AllocateDemand(r.Intn(4), block); buf != nil {
 						ev, at := fakeFetch(k, sim.Duration(1+r.Intn(5))*sim.Millisecond)
-						c.BeginFetch(buf, ev, at)
+						c.BeginFetchFrom(buf, ev, at, nil)
 						ev.Wait(p)
 						pins = append(pins, pinned{buf})
 					}
 				case 1: // prefetch
 					if buf, res := c.AllocatePrefetch(r.Intn(4), block); res == PrefetchOK {
 						ev, at := fakeFetch(k, sim.Duration(1+r.Intn(5))*sim.Millisecond)
-						c.BeginFetch(buf, ev, at)
+						c.BeginFetchFrom(buf, ev, at, nil)
 					}
 				case 2: // unpin something
 					if len(pins) > 0 {
@@ -473,7 +473,7 @@ func TestBufferHomeNode(t *testing.T) {
 			t.Errorf("demand home = %d, want 3", buf.Home())
 		}
 		ev, at := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(buf, ev, at)
+		c.BeginFetchFrom(buf, ev, at, nil)
 		ev.Wait(p)
 		c.Unpin(buf)
 		pb, res := c.AllocatePrefetch(1, 9)
@@ -481,7 +481,7 @@ func TestBufferHomeNode(t *testing.T) {
 			t.Errorf("prefetch home = %d (%v), want 1", pb.Home(), res)
 		}
 		ev2, at2 := fakeFetch(k, sim.Millisecond)
-		c.BeginFetch(pb, ev2, at2)
+		c.BeginFetchFrom(pb, ev2, at2, nil)
 		wb := c.AllocateWrite(2, 20)
 		if wb.Home() != 2 {
 			t.Errorf("write home = %d, want 2", wb.Home())
@@ -519,4 +519,33 @@ func TestBlockIndexConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestListPushPanicsOnMember: a frame is on at most one list, so a push
+// of a frame that is already on one panics instead of cross-linking
+// the two lists.
+func TestListPushPanicsOnMember(t *testing.T) {
+	_, c := newTestCache(2, 2, 1, 0)
+	free := c.free[PrefetchClass].head
+	pushes := []struct {
+		name string
+		push func()
+	}{
+		{"free frame onto the prefetch order", func() { c.pfOrder.pushTail(free) }},
+		{"free frame onto an LRU list", func() { c.lru[PrefetchClass].pushTail(free) }},
+		{"free frame onto the free list", func() { c.free[PrefetchClass].pushHead(free) }},
+	}
+	for _, p := range pushes {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("push of a %s did not panic", p.name)
+				}
+			}()
+			p.push()
+		}()
+	}
+	if err := c.Audit(); err != nil {
+		t.Fatalf("a refused push changed the cache: %v", err)
+	}
 }

@@ -38,7 +38,7 @@ func TestAbandonedWaiterPanicsWithName(t *testing.T) {
 	ev := sim.NewEvent(k).SetLabel("disk I/O completion")
 	k.Spawn("reader-3", 0, func(p *sim.Proc) {
 		buf := c.AllocateDemand(0, 7)
-		c.BeginFetch(buf, ev, k.Now())
+		c.BeginFetchFrom(buf, ev, k.Now(), nil)
 		ev.Wait(p) // the transfer never completes: abandoned
 	})
 	defer func() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
+	"repro/internal/pattern"
 )
 
 // buildAuditor assembles the runtime invariant auditor over the
@@ -49,15 +50,15 @@ func (e *Engine) auditMembership() error {
 // reference strings.
 func (e *Engine) auditCursors() error {
 	if e.pat.Kind.Global() {
-		if e.globalCursor < 0 || e.globalCursor > len(e.pat.Global) {
-			return fmt.Errorf("core: global cursor %d outside [0, %d]", e.globalCursor, len(e.pat.Global))
+		if n := pattern.Len(e.pat.Portions(0)); e.globalCursor < 0 || e.globalCursor > n {
+			return fmt.Errorf("core: global cursor %d outside [0, %d]", e.globalCursor, n)
 		}
 		return nil
 	}
 	for i := range e.cnodes {
 		n := &e.cnodes[i]
-		if c := n.localCursor; c < 0 || c > len(e.pat.Local[n.id]) {
-			return fmt.Errorf("core: node %d local cursor %d outside [0, %d]", n.id, c, len(e.pat.Local[n.id]))
+		if c, end := n.localCursor, pattern.Len(e.pat.Portions(n.id)); c < 0 || c > end {
+			return fmt.Errorf("core: node %d local cursor %d outside [0, %d]", n.id, c, end)
 		}
 	}
 	return nil

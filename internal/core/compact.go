@@ -111,7 +111,7 @@ type cnode struct {
 	retryRNG *rng.Source // backoff jitter; nil unless a disk can die
 	ru       ruSet       // pinned recently-used buffers
 
-	localCursor int // next index into pat.Local[id]
+	localCursor int // next index into the node's own string (local patterns)
 
 	// Current read; idx is -1 for a takeover read.
 	idx, block int
@@ -459,9 +459,12 @@ func (e *Engine) cAbandon(n *cnode) {
 	n.ru.drain(e.bcache)
 	var orphaned int
 	if e.pat.Kind.Local() {
-		orphaned = len(e.pat.Local[n.id]) - n.localCursor
-		e.orphans = append(e.orphans, e.pat.Local[n.id][n.localCursor:]...)
-		n.localCursor = len(e.pat.Local[n.id])
+		portions := e.pat.Portions(n.id)
+		end := pattern.Len(portions)
+		orphaned = end - n.localCursor
+		for ; n.localCursor < end; n.localCursor++ {
+			e.orphans = append(e.orphans, pattern.BlockAt(portions, n.localCursor))
+		}
 	}
 	e.killErr = fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
 		n.id, orphaned, fault.ErrProcDead)

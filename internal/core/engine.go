@@ -100,7 +100,7 @@ func New(cfg Config) (*Engine, error) {
 		k:      k,
 		pat:    pat,
 		layout: interleave.NewWithStrategy(cfg.Layout, pat.FileBlocks, cfg.Disks, cfg.BlockSize),
-		disks:  disk.NewScheduledArray(k, cfg.Disks, profile, cfg.DiskSched),
+		disks:  disk.NewArray(k, cfg.Disks, profile, cfg.DiskSched),
 		res: &Result{
 			Config:       cfg,
 			PerProc:      make([]ProcStats, cfg.Procs),
@@ -392,31 +392,23 @@ func (e *Engine) usesGenerations() bool {
 // for local patterns, or the next unclaimed entry of the shared string
 // for global patterns (self-scheduling).
 func (e *Engine) nextRead(n *cnode) (idx, block int, ok bool) {
+	cursor := &n.localCursor
 	if e.pat.Kind.Global() {
-		if e.globalCursor >= len(e.pat.Global) {
-			return 0, 0, false
-		}
-		idx = e.globalCursor
-		e.globalCursor++
-		return idx, e.pat.Global[idx], true
+		cursor = &e.globalCursor
 	}
-	c := n.localCursor
-	if c >= len(e.pat.Local[n.id]) {
+	portions := e.pat.Portions(n.id)
+	if idx = *cursor; idx >= pattern.Len(portions) {
 		return 0, 0, false
 	}
-	n.localCursor = c + 1
-	return c, e.pat.Local[n.id][c], true
+	*cursor = idx + 1
+	return idx, pattern.BlockAt(portions, idx), true
 }
 
 // portionEnded reports whether reference-string index idx is the last
 // access of its portion.
 func (e *Engine) portionEnded(node, idx int) bool {
-	portions := e.pat.GlobalPortions
-	if e.pat.Kind.Local() {
-		portions = e.pat.LocalPortions[node]
-	}
-	por := portions[pattern.PortionOf(portions, idx)]
-	return idx == por.End()-1
+	portions := e.pat.Portions(node)
+	return idx == portions[pattern.PortionOf(portions, idx)].End()-1
 }
 
 // beginAction performs the first half of one prefetch action in kernel

@@ -10,7 +10,7 @@ import (
 func BenchmarkSubmitComplete(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	d := New(k, 0, sim.Millisecond)
+	d := fifoDisk(k, sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			d.Submit(i, 0, false).Complete.Wait(p)
@@ -25,7 +25,7 @@ func BenchmarkSubmitComplete(b *testing.B) {
 func BenchmarkSSTFQueue(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	d := NewScheduled(k, 0, Profile{Access: sim.Millisecond, SeekPerBlock: sim.Microsecond}, SSTF)
+	d := NewArray(k, 1, Profile{Access: sim.Millisecond, SeekPerBlock: sim.Microsecond}, SSTF).Disk(0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		var last *Request
 		for i := 0; i < b.N; i++ {

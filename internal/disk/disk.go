@@ -219,45 +219,8 @@ type Disk struct {
 // normal service path and emit no spans.
 func (d *Disk) SetObserver(s obs.Sink) { d.obs = s }
 
-// New returns a disk with the given id and fixed physical access time.
-func New(k *sim.Kernel, id int, access sim.Duration) *Disk {
-	return NewWithProfile(k, id, Fixed(access))
-}
-
-// NewWithProfile returns a FIFO disk using the given service-time model.
-func NewWithProfile(k *sim.Kernel, id int, profile Profile) *Disk {
-	return NewScheduled(k, id, profile, FIFO)
-}
-
-// NewScheduled returns a disk with the given service model and queue
-// scheduling policy. The disk recycles its requests on its own.
-func NewScheduled(k *sim.Kernel, id int, profile Profile, policy SchedPolicy) *Disk {
-	checkModel(profile, policy)
-	d := &Disk{k: k, id: id, profile: profile, policy: policy, headPos: -1, scanUp: true}
-	d.arr = &Array{disks: []*Disk{d}}
-	return d
-}
-
-// checkModel panics on an invalid service model or policy.
-func checkModel(profile Profile, policy SchedPolicy) {
-	if profile.Access <= 0 {
-		panic(fmt.Sprintf("disk: non-positive access time %v", profile.Access))
-	}
-	if profile.SeekPerBlock < 0 || profile.MaxSeek < 0 {
-		panic("disk: negative seek parameters")
-	}
-	switch policy {
-	case FIFO, SSTF, SCAN:
-	default:
-		panic(fmt.Sprintf("disk: unknown scheduling policy %d", int(policy)))
-	}
-}
-
 // ID returns the disk's index within its array.
 func (d *Disk) ID() int { return d.id }
-
-// AccessTime returns the base (no-contention, no-seek) access time.
-func (d *Disk) AccessTime() sim.Duration { return d.profile.Access }
 
 // Profile returns the disk's service-time model.
 func (d *Disk) Profile() Profile { return d.profile }
@@ -525,23 +488,24 @@ func (a *Array) put(r *Request) {
 	}
 }
 
-// NewArray creates n disks with a common fixed access time.
-func NewArray(k *sim.Kernel, n int, access sim.Duration) *Array {
-	return NewArrayWithProfile(k, n, Fixed(access))
-}
-
-// NewArrayWithProfile creates n FIFO disks sharing a service-time model.
-func NewArrayWithProfile(k *sim.Kernel, n int, profile Profile) *Array {
-	return NewScheduledArray(k, n, profile, FIFO)
-}
-
-// NewScheduledArray creates n disks sharing a service model and queue
-// scheduling policy.
-func NewScheduledArray(k *sim.Kernel, n int, profile Profile, policy SchedPolicy) *Array {
+// NewArray creates n disks, numbered 0 to n-1, sharing a service model
+// and queue scheduling policy. It panics on an empty array, an invalid
+// service model or an unknown policy.
+func NewArray(k *sim.Kernel, n int, profile Profile, policy SchedPolicy) *Array {
 	if n <= 0 {
 		panic("disk: array needs at least one disk")
 	}
-	checkModel(profile, policy)
+	if profile.Access <= 0 {
+		panic(fmt.Sprintf("disk: non-positive access time %v", profile.Access))
+	}
+	if profile.SeekPerBlock < 0 || profile.MaxSeek < 0 {
+		panic("disk: negative seek parameters")
+	}
+	switch policy {
+	case FIFO, SSTF, SCAN:
+	default:
+		panic(fmt.Sprintf("disk: unknown scheduling policy %d", int(policy)))
+	}
 	a := &Array{disks: make([]*Disk, n)}
 	slab := make([]Disk, n)
 	for i := range a.disks {

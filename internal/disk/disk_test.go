@@ -7,9 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
+// fifoDisk returns the one disk of a FIFO array with a fixed access
+// time.
+func fifoDisk(k *sim.Kernel, access sim.Duration) *Disk {
+	return NewArray(k, 1, Fixed(access), FIFO).Disk(0)
+}
+
 func TestSingleRequestTiming(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	var req *Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		p.Advance(5 * sim.Millisecond)
@@ -33,7 +39,7 @@ func TestSingleRequestTiming(t *testing.T) {
 
 func TestFIFOQueueing(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 3, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	var r1, r2, r3 *Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		r1 = d.Submit(1, 0, false)
@@ -59,7 +65,7 @@ func TestFIFOQueueing(t *testing.T) {
 
 func TestIdleDiskRestartsAtNow(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 10*sim.Millisecond)
+	d := fifoDisk(k, 10*sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		r := d.Submit(0, 0, false)
 		r.Complete.Wait(p)
@@ -78,7 +84,7 @@ func TestIdleDiskRestartsAtNow(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 10*sim.Millisecond)
+	d := fifoDisk(k, 10*sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		r := d.Submit(0, 0, false)
 		r.Complete.Wait(p)
@@ -94,7 +100,7 @@ func TestUtilization(t *testing.T) {
 
 func TestResponseStats(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		d.Submit(0, 0, false) // responds in 30
 		d.Submit(1, 0, false) // queued: responds in 60
@@ -113,15 +119,15 @@ func TestResponseStats(t *testing.T) {
 func TestNewPanicsOnBadAccessTime(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with 0 access time did not panic")
+			t.Fatal("NewArray with 0 access time did not panic")
 		}
 	}()
-	New(sim.NewKernel(), 0, 0)
+	NewArray(sim.NewKernel(), 1, Fixed(0), FIFO)
 }
 
 func TestArrayBasics(t *testing.T) {
 	k := sim.NewKernel()
-	a := NewArray(k, 4, 30*sim.Millisecond)
+	a := NewArray(k, 4, Fixed(30*sim.Millisecond), FIFO)
 	if a.Len() != 4 {
 		t.Fatalf("Len = %d", a.Len())
 	}
@@ -157,7 +163,7 @@ func TestArrayPanicsOnEmpty(t *testing.T) {
 			t.Fatal("NewArray(0) did not panic")
 		}
 	}()
-	NewArray(sim.NewKernel(), 0, sim.Millisecond)
+	NewArray(sim.NewKernel(), 0, Fixed(sim.Millisecond), FIFO)
 }
 
 // Property: for any submission schedule on one disk, responses are FIFO,
@@ -166,7 +172,7 @@ func TestArrayPanicsOnEmpty(t *testing.T) {
 func TestQueueInvariants(t *testing.T) {
 	check := func(gaps []uint8) bool {
 		k := sim.NewKernel()
-		d := New(k, 0, 10*sim.Millisecond)
+		d := fifoDisk(k, 10*sim.Millisecond)
 		var reqs []*Request
 		k.Spawn("p", 0, func(p *sim.Proc) {
 			for _, g := range gaps {
@@ -222,7 +228,7 @@ func TestSeekProfile(t *testing.T) {
 
 func TestSeekingDiskTiming(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewWithProfile(k, 0, Profile{Access: 10 * sim.Millisecond, SeekPerBlock: sim.Millisecond})
+	d := NewArray(k, 1, Profile{Access: 10 * sim.Millisecond, SeekPerBlock: sim.Millisecond}, FIFO).Disk(0)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		r1 := d.Submit(0, 0, false) // no seek: 10ms
 		r2 := d.Submit(1, 5, false) // 5-block seek: 15ms
@@ -259,14 +265,14 @@ func TestNewWithProfilePanics(t *testing.T) {
 					t.Errorf("profile %d did not panic", i)
 				}
 			}()
-			NewWithProfile(sim.NewKernel(), 0, p)
+			NewArray(sim.NewKernel(), 1, p, FIFO)
 		}()
 	}
 }
 
 func TestSubmitPanicsOnNegativePhysical(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, sim.Millisecond)
+	d := fifoDisk(k, sim.Millisecond)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative physical block did not panic")
@@ -296,13 +302,13 @@ func TestNewScheduledPanicsOnUnknownPolicy(t *testing.T) {
 			t.Fatal("unknown policy did not panic")
 		}
 	}()
-	NewScheduled(sim.NewKernel(), 0, Fixed(sim.Millisecond), SchedPolicy(9))
+	NewArray(sim.NewKernel(), 1, Fixed(sim.Millisecond), SchedPolicy(9))
 }
 
 // seekDisk returns a disk whose service is 10ms + 1ms per block of head
 // travel, so scheduling decisions are visible in the timings.
 func seekDisk(k *sim.Kernel, policy SchedPolicy) *Disk {
-	return NewScheduled(k, 0, Profile{Access: 10 * sim.Millisecond, SeekPerBlock: sim.Millisecond}, policy)
+	return NewArray(k, 1, Profile{Access: 10 * sim.Millisecond, SeekPerBlock: sim.Millisecond}, policy).Disk(0)
 }
 
 func TestSSTFOrdersByProximity(t *testing.T) {
@@ -382,7 +388,7 @@ func TestSSTFBeatsFIFOUnderSeeks(t *testing.T) {
 
 func TestEstDoneExactForFIFOFixed(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 10*sim.Millisecond)
+	d := fifoDisk(k, 10*sim.Millisecond)
 	var reqs []*Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -400,7 +406,7 @@ func TestEstDoneExactForFIFOFixed(t *testing.T) {
 
 func TestQueueLength(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 10*sim.Millisecond)
+	d := fifoDisk(k, 10*sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		d.Submit(0, 0, false)
 		d.Submit(1, 0, false)

@@ -14,7 +14,7 @@ import (
 // (the timeout is the only active knob here and it is unset).
 func TestInjectorNoopRates(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	d.SetFaults(fault.New(fault.Config{Seed: 1, ReadErrorRate: 0, SpikeRate: 0}, 1))
 	var req *Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
@@ -31,7 +31,7 @@ func TestInjectorNoopRates(t *testing.T) {
 // then completes with ErrTransient; retrying draws a fresh decision.
 func TestTransientErrors(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	d.SetFaults(fault.New(fault.Config{Seed: 3, ReadErrorRate: 0.3}, 1))
 	var reqs []*Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
@@ -69,7 +69,7 @@ func TestTransientErrors(t *testing.T) {
 func TestFaultDeterminism(t *testing.T) {
 	run := func() []error {
 		k := sim.NewKernel()
-		d := New(k, 0, 30*sim.Millisecond)
+		d := fifoDisk(k, 30*sim.Millisecond)
 		d.SetFaults(fault.New(fault.Config{Seed: 9, ReadErrorRate: 0.2, SpikeRate: 0.2, SpikeMultiplier: 3}, 1))
 		var errs []error
 		k.Spawn("p", 0, func(p *sim.Proc) {
@@ -94,7 +94,7 @@ func TestFaultDeterminism(t *testing.T) {
 // following request starts late as a result.
 func TestSpikeInflatesService(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, 10*sim.Millisecond)
+	d := fifoDisk(k, 10*sim.Millisecond)
 	// SpikeRate ~1: use 0.999 so every request spikes (rate 1 is
 	// rejected by Validate).
 	d.SetFaults(fault.New(fault.Config{Seed: 5, SpikeRate: 0.999, SpikeMultiplier: 4}, 1))
@@ -122,7 +122,7 @@ func TestStuckAndTimeout(t *testing.T) {
 	cfg := fault.Config{Seed: 2, StuckRate: 0.999, StuckDelay: 2 * sim.Second}
 
 	k := sim.NewKernel()
-	d := New(k, 0, 30*sim.Millisecond)
+	d := fifoDisk(k, 30*sim.Millisecond)
 	d.SetFaults(fault.New(cfg, 1))
 	var req *Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
@@ -136,7 +136,7 @@ func TestStuckAndTimeout(t *testing.T) {
 
 	cfg.Timeout = 100 * sim.Millisecond
 	k = sim.NewKernel()
-	d = New(k, 0, 30*sim.Millisecond)
+	d = fifoDisk(k, 30*sim.Millisecond)
 	d.SetFaults(fault.New(cfg, 1))
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		req = d.Submit(1, 0, false)
@@ -160,7 +160,7 @@ func TestStuckAndTimeout(t *testing.T) {
 // synchronously.
 func TestDiskKill(t *testing.T) {
 	k := sim.NewKernel()
-	a := NewArray(k, 2, 30*sim.Millisecond)
+	a := NewArray(k, 2, Fixed(30*sim.Millisecond), FIFO)
 	a.SetFaults(fault.New(fault.Config{Seed: 1, KillAt: 45 * sim.Millisecond, KillDisk: 0}, 2))
 
 	var first, inService, queued, late, other *Request
@@ -206,7 +206,7 @@ func TestDiskKill(t *testing.T) {
 // scheduled completion but accepts nothing new meanwhile.
 func TestKillWhileIdle(t *testing.T) {
 	k := sim.NewKernel()
-	a := NewArray(k, 2, 30*sim.Millisecond)
+	a := NewArray(k, 2, Fixed(30*sim.Millisecond), FIFO)
 	a.SetFaults(fault.New(fault.Config{Seed: 1, KillAt: 10 * sim.Millisecond, KillDisk: 1}, 2))
 	var req *Request
 	k.Spawn("p", 0, func(p *sim.Proc) {
@@ -228,7 +228,7 @@ func TestSchedulingUnderSpikesServesAll(t *testing.T) {
 	for _, policy := range SchedPolicies {
 		for seed := uint64(1); seed <= 5; seed++ {
 			k := sim.NewKernel()
-			d := NewScheduled(k, 0, profile, policy)
+			d := NewArray(k, 1, profile, policy).Disk(0)
 			d.SetFaults(fault.New(fault.Config{
 				Seed:            seed,
 				SpikeRate:       0.3,
@@ -282,7 +282,7 @@ func TestSchedulingUnderSpikesServesAll(t *testing.T) {
 // killed returns an array of n disks with the listed ones dead.
 func killed(n int, dead ...int) *Array {
 	k := sim.NewKernel()
-	a := NewArray(k, n, 30*sim.Millisecond)
+	a := NewArray(k, n, Fixed(30*sim.Millisecond), FIFO)
 	for _, i := range dead {
 		a.ScheduleKill(i, 0)
 	}

@@ -21,7 +21,7 @@ func (c *releaser) Wake() { c.r.Release() }
 func TestSteadyStateAllocs(t *testing.T) {
 	const disks, perCycle = 4, 64
 	k := sim.NewKernel()
-	a := NewArray(k, disks, sim.Millisecond)
+	a := NewArray(k, disks, Fixed(sim.Millisecond), FIFO)
 	a.Submit(0, -1, 0, false) // never released
 	cs := make([]releaser, perCycle)
 	cycle := func() {
@@ -43,7 +43,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 func TestReleaseTwicePanics(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, 0, sim.Millisecond)
+	d := fifoDisk(k, sim.Millisecond)
 	r := d.Submit(1, 0, false)
 	r.Release()
 	defer func() {
@@ -59,7 +59,7 @@ func TestReleaseTwicePanics(t *testing.T) {
 // is reused only after the disk has dropped its hold too.
 func TestRecordReusedOnlyAfterBothHolds(t *testing.T) {
 	k := sim.NewKernel()
-	a := NewArray(k, 1, sim.Millisecond)
+	a := NewArray(k, 1, Fixed(sim.Millisecond), FIFO)
 	a.Submit(0, 100, 0, false) // never released: keeps the array from draining
 	first := a.Submit(0, 1, 0, false)
 	var inside, after *Request
@@ -85,7 +85,7 @@ func TestRecordReusedOnlyAfterBothHolds(t *testing.T) {
 // free list and every queue's backing array.
 func TestDrainDropsPools(t *testing.T) {
 	k := sim.NewKernel()
-	a := NewArray(k, 3, sim.Millisecond)
+	a := NewArray(k, 3, Fixed(sim.Millisecond), FIFO)
 	for i := 0; i < 12; i++ {
 		a.Submit(i%3, i, i, false).Release()
 	}
@@ -106,7 +106,7 @@ func TestDrainDropsPools(t *testing.T) {
 func TestBusyQueueStaysBounded(t *testing.T) {
 	const depth, total = 8, 5000
 	k := sim.NewKernel()
-	d := New(k, 0, sim.Millisecond)
+	d := fifoDisk(k, sim.Millisecond)
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		for i := 0; i < total; i++ {
 			r := d.Submit(i, 0, false)
@@ -146,7 +146,7 @@ func TestAuditCatchesLostHolds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel()
-			a := NewArray(k, 2, sim.Millisecond)
+			a := NewArray(k, 2, Fixed(sim.Millisecond), FIFO)
 			a.Submit(0, 1, 0, false)
 			a.Submit(0, 2, 1, false)
 			if err := a.Audit(); err != nil {

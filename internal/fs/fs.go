@@ -194,7 +194,7 @@ func New(k *sim.Kernel, opts Options) (*FileSystem, error) {
 	fs := &FileSystem{
 		k:     k,
 		opts:  o,
-		disks: disk.NewArrayWithProfile(k, o.Disks, o.DiskProfile),
+		disks: disk.NewArray(k, o.Disks, o.DiskProfile, disk.FIFO),
 		files: make(map[string]*File),
 		bc: cache.New(k, cache.Options{
 			DemandFrames:   o.CacheFrames,
@@ -205,10 +205,15 @@ func New(k *sim.Kernel, opts Options) (*FileSystem, error) {
 		}),
 		diskAlloc: make([]int, o.Disks),
 	}
+	// The disks, the cache and the fault injector report to the
+	// kernel's sink, if it has one.
+	fs.disks.SetObserver(k.Observer())
+	fs.bc.SetObserver(k.Observer())
 	fs.writesDrained = sim.NewWaitQueue(k).SetLabel("write-behind drain")
 	fs.submitted = sim.NewWaitQueue(k).SetLabel("a readahead submit")
 	if o.Faults.Enabled() {
 		fs.inj = fault.New(o.Faults, o.Disks)
+		fs.inj.SetObserver(k.Observer())
 		fs.retry = o.Retry
 		// Stream index o.Nodes is reserved for write-back jitter;
 		// handles use 0..Nodes-1.

@@ -136,10 +136,6 @@ func (s *Sample) Add(x float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns the observations in insertion order. The caller must
-// not modify the returned slice.
-func (s *Sample) Values() []float64 { return s.xs }
-
 func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.xs)

@@ -15,6 +15,6 @@ func BenchmarkPortionOf(b *testing.B) {
 	pat := MustGenerate(Defaults(GFP))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PortionOf(pat.GlobalPortions, i%len(pat.Global))
+		PortionOf(pat.GlobalPortions, i%Len(pat.GlobalPortions))
 	}
 }

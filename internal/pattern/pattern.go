@@ -22,6 +22,7 @@ package pattern
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/rng"
 )
@@ -107,33 +108,44 @@ type Portion struct {
 // End returns one past the last reference-string index of the portion.
 func (p Portion) End() int { return p.Index + p.Len }
 
-// Pattern is a fully generated workload access pattern.
+// Pattern is a fully generated workload access pattern. Each reference
+// string is stored as its portions, in string order: index i of a
+// string is block Start + i - Index of the portion that holds it. A
+// string takes one Portion per run of consecutive blocks, so a
+// whole-file string of any length is one Portion.
 type Pattern struct {
 	Kind       Kind
 	Procs      int
 	FileBlocks int
 
-	// Local patterns: one string and portion list per process.
-	Local         [][]int
+	// LocalPortions, for local patterns, holds each process's string.
 	LocalPortions [][]Portion
 	// LocalRegular, when non-nil (hybrid patterns), gives per-process
 	// regularity, overriding Kind.Regular.
 	LocalRegular []bool
 
-	// Global patterns: a single shared string and portion list.
-	Global         []int
+	// GlobalPortions, for global patterns, holds the shared string.
 	GlobalPortions []Portion
+}
+
+// Portions returns the reference string node follows: its own for a
+// local pattern, the shared one for a global pattern.
+func (p *Pattern) Portions(node int) []Portion {
+	if p.Kind.Global() {
+		return p.GlobalPortions
+	}
+	return p.LocalPortions[node]
 }
 
 // TotalReads returns the total number of block reads across all
 // processes.
 func (p *Pattern) TotalReads() int {
 	if p.Kind.Global() {
-		return len(p.Global)
+		return Len(p.GlobalPortions)
 	}
 	n := 0
-	for _, s := range p.Local {
-		n += len(s)
+	for _, portions := range p.LocalPortions {
+		n += Len(portions)
 	}
 	return n
 }
@@ -141,6 +153,21 @@ func (p *Pattern) TotalReads() int {
 // String summarizes the pattern.
 func (p *Pattern) String() string {
 	return fmt.Sprintf("%s procs=%d file=%d reads=%d", p.Kind, p.Procs, p.FileBlocks, p.TotalReads())
+}
+
+// Len returns the length of the reference string made of portions.
+func Len(portions []Portion) int {
+	if len(portions) == 0 {
+		return 0
+	}
+	return portions[len(portions)-1].End()
+}
+
+// BlockAt returns the block at reference-string index idx of the
+// string made of portions. It panics if no portion covers idx.
+func BlockAt(portions []Portion, idx int) int {
+	por := portions[PortionOf(portions, idx)]
+	return por.Start + idx - por.Index
 }
 
 // PortionOf returns the index within portions of the portion containing
@@ -160,6 +187,18 @@ func PortionOf(portions []Portion, idx int) int {
 		panic(fmt.Sprintf("pattern: index %d not covered by portions", idx))
 	}
 	return lo
+}
+
+// IndexOf returns the reference-string index at which block is read,
+// or -1 if the string does not read it. The portions must be disjoint
+// and in increasing block order, as Validate guarantees for a global
+// pattern, so that a block is read at most once.
+func IndexOf(portions []Portion, block int) int {
+	k := sort.Search(len(portions), func(i int) bool { return portions[i].Start > block }) - 1
+	if k < 0 || block >= portions[k].Start+portions[k].Len {
+		return -1
+	}
+	return portions[k].Index + block - portions[k].Start
 }
 
 // Config parameterizes pattern generation. The zero value is not
@@ -273,7 +312,8 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Generate builds the reference strings for the configured pattern.
+// Generate builds the reference strings, as portions, for the
+// configured pattern.
 func Generate(cfg Config) (*Pattern, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -306,41 +346,32 @@ func MustGenerate(cfg Config) *Pattern {
 	return p
 }
 
+// fixedPortions lays out a string of reads accesses as runs of
+// PortionLen blocks from block base, each run followed by a gap of
+// PortionGap blocks; the last run takes the remainder. It returns the
+// portions and the file blocks they span, the trailing gap included.
+func fixedPortions(cfg Config, reads, base int) ([]Portion, int) {
+	portions := make([]Portion, max(reads/cfg.PortionLen, 1))
+	for i := range portions {
+		portions[i] = Portion{Index: i * cfg.PortionLen, Start: base + i*(cfg.PortionLen+cfg.PortionGap), Len: cfg.PortionLen}
+	}
+	last := &portions[len(portions)-1]
+	last.Len = reads - last.Index
+	return portions, last.Start + last.Len + cfg.PortionGap - base
+}
+
 // genLFP places, for each process, BlocksPerProc/PortionLen portions of
 // PortionLen blocks separated by PortionGap, in a private region of the
 // file ("at different places in the file for each process").
 func genLFP(cfg Config) *Pattern {
-	nPortions := cfg.BlocksPerProc / cfg.PortionLen
-	if nPortions == 0 {
-		nPortions = 1
+	p := &Pattern{Kind: LFP, Procs: cfg.Procs, LocalPortions: make([][]Portion, cfg.Procs)}
+	span := 0
+	for proc := range p.LocalPortions {
+		// Every region spans the same blocks, so process 0's span
+		// places the others.
+		p.LocalPortions[proc], span = fixedPortions(cfg, cfg.BlocksPerProc, proc*span)
 	}
-	lastLen := cfg.BlocksPerProc - (nPortions-1)*cfg.PortionLen
-	span := (nPortions-1)*(cfg.PortionLen+cfg.PortionGap) + lastLen + cfg.PortionGap
-	p := &Pattern{
-		Kind:       LFP,
-		Procs:      cfg.Procs,
-		FileBlocks: cfg.Procs * span,
-		Local:      make([][]int, cfg.Procs),
-	}
-	p.LocalPortions = make([][]Portion, cfg.Procs)
-	for proc := 0; proc < cfg.Procs; proc++ {
-		base := proc * span
-		var str []int
-		var portions []Portion
-		for i := 0; i < nPortions; i++ {
-			plen := cfg.PortionLen
-			if i == nPortions-1 {
-				plen = lastLen
-			}
-			start := base + i*(cfg.PortionLen+cfg.PortionGap)
-			portions = append(portions, Portion{Index: len(str), Start: start, Len: plen})
-			for b := start; b < start+plen; b++ {
-				str = append(str, b)
-			}
-		}
-		p.Local[proc] = str
-		p.LocalPortions[proc] = portions
-	}
+	p.FileBlocks = cfg.Procs * span
 	return p
 }
 
@@ -352,35 +383,25 @@ func genLRP(cfg Config) *Pattern {
 	// the expected density of the fixed-portion patterns.
 	file := 2 * cfg.Procs * cfg.BlocksPerProc
 	r := rng.New(cfg.Seed, 101)
-	p := &Pattern{
-		Kind:       LRP,
-		Procs:      cfg.Procs,
-		FileBlocks: file,
-		Local:      make([][]int, cfg.Procs),
-	}
-	p.LocalPortions = make([][]Portion, cfg.Procs)
-	for proc := 0; proc < cfg.Procs; proc++ {
+	p := &Pattern{Kind: LRP, Procs: cfg.Procs, FileBlocks: file, LocalPortions: make([][]Portion, cfg.Procs)}
+	for proc := range p.LocalPortions {
 		cursor := r.Intn(file)
-		var str []int
 		var portions []Portion
-		for len(str) < cfg.BlocksPerProc {
+		for n := 0; n < cfg.BlocksPerProc; {
 			plen := r.IntRange(cfg.MinPortion, cfg.MaxPortion)
-			if rem := cfg.BlocksPerProc - len(str); plen > rem {
+			if rem := cfg.BlocksPerProc - n; plen > rem {
 				plen = rem
 			}
 			if cursor+plen > file { // keep portions contiguous in the file
 				cursor = 0
 			}
-			portions = append(portions, Portion{Index: len(str), Start: cursor, Len: plen})
-			for b := cursor; b < cursor+plen; b++ {
-				str = append(str, b)
-			}
+			portions = append(portions, Portion{Index: n, Start: cursor, Len: plen})
+			n += plen
 			cursor += plen + r.IntRange(cfg.MinGap, cfg.MaxGap)
 			if cursor >= file {
 				cursor -= file
 			}
 		}
-		p.Local[proc] = str
 		p.LocalPortions[proc] = portions
 	}
 	return p
@@ -389,19 +410,8 @@ func genLRP(cfg Config) *Pattern {
 // genLW has every process read the entire file, which is BlocksPerProc
 // blocks long (paper: 100-block file, 20 processes, 2000 total reads).
 func genLW(cfg Config) *Pattern {
-	p := &Pattern{
-		Kind:       LW,
-		Procs:      cfg.Procs,
-		FileBlocks: cfg.BlocksPerProc,
-		Local:      make([][]int, cfg.Procs),
-	}
-	p.LocalPortions = make([][]Portion, cfg.Procs)
-	for proc := 0; proc < cfg.Procs; proc++ {
-		str := make([]int, cfg.BlocksPerProc)
-		for i := range str {
-			str[i] = i
-		}
-		p.Local[proc] = str
+	p := &Pattern{Kind: LW, Procs: cfg.Procs, FileBlocks: cfg.BlocksPerProc, LocalPortions: make([][]Portion, cfg.Procs)}
+	for proc := range p.LocalPortions {
 		p.LocalPortions[proc] = []Portion{{Index: 0, Start: 0, Len: cfg.BlocksPerProc}}
 	}
 	return p
@@ -409,25 +419,8 @@ func genLW(cfg Config) *Pattern {
 
 // genGFP tiles the file with global portions of fixed length and gap.
 func genGFP(cfg Config) *Pattern {
-	nPortions := cfg.TotalBlocks / cfg.PortionLen
-	if nPortions == 0 {
-		nPortions = 1
-	}
-	lastLen := cfg.TotalBlocks - (nPortions-1)*cfg.PortionLen
 	p := &Pattern{Kind: GFP, Procs: cfg.Procs}
-	for i := 0; i < nPortions; i++ {
-		plen := cfg.PortionLen
-		if i == nPortions-1 {
-			plen = lastLen
-		}
-		start := i * (cfg.PortionLen + cfg.PortionGap)
-		p.GlobalPortions = append(p.GlobalPortions, Portion{Index: len(p.Global), Start: start, Len: plen})
-		for b := start; b < start+plen; b++ {
-			p.Global = append(p.Global, b)
-		}
-	}
-	last := p.GlobalPortions[len(p.GlobalPortions)-1]
-	p.FileBlocks = last.Start + last.Len + cfg.PortionGap
+	p.GlobalPortions, p.FileBlocks = fixedPortions(cfg, cfg.TotalBlocks, 0)
 	return p
 }
 
@@ -436,15 +429,13 @@ func genGRP(cfg Config) *Pattern {
 	r := rng.New(cfg.Seed, 202)
 	p := &Pattern{Kind: GRP, Procs: cfg.Procs}
 	cursor := 0
-	for len(p.Global) < cfg.TotalBlocks {
+	for n := 0; n < cfg.TotalBlocks; {
 		plen := r.IntRange(cfg.MinPortion, cfg.MaxPortion)
-		if rem := cfg.TotalBlocks - len(p.Global); plen > rem {
+		if rem := cfg.TotalBlocks - n; plen > rem {
 			plen = rem
 		}
-		p.GlobalPortions = append(p.GlobalPortions, Portion{Index: len(p.Global), Start: cursor, Len: plen})
-		for b := cursor; b < cursor+plen; b++ {
-			p.Global = append(p.Global, b)
-		}
+		p.GlobalPortions = append(p.GlobalPortions, Portion{Index: n, Start: cursor, Len: plen})
+		n += plen
 		cursor += plen + r.IntRange(cfg.MinGap, cfg.MaxGap)
 	}
 	p.FileBlocks = cursor
@@ -453,22 +444,17 @@ func genGRP(cfg Config) *Pattern {
 
 // genGW reads the whole file exactly once, cooperatively.
 func genGW(cfg Config) *Pattern {
-	p := &Pattern{
-		Kind:       GW,
-		Procs:      cfg.Procs,
-		FileBlocks: cfg.TotalBlocks,
-		Global:     make([]int, cfg.TotalBlocks),
+	return &Pattern{
+		Kind:           GW,
+		Procs:          cfg.Procs,
+		FileBlocks:     cfg.TotalBlocks,
+		GlobalPortions: []Portion{{Index: 0, Start: 0, Len: cfg.TotalBlocks}},
 	}
-	for i := range p.Global {
-		p.Global[i] = i
-	}
-	p.GlobalPortions = []Portion{{Index: 0, Start: 0, Len: cfg.TotalBlocks}}
-	return p
 }
 
 // genHybrid concatenates local sub-patterns: each sub-pattern's
-// processes and blocks are appended, with the sub-pattern's file region
-// shifted past the previous ones.
+// processes are appended, with the sub-pattern's file region shifted
+// past the previous ones.
 func genHybrid(cfg Config) (*Pattern, error) {
 	p := &Pattern{Kind: HYB, Procs: cfg.Procs}
 	fileBase := 0
@@ -479,16 +465,10 @@ func genHybrid(cfg Config) (*Pattern, error) {
 		if err != nil {
 			return nil, err
 		}
-		for proc := range sp.Local {
-			str := make([]int, len(sp.Local[proc]))
-			for j, b := range sp.Local[proc] {
-				str[j] = b + fileBase
+		for _, portions := range sp.LocalPortions {
+			for j := range portions {
+				portions[j].Start += fileBase
 			}
-			portions := make([]Portion, len(sp.LocalPortions[proc]))
-			for j, por := range sp.LocalPortions[proc] {
-				portions[j] = Portion{Index: por.Index, Start: por.Start + fileBase, Len: por.Len}
-			}
-			p.Local = append(p.Local, str)
 			p.LocalPortions = append(p.LocalPortions, portions)
 			p.LocalRegular = append(p.LocalRegular, sub.Kind.Regular())
 		}
@@ -507,42 +487,42 @@ func (p *Pattern) RegularFor(proc int) bool {
 	return p.Kind.Regular()
 }
 
-// Validate checks internal consistency of a generated pattern: every
-// referenced block is inside the file, portions tile the reference
-// string exactly, and portion contents are consecutive block runs.
+// Validate checks the internal consistency of a generated pattern in
+// time proportional to its portions: each string's portions tile it
+// (each starts at the running string length and is non-empty) and lie
+// inside the file, and a global string's portions are disjoint and in
+// increasing block order, so that IndexOf can find a block's index.
 func (p *Pattern) Validate() error {
-	checkString := func(str []int, portions []Portion) error {
+	checkString := func(portions []Portion, ordered bool) error {
 		covered := 0
 		for i, por := range portions {
 			if por.Index != covered {
-				return fmt.Errorf("portion %d starts at %d, want %d", i, por.Index, covered)
+				return fmt.Errorf("portion %d starts at index %d, want %d", i, por.Index, covered)
 			}
-			for j := 0; j < por.Len; j++ {
-				b := str[por.Index+j]
-				if b != por.Start+j {
-					return fmt.Errorf("portion %d entry %d is block %d, want %d", i, j, b, por.Start+j)
-				}
-				if b < 0 || b >= p.FileBlocks {
-					return fmt.Errorf("block %d outside file of %d blocks", b, p.FileBlocks)
-				}
+			if por.Len <= 0 {
+				return fmt.Errorf("portion %d has length %d", i, por.Len)
+			}
+			if por.Start < 0 || por.Start+por.Len > p.FileBlocks {
+				return fmt.Errorf("portion %d reads blocks [%d, %d) outside file of %d blocks",
+					i, por.Start, por.Start+por.Len, p.FileBlocks)
+			}
+			if prev := i - 1; ordered && prev >= 0 && por.Start < portions[prev].Start+portions[prev].Len {
+				return fmt.Errorf("portion %d at block %d overlaps or precedes portion %d", i, por.Start, prev)
 			}
 			covered += por.Len
-		}
-		if covered != len(str) {
-			return fmt.Errorf("portions cover %d of %d accesses", covered, len(str))
 		}
 		return nil
 	}
 	if p.Kind.Local() {
-		if len(p.Local) != p.Procs {
-			return fmt.Errorf("pattern: %d local strings for %d procs", len(p.Local), p.Procs)
+		if len(p.LocalPortions) != p.Procs {
+			return fmt.Errorf("pattern: %d local strings for %d procs", len(p.LocalPortions), p.Procs)
 		}
-		for proc, str := range p.Local {
-			if err := checkString(str, p.LocalPortions[proc]); err != nil {
+		for proc, portions := range p.LocalPortions {
+			if err := checkString(portions, false); err != nil {
 				return fmt.Errorf("proc %d: %w", proc, err)
 			}
 		}
 		return nil
 	}
-	return checkString(p.Global, p.GlobalPortions)
+	return checkString(p.GlobalPortions, true)
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,8 +67,8 @@ func TestAllDefaultsValidate(t *testing.T) {
 
 func TestLFPGeometry(t *testing.T) {
 	p := MustGenerate(Defaults(LFP))
-	if len(p.Local) != 20 {
-		t.Fatalf("procs = %d", len(p.Local))
+	if len(p.LocalPortions) != 20 {
+		t.Fatalf("procs = %d", len(p.LocalPortions))
 	}
 	for proc, portions := range p.LocalPortions {
 		if len(portions) != 10 { // 100 blocks / 10 per portion
@@ -82,8 +83,8 @@ func TestLFPGeometry(t *testing.T) {
 	}
 	// Regions are disjoint across processes.
 	seen := map[int]int{}
-	for proc, str := range p.Local {
-		for _, b := range str {
+	for proc := 0; proc < p.Procs; proc++ {
+		for _, b := range expand(p, proc) {
 			if prev, ok := seen[b]; ok {
 				t.Fatalf("block %d read by procs %d and %d", b, prev, proc)
 			}
@@ -94,9 +95,9 @@ func TestLFPGeometry(t *testing.T) {
 
 func TestLRPProperties(t *testing.T) {
 	p := MustGenerate(Defaults(LRP))
-	for proc, str := range p.Local {
-		if len(str) != 100 {
-			t.Fatalf("proc %d reads %d blocks", proc, len(str))
+	for proc := 0; proc < p.Procs; proc++ {
+		if n := Len(p.Portions(proc)); n != 100 {
+			t.Fatalf("proc %d reads %d blocks", proc, n)
 		}
 	}
 	// Portion lengths within configured bounds (except possibly the
@@ -117,22 +118,18 @@ func TestLRPProperties(t *testing.T) {
 func TestLRPDeterministicBySeed(t *testing.T) {
 	a := MustGenerate(Defaults(LRP))
 	b := MustGenerate(Defaults(LRP))
-	for proc := range a.Local {
-		for i := range a.Local[proc] {
-			if a.Local[proc][i] != b.Local[proc][i] {
-				t.Fatal("same seed produced different lrp patterns")
-			}
+	for proc := 0; proc < a.Procs; proc++ {
+		if !slices.Equal(expand(a, proc), expand(b, proc)) {
+			t.Fatal("same seed produced different lrp patterns")
 		}
 	}
 	cfg := Defaults(LRP)
 	cfg.Seed = 2
 	c := MustGenerate(cfg)
 	diff := false
-	for proc := range a.Local {
-		for i := range a.Local[proc] {
-			if a.Local[proc][i] != c.Local[proc][i] {
-				diff = true
-			}
+	for proc := 0; proc < a.Procs; proc++ {
+		if !slices.Equal(expand(a, proc), expand(c, proc)) {
+			diff = true
 		}
 	}
 	if !diff {
@@ -145,7 +142,8 @@ func TestLWGeometry(t *testing.T) {
 	if p.FileBlocks != 100 {
 		t.Fatalf("lw file = %d blocks, want 100", p.FileBlocks)
 	}
-	for proc, str := range p.Local {
+	for proc := 0; proc < p.Procs; proc++ {
+		str := expand(p, proc)
 		if len(str) != 100 {
 			t.Fatalf("proc %d reads %d", proc, len(str))
 		}
@@ -159,8 +157,8 @@ func TestLWGeometry(t *testing.T) {
 
 func TestGFPGeometry(t *testing.T) {
 	p := MustGenerate(Defaults(GFP))
-	if len(p.Global) != 2000 {
-		t.Fatalf("global reads = %d", len(p.Global))
+	if p.TotalReads() != 2000 {
+		t.Fatalf("global reads = %d", p.TotalReads())
 	}
 	if len(p.GlobalPortions) != 200 {
 		t.Fatalf("portions = %d, want 200", len(p.GlobalPortions))
@@ -178,8 +176,8 @@ func TestGFPGeometry(t *testing.T) {
 
 func TestGRPProperties(t *testing.T) {
 	p := MustGenerate(Defaults(GRP))
-	if len(p.Global) != 2000 {
-		t.Fatalf("global reads = %d", len(p.Global))
+	if p.TotalReads() != 2000 {
+		t.Fatalf("global reads = %d", p.TotalReads())
 	}
 	// Portions are strictly increasing and non-overlapping.
 	for i := 1; i < len(p.GlobalPortions); i++ {
@@ -192,10 +190,10 @@ func TestGRPProperties(t *testing.T) {
 
 func TestGWGeometry(t *testing.T) {
 	p := MustGenerate(Defaults(GW))
-	if p.FileBlocks != 2000 || len(p.Global) != 2000 {
-		t.Fatalf("gw file=%d reads=%d", p.FileBlocks, len(p.Global))
+	if p.FileBlocks != 2000 || p.TotalReads() != 2000 {
+		t.Fatalf("gw file=%d reads=%d", p.FileBlocks, p.TotalReads())
 	}
-	for i, b := range p.Global {
+	for i, b := range expand(p, 0) {
 		if b != i {
 			t.Fatalf("gw read %d is block %d", i, b)
 		}
@@ -312,8 +310,8 @@ func TestHybridGeneration(t *testing.T) {
 	if p.Kind != HYB || !p.Kind.Local() || p.Kind.Regular() {
 		t.Fatal("hybrid kind predicates wrong")
 	}
-	if len(p.Local) != 8 || len(p.LocalRegular) != 8 {
-		t.Fatalf("procs = %d regular = %d", len(p.Local), len(p.LocalRegular))
+	if len(p.LocalPortions) != 8 || len(p.LocalRegular) != 8 {
+		t.Fatalf("procs = %d regular = %d", len(p.LocalPortions), len(p.LocalRegular))
 	}
 	// First half follows lfp (regular), second half lw (regular too) —
 	// use lrp to see an irregular flag.
@@ -325,14 +323,14 @@ func TestHybridGeneration(t *testing.T) {
 	// Regions are disjoint: lfp procs stay below the lw base.
 	lfpMax, lwMin := -1, p.FileBlocks
 	for proc := 0; proc < 4; proc++ {
-		for _, b := range p.Local[proc] {
+		for _, b := range expand(p, proc) {
 			if b > lfpMax {
 				lfpMax = b
 			}
 		}
 	}
 	for proc := 4; proc < 8; proc++ {
-		for _, b := range p.Local[proc] {
+		for _, b := range expand(p, proc) {
 			if b < lwMin {
 				lwMin = b
 			}
@@ -374,5 +372,87 @@ func TestHybridValidation(t *testing.T) {
 	}
 	if _, err := Parse("hyb"); err != nil {
 		t.Fatal("Parse should accept hyb")
+	}
+}
+
+// TestPortionAccessors checks Len, BlockAt and IndexOf against every
+// pinned string written out from its portions.
+func TestPortionAccessors(t *testing.T) {
+	for _, cfg := range pinPatterns() {
+		p := MustGenerate(cfg)
+		nStrings := 1
+		if p.Kind.Local() {
+			nStrings = p.Procs
+		}
+		for node := 0; node < nStrings; node++ {
+			portions, str := p.Portions(node), expand(p, node)
+			if Len(portions) != len(str) {
+				t.Fatalf("%v node %d: Len = %d, want %d", p.Kind, node, Len(portions), len(str))
+			}
+			for i, b := range str {
+				if got := BlockAt(portions, i); got != b {
+					t.Fatalf("%v node %d: BlockAt(%d) = %d, want %d", p.Kind, node, i, got, b)
+				}
+			}
+			if p.Kind.Local() {
+				continue
+			}
+			at := make([]int, p.FileBlocks)
+			for b := range at {
+				at[b] = -1
+			}
+			for i, b := range str {
+				at[b] = i
+			}
+			for b := -1; b <= p.FileBlocks; b++ {
+				want := -1
+				if b >= 0 && b < p.FileBlocks {
+					want = at[b]
+				}
+				if got := IndexOf(portions, b); got != want {
+					t.Fatalf("%v: IndexOf(%d) = %d, want %d", p.Kind, b, got, want)
+				}
+			}
+		}
+	}
+	if Len(nil) != 0 || IndexOf(nil, 0) != -1 {
+		t.Fatal("an empty string has length 0 and reads no block")
+	}
+}
+
+// TestValidateRejects: Validate refuses portions that do not tile their
+// string, leave the file, or, in a global string, overlap or descend.
+func TestValidateRejects(t *testing.T) {
+	global := func(portions ...Portion) *Pattern {
+		return &Pattern{Kind: GFP, Procs: 2, FileBlocks: 100, GlobalPortions: portions}
+	}
+	local := func(portions ...Portion) *Pattern {
+		return &Pattern{Kind: LRP, Procs: 1, FileBlocks: 100, LocalPortions: [][]Portion{portions}}
+	}
+	cases := []struct {
+		name string
+		p    *Pattern
+		want string
+	}{
+		{"gap in index", global(Portion{0, 0, 5}, Portion{6, 10, 5}), "starts at index 6, want 5"},
+		{"first index not 0", local(Portion{1, 0, 5}), "starts at index 1, want 0"},
+		{"empty portion", global(Portion{0, 0, 5}, Portion{5, 10, 0}), "has length 0"},
+		{"negative length", local(Portion{0, 10, -2}), "has length -2"},
+		{"past the file", global(Portion{0, 98, 5}), "outside file of 100 blocks"},
+		{"before the file", local(Portion{0, -1, 5}), "outside file of 100 blocks"},
+		{"overlapping global", global(Portion{0, 0, 10}, Portion{10, 9, 5}), "overlaps or precedes portion 0"},
+		{"descending global", global(Portion{0, 50, 10}, Portion{10, 20, 5}), "overlaps or precedes portion 0"},
+		{"string count", &Pattern{Kind: LW, Procs: 2, FileBlocks: 10, LocalPortions: [][]Portion{{{0, 0, 10}}}}, "1 local strings for 2 procs"},
+	}
+	for _, c := range cases {
+		err := c.p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// A local string may revisit and descend: lrp wraps around the file
+	// and lw's processes all read the same blocks.
+	if err := local(Portion{0, 50, 10}, Portion{10, 20, 5}, Portion{15, 55, 5}).Validate(); err != nil {
+		t.Errorf("descending local portions: %v", err)
 	}
 }

@@ -132,19 +132,12 @@ type Policy struct {
 	// with zero lead.
 	monotone bool
 
-	// indexOf maps a block id to its reference-string index, built
-	// lazily on the first Demote. Only global patterns (one shared
-	// string, each block emitted once) ever need it, which keeps
-	// fault-free monotone runs paying nothing for the demotion path.
-	indexOf []int32
-
 	states []stringState // one per process (local) or a single shared one (global)
 }
 
 type stringState struct {
-	str        []int
-	portions   []pattern.Portion
-	nextDemand int // lowest reference-string index not yet demanded
+	portions   []pattern.Portion // the string
+	nextDemand int               // lowest reference-string index not yet demanded
 	// scanFrom, in monotone mode, is the forward scan cursor: every
 	// index in [nextDemand, scanFrom) was verified in-cache by an
 	// earlier scan, and only the holes among them can have left since.
@@ -161,14 +154,13 @@ func newPolicy(pat *pattern.Pattern, lead int) *Policy {
 	if lead < 0 {
 		panic(fmt.Sprintf("prefetch: negative lead %d", lead))
 	}
-	p := &Policy{pat: pat, lead: lead, monotone: lead == 0 && pat.Kind.Global()}
+	nStrings := 1
 	if pat.Kind.Local() {
-		p.states = make([]stringState, len(pat.Local))
-		for i := range pat.Local {
-			p.states[i] = stringState{str: pat.Local[i], portions: pat.LocalPortions[i]}
-		}
-	} else {
-		p.states = []stringState{{str: pat.Global, portions: pat.GlobalPortions}}
+		nStrings = pat.Procs
+	}
+	p := &Policy{pat: pat, lead: lead, monotone: lead == 0 && pat.Kind.Global(), states: make([]stringState, nStrings)}
+	for i := range p.states {
+		p.states[i].portions = pat.Portions(i)
 	}
 	return p
 }
@@ -179,32 +171,16 @@ func newPolicy(pat *pattern.Pattern, lead int) *Policy {
 // index is queued as a hole that the next scans re-examine before
 // resuming at the cursor — the invalidation that keeps the monotone
 // cursor exact on faulted runs without re-verifying everything between
-// the hole and the cursor. No-op when the cursor is off (local patterns
-// and lead runs) or for a block outside the string.
+// the hole and the cursor. The block's index is a binary search over
+// the shared string's portions, which a global pattern keeps disjoint
+// and in block order. No-op when the cursor is off (local patterns and
+// lead runs) or for a block outside the string.
 func (p *Policy) Demote(block int) {
 	if !p.monotone {
 		return
 	}
-	if p.indexOf == nil {
-		str := p.states[0].str
-		max := -1
-		for _, b := range str {
-			if b > max {
-				max = b
-			}
-		}
-		p.indexOf = make([]int32, max+1)
-		for i := range p.indexOf {
-			p.indexOf[i] = -1
-		}
-		for i, b := range str {
-			p.indexOf[b] = int32(i)
-		}
-	}
-	if block < 0 || block >= len(p.indexOf) {
-		return
-	}
-	if idx, st := int(p.indexOf[block]), &p.states[0]; idx >= 0 && idx < st.scanFrom {
+	st := &p.states[0]
+	if idx := pattern.IndexOf(st.portions, block); idx >= 0 && idx < st.scanFrom {
 		st.pushHole(idx)
 	}
 }
@@ -262,7 +238,7 @@ func (p *Policy) Demand(node, idx, _ int) {
 		return
 	}
 	st := p.stateFor(node)
-	if idx < 0 || idx >= len(st.str) {
+	if idx >= pattern.Len(st.portions) {
 		panic(fmt.Sprintf("prefetch: demand index %d out of range", idx))
 	}
 	if idx+1 > st.nextDemand {
@@ -273,8 +249,9 @@ func (p *Policy) Demand(node, idx, _ int) {
 // horizon returns one past the last reference-string index the policy
 // may prefetch for this state.
 func (st *stringState) horizon(regular bool) int {
+	n := pattern.Len(st.portions)
 	if regular {
-		return len(st.str)
+		return n
 	}
 	// Irregular: only within the portion the demand stream has reached.
 	// Before any demand, the first portion's location is known (the
@@ -283,8 +260,8 @@ func (st *stringState) horizon(regular bool) int {
 	if anchor < 0 {
 		anchor = 0
 	}
-	if anchor >= len(st.str) {
-		return len(st.str)
+	if anchor >= n {
+		return n
 	}
 	por := st.portions[pattern.PortionOf(st.portions, anchor)]
 	return por.End()
@@ -315,25 +292,25 @@ func (p *Policy) Next(node int, inCache func(block int) bool) (block int, ok boo
 }
 
 // scan walks [from, to) of the state's string for the first uncached
-// block. In monotone mode the holes are the only indices below the
-// cursor that can be uncached, so it first returns the lowest hole
-// still uncached, leaving it queued, and otherwise starts at the cursor
-// and advances it past everything it verifies; the returned block's
-// index itself is not passed, since the caller's prefetch of it may
-// still fail.
+// block, portion by portion from the one holding from. In monotone mode
+// the holes are the only indices below the cursor that can be uncached,
+// so it first returns the lowest hole still uncached, leaving it
+// queued, and otherwise starts at the cursor and advances it past
+// everything it verifies; the returned block's index itself is not
+// passed, since the caller's prefetch of it may still fail.
 func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (block int, ok bool) {
 	if from < 0 {
 		from = 0
 	}
 	if p.monotone {
-		for len(st.holes) > 0 && (st.holes[0] < from || inCache(st.str[st.holes[0]])) {
+		for len(st.holes) > 0 && (st.holes[0] < from || inCache(pattern.BlockAt(st.portions, st.holes[0]))) {
 			st.popHole()
 		}
 		if len(st.holes) > 0 {
 			// Every index from `from` to the hole is cached, and the
 			// hole lies below the cursor.
 			if i := st.holes[0]; i < to {
-				return st.str[i], true
+				return pattern.BlockAt(st.portions, i), true
 			}
 			return 0, false
 		}
@@ -341,12 +318,17 @@ func (p *Policy) scan(st *stringState, from, to int, inCache func(int) bool) (bl
 			from = st.scanFrom
 		}
 	}
-	for i := from; i < to; i++ {
-		if !inCache(st.str[i]) {
-			if p.monotone {
-				st.scanFrom = i
+	if from < to {
+		for k := pattern.PortionOf(st.portions, from); from < to; k++ {
+			por := st.portions[k]
+			for end := min(por.End(), to); from < end; from++ {
+				if block = por.Start + from - por.Index; !inCache(block) {
+					if p.monotone {
+						st.scanFrom = from
+					}
+					return block, true
+				}
 			}
-			return st.str[i], true
 		}
 	}
 	if p.monotone && to > st.scanFrom {

@@ -111,28 +111,41 @@ func TestIrregularPortionHorizon(t *testing.T) {
 	cfg.MinGap, cfg.MaxGap = 4, 16
 	pat := pattern.MustGenerate(cfg)
 	p := newPolicy(pat, 0)
+	str := expand(pat, 0)
 	first := pat.GlobalPortions[0]
 	// Before any demand, only the first portion is prefetchable.
 	for i := 0; i < first.Len; i++ {
-		block, ok := p.Next(0, cachedBelowIdx(pat.Global, i))
+		block, ok := p.Next(0, cachedBelowIdx(str, i))
 		if !ok {
 			t.Fatalf("no candidate at step %d", i)
 		}
-		if block != pat.Global[i] {
-			t.Fatalf("step %d: got block %d, want %d", i, block, pat.Global[i])
+		if block != str[i] {
+			t.Fatalf("step %d: got block %d, want %d", i, block, str[i])
 		}
 	}
 	// Everything in portion 0 cached: no candidate until demand enters
 	// portion 1.
-	if _, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len)); ok {
+	if _, ok := p.Next(0, cachedBelowIdx(str, first.Len)); ok {
 		t.Fatal("prefetched past unestablished portion boundary")
 	}
 	// Demand reaches into portion 1: its remainder becomes available.
-	p.Demand(0, first.Len, pat.Global[first.Len])
-	block, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len+1))
-	if !ok || block != pat.Global[first.Len+1] {
-		t.Fatalf("portion 1: got %d,%v (want %d)", block, ok, pat.Global[first.Len+1])
+	p.Demand(0, first.Len, str[first.Len])
+	block, ok := p.Next(0, cachedBelowIdx(str, first.Len+1))
+	if !ok || block != str[first.Len+1] {
+		t.Fatalf("portion 1: got %d,%v (want %d)", block, ok, str[first.Len+1])
 	}
+}
+
+// expand returns the block sequence of node's reference string,
+// written out from its portions.
+func expand(pat *pattern.Pattern, node int) []int {
+	var str []int
+	for _, por := range pat.Portions(node) {
+		for b := por.Start; b < por.Start+por.Len; b++ {
+			str = append(str, b)
+		}
+	}
+	return str
 }
 
 func cachedBelowIdx(str []int, n int) func(int) bool {
@@ -150,10 +163,11 @@ func TestRegularCrossesPortions(t *testing.T) {
 	p := newPolicy(pat, 0)
 	// All of portion 0 cached; candidate should come from portion 1
 	// even with no demand there (regular patterns may run ahead).
+	str := expand(pat, 0)
 	first := pat.GlobalPortions[0]
-	block, ok := p.Next(0, cachedBelowIdx(pat.Global, first.Len))
-	if !ok || block != pat.Global[first.Len] {
-		t.Fatalf("regular cross-portion Next = %d,%v, want %d", block, ok, pat.Global[first.Len])
+	block, ok := p.Next(0, cachedBelowIdx(str, first.Len))
+	if !ok || block != str[first.Len] {
+		t.Fatalf("regular cross-portion Next = %d,%v, want %d", block, ok, str[first.Len])
 	}
 }
 
@@ -171,9 +185,8 @@ func TestLocalPatternPerNodeStrings(t *testing.T) {
 	if b0 == b1 {
 		t.Fatal("different nodes selected the same block in a disjoint pattern")
 	}
-	if b0 != pat.Local[0][0] || b1 != pat.Local[1][0] {
-		t.Fatalf("nodes selected %d,%d, want own first blocks %d,%d",
-			b0, b1, pat.Local[0][0], pat.Local[1][0])
+	if want0, want1 := expand(pat, 0)[0], expand(pat, 1)[0]; b0 != want0 || b1 != want1 {
+		t.Fatalf("nodes selected %d,%d, want own first blocks %d,%d", b0, b1, want0, want1)
 	}
 	// Demand progress on node 0 must not affect node 1.
 	p.Demand(0, 0, anyBlock)
@@ -244,12 +257,13 @@ func TestLRPHorizonPerProcess(t *testing.T) {
 	// first block, and with the whole first portion cached there is no
 	// candidate (portion horizon).
 	for proc := 0; proc < 2; proc++ {
+		str := expand(pat, proc)
 		block, ok := p.Next(proc, noneCached)
-		if !ok || block != pat.Local[proc][0] {
+		if !ok || block != str[0] {
 			t.Fatalf("proc %d first candidate = %d,%v", proc, block, ok)
 		}
 		first := pat.LocalPortions[proc][0]
-		if _, ok := p.Next(proc, cachedBelowIdx(pat.Local[proc], first.Len)); ok {
+		if _, ok := p.Next(proc, cachedBelowIdx(str, first.Len)); ok {
 			t.Fatalf("proc %d prefetched past its portion horizon", proc)
 		}
 	}
@@ -352,7 +366,7 @@ func TestMonotoneMatchesPlainScan(t *testing.T) {
 				cfg := pattern.Defaults(kind)
 				cfg.TotalBlocks = 400
 				pat := pattern.MustGenerate(cfg)
-				str := pat.Global
+				str := expand(pat, 0)
 				mono, plain := newPolicy(pat, 0), newPolicy(pat, 0)
 				plain.monotone = false
 				cached := map[int]bool{}
@@ -393,5 +407,57 @@ func TestMonotoneMatchesPlainScan(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDemoteFindsEveryIndex: a demoted block behind the cursor is
+// queued at its string index wherever it sits in a portion, the first
+// index of the string and the last of a portion included, and a block
+// in a gap between portions, which the string never reads, queues
+// nothing.
+func TestDemoteFindsEveryIndex(t *testing.T) {
+	cfg := pattern.Defaults(pattern.GFP)
+	cfg.TotalBlocks = 30 // blocks 0-9, 21-30 and 42-51
+	pat := pattern.MustGenerate(cfg)
+	str := expand(pat, 0)
+	p := newPolicy(pat, 0)
+	cached := map[int]bool{}
+	for _, b := range str[:25] {
+		cached[b] = true
+	}
+	inCache := func(b int) bool { return cached[b] }
+	if block, ok := p.Next(0, inCache); !ok || block != str[25] {
+		t.Fatalf("Next = %d,%v, want %d", block, ok, str[25])
+	}
+	p.Demote(15) // in the gap after portion 0
+	if holes := p.states[0].holes; len(holes) != 0 {
+		t.Fatalf("demoting a block outside the string queued holes %v", holes)
+	}
+	for _, idx := range []int{0, 9, 19} { // the string's first index, and two portion ends
+		delete(cached, str[idx])
+		p.Demote(str[idx])
+		if block, ok := p.Next(0, inCache); !ok || block != str[idx] {
+			t.Fatalf("Next after demoting index %d = %d,%v, want block %d", idx, block, ok, str[idx])
+		}
+		cached[str[idx]] = true
+	}
+	if block, ok := p.Next(0, inCache); !ok || block != str[25] {
+		t.Fatalf("Next after the demotes = %d,%v, want %d", block, ok, str[25])
+	}
+}
+
+// TestLeadWindowOfOneCachedIndex: the lead window is relaxed only once
+// it is empty. A window of exactly one index whose block is cached
+// yields no candidate, although blocks between the demand position and
+// the window are uncached.
+func TestLeadWindowOfOneCachedIndex(t *testing.T) {
+	p := newPolicy(smallGW(10), 5)
+	p.Demand(0, 3, anyBlock) // window [9, 10)
+	if block, ok := p.Next(0, cachedSet(9)); ok {
+		t.Fatalf("Next = %d with the one-index lead window cached, want no candidate", block)
+	}
+	p.Demand(0, 4, anyBlock) // window empty: relaxed to [5, 10)
+	if block, ok := p.Next(0, cachedSet(9)); !ok || block != 5 {
+		t.Fatalf("Next with an empty lead window = %d,%v, want 5", block, ok)
 	}
 }

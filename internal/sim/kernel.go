@@ -52,6 +52,10 @@ type Kernel struct {
 // nil sink — the default — costs one branch per dispatch.
 func (k *Kernel) SetObserver(s obs.Sink) { k.obs = s }
 
+// Observer returns the kernel's observability sink, nil when none is
+// installed. Layers built on the kernel report to it too.
+func (k *Kernel) Observer() obs.Sink { return k.obs }
+
 // NewKernel returns a kernel with the clock at time zero and no pending
 // events.
 func NewKernel() *Kernel {

@@ -385,8 +385,10 @@ func Fig1Motivation(seed uint64) *experiment.MotivationResult {
 	return experiment.Fig1Motivation(seed)
 }
 
-// GeneratePattern builds the reference strings for a pattern
-// configuration.
+// GeneratePattern builds the reference strings of a pattern
+// configuration, each stored as its portions: Pattern.Portions returns
+// a node's string, and pattern index i is block Start + i - Index of
+// the portion that holds it.
 func GeneratePattern(cfg PatternConfig) (*Pattern, error) { return pattern.Generate(cfg) }
 
 // DefaultPattern returns the paper's base pattern configuration for the
