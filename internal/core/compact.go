@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/barrier"
 	"repro/internal/cache"
-	"repro/internal/fault"
 	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/pattern"
@@ -466,8 +465,7 @@ func (e *Engine) cAbandon(n *cnode) {
 			e.orphans = append(e.orphans, pattern.BlockAt(portions, n.localCursor))
 		}
 	}
-	e.killErr = fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
-		n.id, orphaned, fault.ErrProcDead)
+	e.lastKilled, e.lastOrphaned = n.id, orphaned
 	e.res.Faults.Node.DeadProcs++
 	if e.res.Faults.Node.KilledAtMillis == 0 {
 		e.res.Faults.Node.KilledAtMillis = sim.Duration(e.k.Now()).Millis()

@@ -554,3 +554,40 @@ func TestCompactChaosClusterRepeatSmoke(t *testing.T) {
 		t.Errorf("10k-node chaos run differs on repeat")
 	}
 }
+
+// KillError names the last processor a run killed and how many unread
+// blocks it left; the two-victim rack kill reports its second victim.
+func TestKillErrorText(t *testing.T) {
+	t.Parallel()
+	lfp := DefaultConfig(pattern.LFP)
+	lfp.Sync = barrier.EveryNPerProc
+	lfp.NodeFault = fault.NodeConfig{Seed: 1, KillAt: 2500 * sim.Millisecond, BarrierTimeout: 100 * sim.Millisecond}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"domain/rack-kill", compactFaultConfigs()["domain/rack-kill"], "core: node 5 abandoned 0 unread block(s): processor dead"},
+		{"lfp/each", lfp, "core: node 0 abandoned 63 unread block(s): processor dead"},
+		{"no kill", DefaultConfig(pattern.LFP), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			e, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			kerr := e.KillError()
+			if tc.want == "" {
+				if kerr != nil {
+					t.Fatalf("kill error %v, want nil", kerr)
+				}
+				return
+			}
+			if kerr == nil || kerr.Error() != tc.want || !errors.Is(kerr, fault.ErrProcDead) {
+				t.Fatalf("kill error %v, want %q wrapping fault.ErrProcDead", kerr, tc.want)
+			}
+		})
+	}
+}

@@ -53,15 +53,16 @@ type Engine struct {
 
 	// Node-level fault injection (nil/zero unless
 	// cfg.NodeFault.Enabled()): the per-processor injector, the kill
-	// bookkeeping (the FIFO of blocks the victim abandoned and the
-	// event announcing it), the wrapped
-	// fault.ErrProcDead describing an executed kill, and the auditor
-	// itself (nil unless cfg.AuditEvery > 0).
+	// bookkeeping (the FIFO of blocks the victim abandoned, the event
+	// announcing it, and the last victim and its unread block count,
+	// which KillError reports), and the auditor itself (nil unless
+	// cfg.AuditEvery > 0).
 	ninj          *fault.NodeInjector
 	bpGate        bool
 	orphans       []int
 	orphansPosted *sim.Event
-	killErr       error
+	lastKilled    int
+	lastOrphaned  int
 	aud           *audit.Auditor
 
 	// Observability sink (nil unless cfg.Obs is set).
@@ -354,9 +355,15 @@ func (e *Engine) prefetchAllowed() bool {
 	return false
 }
 
-// KillError returns the wrapped fault.ErrProcDead describing the
+// KillError returns the wrapped fault.ErrProcDead describing the last
 // processor kill this run executed, or nil if no processor died.
-func (e *Engine) KillError() error { return e.killErr }
+func (e *Engine) KillError() error {
+	if e.res.Faults.Node.DeadProcs == 0 {
+		return nil
+	}
+	return fmt.Errorf("core: node %d abandoned %d unread block(s): %w",
+		e.lastKilled, e.lastOrphaned, fault.ErrProcDead)
+}
 
 // Run builds and executes one experiment.
 func Run(cfg Config) (*Result, error) {

@@ -111,7 +111,8 @@ func ParseSchedPolicy(s string) (SchedPolicy, error) {
 // Records are recycled through their array's free list. A request
 // carries two holds and is reused only once both are dropped: the
 // disk's, dropped after Complete has fired, and the consumer's, dropped
-// by Release (DESIGN.md, "Disk request records").
+// by Release (DESIGN.md, "Disk request records"). Records are allocated
+// in blocks, and a record keeps its whole block alive.
 type Request struct {
 	Disk     int
 	Block    int       // logical file block, for tracing
@@ -125,7 +126,8 @@ type Request struct {
 	Complete sim.Event // fires at Done
 	Err      error     // non-nil if the transfer failed (fault injection)
 
-	owner *Disk // for the completion timer's Wake
+	owner *Disk    // for the completion timer's Wake
+	next  *Request // the next request in the disk's queue or on the free list
 }
 
 // The two holds on a request record.
@@ -185,12 +187,12 @@ type Disk struct {
 	headPos int // physical position of the head; -1 before any request
 	scanUp  bool
 
-	// The waiting requests are queue[head:]. Serving the front advances
-	// head rather than the slice base, so the backing array is kept for
-	// enqueue to reuse.
-	queue   []*Request
-	head    int
-	current *Request
+	// The waiting requests, oldest first, linked through Request.next:
+	// FIFO serves the first, SSTF and SCAN unlink their pick wherever it
+	// is.
+	first, last *Request
+	queued      int
+	current     *Request
 
 	busy   sim.Duration // accumulated service time
 	served int64
@@ -230,10 +232,7 @@ func (d *Disk) Policy() SchedPolicy { return d.policy }
 
 // QueueLength returns the number of requests waiting (excluding the one
 // in service).
-func (d *Disk) QueueLength() int { return len(d.queue) - d.head }
-
-// pending returns the waiting requests, oldest first.
-func (d *Disk) pending() []*Request { return d.queue[d.head:] }
+func (d *Disk) QueueLength() int { return d.queued }
 
 // Submit enqueues a read of the given logical block, stored at physical
 // block phys on this disk, and returns the request. The request's
@@ -281,19 +280,15 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	return req
 }
 
-// enqueue appends req to the queue. When the backing array is full and
-// at least half of it has been served, the waiting tail moves to the
-// front (an empty queue rewinds) instead of growing a new array. Left
-// to append, the next request to an idle disk would reallocate, and a
-// disk busy for a whole run would carry every request it ever served.
+// enqueue appends req to the queue.
 func (d *Disk) enqueue(req *Request) {
-	if n := len(d.queue); n == cap(d.queue) && d.head > 0 && 2*d.head >= n {
-		live := copy(d.queue, d.queue[d.head:])
-		clear(d.queue[live:])
-		d.queue = d.queue[:live]
-		d.head = 0
+	if d.last == nil {
+		d.first = req
+	} else {
+		d.last.next = req
 	}
-	d.queue = append(d.queue, req)
+	d.last = req
+	d.queued++
 }
 
 // dispatch picks, times, and (when an injector is attached) faults the
@@ -301,21 +296,24 @@ func (d *Disk) enqueue(req *Request) {
 // scheduling its completion. Kernel or process context; must only be
 // called when idle.
 func (d *Disk) dispatch() {
-	if d.head == len(d.queue) {
+	if d.first == nil {
 		d.current = nil
 		return
 	}
 	now := d.k.Now()
-	i := d.head + d.pickNext(now)
-	req := d.queue[i]
-	// Remove index i by shifting the waiting prefix right and advancing
-	// head. For FIFO (i == head, the common case) this moves nothing;
-	// removing by copying the suffix down would move the whole
-	// remaining queue on every serve, which at cluster scale — 100k+
-	// requests deep on a handful of disks — turns the run quadratic.
-	copy(d.queue[d.head+1:i+1], d.queue[d.head:i])
-	d.queue[d.head] = nil
-	d.head++
+	prev := d.pickNext(now)
+	req := d.first
+	if prev != nil {
+		req = prev.next
+		prev.next = req.next
+	} else {
+		d.first = req.next
+	}
+	if d.last == req {
+		d.last = prev
+	}
+	req.next = nil
+	d.queued--
 	service := d.profile.ServiceTime(d.headPos, req.Physical)
 	// Storms stretch the base service before the fault draw, so a spike
 	// multiplies the stormed time and the timeout watchdog still caps
@@ -377,34 +375,37 @@ func (d *Disk) complete(req *Request) {
 // request once it has waited this long.
 const starvationBound = 32
 
-// pickNext chooses the pending index to serve next at dispatch
-// instant now.
-func (d *Disk) pickNext(now sim.Time) int {
-	pending := d.pending()
-	if d.policy == FIFO || d.headPos < 0 || len(pending) == 1 {
-		return 0
+// pickNext chooses the waiting request to serve next at dispatch
+// instant now. It returns the request queued just before it, nil when
+// it is the oldest, so dispatch can unlink it. Ties go to the older
+// request.
+func (d *Disk) pickNext(now sim.Time) (prev *Request) {
+	if d.policy == FIFO || d.headPos < 0 || d.first.next == nil {
+		return nil
 	}
-	if now.Sub(pending[0].Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
-		return 0
+	if now.Sub(d.first.Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
+		return nil
 	}
 	switch d.policy {
 	case SSTF:
-		best, bestDist := 0, -1
-		for i, r := range pending {
+		var best *Request
+		bestDist := -1
+		for p, r := (*Request)(nil), d.first; r != nil; p, r = r, r.next {
 			dist := r.Physical - d.headPos
 			if dist < 0 {
 				dist = -dist
 			}
 			if bestDist < 0 || dist < bestDist {
-				best, bestDist = i, dist
+				best, bestDist = p, dist
 			}
 		}
 		return best
 	case SCAN:
 		// Nearest request in the sweep direction; reverse if none.
-		pick := func(up bool) (int, bool) {
-			best, bestDist := -1, -1
-			for i, r := range pending {
+		pick := func(up bool) (*Request, bool) {
+			var best *Request
+			bestDist := -1
+			for p, r := (*Request)(nil), d.first; r != nil; p, r = r, r.next {
 				dist := r.Physical - d.headPos
 				if !up {
 					dist = -dist
@@ -413,21 +414,20 @@ func (d *Disk) pickNext(now sim.Time) int {
 					continue
 				}
 				if bestDist < 0 || dist < bestDist {
-					best, bestDist = i, dist
+					best, bestDist = p, dist
 				}
 			}
-			return best, best >= 0
+			return best, bestDist >= 0
 		}
-		if i, ok := pick(d.scanUp); ok {
-			return i
+		if p, ok := pick(d.scanUp); ok {
+			return p
 		}
 		d.scanUp = !d.scanUp
-		if i, ok := pick(d.scanUp); ok {
-			return i
+		if p, ok := pick(d.scanUp); ok {
+			return p
 		}
-		return 0
 	}
-	return 0
+	return nil
 }
 
 // Served returns the number of requests this disk has accepted.
@@ -452,39 +452,57 @@ func (d *Disk) Utilization(end sim.Time) float64 {
 }
 
 // Array is a set of parallel independent disks. It recycles their
-// request records through one free list.
+// request records through one free list, which lives for one kernel
+// run: it survives every drain of the queues inside the run and is
+// dropped at the run's end.
 type Array struct {
 	disks []*Disk
-	free  []*Request // released records, ready for reuse
-	out   int        // records handed out and not yet back on free
+	free  *Request  // released records, linked through next
+	block []Request // the records of the newest block not yet handed out
+	out   int       // records handed out and not yet back on free
 }
 
-// get hands out a request record, recycled when one is free.
+// recordBlock is how many request records the array allocates at once.
+// Blocks have a fixed size rather than growing, so a record kept past
+// its run pins a bounded amount of memory.
+const recordBlock = 64
+
+// get hands out a request record: a released one when there is one,
+// else the next of the newest block.
 func (a *Array) get() *Request {
 	a.out++
-	n := len(a.free)
-	if n == 0 {
-		return new(Request)
+	if r := a.free; r != nil {
+		a.free = r.next
+		return r
 	}
-	r := a.free[n-1]
-	a.free[n-1] = nil
-	a.free = a.free[:n-1]
+	if len(a.block) == 0 {
+		a.block = make([]Request, recordBlock)
+	}
+	r := &a.block[0]
+	a.block = a.block[1:]
 	return r
 }
 
-// put takes back a record whose holds are both dropped. When it is the
-// last one out, every queue is idle: the free list and the queues'
-// backing arrays are dropped, so an array kept after its run retains
-// none of them.
+// put takes back a record whose holds are both dropped.
 func (a *Array) put(r *Request) {
 	a.out--
-	if a.out > 0 {
-		a.free = append(a.free, r)
-		return
-	}
-	a.free = nil
-	for _, d := range a.disks {
-		d.queue, d.head = nil, 0
+	r.next = a.free
+	a.free = r
+}
+
+// arrayTrim is the array as its kernel's run-end waiter
+// (sim.Kernel.OnRunEnd); registering the converted pointer allocates
+// nothing.
+type arrayTrim Array
+
+// Wake runs at the end of each kernel run. When no record is out, it
+// drops the free list and the rest of the newest block, so an array
+// kept after its run retains none of them. A record still out (a
+// consumer that never releases) keeps the pool, as a record keeps its
+// block anyway.
+func (t *arrayTrim) Wake() {
+	if t.out == 0 {
+		t.free, t.block = nil, nil
 	}
 }
 
@@ -512,11 +530,22 @@ func NewArray(k *sim.Kernel, n int, profile Profile, policy SchedPolicy) *Array 
 		slab[i] = Disk{k: k, id: i, profile: profile, policy: policy, headPos: -1, scanUp: true, arr: a}
 		a.disks[i] = &slab[i]
 	}
+	k.OnRunEnd((*arrayTrim)(a))
 	return a
 }
 
 // Len returns the number of disks.
 func (a *Array) Len() int { return len(a.disks) }
+
+// Pooled returns how many request records the array holds for reuse:
+// the released ones and the rest of its newest block.
+func (a *Array) Pooled() int {
+	n := len(a.block)
+	for r := a.free; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
 
 // SetObserver installs an observability sink on every disk.
 func (a *Array) SetObserver(s obs.Sink) {

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -446,5 +447,25 @@ func TestSSTFStarvationBound(t *testing.T) {
 	bound := sim.Time(starvationBound*10*sim.Millisecond) + sim.Time(11*sim.Second)
 	if farDone > bound {
 		t.Fatalf("far request served at %v, starved past %v", farDone, bound)
+	}
+}
+
+// SCAN serves a request at the head's own position before moving on:
+// it lies at distance 0 in either sweep direction.
+func TestSCANServesAtHead(t *testing.T) {
+	k := sim.NewKernel()
+	d := seekDisk(k, SCAN)
+	var order []int
+	watch := func(r *Request) {
+		r.Complete.OnFire(func() { order = append(order, r.Block) })
+	}
+	watch(d.Submit(0, 50, false)) // head to 50
+	watch(d.Submit(1, 60, false))
+	watch(d.Submit(2, 50, false)) // at the head once block 0 is served
+	watch(d.Submit(3, 40, false))
+	k.Run()
+	want := []int{0, 2, 1, 3}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("SCAN service order %v, want %v", order, want)
 	}
 }

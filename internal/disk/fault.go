@@ -123,15 +123,18 @@ func (d *Disk) kill() {
 		d.fstats.DeadFailed++
 	}
 	now := d.k.Now()
-	pending := d.pending()
-	d.queue, d.head = nil, 0
-	for _, req := range pending {
+	req := d.first
+	d.first, d.last, d.queued = nil, nil, 0
+	for req != nil {
+		next := req.next
+		req.next = nil
 		req.Err = fmt.Errorf("disk %d: %w", d.id, ErrDead)
 		req.Started = now
 		req.Done = now
 		d.fstats.DeadFailed++
 		req.Complete.Fire()
 		d.drop(req)
+		req = next
 	}
 }
 

@@ -321,3 +321,23 @@ func TestRemap(t *testing.T) {
 		}
 	}
 }
+
+// A latency storm covers the requests dispatched in [start, end): one
+// dispatched exactly at the window's end is served at full speed.
+func TestStormWindowEndsAtEnd(t *testing.T) {
+	k := sim.NewKernel()
+	a := NewArray(k, 1, Fixed(10*sim.Millisecond), FIFO)
+	a.SetStorm(0, 0, 30*sim.Millisecond, 3)
+	stormed := a.Submit(0, 1, 0, false) // dispatched at 0: 30 ms
+	after := a.Submit(0, 2, 0, false)   // dispatched at 30 ms, the window's end
+	k.Run()
+	if stormed.Done != sim.Time(30*sim.Millisecond) {
+		t.Fatalf("stormed request done at %v, want 30ms", stormed.Done)
+	}
+	if after.Started != sim.Time(30*sim.Millisecond) || after.Done != sim.Time(40*sim.Millisecond) {
+		t.Fatalf("request dispatched at the storm's end ran %v–%v, want 30ms–40ms", after.Started, after.Done)
+	}
+	if n := a.FaultStats().Stormed; n != 1 {
+		t.Fatalf("%d stormed requests, want 1", n)
+	}
+}

@@ -15,9 +15,9 @@ func (c *releaser) Wake() { c.r.Release() }
 
 // TestSteadyStateAllocs pins the disk layer's steady state at zero
 // allocations per request: on a warmed array, Submit → complete →
-// Release cycles reuse the request records and the queues' backing
-// arrays. One request stays outstanding throughout, as in a running
-// system; only the array's last release drops the free list.
+// Release cycles reuse the request records, across runs too. One
+// request stays outstanding throughout, as in a running system, so the
+// end of each run keeps the pool.
 func TestSteadyStateAllocs(t *testing.T) {
 	const disks, perCycle = 4, 64
 	k := sim.NewKernel()
@@ -81,48 +81,115 @@ func TestRecordReusedOnlyAfterBothHolds(t *testing.T) {
 	}
 }
 
-// When the last outstanding request comes back, the array drops its
-// free list and every queue's backing array.
-func TestDrainDropsPools(t *testing.T) {
+// A pool lives for one run: at the run's end, an array with no record
+// out drops its free list and the rest of its newest record block,
+// while a record still out keeps the pool for the next run.
+func TestRunEndDropsPools(t *testing.T) {
 	k := sim.NewKernel()
 	a := NewArray(k, 3, Fixed(sim.Millisecond), FIFO)
 	for i := 0; i < 12; i++ {
 		a.Submit(i%3, i, i, false).Release()
 	}
 	k.Run()
-	if a.free != nil || a.out != 0 {
-		t.Fatalf("free list of %d, %d out after the drain", len(a.free), a.out)
+	if a.free != nil || a.block != nil || a.out != 0 {
+		t.Fatalf("after the run: free list %v, %d uncarved records, %d out", a.free != nil, len(a.block), a.out)
 	}
-	for i, d := range a.disks {
-		if d.queue != nil || d.head != 0 {
-			t.Fatalf("disk %d keeps a queue of capacity %d", i, cap(d.queue))
-		}
+
+	held := a.Submit(0, 100, 0, false) // never released
+	a.Submit(1, 101, 0, false).Release()
+	k.Run()
+	if a.free == nil || a.out != 1 {
+		t.Fatalf("with a record out: free list %v, %d out; want the pool kept", a.free != nil, a.out)
+	}
+	if r := a.Submit(2, 102, 0, false); r == held {
+		t.Fatal("the record still out was handed out again")
 	}
 }
 
-// A disk that never goes idle still reuses its queue's array: the live
-// tail moves down once half the array is served, so the array stays
-// within a small multiple of the queue depth.
-func TestBusyQueueStaysBounded(t *testing.T) {
-	const depth, total = 8, 5000
-	k := sim.NewKernel()
-	d := fifoDisk(k, sim.Millisecond)
-	k.Spawn("p", 0, func(p *sim.Proc) {
-		for i := 0; i < total; i++ {
-			r := d.Submit(i, 0, false)
-			r.Release()
-			if d.QueueLength() >= depth {
-				p.Advance(sim.Millisecond)
+// An array whose queues drain and fill again several times inside one
+// run keeps its pool through the drains: after the first cycle, no
+// cycle allocates anything.
+func TestDrainsKeepPools(t *testing.T) {
+	const disks, perCycle = 4, 48
+	run := func(cycles int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			a := NewArray(k, disks, Fixed(sim.Millisecond), FIFO)
+			b := &burster{k: k, a: a, cs: make([]releaser, perCycle), left: cycles}
+			k.ScheduleWake(0, b)
+			k.Run()
+		})
+	}
+	if one, six := run(1), run(6); six != one {
+		t.Fatalf("six drain cycles in one run allocate %v, one cycle %v; want the same", six, one)
+	}
+}
+
+// burster submits left bursts of reads, each released on completion,
+// one second apart, so every queue drains between bursts.
+type burster struct {
+	k    *sim.Kernel
+	a    *Array
+	cs   []releaser
+	left int
+}
+
+func (b *burster) Wake() {
+	if b.left == 0 {
+		return
+	}
+	b.left--
+	b.k.AfterWake(sim.Second, b)
+	for i := range b.cs {
+		b.cs[i].r = b.a.Submit(i%b.a.Len(), i, i, false)
+		b.cs[i].r.Complete.AddWaiter(&b.cs[i])
+	}
+}
+
+// A disk that never goes idle allocates nothing once warm: every
+// completion releases its request and submits the next, so the queue
+// stays eight deep for the whole run, and serving 5,000 requests costs
+// what serving 500 does.
+func TestBusyDiskAllocatesNothing(t *testing.T) {
+	const depth = 8
+	run := func(total int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			d := fifoDisk(k, sim.Millisecond)
+			left := total - depth
+			fs := make([]feeder, depth)
+			for i := range fs {
+				fs[i] = feeder{d: d, left: &left}
+				fs[i].submit()
 			}
-			if c := cap(d.queue); c > 4*depth {
-				t.Errorf("request %d: queue array of %d slots for a depth of %d", i, c, depth)
-				return
+			k.Run()
+			if d.Served() != int64(total) {
+				t.Fatalf("served %d of %d", d.Served(), total)
 			}
-		}
-	})
-	k.Run()
-	if !t.Failed() && d.Served() != total {
-		t.Fatalf("served %d of %d", d.Served(), total)
+		})
+	}
+	if few, many := run(500), run(5000); many != few {
+		t.Fatalf("5,000 requests allocate %v, 500 allocate %v; want the same", many, few)
+	}
+}
+
+// feeder keeps one request in a disk's queue until *left runs out.
+type feeder struct {
+	d    *Disk
+	r    *Request
+	left *int
+}
+
+func (f *feeder) submit() {
+	f.r = f.d.Submit(*f.left, 0, false)
+	f.r.Complete.AddWaiter(f)
+}
+
+func (f *feeder) Wake() {
+	f.r.Release()
+	if *f.left > 0 {
+		*f.left--
+		f.submit()
 	}
 }
 
@@ -134,13 +201,16 @@ func TestAuditCatchesLostHolds(t *testing.T) {
 		corrupt    func(a *Array)
 	}{
 		{"queued request lost the disk's hold", "queued request for block 2 has lost the disk's hold", func(a *Array) {
-			a.disks[0].pending()[0].holds &^= holdDisk
+			a.disks[0].first.holds &^= holdDisk
+		}},
+		{"queue miscounted", "queue links 1 request(s) but counts 2", func(a *Array) {
+			a.disks[0].queued++
 		}},
 		{"in-service request lost the disk's hold", "in-service request for block 1 has lost the disk's hold", func(a *Array) {
 			a.disks[0].current.holds = 0
 		}},
 		{"free-list record still held", "free-list request for block 9 on disk 1 is still held", func(a *Array) {
-			a.free = append(a.free, &Request{Disk: 1, Block: 9, holds: holdConsumer})
+			a.free = &Request{Disk: 1, Block: 9, holds: holdConsumer, next: a.free}
 		}},
 	}
 	for _, tc := range cases {

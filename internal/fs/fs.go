@@ -151,8 +151,9 @@ type FileSystem struct {
 	diskAlloc []int // next physical block per disk
 
 	// Write-behind bookkeeping. Finished write-behind records wait on
-	// wbFree for reuse; the list is dropped when pendingWrites reaches
-	// 0, so a file system kept after its run retains none of them.
+	// wbFree for reuse; the list lives for one kernel run and is dropped
+	// at its end (see fsTrim), so a file system kept after its run
+	// retains none of them.
 	pendingWrites int
 	writesDrained *sim.WaitQueue
 	writesIssued  int64
@@ -209,6 +210,7 @@ func New(k *sim.Kernel, opts Options) (*FileSystem, error) {
 	// kernel's sink, if it has one.
 	fs.disks.SetObserver(k.Observer())
 	fs.bc.SetObserver(k.Observer())
+	k.OnRunEnd((*fsTrim)(fs))
 	fs.writesDrained = sim.NewWaitQueue(k).SetLabel("write-behind drain")
 	fs.submitted = sim.NewWaitQueue(k).SetLabel("a readahead submit")
 	if o.Faults.Enabled() {
@@ -579,14 +581,22 @@ func (w *writeback) Wake() {
 	}
 	fs.bc.Unpin(w.buf)
 	fs.pendingWrites--
-	if fs.pendingWrites == 0 {
-		fs.wbFree = nil
-		fs.writesDrained.WakeAll()
-		return
-	}
 	*w = writeback{}
 	fs.wbFree = append(fs.wbFree, w)
+	if fs.pendingWrites == 0 {
+		fs.writesDrained.WakeAll()
+	}
 }
+
+// fsTrim is the file system as its kernel's run-end waiter
+// (sim.Kernel.OnRunEnd).
+type fsTrim FileSystem
+
+// Wake runs at the end of each kernel run and drops the free
+// write-behind records. Every write has landed by then: a pending write
+// always has its disk completion or its retry queued, so the run cannot
+// end under it.
+func (t *fsTrim) Wake() { t.wbFree = nil }
 
 // retryWrite resubmits a failed write-back after backoff. It returns
 // false when the retry policy is exhausted: the write is dropped (and

@@ -199,6 +199,8 @@ func TestJSONMatchesMapEncoding(t *testing.T) {
 		"one sample": {3.25},
 		"negative":   {-1.5, -7, 2},
 		"1e-7":       {1e-7, 3e-7},
+		"1e-12":      {-1e-12, 4.5e-12},
+		"1e-6":       {1e-6, 123456.789},
 		"1e21":       {1e21, 2.5e21, 7},
 	}
 	for name, xs := range summaries {
@@ -216,5 +218,21 @@ func TestJSONMatchesMapEncoding(t *testing.T) {
 		got, gotErr = json.Marshal(h)
 		want, wantErr = mapHistogram(h)
 		check("histogram "+name, got, gotErr, want, wantErr)
+	}
+
+	var s Summary
+	for _, x := range summaries["1e21"] {
+		s.Add(x)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.MarshalJSON() }); n != 1 {
+		t.Errorf("Summary.MarshalJSON: %v allocations, want 1", n)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var bad Summary
+		bad.Add(1)
+		bad.Add(x)
+		if b, err := json.Marshal(&bad); err == nil {
+			t.Errorf("summary with a %v sample encoded as %s, want an error", x, b)
+		}
 	}
 }

@@ -5,10 +5,10 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Summary accumulates count, mean, variance (Welford's online
@@ -240,20 +240,47 @@ func PercentReduction(without, with float64) float64 {
 	return 100 * (without - with) / without
 }
 
-// summaryJSON is a Summary's encoding. Its fields are in the sorted key
-// order a map encoding had, so the bytes are the same; a struct costs
-// no map and no boxed values per summary.
-type summaryJSON struct {
-	Max    float64 `json:"max"`
-	Mean   float64 `json:"mean"`
-	Min    float64 `json:"min"`
-	N      int64   `json:"n"`
-	Stddev float64 `json:"stddev"`
+// MarshalJSON encodes the summary's derived statistics. The keys are
+// in the sorted order a map encoding has, and the numbers follow
+// encoding/json's rules, so the bytes are what json.Marshal would give.
+// They are appended into a buffer on the stack and copied out once, so
+// a summary costs one allocation of its encoded size. A NaN or infinite
+// statistic is an error, as it is for encoding/json.
+func (s *Summary) MarshalJSON() ([]byte, error) {
+	hi, mean, lo, sd := s.Max(), s.Mean(), s.Min(), s.Stddev()
+	for _, x := range [...]float64{hi, mean, lo, sd} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("metrics: summary statistic %v has no JSON encoding", x)
+		}
+	}
+	var buf [160]byte // the longest encoding is 158 bytes
+	b := append(buf[:0], `{"max":`...)
+	b = appendJSONFloat(b, hi)
+	b = append(b, `,"mean":`...)
+	b = appendJSONFloat(b, mean)
+	b = append(b, `,"min":`...)
+	b = appendJSONFloat(b, lo)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, s.N(), 10)
+	b = append(b, `,"stddev":`...)
+	b = appendJSONFloat(b, sd)
+	b = append(b, '}')
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
-// MarshalJSON encodes the summary's derived statistics.
-func (s *Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{
-		Max: s.Max(), Mean: s.Mean(), Min: s.Min(), N: s.N(), Stddev: s.Stddev(),
-	})
+// appendJSONFloat appends a finite x as encoding/json writes a float64:
+// the shortest representation, in exponent form below 1e-6 and from
+// 1e21 on, with a single-digit negative exponent unpadded (1e-7, not
+// 1e-07).
+func appendJSONFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

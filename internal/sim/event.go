@@ -16,7 +16,10 @@ package sim
 // is queued as its resumption step, so a state machine that parks with
 // AddBlocked wakes exactly where a process would. Both sides keep a
 // single inline slot plus an overflow slice, so the overwhelmingly
-// common one-party case costs no allocation.
+// common one-party case costs no allocation. Fire hands the overflow
+// slices back to the kernel, which gives them to the next events that
+// gather a second party, so within a run an event allocates only when
+// no fired event has left a slice behind.
 type Event struct {
 	k       *Kernel
 	label   string
@@ -87,18 +90,24 @@ func (e *Event) Fire() {
 		e.c0 = nil
 		w.Wake()
 	}
-	for _, w := range e.conts {
-		w.Wake()
+	if e.conts != nil {
+		for _, w := range e.conts {
+			w.Wake()
+		}
+		e.k.giveSpare(e.conts)
+		e.conts = nil
 	}
-	e.conts = nil
 	if w := e.b0; w != nil {
 		e.b0 = nil
 		e.k.push(e.k.now, w)
 	}
-	for _, w := range e.blocked {
-		e.k.push(e.k.now, w)
+	if e.blocked != nil {
+		for _, w := range e.blocked {
+			e.k.push(e.k.now, w)
+		}
+		e.k.giveSpare(e.blocked)
+		e.blocked = nil
 	}
-	e.blocked = nil
 }
 
 // AddWaiter registers w to be woken, in kernel context, at the moment
@@ -113,6 +122,9 @@ func (e *Event) AddWaiter(w Waiter) {
 	if e.c0 == nil && len(e.conts) == 0 {
 		e.c0 = w
 		return
+	}
+	if e.conts == nil {
+		e.conts = e.k.takeSpare()
 	}
 	e.conts = append(e.conts, w)
 }
@@ -154,6 +166,9 @@ func (e *Event) AddBlocked(w Waiter) {
 	if e.b0 == nil && len(e.blocked) == 0 {
 		e.b0 = w
 		return
+	}
+	if e.blocked == nil {
+		e.blocked = e.k.takeSpare()
 	}
 	e.blocked = append(e.blocked, w)
 }

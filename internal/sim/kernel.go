@@ -44,6 +44,17 @@ type Kernel struct {
 	running bool
 	active  int // live (not yet finished) processes
 
+	// spare holds the cleared overflow slices of fired events' waiter
+	// lists, for the next event that gathers a second party. runEnd0
+	// and runEnd hold the waiters Run wakes once its queue is empty,
+	// the first inline, so that a kernel with one registrant (a core
+	// run's disk array) registers it without allocating. Both recycle
+	// memory for one run: Run drops the spare slices as it returns, and
+	// the run-end waiters drop their layers' pools.
+	spare   [][]Waiter
+	runEnd0 Waiter
+	runEnd  []Waiter
+
 	obs obs.Sink // nil = no observability (the common case)
 }
 
@@ -105,6 +116,39 @@ func (k *Kernel) checkDelay(d Duration) Duration {
 	return d
 }
 
+// OnRunEnd registers w to be woken each time Run empties its event
+// queue, in registration order. It is how a layer that recycles records
+// through a pool lets the pool live for one run: the pool survives every
+// drain inside the run and is dropped at its end, so a structure kept
+// after its run retains none of it. w.Wake must not schedule events.
+func (k *Kernel) OnRunEnd(w Waiter) {
+	if k.runEnd0 == nil {
+		k.runEnd0 = w
+		return
+	}
+	k.runEnd = append(k.runEnd, w)
+}
+
+// takeSpare returns a cleared slice for an event's overflow waiter
+// list, or nil when the kernel holds none.
+func (k *Kernel) takeSpare() []Waiter {
+	n := len(k.spare)
+	if n == 0 {
+		return nil
+	}
+	ws := k.spare[n-1]
+	k.spare[n-1] = nil
+	k.spare = k.spare[:n-1]
+	return ws
+}
+
+// giveSpare takes back a fired event's overflow waiter list. It is
+// cleared, so the spare holds no waiter alive.
+func (k *Kernel) giveSpare(ws []Waiter) {
+	clear(ws)
+	k.spare = append(k.spare, ws[:0])
+}
+
 // push queues w to wake at instant at, after every event already queued
 // for that instant.
 func (k *Kernel) push(at Time, w Waiter) {
@@ -129,9 +173,10 @@ func (k *Kernel) dispatch(e *event) {
 	e.w.Wake()
 }
 
-// Run executes events until the heap is exhausted. It panics on deadlock:
-// live processes remaining with no pending events. A panic in a process
-// body propagates out of Run with the same value.
+// Run executes events until the heap is exhausted, then wakes the
+// run-end waiters (OnRunEnd) and drops its spare waiter slices. It
+// panics on deadlock: live processes remaining with no pending events.
+// A panic in a process body propagates out of Run with the same value.
 //
 // Every Run call on one kernel must run with the same OS-thread lock
 // state (runtime.LockOSThread), since process coroutines are created
@@ -148,6 +193,13 @@ func (k *Kernel) Run() {
 		k.now = e.at
 		k.dispatch(&e)
 	}
+	if k.runEnd0 != nil {
+		k.runEnd0.Wake()
+	}
+	for _, w := range k.runEnd {
+		w.Wake()
+	}
+	k.spare = nil
 	if k.active > 0 {
 		panic(k.deadlockError())
 	}

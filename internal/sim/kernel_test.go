@@ -619,3 +619,89 @@ func TestObserverCountsEventKinds(t *testing.T) {
 		}
 	}
 }
+
+// counter is a Waiter that counts its wakes.
+type counter struct{ n int }
+
+func (c *counter) Wake() { c.n++ }
+
+// spareChain fires left events, one per instant, each gathering 16
+// blocked parties or 16 continuations, so each event after the first
+// can take the overflow slice its predecessor handed back.
+type spareChain struct {
+	k       *Kernel
+	ev      Event
+	ws      [16]counter
+	left    int
+	blocked bool
+}
+
+func (c *spareChain) Wake() {
+	if c.left == 0 {
+		return
+	}
+	c.left--
+	c.k.AfterWake(1, c)
+	c.ev = Event{}
+	c.ev.Init(c.k, "chain")
+	for i := range c.ws {
+		if c.blocked {
+			c.ev.AddBlocked(&c.ws[i])
+		} else {
+			c.ev.AddWaiter(&c.ws[i])
+		}
+	}
+	c.ev.Fire()
+}
+
+// Once the kernel holds a spare slice, an event with 16 blocked parties
+// or 16 continuations allocates nothing, and every party still wakes
+// once per firing.
+func TestEventReusesSpareSlices(t *testing.T) {
+	for _, blocked := range []bool{false, true} {
+		run := func(events int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				k := NewKernel()
+				c := &spareChain{k: k, left: events, blocked: blocked}
+				k.ScheduleWake(0, c)
+				k.Run()
+				for i := range c.ws {
+					if c.ws[i].n != events {
+						t.Fatalf("blocked=%v: party %d woke %d times in %d firings", blocked, i, c.ws[i].n, events)
+					}
+				}
+			})
+		}
+		if one, ten := run(1), run(10); ten != one {
+			t.Errorf("blocked=%v: ten events allocate %v, one event %v; want the same", blocked, ten, one)
+		}
+	}
+}
+
+// Run wakes the run-end waiters in registration order once its queue
+// is empty, at every run, and drops the kernel's spare slices.
+func TestOnRunEnd(t *testing.T) {
+	k := NewKernel()
+	var log []string
+	k.OnRunEnd(funcWaiter(func() { log = append(log, fmt.Sprintf("a@%v/%d", k.Now(), k.PendingEvents())) }))
+	k.OnRunEnd(&waked{&log, "b"})
+	k.OnRunEnd(&waked{&log, "c"})
+	ev := NewEvent(k)
+	ev.AddWaiter(&counter{})
+	ev.AddWaiter(&counter{})
+	k.Schedule(5, ev.Fire)
+	k.Schedule(5, func() {
+		if len(k.spare) != 1 {
+			t.Errorf("%d spare slices after a firing with two continuations, want 1", len(k.spare))
+		}
+	})
+	k.Run()
+	k.Schedule(7, func() {})
+	k.Run()
+	if got, want := fmt.Sprint(log), "[a@5µs/0 b c a@7µs/0 b c]"; got != want {
+		t.Fatalf("run-end calls %s, want %s", got, want)
+	}
+	if k.spare != nil {
+		t.Fatalf("%d spare slices kept after the run", len(k.spare))
+	}
+}
