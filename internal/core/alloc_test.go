@@ -17,14 +17,17 @@ import (
 // errors, node stalls, a rack storm and straggler spread, and a rack
 // kill at a quarter of the clean run). Disk request records come in
 // blocks of 64 from a pool that lives for the whole run, the disk
-// queues are linked through the records, and fired events hand their
-// waiter lists back to the kernel. What is left is set-up, on the
-// cluster cells one overflow waiter slice per node (every node parks
-// on its first fill at t=0, before any event has handed one back), and
-// under chaos the fault errors: 0.03, 0.07 and 0.10 allocations per
-// read (60, 2,197 and 3,077 per run). The bounds leave ~40% headroom;
-// a disk request allocated per transfer (about one more per read)
-// fails all three.
+// queues are linked through the records, fired events hand their
+// waiter lists back to the kernel, and the overflow slices needed at
+// t=0, when every cluster node parks on its first fill before any
+// event has handed one back, are carved 16 to an allocation. What is
+// left is set-up and, under chaos, the fault errors: 0.030, 0.010 and
+// 0.038 allocations per read (60, 322 and 1,202 per run). The bounds
+// leave ~40% headroom, and the chaos bound also covers the race
+// detector, under which sync.Pool drops items at random and fault
+// errors read 0.048–0.050. A disk request allocated per transfer
+// (about one more per read) fails all three, and so does one overflow
+// slice per cluster node (0.07 and 0.10 per read before the carving).
 func TestAllocsPerRead(t *testing.T) {
 	paper := DefaultConfig(pattern.GW)
 	paper.Sync = barrier.EveryNPerProc
@@ -59,8 +62,8 @@ func TestAllocsPerRead(t *testing.T) {
 		max  float64
 	}{
 		{"paper-gw-prefetch", paper, 5, 0.045},
-		{"compact-2k-nodes", cluster, 2, 0.1},
-		{"chaos-2k-nodes", chaos, 2, 0.14},
+		{"compact-2k-nodes", cluster, 2, 0.014},
+		{"chaos-2k-nodes", chaos, 2, 0.06},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reads := 0

@@ -41,7 +41,7 @@ func fuzzCheck(t *testing.T) func(seed uint64, raw [11]uint8) bool {
 	return func(seed uint64, raw [11]uint8) bool {
 		// Every fourth draw runs in the inline wake order (CompactNodes)
 		// at a bounded cluster size — up to ~5k procs and disks — so the
-		// state machines, the cache index, and the event heap under load
+		// state machines, the cache index, and the event queue under load
 		// face the same invariants as the small draws, including the
 		// disk-, node-, and domain-fault dims.
 		compact := raw[10]%4 == 0

@@ -31,7 +31,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		k.Run()
 	}
-	cycle() // warm: grow the free list, the queues and the event heap
+	cycle() // warm: grow the free list, the queues and the event queue
 	allocs := testing.AllocsPerRun(20, cycle)
 	if perReq := allocs / perCycle; perReq != 0 {
 		t.Errorf("%.3f allocations per request, want 0", perReq)

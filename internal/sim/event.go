@@ -18,8 +18,9 @@ package sim
 // single inline slot plus an overflow slice, so the overwhelmingly
 // common one-party case costs no allocation. Fire hands the overflow
 // slices back to the kernel, which gives them to the next events that
-// gather a second party, so within a run an event allocates only when
-// no fired event has left a slice behind.
+// gather a second party, so within a run an event needs a new slice
+// only when no fired event has left one behind, and the kernel carves
+// those 16 to an allocation.
 type Event struct {
 	k       *Kernel
 	label   string
@@ -99,11 +100,11 @@ func (e *Event) Fire() {
 	}
 	if w := e.b0; w != nil {
 		e.b0 = nil
-		e.k.push(e.k.now, w)
+		e.k.heap.push(e.k.now, w)
 	}
 	if e.blocked != nil {
 		for _, w := range e.blocked {
-			e.k.push(e.k.now, w)
+			e.k.heap.push(e.k.now, w)
 		}
 		e.k.giveSpare(e.blocked)
 		e.blocked = nil

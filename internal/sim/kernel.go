@@ -38,20 +38,21 @@ type Waiter interface {
 // themselves (core's cnodes) — uses it exclusively.
 type Kernel struct {
 	now     Time
-	heap    eventHeap
-	seq     uint64
+	heap    radixHeap
 	procs   []*Proc
 	running bool
 	active  int // live (not yet finished) processes
 
 	// spare holds the cleared overflow slices of fired events' waiter
-	// lists, for the next event that gathers a second party. runEnd0
+	// lists, for the next event that gathers a second party, and block
+	// the unused part of the block new ones are carved from. runEnd0
 	// and runEnd hold the waiters Run wakes once its queue is empty,
 	// the first inline, so that a kernel with one registrant (a core
 	// run's disk array) registers it without allocating. Both recycle
-	// memory for one run: Run drops the spare slices as it returns, and
-	// the run-end waiters drop their layers' pools.
+	// memory for one run: Run drops the spares as it returns, and the
+	// run-end waiters drop their layers' pools.
 	spare   [][]Waiter
+	block   []Waiter
 	runEnd0 Waiter
 	runEnd  []Waiter
 
@@ -81,7 +82,7 @@ func (k *Kernel) Now() Time { return k.now }
 // may schedule further events, fire Events, and wake processes.
 func (k *Kernel) Schedule(at Time, fn func()) {
 	k.checkFuture(at)
-	k.push(at, funcWaiter(fn))
+	k.heap.push(at, funcWaiter(fn))
 }
 
 // After arranges for fn to be called d from now.
@@ -95,7 +96,7 @@ func (k *Kernel) After(d Duration, fn func()) {
 // used by the hot completion paths.
 func (k *Kernel) ScheduleWake(at Time, w Waiter) {
 	k.checkFuture(at)
-	k.push(at, w)
+	k.heap.push(at, w)
 }
 
 // AfterWake arranges for w.Wake() to be called d from now.
@@ -130,11 +131,18 @@ func (k *Kernel) OnRunEnd(w Waiter) {
 }
 
 // takeSpare returns a cleared slice for an event's overflow waiter
-// list, or nil when the kernel holds none.
+// list. With no spare it carves a one-slot slice from a block of 16, so
+// a burst of events gathering a second party before any has fired (a
+// cluster run's t=0) costs one allocation per 16 events.
 func (k *Kernel) takeSpare() []Waiter {
 	n := len(k.spare)
 	if n == 0 {
-		return nil
+		if len(k.block) == 0 {
+			k.block = make([]Waiter, 16)
+		}
+		ws := k.block[:0:1]
+		k.block = k.block[1:]
+		return ws
 	}
 	ws := k.spare[n-1]
 	k.spare[n-1] = nil
@@ -149,20 +157,12 @@ func (k *Kernel) giveSpare(ws []Waiter) {
 	k.spare = append(k.spare, ws[:0])
 }
 
-// push queues w to wake at instant at, after every event already queued
-// for that instant.
-func (k *Kernel) push(at Time, w Waiter) {
-	k.seq++
-	k.heap.push(event{at: at, seq: k.seq, w: w})
-}
-
-// dispatch executes one popped event record. The observer counts
-// process steps and continuation wakes apart; Schedule callbacks are
-// neither.
-func (k *Kernel) dispatch(e *event) {
+// dispatch wakes one popped event's waiter. The observer counts process
+// steps and continuation wakes apart; Schedule callbacks are neither.
+func (k *Kernel) dispatch(w Waiter) {
 	if k.obs != nil {
 		k.obs.Add(obs.CtrKernelEvents, 1)
-		switch e.w.(type) {
+		switch w.(type) {
 		case *procStep:
 			k.obs.Add(obs.CtrKernelSteps, 1)
 		case funcWaiter:
@@ -170,10 +170,10 @@ func (k *Kernel) dispatch(e *event) {
 			k.obs.Add(obs.CtrKernelWakes, 1)
 		}
 	}
-	e.w.Wake()
+	w.Wake()
 }
 
-// Run executes events until the heap is exhausted, then wakes the
+// Run executes events until the queue is exhausted, then wakes the
 // run-end waiters (OnRunEnd) and drops its spare waiter slices. It
 // panics on deadlock: live processes remaining with no pending events.
 // A panic in a process body propagates out of Run with the same value.
@@ -188,10 +188,10 @@ func (k *Kernel) Run() {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	for k.heap.len() > 0 {
-		e := k.heap.pop()
-		k.now = e.at
-		k.dispatch(&e)
+	for k.heap.n > 0 {
+		at, w := k.heap.pop()
+		k.now = at
+		k.dispatch(w)
 	}
 	if k.runEnd0 != nil {
 		k.runEnd0.Wake()
@@ -199,7 +199,7 @@ func (k *Kernel) Run() {
 	for _, w := range k.runEnd {
 		w.Wake()
 	}
-	k.spare = nil
+	k.spare, k.block = nil, nil
 	if k.active > 0 {
 		panic(k.deadlockError())
 	}
@@ -209,7 +209,7 @@ func (k *Kernel) Run() {
 // invariant auditor uses it to decide whether to re-arm its periodic
 // sweep: once nothing is pending, rescheduling would only keep the run
 // alive artificially (and mask the deadlock detector).
-func (k *Kernel) PendingEvents() int { return k.heap.len() }
+func (k *Kernel) PendingEvents() int { return k.heap.n }
 
 // BlockedProc describes one live blocked process at deadlock time.
 type BlockedProc struct {

@@ -678,6 +678,48 @@ func TestEventReusesSpareSlices(t *testing.T) {
 	}
 }
 
+// TestFirstOverflowSlicesCarved pins the t=0 burst of a cluster run:
+// 4,000 events each gather a second continuation at one instant, before
+// any event has fired to hand a slice back, and the overflow slices come
+// from blocks of 16: about one allocation per 16 events, not one per
+// event. Every continuation still wakes once, a third party
+// still fits, and Run drops the blocks.
+func TestFirstOverflowSlicesCarved(t *testing.T) {
+	const n = 4000
+	evs := make([]Event, n)
+	var c counter
+	var k *Kernel
+	gather := func() {
+		k = NewKernel()
+		for i := range evs {
+			evs[i] = Event{}
+			evs[i].Init(k, "fill")
+			evs[i].AddWaiter(&c)
+			evs[i].AddWaiter(&c)
+		}
+	}
+	a, limit := testing.AllocsPerRun(5, gather), float64((n+15)/16+8)
+	t.Logf("%d events gathering a second continuation: %v allocations (limit %v)", n, a, limit)
+	if a > limit {
+		t.Errorf("%d events gathering a second continuation allocate %v objects, want at most %v", n, a, limit)
+	}
+	gather()
+	evs[0].AddWaiter(&c) // outgrows its one-slot slice
+	c.n = 0
+	k.Schedule(0, func() {
+		for i := range evs {
+			evs[i].Fire()
+		}
+	})
+	k.Run()
+	if c.n != 2*n+1 {
+		t.Errorf("%d continuations woke, want %d", c.n, 2*n+1)
+	}
+	if k.spare != nil || k.block != nil {
+		t.Errorf("Run kept %d spare slices and a block of %d", len(k.spare), len(k.block))
+	}
+}
+
 // Run wakes the run-end waiters in registration order once its queue
 // is empty, at every run, and drops the kernel's spare slices.
 func TestOnRunEnd(t *testing.T) {

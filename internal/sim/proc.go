@@ -69,7 +69,7 @@ func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
 	if k.obs != nil {
 		k.obs.Add(obs.CtrKernelSpawns, 1)
 	}
-	k.push(at, (*procStep)(p))
+	k.heap.push(at, (*procStep)(p))
 	return p
 }
 
@@ -118,16 +118,16 @@ func (p *Proc) Advance(d Duration) {
 	k := p.k
 	at := k.now.Add(d)
 	// Fast path: if no other event is due strictly before the resume
-	// instant, a round trip through the heap would accomplish nothing
+	// instant, a round trip through the queue would accomplish nothing
 	// but two coroutine switches — the resume event would be popped
 	// immediately after being pushed. Advancing the clock in place is
 	// observationally identical. (An event already queued at the same
-	// instant has a smaller seq and must run first, hence the strict
+	// instant was pushed first and must run first, hence the strict
 	// comparison.)
-	if k.heap.len() == 0 || at < k.heap.peekTime() {
+	if k.heap.n == 0 || at < k.heap.peekTime() {
 		k.now = at
 		return
 	}
-	k.push(at, (*procStep)(p))
+	k.heap.push(at, (*procStep)(p))
 	p.park("the clock")
 }

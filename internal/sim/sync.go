@@ -60,7 +60,7 @@ func (q *WaitQueue) AddWaiter(w Waiter) {
 // event at the current instant behind the events already due.
 func (q *WaitQueue) WakeAll() {
 	for i, w := range q.ws {
-		q.k.push(q.k.now, w)
+		q.k.heap.push(q.k.now, w)
 		q.ws[i] = nil
 	}
 	q.ws = q.ws[:0]

@@ -14,9 +14,9 @@
 // coroutine switch and no per-event closure allocation. The testbed's
 // processors are state machines on continuations; the blocking API
 // serves the file system API and its clients. Both styles schedule
-// through the same event heap, and a waiter parked with AddBlocked
-// wakes exactly where a blocked process would, so mixing them preserves
-// determinism.
+// through one event queue, FIFO within an instant, and a waiter parked
+// with AddBlocked wakes exactly where a blocked process would, so
+// mixing them preserves determinism.
 //
 // Time is virtual and counted in microseconds from the start of the run.
 package sim
