@@ -24,12 +24,39 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 			},
 		},
 		{
-			name: "mapped buffer missing from map",
-			want: "not in map",
+			name: "mapped buffer missing from the index",
+			want: "not in the block index",
 			corrupt: func(c *Cache) {
-				buf := c.AllocateDemand(0, 7)
-				delete(c.byBlock, 7)
-				_ = buf
+				c.AllocateDemand(0, 7)
+				c.idx.del(7)
+			},
+		},
+		{
+			name: "index entry past an empty slot after its home",
+			want: "sits past an empty slot",
+			corrupt: func(c *Cache) {
+				c.AllocateDemand(0, 7)
+				i := c.idx.find(7)
+				c.idx.slots[(i+1)&(len(c.idx.slots)-1)], c.idx.slots[i] = c.idx.slots[i], idxSlot{}
+			},
+		},
+		{
+			name: "index entry naming a frame that holds another block",
+			want: "does not hold block",
+			corrupt: func(c *Cache) {
+				c.AllocateDemand(0, 7)
+				c.AllocateDemand(0, 9)
+				i, j := c.idx.find(7), c.idx.find(9)
+				c.idx.slots[i].frame, c.idx.slots[j].frame = c.idx.slots[j].frame, c.idx.slots[i].frame
+			},
+		},
+		{
+			name: "block indexed twice",
+			want: "holds 2 entries for 1 frames holding a block",
+			corrupt: func(c *Cache) {
+				c.AllocateDemand(0, 7)
+				i := c.idx.find(7)
+				c.idx.slots[(i+1)&(len(c.idx.slots)-1)] = c.idx.slots[i]
 			},
 		},
 		{

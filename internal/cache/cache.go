@@ -37,7 +37,7 @@ const (
 	Fetching              // disk transfer in flight
 	Ready                 // contents valid
 	// Failed: the fill failed and pinned waiters have not all drained
-	// yet. The buffer is already out of the block map (a retry may
+	// yet. The buffer is already out of the block index (a retry may
 	// refetch the block immediately); the frame recycles when the last
 	// pin drops. Only fault injection produces this state.
 	Failed
@@ -298,8 +298,8 @@ type Cache struct {
 	k    *sim.Kernel
 	opts Options
 
-	arena   []Buffer
-	byBlock map[int]*Buffer // resident block → its frame
+	arena []Buffer
+	idx   blockIndex // resident block → its frame
 	// Per-class intrusive free lists and reusable LRU lists. A
 	// reusable frame is Ready, unpinned, and not an unconsumed
 	// prefetch; it still satisfies lookups until recycled.
@@ -394,7 +394,7 @@ func New(k *sim.Kernel, opts Options) *Cache {
 	}
 	c.doneSentinel = sim.NewEvent(k).SetLabel("a completed fill")
 	c.doneSentinel.Fire()
-	c.byBlock = make(map[int]*Buffer, total)
+	c.idx = newBlockIndex(total)
 	// Frames live in one contiguous allocation; every list threads
 	// through the structs in place. At cluster scale this keeps
 	// per-frame overhead to the struct itself — no pointer slab to
@@ -429,10 +429,15 @@ func (c *Cache) AvailableFrames(class Class) int {
 
 // Lookup returns the buffer holding the block, or nil. It does not pin
 // or record a hit; use Pin for the access path.
-func (c *Cache) Lookup(block int) *Buffer { return c.byBlock[block] }
+func (c *Cache) Lookup(block int) *Buffer {
+	if f := c.idx.get(block); f >= 0 {
+		return &c.arena[f]
+	}
+	return nil
+}
 
 // Contains reports whether the block is present (fetching or ready).
-func (c *Cache) Contains(block int) bool { return c.byBlock[block] != nil }
+func (c *Cache) Contains(block int) bool { return c.idx.get(block) >= 0 }
 
 // Pin records an access by node to an existing buffer: the hit path.
 // It pins the buffer, removes it from the reusable list if necessary,
@@ -476,10 +481,10 @@ func (c *Cache) Pin(node int, buf *Buffer) (ready bool) {
 // AllocateDemand claims a demand-class frame for a demand fetch of
 // block by node. It returns nil if no frame is available (the caller
 // should sleep on Freed and retry). On success the buffer is Fetching,
-// pinned once, and registered in the block map; the caller must submit
+// pinned once, and registered in the block index; the caller must submit
 // the disk request and call BeginFetch.
 func (c *Cache) AllocateDemand(node, block int) *Buffer {
-	if c.byBlock[block] != nil {
+	if c.Contains(block) {
 		panic(fmt.Sprintf("cache: AllocateDemand for cached block %d", block))
 	}
 	buf := c.claimFrame(DemandClass)
@@ -494,7 +499,7 @@ func (c *Cache) AllocateDemand(node, block int) *Buffer {
 	buf.state = Fetching
 	buf.pins = 1
 	buf.home = int32(node)
-	c.byBlock[block] = buf
+	c.idx.put(buf.block, buf.id)
 	return buf
 }
 
@@ -504,7 +509,7 @@ func (c *Cache) AllocateDemand(node, block int) *Buffer {
 // fs layer's write path (the testbed itself is read-only, as in the
 // paper).
 func (c *Cache) AllocateWrite(node, block int) *Buffer {
-	if c.byBlock[block] != nil {
+	if c.Contains(block) {
 		panic(fmt.Sprintf("cache: AllocateWrite for cached block %d", block))
 	}
 	buf := c.claimFrame(DemandClass)
@@ -515,7 +520,7 @@ func (c *Cache) AllocateWrite(node, block int) *Buffer {
 	buf.state = Ready
 	buf.pins = 1
 	buf.home = int32(node)
-	c.byBlock[block] = buf
+	c.idx.put(buf.block, buf.id)
 	return buf
 }
 
@@ -558,7 +563,7 @@ func (c *Cache) CanPrefetch(node int) PrefetchFail {
 // buffer is Fetching, unpinned, flagged prefetched, and registered; the
 // caller must submit the disk request and call BeginFetch.
 func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
-	if c.byBlock[block] != nil {
+	if c.Contains(block) {
 		return nil, FailInCache
 	}
 	if c.opts.MaxPerNodePrefetched > 0 && c.perNode[node] >= c.opts.MaxPerNodePrefetched {
@@ -590,7 +595,7 @@ func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
 	buf.state = Fetching
 	buf.prefetched = true
 	buf.home = int32(node)
-	c.byBlock[block] = buf
+	c.idx.put(buf.block, buf.id)
 	c.prefetchedUnused++
 	c.perNode[node]++
 	c.pfOrder.pushTail(buf)
@@ -613,7 +618,7 @@ func (c *Cache) evictUnconsumedPrefetch() *Buffer {
 			c.perNode[b.home]--
 			c.stats.PrefetchesEvicted++
 			c.stats.Evictions++
-			delete(c.byBlock, int(b.block))
+			c.idx.del(b.block)
 			b.block = -1
 			b.state = Invalid
 			b.IODone = nil
@@ -674,7 +679,7 @@ func (c *Cache) releaseSrc(buf *Buffer) {
 }
 
 // failFetch handles a fill whose transfer completed with an error. The
-// buffer leaves the block map immediately — a retry may refetch the
+// buffer leaves the block index immediately — a retry may refetch the
 // block into a fresh frame while old waiters drain. An unconsumed
 // prefetch demotes silently (accounting dropped, frame recycled: a
 // failed speculation costs nothing but the attempt); a pinned buffer
@@ -689,7 +694,7 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 		c.fillSpan(buf, int(buf.block), true)
 	}
 	block := int(buf.block)
-	delete(c.byBlock, block)
+	c.idx.del(buf.block)
 	buf.block = -1
 	if buf.prefetched {
 		// Unconsumed prefetches are never pinned (invariant), so the
@@ -763,7 +768,7 @@ func (c *Cache) claimFrame(class Class) *Buffer {
 		return nil
 	}
 	c.stats.Evictions++
-	delete(c.byBlock, int(buf.block))
+	c.idx.del(buf.block)
 	buf.block = -1
 	buf.state = Invalid
 	buf.IODone = nil
@@ -830,9 +835,11 @@ func (c *Cache) Audit() error {
 			return fmt.Errorf("cache: %s free list count %d, walked %d", class, c.free[class].len, walked)
 		}
 	}
+	if err := c.idx.audit(c.arena); err != nil {
+		return err
+	}
 	pf := 0
 	perNode := make([]int, c.opts.Nodes)
-	mapped := 0
 	retired := 0
 	for i := range c.arena {
 		b := &c.arena[i]
@@ -842,12 +849,6 @@ func (c *Cache) Audit() error {
 				return fmt.Errorf("cache: retired buffer %d still in service", b.id)
 			}
 			continue
-		}
-		if b.block >= 0 {
-			if c.byBlock[int(b.block)] != b {
-				return fmt.Errorf("cache: buffer %d not in map for block %d", b.id, b.block)
-			}
-			mapped++
 		}
 		if b.prefetched {
 			if b.pins != 0 {
@@ -883,9 +884,6 @@ func (c *Cache) Audit() error {
 	}
 	if retired != c.retired {
 		return fmt.Errorf("cache: retired=%d but counted %d", c.retired, retired)
-	}
-	if mapped != len(c.byBlock) {
-		return fmt.Errorf("cache: block map size mismatch")
 	}
 	if pf != c.prefetchedUnused {
 		return fmt.Errorf("cache: prefetchedUnused=%d but counted %d", c.prefetchedUnused, pf)

@@ -83,7 +83,7 @@ func TestFailedFillWakesWaiterWithError(t *testing.T) {
 		t.Fatalf("waiter saw %v, want errBoom", sawErr)
 	}
 	if c.Contains(7) {
-		t.Fatal("failed block still in the block map")
+		t.Fatal("failed block still in the block index")
 	}
 	if got := c.Stats().FailedFills; got != 1 {
 		t.Fatalf("FailedFills = %d, want 1", got)
@@ -158,7 +158,7 @@ func TestFailedPrefetchDemotesSilently(t *testing.T) {
 		k.Schedule(k.Now().Add(sim.Millisecond), ev.Fire)
 		p.Advance(2 * sim.Millisecond)
 		if c.Contains(9) {
-			t.Error("failed prefetch still in block map")
+			t.Error("failed prefetch still in the block index")
 		}
 		if buf.State() != Invalid || buf.Prefetched() {
 			t.Errorf("frame not demoted: state=%v prefetched=%v", buf.State(), buf.Prefetched())

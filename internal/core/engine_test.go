@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/barrier"
@@ -485,6 +486,19 @@ func TestPredictorMispredictionsEvicted(t *testing.T) {
 	wasted := r.Cache.PrefetchesIssued - r.Cache.PrefetchesConsumed
 	if wasted == 0 {
 		t.Fatal("OBL on lfp should waste prefetches at portion ends")
+	}
+}
+
+// TestFileBlocksPastInt32Rejected: the cache keys frames by int32 block
+// ids, so New refuses a pattern whose file passes math.MaxInt32 blocks;
+// running it would alias blocks whose ids differ by 2^32.
+func TestFileBlocksPastInt32Rejected(t *testing.T) {
+	cfg := smallConfig(pattern.LFP, 4, 8)
+	cfg.Prefetch = true
+	cfg.Pattern.PortionGap = 1 << 30 // FileBlocks 17,179,869,216
+	cfg.AuditEvery = sim.Millisecond
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "block ids") {
+		t.Fatalf("Run = %v, want an error naming block ids", err)
 	}
 }
 

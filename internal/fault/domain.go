@@ -260,7 +260,11 @@ type DomainInjector struct {
 	stormStart map[int]sim.Duration // per stormed disk: jittered onset
 	stormEnd   map[int]sim.Duration
 
-	stragglers map[int]bool // nodes the straggler spread selected
+	// straggler marks the nodes the straggler spread selected, indexed
+	// from the straggler domain's first node; stragglers counts them.
+	straggler  []bool
+	nodeStart  int
+	stragglers int
 }
 
 // NewDomains returns a domain injector. It panics on an invalid
@@ -297,10 +301,11 @@ func NewDomains(cfg DomainConfig) *DomainInjector {
 		idx := cfg.find(cfg.StragglerDomain)
 		d := cfg.Domains[idx]
 		src := rng.New(cfg.Seed, domainStragglerStreamBase+uint64(idx))
-		di.stragglers = make(map[int]bool)
-		for i := 0; i < d.NodeCount; i++ {
+		di.straggler, di.nodeStart = make([]bool, d.NodeCount), d.NodeStart
+		for i := range di.straggler {
 			if src.Float64() < cfg.StragglerRate {
-				di.stragglers[d.NodeStart+i] = true
+				di.straggler[i] = true
+				di.stragglers++
 			}
 		}
 	}
@@ -333,14 +338,14 @@ func (di *DomainInjector) Storm(disk int) (start, end sim.Duration, factor float
 }
 
 // Stragglers returns how many nodes the straggler spread selected.
-func (di *DomainInjector) Stragglers() int { return len(di.stragglers) }
+func (di *DomainInjector) Stragglers() int { return di.stragglers }
 
 // ScaleNode applies the straggler-spread slowdown to one node's priced
 // action cost (the cost model's base and contention term both scale —
 // see memory.Cost.Scaled). Nodes outside the spread pass through
 // untouched.
 func (di *DomainInjector) ScaleNode(node int, c memory.Cost) memory.Cost {
-	if di.stragglers[node] {
+	if i := node - di.nodeStart; i >= 0 && i < len(di.straggler) && di.straggler[i] {
 		return c.Scaled(di.cfg.StragglerFactor)
 	}
 	return c

@@ -151,33 +151,40 @@ func TestDomainStormWindowsReplayable(t *testing.T) {
 }
 
 func TestDomainStragglerSpread(t *testing.T) {
-	c := rackConfig()
-	c.StragglerDomain, c.StragglerFactor, c.StragglerRate = "rack0", 3, 0.5
-	a, b := NewDomains(c), NewDomains(c)
-	if a.Stragglers() != b.Stragglers() {
-		t.Fatal("straggler spread not replayable")
-	}
-	cost := memory.Cost{Base: ms(1)}
-	scaled := 0
-	for n := 0; n < 16; n++ {
-		got := a.ScaleNode(n, cost)
-		if got != b.ScaleNode(n, cost) {
-			t.Fatalf("node %d: straggler scaling not replayable", n)
+	// rack2 starts at node 8: the spread is indexed from its domain's
+	// first node, not from node 0.
+	for _, rack := range []struct {
+		name  string
+		first int
+	}{{"rack0", 0}, {"rack2", 8}} {
+		c := rackConfig()
+		c.StragglerDomain, c.StragglerFactor, c.StragglerRate = rack.name, 3, 0.5
+		a, b := NewDomains(c), NewDomains(c)
+		if a.Stragglers() != b.Stragglers() {
+			t.Fatal("straggler spread not replayable")
 		}
-		if got != cost {
-			if n >= 4 {
-				t.Fatalf("node %d outside rack0 straggles", n)
+		cost := memory.Cost{Base: ms(1)}
+		scaled := 0
+		for n := 0; n < 16; n++ {
+			got := a.ScaleNode(n, cost)
+			if got != b.ScaleNode(n, cost) {
+				t.Fatalf("node %d: straggler scaling not replayable", n)
 			}
-			if got.Base != 3*cost.Base {
-				t.Fatalf("node %d: base scaled to %v, want 3x", n, got.Base)
+			if got != cost {
+				if n < rack.first || n >= rack.first+4 {
+					t.Fatalf("node %d outside %s straggles", n, rack.name)
+				}
+				if got.Base != 3*cost.Base {
+					t.Fatalf("node %d: base scaled to %v, want 3x", n, got.Base)
+				}
+				scaled++
 			}
-			scaled++
 		}
-	}
-	if scaled != a.Stragglers() {
-		t.Fatalf("%d nodes scaled, injector says %d", scaled, a.Stragglers())
-	}
-	if scaled == 0 || scaled == 4 {
-		t.Logf("spread selected %d/4 (boundary draw — fine, just deterministic)", scaled)
+		if scaled != a.Stragglers() {
+			t.Fatalf("%s: %d nodes scaled, injector says %d", rack.name, scaled, a.Stragglers())
+		}
+		if scaled == 0 || scaled == 4 {
+			t.Logf("%s: spread selected %d/4 (boundary draw — fine, just deterministic)", rack.name, scaled)
+		}
 	}
 }

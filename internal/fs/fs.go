@@ -9,6 +9,7 @@ package fs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/disk"
@@ -279,6 +280,10 @@ func (fs *FileSystem) Create(name string, blocks int) (*File, error) {
 	if blocks <= 0 {
 		return nil, fmt.Errorf("fs: file %q needs a positive size, got %d", name, blocks)
 	}
+	// Files share one block id space, which the cache keys as int32.
+	if blocks-1 > math.MaxInt32-fs.nextBase {
+		return nil, fmt.Errorf("fs: file %q of %d blocks would pass block id %d", name, blocks, math.MaxInt32)
+	}
 	f := &File{
 		fs:     fs,
 		name:   name,
@@ -427,7 +432,7 @@ func (h *Handle) TryRead(p *sim.Proc, block int) (sim.Duration, error) {
 
 // lookup returns the frame holding block id, or nil. A readahead
 // claims its frame before it pays for the action and submits the disk
-// request only after, so a frame can be in the block map with no
+// request only after, so a frame can be in the block index with no
 // transfer to wait on yet; lookup sleeps until the next readahead
 // submit and looks again.
 func (fs *FileSystem) lookup(p *sim.Proc, id int) *cache.Buffer {

@@ -119,6 +119,40 @@ func TestReadaheadDoesNotFetchPastEOF(t *testing.T) {
 	}
 }
 
+// TestCreateKeepsBlockIDsInInt32: files share one block id space, which
+// the cache keys as int32, so a file whose last id would pass
+// math.MaxInt32 is refused instead of aliasing another file's blocks.
+func TestCreateKeepsBlockIDsInInt32(t *testing.T) {
+	k := sim.NewKernel()
+	fs := newFS(k, 0)
+	big, err := fs.Create("big", 1<<31-1) // ids 0 .. math.MaxInt32-1
+	if err != nil {
+		t.Fatalf("Create of a file ending at id MaxInt32-1: %v", err)
+	}
+	last, err := fs.Create("last", 1) // id math.MaxInt32
+	if err != nil {
+		t.Fatalf("Create of a file at id MaxInt32: %v", err)
+	}
+	if _, err := fs.Create("past", 1); err == nil {
+		t.Fatal("Create past block id MaxInt32 accepted")
+	}
+	if _, err := newFS(k, 0).Create("huge", 1<<31+1); err == nil {
+		t.Fatal("Create of a file past block id MaxInt32 accepted")
+	}
+	k.Spawn("client", 0, func(p *sim.Proc) {
+		for _, f := range []*File{big, last} {
+			h := f.OpenHandle(0)
+			h.Read(p, 0)
+			h.Read(p, f.Blocks()-1)
+			h.Close()
+		}
+	})
+	k.Run()
+	if err := fs.bc.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMultipleFilesShareCacheWithoutCollisions(t *testing.T) {
 	k := sim.NewKernel()
 	fs := newFS(k, 0)

@@ -145,11 +145,26 @@ func (l *Layout) Locate(b int) (diskID, physical int) {
 }
 
 // DiskCounts returns how many of the file's blocks live on each disk,
-// indexed by disk, counted in one pass over the blocks.
+// indexed by disk. Round-robin and segmented placement have closed
+// forms; a hashed layout is counted in one pass over the blocks.
 func (l *Layout) DiskCounts() []int {
 	n := make([]int, l.disks)
-	for b := 0; b < l.blocks; b++ {
-		n[l.DiskFor(b)]++
+	switch l.strategy {
+	case RoundRobin:
+		for d := range n {
+			n[d] = l.blocks / l.disks
+			if d < l.blocks%l.disks {
+				n[d]++
+			}
+		}
+	case Segmented:
+		for d := range n {
+			n[d] = min(l.segment, max(l.blocks-d*l.segment, 0))
+		}
+	case Hashed:
+		for b := 0; b < l.blocks; b++ {
+			n[l.DiskFor(b)]++
+		}
 	}
 	return n
 }

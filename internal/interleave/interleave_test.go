@@ -47,6 +47,22 @@ func TestDiskCounts(t *testing.T) {
 	if got := fmt.Sprint(l.DiskCounts()); got != "[3 3 2 2]" {
 		t.Fatalf("DiskCounts = %s, want [3 3 2 2]", got)
 	}
+	// The closed forms agree with a count of every block's disk,
+	// including segmented layouts that leave trailing disks empty.
+	for _, s := range Strategies {
+		for blocks := 1; blocks <= 70; blocks++ {
+			for disks := 1; disks <= 24; disks++ {
+				l := NewWithStrategy(s, blocks, disks, 1)
+				want := make([]int, disks)
+				for b := 0; b < blocks; b++ {
+					want[l.DiskFor(b)]++
+				}
+				if got := l.DiskCounts(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v blocks=%d disks=%d: DiskCounts = %v, want %v", s, blocks, disks, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestPanics(t *testing.T) {

@@ -22,6 +22,7 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/rng"
@@ -313,8 +314,17 @@ func (c *Config) validate() error {
 }
 
 // Generate builds the reference strings, as portions, for the
-// configured pattern.
+// configured pattern. Block ids are int32 downstream (the cache keys
+// its frames by them), so a file past math.MaxInt32 blocks is an error.
 func Generate(cfg Config) (*Pattern, error) {
+	p, err := generate(cfg)
+	if err == nil && p.FileBlocks > math.MaxInt32 {
+		return nil, fmt.Errorf("pattern: %s file of %d blocks exceeds %d block ids", cfg.Kind, p.FileBlocks, math.MaxInt32)
+	}
+	return p, err
+}
+
+func generate(cfg Config) (*Pattern, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

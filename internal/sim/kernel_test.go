@@ -40,8 +40,28 @@ func TestMillisPanicsOnNegative(t *testing.T) {
 }
 
 func TestDurationString(t *testing.T) {
-	if s := (1500 * Microsecond).String(); s != "1.5ms" {
-		t.Fatalf("String: got %q, want 1.5ms", s)
+	// limit is the longest span whose nanoseconds fit time.Duration;
+	// past it the microseconds are formatted directly, in the same form.
+	const limit = Duration(1<<63-1) / 1000
+	for _, c := range []struct {
+		d    Duration
+		want string
+	}{
+		{1500 * Microsecond, "1.5ms"},
+		{-1500 * Microsecond, "-1.5ms"},
+		{limit, "2562047h47m16.854775s"},
+		{limit + 1, "2562047h47m16.854776s"},
+		{-limit - 1, "-2562047h47m16.854776s"},
+		{limit + 43*Second + 145225, "2562047h48m0s"},
+		{Duration(MaxTime), "2562047788h0m54.775807s"},
+		{-Duration(MaxTime) - 1, "-2562047788h0m54.775808s"},
+	} {
+		if s := c.d.String(); s != c.want {
+			t.Errorf("Duration(%d).String() = %q, want %q", int64(c.d), s, c.want)
+		}
+	}
+	if s := MaxTime.String(); s != "2562047788h0m54.775807s" {
+		t.Errorf("MaxTime.String() = %q", s)
 	}
 }
 

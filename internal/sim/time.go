@@ -23,6 +23,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"time"
 )
 
@@ -50,8 +52,22 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) String() string { return Duration(t).String() }
 
 // String formats the duration in standard Go notation (1.5ms, 2s, ...).
+// Past about 106 days the nanoseconds overflow time.Duration, so longer
+// spans are formatted from the microseconds, in the same h/m/s form.
 func (d Duration) String() string {
-	return (time.Duration(d) * time.Microsecond).String()
+	const limit = Duration(math.MaxInt64 / int64(time.Microsecond))
+	if -limit <= d && d <= limit {
+		return (time.Duration(d) * time.Microsecond).String()
+	}
+	sign, u := "", uint64(d)
+	if d < 0 {
+		sign, u = "-", -u
+	}
+	s := fmt.Sprintf("%s%dh%dm%d", sign, u/3600e6, u/60e6%60, u/1e6%60)
+	if frac := u % 1e6; frac != 0 {
+		s += strings.TrimRight(fmt.Sprintf(".%06d", frac), "0")
+	}
+	return s + "s"
 }
 
 // Millis returns the duration as a floating-point number of milliseconds,
