@@ -82,14 +82,8 @@ type Barrier struct {
 	firstQuorumAt  sim.Time // first quorum release since ResetFirstQuorum (0 = none)
 	excisions      []error  // one per excision, wrapping fault.ErrBarrierTimeout
 
-	obs      obs.Sink // nil = no observability (the common case)
 	genStart sim.Time // first arrival of the current generation
 }
-
-// SetObserver installs an observability sink: one barrier-generation
-// span (first arrival to release — the paper's barrier skew) and a
-// generation counter per release.
-func (b *Barrier) SetObserver(s obs.Sink) { b.obs = s }
 
 // New returns a barrier whose members are processes 0..parties-1.
 func New(k *sim.Kernel, parties int) *Barrier {
@@ -227,21 +221,23 @@ func (b *Barrier) expire(gen int) {
 	if b.firstQuorumAt == 0 {
 		b.firstQuorumAt = b.k.Now()
 	}
-	if b.obs != nil {
-		b.obs.Add(obs.CtrQuorumReleases, 1)
+	if o := b.k.Observer(); o != nil {
+		o.Add(obs.CtrQuorumReleases, 1)
 	}
 	b.open()
 }
 
+// open releases the current generation, reporting its span (first
+// arrival to release: the paper's barrier skew) to the kernel's sink.
 func (b *Barrier) open() {
 	b.generations++
-	if b.obs != nil {
-		b.obs.Span(obs.Span{
+	if o := b.k.Observer(); o != nil {
+		o.Span(obs.Span{
 			Track: obs.BarrierTrack(), Kind: obs.SpanBarrierGen,
 			Start: int64(b.genStart), End: int64(b.k.Now()),
 			Block: -1, Arg: int64(b.parties),
 		})
-		b.obs.Add(obs.CtrBarrierGens, 1)
+		o.Add(obs.CtrBarrierGens, 1)
 	}
 	b.arrived = 0
 	for i := range b.present {

@@ -319,8 +319,6 @@ type Cache struct {
 
 	stats Stats
 
-	obs obs.Sink // nil = no observability (the common case)
-
 	// onPrefetchDemote, when set, is called with the block id each time
 	// a failed fill silently demotes an unconsumed prefetch — the one
 	// drop that removes a block ahead of the demand cursor. The engine
@@ -342,18 +340,13 @@ type Cache struct {
 	Freed *sim.WaitQueue
 }
 
-// SetObserver installs an observability sink: hit/miss/prefetch
-// counters on the access paths and a fill span (fetch begin to
-// ready/failed, on the home node's track) for every completed fill.
-func (c *Cache) SetObserver(s obs.Sink) { c.obs = s }
-
 // SetPrefetchDemoteHook registers fn to be called whenever a failed
 // fill demotes an unconsumed prefetched block (see onPrefetchDemote).
 func (c *Cache) SetPrefetchDemoteHook(fn func(block int)) { c.onPrefetchDemote = fn }
 
-// fillSpan reports a completed fill. Arg bit 0 marks an (unconsumed)
-// prefetch fill, bit 1 a failed one.
-func (c *Cache) fillSpan(buf *Buffer, block int, failed bool) {
+// fillSpan reports a completed fill to o, on the home node's track. Arg
+// bit 0 marks an (unconsumed) prefetch fill, bit 1 a failed one.
+func (c *Cache) fillSpan(o obs.Sink, buf *Buffer, block int, failed bool) {
 	var arg int64
 	if buf.prefetched {
 		arg = 1
@@ -361,7 +354,7 @@ func (c *Cache) fillSpan(buf *Buffer, block int, failed bool) {
 	if failed {
 		arg |= 2
 	}
-	c.obs.Span(obs.Span{
+	o.Span(obs.Span{
 		Track: obs.ProcTrack(int(buf.home)), Kind: obs.SpanCacheFill,
 		Start: int64(buf.fetchStarted), End: int64(c.k.Now()),
 		Block: block, Arg: arg,
@@ -451,13 +444,14 @@ func (c *Cache) Pin(node int, buf *Buffer) (ready bool) {
 		c.lru[buf.class].remove(buf)
 	}
 	buf.pins++
+	o := c.k.Observer()
 	if buf.prefetched {
 		buf.prefetched = false
 		c.prefetchedUnused--
 		c.perNode[buf.home]--
 		c.stats.PrefetchesConsumed++
-		if c.obs != nil {
-			c.obs.Add(obs.CtrCachePrefetchesConsumed, 1)
+		if o != nil {
+			o.Add(obs.CtrCachePrefetchesConsumed, 1)
 		}
 		c.dropFromOrder(buf)
 		// A prefetch slot opened up; prefetchers poll rather than block,
@@ -466,14 +460,14 @@ func (c *Cache) Pin(node int, buf *Buffer) (ready bool) {
 	}
 	if buf.state == Ready {
 		c.stats.ReadyHits++
-		if c.obs != nil {
-			c.obs.Add(obs.CtrCacheReadyHits, 1)
+		if o != nil {
+			o.Add(obs.CtrCacheReadyHits, 1)
 		}
 		return true
 	}
 	c.stats.UnreadyHits++
-	if c.obs != nil {
-		c.obs.Add(obs.CtrCacheUnreadyHits, 1)
+	if o != nil {
+		o.Add(obs.CtrCacheUnreadyHits, 1)
 	}
 	return false
 }
@@ -492,8 +486,8 @@ func (c *Cache) AllocateDemand(node, block int) *Buffer {
 		return nil
 	}
 	c.stats.Misses++
-	if c.obs != nil {
-		c.obs.Add(obs.CtrCacheMisses, 1)
+	if o := c.k.Observer(); o != nil {
+		o.Add(obs.CtrCacheMisses, 1)
 	}
 	buf.block = int32(block)
 	buf.state = Fetching
@@ -600,8 +594,8 @@ func (c *Cache) AllocatePrefetch(node, block int) (*Buffer, PrefetchFail) {
 	c.perNode[node]++
 	c.pfOrder.pushTail(buf)
 	c.stats.PrefetchesIssued++
-	if c.obs != nil {
-		c.obs.Add(obs.CtrCachePrefetchesIssued, 1)
+	if o := c.k.Observer(); o != nil {
+		o.Add(obs.CtrCachePrefetchesIssued, 1)
 	}
 	return buf, PrefetchOK
 }
@@ -652,8 +646,8 @@ func (c *Cache) markReady(buf *Buffer) {
 	if buf.state != Fetching {
 		panic(fmt.Sprintf("cache: markReady on %v buffer", buf.state))
 	}
-	if c.obs != nil {
-		c.fillSpan(buf, int(buf.block), false)
+	if o := c.k.Observer(); o != nil {
+		c.fillSpan(o, buf, int(buf.block), false)
 	}
 	buf.state = Ready
 	// Swap the fill's event for the shared fired sentinel: readers
@@ -689,9 +683,9 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 		panic(fmt.Sprintf("cache: failFetch on %v buffer", buf.state))
 	}
 	c.stats.FailedFills++
-	if c.obs != nil {
-		c.obs.Add(obs.CtrCacheFailedFills, 1)
-		c.fillSpan(buf, int(buf.block), true)
+	if o := c.k.Observer(); o != nil {
+		o.Add(obs.CtrCacheFailedFills, 1)
+		c.fillSpan(o, buf, int(buf.block), true)
 	}
 	block := int(buf.block)
 	c.idx.del(buf.block)

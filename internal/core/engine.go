@@ -65,8 +65,7 @@ type Engine struct {
 	lastOrphaned  int
 	aud           *audit.Auditor
 
-	// Observability sink (nil unless cfg.Obs is set).
-	obs obs.Sink
+	obs obs.Sink // the kernel's sink, for the engine's own spans
 
 	// cnodes is the processor population: one flat record per
 	// processor (compact.go), built by Run.
@@ -176,28 +175,8 @@ func New(cfg Config) (*Engine, error) {
 	for node := 0; node < cfg.Procs; node++ {
 		e.res.PerProc[node].Node = node
 	}
-	if cfg.Obs != nil {
-		e.obs = cfg.Obs
-		// A sink that understands virtual time (telemetry.Sink) gets
-		// the kernel clock, so counter increments — which carry no
-		// timestamp of their own — can be attributed to the window
-		// they occur in rather than the last span seen.
-		if ck, ok := cfg.Obs.(interface{ SetClock(func() int64) }); ok {
-			ck.SetClock(func() int64 { return int64(k.Now()) })
-		}
-		k.SetObserver(cfg.Obs)
-		e.disks.SetObserver(cfg.Obs)
-		e.bcache.SetObserver(cfg.Obs)
-		if e.bar != nil {
-			e.bar.SetObserver(cfg.Obs)
-		}
-		if e.inj != nil {
-			e.inj.SetObserver(cfg.Obs)
-		}
-		if e.ninj != nil {
-			e.ninj.SetObserver(cfg.Obs)
-		}
-	}
+	e.obs = cfg.Obs
+	k.SetObserver(cfg.Obs)
 	return e, nil
 }
 
@@ -282,9 +261,6 @@ func (e *Engine) collectResult() *Result {
 	e.res.DiskUtilization = e.disks.MeanUtilization(e.maxFinish)
 	e.res.Faults.Disk = e.disks.FaultStats()
 	e.res.Faults.AliveDisks = e.disks.AliveCount()
-	if e.ninj != nil {
-		e.res.Faults.Node.Stalls = e.ninj.Stalls()
-	}
 	if e.bar != nil {
 		e.res.Faults.Node.QuorumReleases = e.bar.QuorumReleases()
 		e.res.Faults.Node.Excisions = len(e.bar.Excisions())
@@ -488,10 +464,20 @@ func (e *Engine) price(node int, c memory.Cost, others int) sim.Duration {
 		c = e.dinj.ScaleNode(node, c)
 	}
 	var d sim.Duration
-	if e.ninj != nil {
-		d = e.ninj.ScaleAction(node, c, others)
-	} else {
+	if e.ninj == nil {
 		d = c.At(others)
+	} else {
+		var drew, stalled bool
+		d, drew, stalled = e.ninj.ScaleAction(node, c, others)
+		if stalled {
+			e.res.Faults.Node.Stalls++
+		}
+		if drew && e.obs != nil {
+			if stalled {
+				e.obs.Add(obs.CtrNodeStalls, 1)
+			}
+			e.obs.Add(obs.CtrFaultDraws, 1)
+		}
 	}
 	if d < sim.Microsecond {
 		d = sim.Microsecond

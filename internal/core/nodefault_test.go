@@ -9,6 +9,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/disk"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/sim"
 )
@@ -80,17 +81,25 @@ func TestStragglerMonotone(t *testing.T) {
 	}
 }
 
-// Transient stalls are injected, counted, and fully deterministic.
+// Transient stalls are injected, counted, and fully deterministic; a
+// repeat with a sink gets the node streams' draws and stalls counted.
 func TestStallsDeterministic(t *testing.T) {
 	cfg := smallConfig(pattern.GW, 4, 200)
 	cfg.Prefetch = true
 	cfg.NodeFault = fault.NodeConfig{Seed: 7, StallRate: 0.05}
-	a, b := MustRun(cfg), MustRun(cfg)
+	sink := &obs.CounterSink{}
+	observed := cfg
+	observed.Obs = sink
+	a, b := MustRun(cfg), MustRun(observed)
 	if a.Faults.Node.Stalls == 0 {
 		t.Fatal("5% stall rate injected no stalls")
 	}
 	if a.TotalTime != b.TotalTime || a.Faults != b.Faults || a.Cache != b.Cache {
 		t.Fatalf("stalled run diverged: %v/%v, %+v vs %+v", a.TotalTime, b.TotalTime, a.Faults, b.Faults)
+	}
+	if c := sink.Snapshot(); c[obs.CtrNodeStalls] != a.Faults.Node.Stalls || c[obs.CtrFaultDraws] <= c[obs.CtrNodeStalls] {
+		t.Fatalf("sink counted %d stalls in %d draws; the run stalled %d times",
+			c[obs.CtrNodeStalls], c[obs.CtrFaultDraws], a.Faults.Node.Stalls)
 	}
 	// Stalls cost time.
 	clean := smallConfig(pattern.GW, 4, 200)

@@ -210,16 +210,8 @@ type Disk struct {
 	stormEnd    sim.Time
 	stormFactor float64
 
-	obs obs.Sink // nil = no observability (the common case)
-
 	arr *Array // owns the request free list
 }
-
-// SetObserver installs an observability sink: request counters at
-// submission, queueing and transfer spans at completion. Requests a
-// dead disk refuses (or flushes at its kill) complete outside the
-// normal service path and emit no spans.
-func (d *Disk) SetObserver(s obs.Sink) { d.obs = s }
 
 // ID returns the disk's index within its array.
 func (d *Disk) ID() int { return d.id }
@@ -267,10 +259,10 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	}
 	req.EstDone = base.Add(sim.Duration(queued+1) * d.profile.Access)
 	d.served++
-	if d.obs != nil {
-		d.obs.Add(obs.CtrDiskRequests, 1)
+	if o := d.k.Observer(); o != nil {
+		o.Add(obs.CtrDiskRequests, 1)
 		if prefetch {
-			d.obs.Add(obs.CtrDiskPrefetchRequests, 1)
+			o.Add(obs.CtrDiskPrefetchRequests, 1)
 		}
 	}
 	d.enqueue(req)
@@ -336,16 +328,18 @@ func (d *Disk) dispatch() {
 	d.k.ScheduleWake(req.Done, req)
 }
 
+// complete finishes the request in service and reports its spans. A
+// request a dead disk refuses or flushes completes elsewhere, with none.
 func (d *Disk) complete(req *Request) {
 	d.resp.Add(req.ResponseTime().Millis())
 	d.qdelay.Add(req.QueueDelay().Millis())
-	if d.obs != nil {
+	if o := d.k.Observer(); o != nil {
 		arg := int64(0)
 		if req.Prefetch {
 			arg = 1
 		}
 		if req.Started > req.Enqueued {
-			d.obs.Span(obs.Span{
+			o.Span(obs.Span{
 				Track: obs.DiskTrack(d.id), Kind: obs.SpanDiskQueue,
 				Start: int64(req.Enqueued), End: int64(req.Started),
 				Block: req.Block, Arg: arg,
@@ -353,9 +347,9 @@ func (d *Disk) complete(req *Request) {
 		}
 		if req.Err != nil {
 			arg |= 2
-			d.obs.Add(obs.CtrDiskFaultedRequests, 1)
+			o.Add(obs.CtrDiskFaultedRequests, 1)
 		}
-		d.obs.Span(obs.Span{
+		o.Span(obs.Span{
 			Track: obs.DiskTrack(d.id), Kind: obs.SpanDiskTransfer,
 			Start: int64(req.Started), End: int64(req.Done),
 			Block: req.Block, Arg: arg,
@@ -545,13 +539,6 @@ func (a *Array) Pooled() int {
 		n++
 	}
 	return n
-}
-
-// SetObserver installs an observability sink on every disk.
-func (a *Array) SetObserver(s obs.Sink) {
-	for _, d := range a.disks {
-		d.SetObserver(s)
-	}
 }
 
 // Disk returns disk i.

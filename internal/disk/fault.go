@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -84,6 +85,12 @@ func (d *Disk) FaultStats() FaultStats { return d.fstats }
 // attached.
 func (d *Disk) applyFaults(req *Request, service sim.Duration) sim.Duration {
 	out := d.inj.Decide(d.id)
+	if o := d.k.Observer(); o != nil {
+		o.Add(obs.CtrFaultDraws, 1)
+		if out.Kind != fault.None || out.Spiked {
+			o.Add(obs.CtrFaultsInjected, 1)
+		}
+	}
 	if out.Spiked {
 		d.fstats.Spikes++
 		service = sim.Duration(float64(service)*d.inj.SpikeMultiplier()) + out.Extra

@@ -25,7 +25,7 @@ import (
 // and a failure-domain latency storm plus a straggler rack. Every
 // stream is seeded off the sweep seed, so chaos is replayable.
 func (o ScaleOptions) chaosFaults(cfg *core.Config) {
-	racks := o.racksFor(cfg.Disks)
+	racks := racksFor(cfg.Disks)
 	cfg.Fault = fault.Config{Seed: o.Seed + 11, ReadErrorRate: 0.01}
 	cfg.NodeFault.Seed = o.Seed + 5
 	cfg.NodeFault.StallRate = 0.01
@@ -47,7 +47,7 @@ func (o ScaleOptions) chaosFaults(cfg *core.Config) {
 // its nodes together — dies at killAt. Requires cfg.Domain.Domains to
 // be populated (chaosFaults or chaosDomainKill).
 func (o ScaleOptions) chaosKill(cfg *core.Config, killAt sim.Duration) {
-	racks := o.racksFor(cfg.Disks)
+	racks := racksFor(cfg.Disks)
 	cfg.Domain.KillDomain = fmt.Sprintf("rack%d", racks/2)
 	cfg.Domain.KillAt = killAt
 }
@@ -89,9 +89,9 @@ func VerifyChaosClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 	}
 
 	n0 := opts.Nodes[0]
-	d0 := opts.disksFor(n0)
+	d0 := disksFor(n0)
 	blocks := n0 * opts.BlocksPerNode
-	compute := opts.computeMean(core.DefaultConfig(pattern.GW).DiskAccess)
+	compute := computeMean(core.DefaultConfig(pattern.GW).DiskAccess)
 	baseCfg := func(prefetch bool) core.Config {
 		return scaleCellConfig(n0, d0, prefetch, blocks, compute, opts.Seed)
 	}
@@ -145,7 +145,7 @@ func VerifyChaosClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 	inertCfg.Fault = fault.Config{Seed: opts.Seed + 11}
 	inertCfg.Domain = fault.DomainConfig{
 		Seed:    opts.Seed + 9,
-		Domains: fault.SplitDomains("rack", d0, n0, opts.racksFor(d0)),
+		Domains: fault.SplitDomains("rack", d0, n0, racksFor(d0)),
 	}
 	inert := core.MustRun(inertCfg)
 	cleanBytes, inertBytes := stripConfig(clean), stripConfig(inert)
@@ -163,7 +163,7 @@ func VerifyChaosClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 	syncCfg := baseCfg(true)
 	syncCfg.Sync = barrier.EveryNTotal
 	syncCfg.SyncEveryTotal = blocks / 4
-	opts.chaosDomainKill(&syncCfg, opts.racksFor(d0), killAt)
+	opts.chaosDomainKill(&syncCfg, racksFor(d0), killAt)
 	hung, _ := deadlocks(syncCfg)
 	syncCfg.NodeFault.BarrierTimeout = 100 * sim.Millisecond
 	qres := core.MustRun(syncCfg)

@@ -25,12 +25,6 @@ type ScaleOptions struct {
 	// DefaultScaleSizes (100k-1M). The determinism and knee studies run
 	// at Nodes[0], so CI smoke can pass a small leading size.
 	Nodes []int
-	// DiskRatio is the nodes-per-disk ratio for the node sweep. The
-	// paper pairs every processor with a disk (ratio 1) — unaffordable
-	// and unnecessary at 1M nodes; instead the sweep holds this ratio
-	// and scales per-block computation to keep disk utilization at the
-	// paper's ~50% operating point (see computeMean). Default 4.
-	DiskRatio int
 	// BlocksPerNode is the shared reference string's length divided by
 	// the node count. The paper reads 100 blocks per processor; at 1M
 	// nodes that is a 100M-event-class run, so the sweep defaults to 16
@@ -52,17 +46,14 @@ type ScaleOptions struct {
 	// Progress, if non-nil, observes cell completions.
 	Progress func(done, total int)
 
-	// Telemetry attaches a windowed telemetry sink to the sweep's
+	// Telemetry attaches a telemetry sink (windows of
+	// telemetry.DefaultWindow, 100 ms of sim time) to the sweep's
 	// leading prefetch cell (Nodes[0]) — or, when Chaos is on, to the
 	// leading chaos cell, whose time series shows the fault activity —
-	// and stores its snapshot and the
-	// sampled full-fidelity trace on the ScaleResult. Per claim S5, the
-	// sink never changes any Result byte — it only adds the windowed
-	// view.
+	// and stores its snapshot and the sampled full-fidelity trace on the
+	// ScaleResult. Per claim S5, the sink never changes any Result byte
+	// — it only adds the windowed view.
 	Telemetry bool
-	// TelemetryWindow is the aggregation window in virtual µs
-	// (0 = telemetry.DefaultWindow, 100 ms of sim time).
-	TelemetryWindow int64
 	// SampleK is the number of nodes recorded at full fidelity when
 	// Telemetry is on (0 = 16).
 	SampleK int
@@ -73,10 +64,17 @@ type ScaleOptions struct {
 	// clean run). VerifyChaosClaims turns it on; the plain sweep stays
 	// fault-free.
 	Chaos bool
-	// Racks is the failure-domain count chaos cells split the machine
-	// into (default 16, clamped to the disk count).
-	Racks int
 }
+
+const (
+	// diskRatio is the node sweep's nodes per disk. The paper pairs
+	// every processor with a disk, unaffordable at 1M nodes; the sweep
+	// holds this ratio and scales per-block computation to keep disk
+	// utilization at the paper's ~50% operating point (computeMean).
+	diskRatio = 4
+	// chaosRacks is the failure-domain count of chaos cells (racksFor).
+	chaosRacks = 16
+)
 
 // DefaultScaleSizes is the cluster-scale node sweep of the tentpole
 // claim: two decades past the paper's 20 processors.
@@ -85,9 +83,6 @@ func DefaultScaleSizes() []int { return []int{100_000, 250_000, 500_000, 1_000_0
 func (o ScaleOptions) withDefaults() ScaleOptions {
 	if len(o.Nodes) == 0 {
 		o.Nodes = DefaultScaleSizes()
-	}
-	if o.DiskRatio == 0 {
-		o.DiskRatio = 4
 	}
 	if o.BlocksPerNode == 0 {
 		o.BlocksPerNode = 16
@@ -104,24 +99,16 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 	if o.Telemetry && o.SampleK == 0 {
 		o.SampleK = 16
 	}
-	if o.Racks == 0 {
-		o.Racks = 16
-	}
 	return o
 }
 
 // racksFor clamps the failure-domain count to the disk array: every
 // rack must own at least one disk for a rack kill to mean anything.
-func (o ScaleOptions) racksFor(disks int) int {
-	if o.Racks > disks {
-		return disks
-	}
-	return o.Racks
-}
+func racksFor(disks int) int { return min(chaosRacks, disks) }
 
 // disksFor sizes the node sweep's disk array.
-func (o ScaleOptions) disksFor(nodes int) int {
-	d := nodes / o.DiskRatio
+func disksFor(nodes int) int {
+	d := nodes / diskRatio
 	if d < 1 {
 		d = 1
 	}
@@ -134,8 +121,8 @@ func (o ScaleOptions) disksFor(nodes int) int {
 // ratio·DiskAccess/(DiskAccess+compute) = 50%, the paper's balanced
 // operating point — busy enough for contention to be real, idle enough
 // that prefetching has bandwidth to win with.
-func (o ScaleOptions) computeMean(access sim.Duration) sim.Duration {
-	return sim.Duration(2*o.DiskRatio-1) * access
+func computeMean(access sim.Duration) sim.Duration {
+	return sim.Duration(2*diskRatio-1) * access
 }
 
 // ScaleRow is one measured cell of the sweep.
@@ -328,11 +315,11 @@ func RunScaleSweep(opts ScaleOptions) *ScaleResult {
 		}
 	}
 	access := core.DefaultConfig(pattern.GW).DiskAccess
-	compute := opts.computeMean(access)
+	compute := computeMean(access)
 	r.DiskAccessMillis = access.Millis()
 
 	for i, n := range opts.Nodes {
-		base := runScaleCell(scaleCellConfig(n, opts.disksFor(n), false, n*opts.BlocksPerNode, compute, opts.Seed), nil)
+		base := runScaleCell(scaleCellConfig(n, disksFor(n), false, n*opts.BlocksPerNode, compute, opts.Seed), nil)
 		tick()
 		// The leading prefetch cell carries the telemetry sink — or, in
 		// a chaos sweep, the leading chaos cell instead, so the exported
@@ -340,7 +327,6 @@ func RunScaleSweep(opts ScaleOptions) *ScaleResult {
 		// EXPERIMENTS.md chaos walkthrough reads that export).
 		newTel := func() *telemetry.Sink {
 			return telemetry.New(telemetry.Config{
-				Window:     opts.TelemetryWindow,
 				SampleK:    opts.SampleK,
 				Nodes:      n,
 				SampleSeed: opts.Seed,
@@ -350,7 +336,7 @@ func RunScaleSweep(opts ScaleOptions) *ScaleResult {
 		if opts.Telemetry && i == 0 && !opts.Chaos {
 			tel = newTel()
 		}
-		with := runScaleCell(scaleCellConfig(n, opts.disksFor(n), true, n*opts.BlocksPerNode, compute, opts.Seed), tel)
+		with := runScaleCell(scaleCellConfig(n, disksFor(n), true, n*opts.BlocksPerNode, compute, opts.Seed), tel)
 		tick()
 		r.Rows = append(r.Rows, base, with)
 		x := float64(n)
@@ -361,7 +347,7 @@ func RunScaleSweep(opts ScaleOptions) *ScaleResult {
 		bpn.Add(x, with.BytesPerNode)
 
 		if opts.Chaos {
-			ccfg := scaleCellConfig(n, opts.disksFor(n), true, n*opts.BlocksPerNode, compute, opts.Seed)
+			ccfg := scaleCellConfig(n, disksFor(n), true, n*opts.BlocksPerNode, compute, opts.Seed)
 			opts.chaosFaults(&ccfg)
 			opts.chaosKill(&ccfg, sim.Millis(with.TotalMillis/4))
 			if opts.Telemetry && i == 0 {
@@ -428,8 +414,8 @@ func VerifyScaleClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 	// marshaled Results, not summaries.
 	n0 := opts.Nodes[0]
 	marshal := func(sink obs.Sink) []byte {
-		cfg := scaleCellConfig(n0, opts.disksFor(n0), true,
-			n0*opts.BlocksPerNode, opts.computeMean(core.DefaultConfig(pattern.GW).DiskAccess), opts.Seed)
+		cfg := scaleCellConfig(n0, disksFor(n0), true,
+			n0*opts.BlocksPerNode, computeMean(core.DefaultConfig(pattern.GW).DiskAccess), opts.Seed)
 		cfg.Obs = sink
 		b, err := json.Marshal(core.MustRun(cfg))
 		if err != nil {
@@ -454,7 +440,6 @@ func VerifyScaleClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 		sampleK = 16 // exercise the sampling path even when the sweep runs without -telemetry
 	}
 	tel := telemetry.New(telemetry.Config{
-		Window:     opts.TelemetryWindow,
 		SampleK:    sampleK,
 		Nodes:      n0,
 		SampleSeed: opts.Seed,

@@ -15,11 +15,11 @@ import (
 // compute balance.
 func clusterCfg(nodes int) core.Config {
 	opts := ScaleOptions{Nodes: []int{nodes}}.withDefaults()
-	cfg := core.ScaleConfig(nodes, opts.disksFor(nodes), true)
+	cfg := core.ScaleConfig(nodes, disksFor(nodes), true)
 	cfg.Seed = opts.Seed
 	cfg.Pattern.Seed = opts.Seed
 	cfg.Pattern.TotalBlocks = nodes * opts.BlocksPerNode
-	cfg.ComputeMean = opts.computeMean(cfg.DiskAccess)
+	cfg.ComputeMean = computeMean(cfg.DiskAccess)
 	return cfg
 }
 

@@ -12,17 +12,16 @@
 // configuration alone. No wall-clock time or shared mutable state is
 // involved anywhere.
 //
-// The package is deliberately free of disk/cache/fs imports: the disk
-// layer consults an Injector per dispatched request and maps the
-// resulting Outcome onto its own typed errors, so the fault model can
-// be reused by any component that wants deterministic misbehaviour.
+// The package is deliberately free of disk/cache/fs/obs imports: the
+// disk layer consults an Injector per dispatched request, counts it and
+// maps the Outcome onto its own typed errors, so the fault model can be
+// reused by any component that wants deterministic misbehaviour.
 package fault
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -166,14 +165,7 @@ type Outcome struct {
 type Injector struct {
 	cfg     Config
 	streams []rng.Source
-
-	obs obs.Sink // nil = no observability (the common case)
 }
-
-// SetObserver installs an observability sink counting fault draws and
-// the draws that injected an effect. Draws never consult the sink's
-// state, so observation cannot perturb the streams.
-func (i *Injector) SetObserver(s obs.Sink) { i.obs = s }
 
 // Per-purpose stream id bases. Disk streams and retry-jitter streams
 // must never collide with each other or with the engine's
@@ -233,12 +225,6 @@ func (i *Injector) Decide(disk int) Outcome {
 	case i.cfg.StuckRate > 0 && stuckDraw < i.cfg.StuckRate:
 		out.Kind = Stuck
 		out.StuckFor = i.cfg.StuckDelay
-	}
-	if i.obs != nil {
-		i.obs.Add(obs.CtrFaultDraws, 1)
-		if out.Kind != None || out.Spiked {
-			i.obs.Add(obs.CtrFaultsInjected, 1)
-		}
 	}
 	return out
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -150,9 +149,6 @@ const nodeStreamBase = 1 << 22
 type NodeInjector struct {
 	cfg     NodeConfig
 	streams []rng.Source
-	stalls  int64
-
-	obs obs.Sink // nil = no observability (the common case)
 }
 
 // NewNodes returns a node injector for the given number of processors.
@@ -178,11 +174,6 @@ func NewNodes(cfg NodeConfig, procs int) *NodeInjector {
 	return ni
 }
 
-// SetObserver installs an observability sink counting injected stalls.
-// Draws never consult the sink's state, so observation cannot perturb
-// the streams.
-func (ni *NodeInjector) SetObserver(s obs.Sink) { ni.obs = s }
-
 // Config returns the (defaulted) configuration driving the injector.
 func (ni *NodeInjector) Config() NodeConfig { return ni.cfg }
 
@@ -191,33 +182,25 @@ func (ni *NodeInjector) Kills() (node int, at sim.Duration, ok bool) {
 	return ni.cfg.KillNode, ni.cfg.KillAt, ni.cfg.KillAt > 0
 }
 
-// Stalls returns how many transient stalls have been injected.
-func (ni *NodeInjector) Stalls() int64 { return ni.stalls }
-
 // ScaleAction prices one memory action on the given node under the
 // node's slowdown: the persistent straggler factor scales the cost
 // model itself (both base and contention term — see memory.Cost.Scaled),
 // then — when stalls are configured — exactly one uniform draw from
 // the node's own stream (plus one more for the pause length when it
 // stalls) adds a transient pause, so the stream stays aligned with the
-// node's own action sequence regardless of what other nodes do.
-func (ni *NodeInjector) ScaleAction(node int, c memory.Cost, others int) sim.Duration {
+// node's own action sequence regardless of what other nodes do. drew
+// and stalled report that draw and its outcome, for the caller to count.
+func (ni *NodeInjector) ScaleAction(node int, c memory.Cost, others int) (d sim.Duration, drew, stalled bool) {
 	if ni.cfg.StragglerFactor > 1 && node == ni.cfg.StragglerNode {
 		c = c.Scaled(ni.cfg.StragglerFactor)
 	}
-	d := c.At(others)
+	d = c.At(others)
 	if ni.cfg.StallRate > 0 {
 		s := &ni.streams[node]
-		if s.Float64() < ni.cfg.StallRate {
+		drew = true
+		if stalled = s.Float64() < ni.cfg.StallRate; stalled {
 			d += sim.Millis(s.Exp(ni.cfg.StallMean.Millis()))
-			ni.stalls++
-			if ni.obs != nil {
-				ni.obs.Add(obs.CtrNodeStalls, 1)
-			}
-		}
-		if ni.obs != nil {
-			ni.obs.Add(obs.CtrFaultDraws, 1)
 		}
 	}
-	return d
+	return d, drew, stalled
 }

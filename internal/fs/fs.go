@@ -207,16 +207,11 @@ func New(k *sim.Kernel, opts Options) (*FileSystem, error) {
 		}),
 		diskAlloc: make([]int, o.Disks),
 	}
-	// The disks, the cache and the fault injector report to the
-	// kernel's sink, if it has one.
-	fs.disks.SetObserver(k.Observer())
-	fs.bc.SetObserver(k.Observer())
 	k.OnRunEnd((*fsTrim)(fs))
 	fs.writesDrained = sim.NewWaitQueue(k).SetLabel("write-behind drain")
 	fs.submitted = sim.NewWaitQueue(k).SetLabel("a readahead submit")
 	if o.Faults.Enabled() {
 		fs.inj = fault.New(o.Faults, o.Disks)
-		fs.inj.SetObserver(k.Observer())
 		fs.retry = o.Retry
 		// Stream index o.Nodes is reserved for write-back jitter;
 		// handles use 0..Nodes-1.

@@ -7,7 +7,7 @@
 // prefetching wins exactly when disk service, cache waits, and barrier
 // skew overlap with compute — and its testbed records full access
 // traces for off-line analysis (§IV-C). This package gives the
-// reproduction the same lens: a Sink installed on the engine receives a
+// reproduction the same lens: a Sink installed on a run's kernel gets a
 // Span for every timed activity (disk queueing and transfer, cache
 // fills and waits, prefetch actions, barrier generations, fault
 // backoffs, per-processor compute) and counter increments for discrete

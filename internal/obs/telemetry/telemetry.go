@@ -198,9 +198,9 @@ func New(cfg Config) *Sink {
 }
 
 // SetClock installs a virtual-time source used to timestamp counter
-// increments. The core engine installs the kernel clock on any sink
-// that implements this method; everything stays deterministic either
-// way.
+// increments. sim.Kernel.SetObserver installs the kernel clock on any
+// sink that implements this method; everything stays deterministic
+// either way.
 func (s *Sink) SetClock(now func() int64) { s.now = now }
 
 // windowAt returns the window containing virtual instant t, growing

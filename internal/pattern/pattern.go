@@ -278,7 +278,7 @@ func (c *Config) validate() error {
 		if len(c.Hybrid) == 0 {
 			return fmt.Errorf("pattern: hybrid needs at least one sub-pattern")
 		}
-		total := 0
+		total, span := 0, 0
 		for i := range c.Hybrid {
 			sub := c.Hybrid[i]
 			if !sub.Kind.Local() || sub.Kind == HYB {
@@ -288,11 +288,12 @@ func (c *Config) validate() error {
 				return fmt.Errorf("pattern: hybrid sub-pattern %d: %w", i, err)
 			}
 			total += sub.Procs
+			span = mulAdd(1, span, sub.span())
 		}
 		if total != c.Procs {
 			return fmt.Errorf("pattern: hybrid sub-pattern procs sum to %d, outer Procs is %d", total, c.Procs)
 		}
-		return nil
+		return checkSpan(c.Kind, span)
 	}
 	if c.Kind.Local() && c.BlocksPerProc <= 0 {
 		return fmt.Errorf("pattern: BlocksPerProc must be positive for %s", c.Kind)
@@ -306,25 +307,55 @@ func (c *Config) validate() error {
 			return fmt.Errorf("pattern: bad fixed-portion geometry len=%d gap=%d", c.PortionLen, c.PortionGap)
 		}
 	case LRP, GRP:
-		if c.MinPortion <= 0 || c.MaxPortion < c.MinPortion || c.MinGap < 0 || c.MaxGap < c.MinGap {
+		// Lengths and gaps are drawn from ranges rng.IntRange takes in
+		// 32 bits, and none can pass a file's math.MaxInt32 blocks.
+		if c.MinPortion <= 0 || c.MaxPortion < c.MinPortion || c.MinGap < 0 || c.MaxGap < c.MinGap ||
+			c.MaxPortion > math.MaxInt32 || c.MaxGap > math.MaxInt32 {
 			return fmt.Errorf("pattern: bad random-portion geometry")
 		}
+	}
+	return checkSpan(c.Kind, c.span())
+}
+
+// checkSpan refuses a file of span blocks past math.MaxInt32: block
+// ids are int32 downstream (the cache keys its frames by them).
+func checkSpan(kind Kind, span int) error {
+	if span > math.MaxInt32 {
+		return fmt.Errorf("pattern: %s file spans more than %d block ids", kind, math.MaxInt32)
 	}
 	return nil
 }
 
-// Generate builds the reference strings, as portions, for the
-// configured pattern. Block ids are int32 downstream (the cache keys
-// its frames by them), so a file past math.MaxInt32 blocks is an error.
-func Generate(cfg Config) (*Pattern, error) {
-	p, err := generate(cfg)
-	if err == nil && p.FileBlocks > math.MaxInt32 {
-		return nil, fmt.Errorf("pattern: %s file of %d blocks exceeds %d block ids", cfg.Kind, p.FileBlocks, math.MaxInt32)
+// mulAdd returns a·b + c for non-negative operands, or math.MaxInt32+1
+// when that is larger, so that no geometry can wrap int.
+func mulAdd(a, b, c int) int {
+	if c > math.MaxInt32 || b > 0 && a > (math.MaxInt32-c)/b {
+		return math.MaxInt32 + 1
 	}
-	return p, err
+	return a*b + c
 }
 
-func generate(cfg Config) (*Pattern, error) {
+// span returns the blocks a pure pattern's file spans, capped by
+// mulAdd. A grp file's gaps are drawn, so its span here counts only
+// the reads and genGRP checks the rest as it lays portions out.
+func (c *Config) span() int {
+	fixed := func(reads int) int { return mulAdd(max(reads/c.PortionLen, 1), c.PortionGap, reads) }
+	switch c.Kind {
+	case LFP:
+		return mulAdd(c.Procs, fixed(c.BlocksPerProc), 0)
+	case GFP:
+		return fixed(c.TotalBlocks)
+	case LRP:
+		return mulAdd(2, mulAdd(c.Procs, c.BlocksPerProc, 0), 0)
+	case LW:
+		return c.BlocksPerProc
+	}
+	return c.TotalBlocks
+}
+
+// Generate builds the reference strings, as portions, for the
+// configured pattern; a file past math.MaxInt32 blocks is an error.
+func Generate(cfg Config) (*Pattern, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -340,7 +371,7 @@ func generate(cfg Config) (*Pattern, error) {
 	case GFP:
 		return genGFP(cfg), nil
 	case GRP:
-		return genGRP(cfg), nil
+		return genGRP(cfg)
 	case GW:
 		return genGW(cfg), nil
 	}
@@ -435,7 +466,7 @@ func genGFP(cfg Config) *Pattern {
 }
 
 // genGRP builds one global string of randomly sized and spaced portions.
-func genGRP(cfg Config) *Pattern {
+func genGRP(cfg Config) (*Pattern, error) {
 	r := rng.New(cfg.Seed, 202)
 	p := &Pattern{Kind: GRP, Procs: cfg.Procs}
 	cursor := 0
@@ -447,9 +478,12 @@ func genGRP(cfg Config) *Pattern {
 		p.GlobalPortions = append(p.GlobalPortions, Portion{Index: n, Start: cursor, Len: plen})
 		n += plen
 		cursor += plen + r.IntRange(cfg.MinGap, cfg.MaxGap)
+		if err := checkSpan(GRP, cursor); err != nil {
+			return nil, err
+		}
 	}
 	p.FileBlocks = cursor
-	return p
+	return p, nil
 }
 
 // genGW reads the whole file exactly once, cooperatively.

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -242,11 +243,45 @@ func TestConfigValidation(t *testing.T) {
 		{Kind: LFP, Procs: 2, BlocksPerProc: 10, PortionLen: 0},
 		{Kind: LRP, Procs: 2, BlocksPerProc: 10, MinPortion: 0, MaxPortion: 5, MinGap: 1, MaxGap: 2},
 		{Kind: GRP, Procs: 2, TotalBlocks: 10, MinPortion: 5, MaxPortion: 4, MinGap: 1, MaxGap: 2},
+		// Draws past 32 bits: gaps that wrap the cursor past the int
+		// range, and a range rng.IntRange would truncate to one value.
+		{Kind: LRP, Procs: 2, BlocksPerProc: 10, MinPortion: 4, MaxPortion: 16, MinGap: math.MaxInt - 1, MaxGap: math.MaxInt - 1},
+		{Kind: GRP, Procs: 2, TotalBlocks: 10, MinPortion: 4, MaxPortion: 16, MinGap: 0, MaxGap: 1 << 32},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+
+	// A geometry whose file would pass math.MaxInt32 blocks is an error
+	// naming block ids, also when its span wraps int: lfp's
+	// 4 × (8 + 2^62) blocks is 32 modulo 2^64, and 4 × (8 + 2^61) is
+	// negative.
+	geometry := func(kind Kind, edit func(*Config)) Config {
+		cfg := Defaults(kind)
+		cfg.Procs, cfg.BlocksPerProc, cfg.TotalBlocks = 4, 8, 100
+		edit(&cfg)
+		return cfg
+	}
+	lw := geometry(LW, func(c *Config) { c.Procs, c.BlocksPerProc = 1, math.MaxInt32 })
+	cases := map[string]Config{
+		"lfp gap 2^62":         geometry(LFP, func(c *Config) { c.PortionGap = 1 << 62 }),
+		"lfp gap 2^61":         geometry(LFP, func(c *Config) { c.PortionGap = 1 << 61 }),
+		"gfp gap 2^60":         geometry(GFP, func(c *Config) { c.PortionGap = 1 << 60 }),
+		"lrp 2^31 reads":       geometry(LRP, func(c *Config) { c.Procs, c.BlocksPerProc = 2, 1<<30 }),
+		"lw 2^31 blocks":       geometry(LW, func(c *Config) { c.BlocksPerProc = 1 << 31 }),
+		"gw 2^31 blocks":       geometry(GW, func(c *Config) { c.TotalBlocks = 1 << 31 }),
+		"grp gaps 2^30":        geometry(GRP, func(c *Config) { c.MinPortion, c.MaxPortion, c.MinGap, c.MaxGap = 10, 10, 1<<30, 1<<30 }),
+		"hybrid of two MaxInt": {Kind: HYB, Procs: 2, Hybrid: []Config{lw, lw}},
+	}
+	for name, cfg := range cases {
+		if p, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "block ids") {
+			t.Errorf("%s: Generate = %v, %v; want an error naming block ids", name, p, err)
+		}
+	}
+	if _, err := Generate(lw); err != nil {
+		t.Errorf("lw of MaxInt32 blocks: %v", err)
 	}
 }
 

@@ -59,13 +59,19 @@ type Kernel struct {
 	obs obs.Sink // nil = no observability (the common case)
 }
 
-// SetObserver installs an observability sink counting the kernel's
-// dispatches (events, continuation wakes, process steps, spawns). A
-// nil sink — the default — costs one branch per dispatch.
-func (k *Kernel) SetObserver(s obs.Sink) { k.obs = s }
+// SetObserver installs the run's one observability sink. The kernel
+// counts its dispatches into it, and the layers built on it read it
+// through Observer at each emission, so it may be installed before or
+// after them. A sink with a SetClock(func() int64) method gets the
+// kernel clock. A nil sink costs one branch per emission site.
+func (k *Kernel) SetObserver(s obs.Sink) {
+	k.obs = s
+	if ck, ok := s.(interface{ SetClock(func() int64) }); ok {
+		ck.SetClock(func() int64 { return int64(k.now) })
+	}
+}
 
-// Observer returns the kernel's observability sink, nil when none is
-// installed. Layers built on the kernel report to it too.
+// Observer returns the kernel's sink, nil when none is installed.
 func (k *Kernel) Observer() obs.Sink { return k.obs }
 
 // NewKernel returns a kernel with the clock at time zero and no pending

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -604,10 +605,12 @@ func TestLabels(t *testing.T) {
 // TestObserverCountsEventKinds pins what the kernel counters count when
 // every kind of event shares one record: a Schedule callback is an
 // event only, a ScheduleWake timer is a wake, and a spawn, a slow-path
-// Advance and a process released by Event.Fire are steps.
+// Advance and a process released by Event.Fire are steps. The sink has
+// a SetClock method, so SetObserver hands it the kernel clock, and each
+// increment is read at the instant it happened.
 func TestObserverCountsEventKinds(t *testing.T) {
 	k := NewKernel()
-	sink := &obs.CounterSink{}
+	sink := &clockedSink{}
 	k.SetObserver(sink)
 	ev := NewEvent(k)
 	var log []string
@@ -638,6 +641,28 @@ func TestObserverCountsEventKinds(t *testing.T) {
 			t.Errorf("counter %v = %d, want %d", c.ctr, got[c.ctr], c.want)
 		}
 	}
+	if !slices.IsSorted(sink.at) || !slices.Equal(slices.Compact(slices.Clone(sink.at)), []int64{0, 5, 7, 10}) {
+		t.Errorf("increments read the clock at %v, want the instants 0, 5, 7 and 10 in order", sink.at)
+	}
+}
+
+// clockedSink is a CounterSink that reads the clock SetObserver handed
+// it at each increment.
+type clockedSink struct {
+	obs.CounterSink
+	now func() int64
+	at  []int64
+}
+
+func (s *clockedSink) SetClock(now func() int64) { s.now = now }
+
+func (s *clockedSink) Add(c obs.Counter, delta int64) {
+	at := int64(-1) // no clock was handed over
+	if s.now != nil {
+		at = s.now()
+	}
+	s.at = append(s.at, at)
+	s.CounterSink.Add(c, delta)
 }
 
 // counter is a Waiter that counts its wakes.
