@@ -1,12 +1,13 @@
 // Command rapid runs one RAPID Transit testbed experiment and prints
-// its measurements, optionally recording the run's span trace
-// (rapidtrace v1, read by cmd/trace) and its off-line access analysis.
+// its measurements, optionally recording the run's span trace (a
+// trace-event JSON file that cmd/trace reads and ui.perfetto.dev
+// opens) and its off-line access analysis.
 //
 // Examples:
 //
 //	rapid -pattern gw -sync each -prefetch
 //	rapid -pattern lfp -iobound -prefetch -compare
-//	rapid -pattern gw -prefetch -trace /tmp/gw.trace -analyze
+//	rapid -pattern gw -prefetch -trace gw.json -analyze
 package main
 
 import (
@@ -14,7 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	rapid "repro"
@@ -46,38 +49,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 		blocks      = fs.Int("blocks", 2000, "total blocks read (global patterns)")
 		perProc     = fs.Int("perproc", 100, "blocks read per process (local patterns)")
 		lead        = fs.Int("lead", 0, "minimum prefetch lead in blocks")
-		minPF       = fs.Float64("minpf", 0, "minimum prefetch time in ms")
+		minPF       = msVar(fs, "minpf", 0, "minimum prefetch time in `ms`")
 		buffers     = fs.Int("buffers", 3, "prefetch buffers per process")
 		ruSet       = fs.Int("ruset", 1, "recently-used set size per process")
 		perNode     = fs.Bool("pernode", false, "strict per-node prefetch buffer limits")
 		seed        = fs.Uint64("seed", 1, "random seed")
 		faultRate   = fs.Float64("fault-rate", 0, "per-request transient read-error probability [0,1)")
 		faultSeed   = fs.Uint64("fault-seed", 1, "seed for all fault draws")
-		killAtMS    = fs.Float64("disk-kill-at", 0, "kill disk 0 at this virtual time in ms (0 = never)")
+		diskKillAt  = msVar(fs, "disk-kill-at", 0, "kill disk 0 at this virtual time in `ms` (0 = never)")
 		procSlow    = fs.Float64("proc-slow", 0, "slow the last processor by this factor (0 or 1 = healthy)")
-		procKillMS  = fs.Float64("proc-kill-at", 0, "kill processor 0 at this virtual time in ms (0 = never)")
-		barrierTO   = fs.Float64("barrier-timeout", 0, "barrier quorum-release timeout in ms (0 = wait forever)")
+		procKillAt  = msVar(fs, "proc-kill-at", 0, "kill processor 0 at this virtual time in `ms` (0 = never)")
+		barrierTO   = msVar(fs, "barrier-timeout", 0, "barrier quorum-release timeout in `ms` (0 = wait forever)")
 		racks       = fs.Int("racks", 0, "split disks and processors into this many named failure domains rack0..rackN-1 (0 = no domains)")
 		rackKill    = fs.String("rack-kill", "", "kill every disk and processor of this rack at -rack-kill-at")
-		rackKillMS  = fs.Float64("rack-kill-at", 0, "virtual time of the correlated rack kill in ms")
+		rackKillAt  = msVar(fs, "rack-kill-at", 0, "virtual time of the correlated rack kill in `ms`")
 		rackStorm   = fs.String("rack-storm", "", "subject this rack's disks to a latency storm")
-		stormAtMS   = fs.Float64("rack-storm-at", 0, "storm onset in ms of virtual time")
-		stormForMS  = fs.Float64("rack-storm-for", 0, "storm duration in ms (0 disables the storm)")
+		stormAt     = msVar(fs, "rack-storm-at", 0, "storm onset in `ms` of virtual time")
+		stormFor    = msVar(fs, "rack-storm-for", 0, "storm duration in `ms` (0 disables the storm)")
 		stormFactor = fs.Float64("rack-storm-factor", 3, "disk service-time multiplier during the storm")
-		stormJitMS  = fs.Float64("rack-storm-jitter", 0, "per-disk storm onset jitter bound in ms")
+		stormJitter = msVar(fs, "rack-storm-jitter", 0, "per-disk storm onset jitter bound in `ms`")
 		rackStrag   = fs.String("rack-straggle", "", "spread compute stragglers across this rack's processors")
 		stragFactor = fs.Float64("rack-straggle-factor", 2, "compute slowdown of an affected processor")
 		stragRate   = fs.Float64("rack-straggle-rate", 0, "fraction of the rack's processors affected [0,1] (0 disables the spread)")
-		traceFile   = fs.String("trace", "", "write the span trace (rapidtrace v1) to this file")
+		traceFile   = fs.String("trace", "", "write the span trace (trace-event JSON) to this file")
 		analyze     = fs.Bool("analyze", false, "print the off-line access analysis of the span trace")
-		perfFile    = fs.String("perfetto", "", "write a Perfetto trace-event JSON to this file")
 		timeline    = fs.Bool("timeline", false, "print the ASCII span timeline")
 		telJSON     = fs.String("telemetry", "", "write the windowed telemetry snapshot JSON to this file")
 		telCSV      = fs.String("telemetry-csv", "", "write the windowed telemetry time series CSV to this file")
-		telWindow   = fs.Float64("telemetry-window", 100, "telemetry window width in ms of virtual time")
+		telWindow   = msVar(fs, "telemetry-window", 100, "telemetry window width in `ms` of virtual time")
 		sampleK     = fs.Int("sample", 0, "sample K seed-hashed nodes at full fidelity (0 = 16 when a sample output is set)")
-		sampleOut   = fs.String("sample-out", "", "write the sampled nodes' span trace to this file")
-		samplePerf  = fs.String("sample-perfetto", "", "write the sampled nodes' Perfetto trace to this file")
+		sampleOut   = fs.String("sample-out", "", "write the sampled nodes' span trace (trace-event JSON) to this file")
 		perProcOut  = fs.Bool("procstats", false, "print per-process statistics")
 		hist        = fs.Bool("hist", false, "print the block read time distribution")
 		asJSON      = fs.Bool("json", false, "emit the full result as JSON")
@@ -87,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err := refuseDropped(fs, *compare, *asJSON); err != nil {
 		return err
+	}
+	compute, err := millis(*computeMS)
+	if err != nil && *computeMS != -1 { // -1 keeps the paper default
+		return fmt.Errorf("invalid value %v for flag -compute: %v", *computeMS, err)
 	}
 
 	kind, err := rapid.ParsePatternKind(*patternName)
@@ -115,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Prefetch = pf
 		cfg.Predictor = pred
 		cfg.Lead = *lead
-		cfg.MinPrefetchTime = rapid.Millis(*minPF)
+		cfg.MinPrefetchTime = *minPF
 		cfg.PrefetchBuffersPerProc = *buffers
 		cfg.RUSetSize = *ruSet
 		cfg.PerNodePrefetchLimit = *perNode
@@ -123,12 +128,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Fault = rapid.FaultConfig{
 			Seed:          *faultSeed,
 			ReadErrorRate: *faultRate,
-			KillAt:        rapid.Millis(*killAtMS),
+			KillAt:        *diskKillAt,
 		}
 		nf := rapid.NodeFaultConfig{
 			Seed:           *faultSeed,
-			KillAt:         rapid.Millis(*procKillMS),
-			BarrierTimeout: rapid.Millis(*barrierTO),
+			KillAt:         *procKillAt,
+			BarrierTimeout: *barrierTO,
 		}
 		if *procSlow > 1 {
 			nf.StragglerFactor = *procSlow
@@ -142,12 +147,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Seed:            *faultSeed,
 				Domains:         rapid.SplitDomains("rack", *procs, *procs, *racks),
 				KillDomain:      *rackKill,
-				KillAt:          rapid.Millis(*rackKillMS),
+				KillAt:          *rackKillAt,
 				StormDomain:     *rackStorm,
-				StormAt:         rapid.Millis(*stormAtMS),
-				StormFor:        rapid.Millis(*stormForMS),
+				StormAt:         *stormAt,
+				StormFor:        *stormFor,
 				StormFactor:     *stormFactor,
-				StormJitter:     rapid.Millis(*stormJitMS),
+				StormJitter:     *stormJitter,
 				StragglerDomain: *rackStrag,
 				StragglerFactor: *stragFactor,
 				StragglerRate:   *stragRate,
@@ -155,8 +160,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *ioBound {
 			cfg.ComputeMean = 0
-		} else if *computeMS >= 0 {
-			cfg.ComputeMean = rapid.Millis(*computeMS)
+		} else if *computeMS != -1 {
+			cfg.ComputeMean = compute
 		}
 		return cfg
 	}
@@ -181,21 +186,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	cfg := build(*prefetch)
 	var spans *obs.Recorder
-	if *traceFile != "" || *analyze || *perfFile != "" || *timeline {
+	if *traceFile != "" || *analyze || *timeline {
 		spans = obs.NewRecorder()
 		cfg.Obs = spans
 	}
 	var tel *telemetry.Sink
-	if *telJSON != "" || *telCSV != "" || *sampleK > 0 || *sampleOut != "" || *samplePerf != "" {
+	if *telJSON != "" || *telCSV != "" || *sampleK > 0 || *sampleOut != "" {
 		if spans != nil {
-			return fmt.Errorf("telemetry flags cannot be combined with the full-trace flags (-trace, -analyze, -perfetto, -timeline); the run has one sink")
+			return fmt.Errorf("telemetry flags cannot be combined with the full-trace flags (-trace, -analyze, -timeline); the run has one sink")
 		}
 		k := *sampleK
-		if k == 0 && (*sampleOut != "" || *samplePerf != "") {
+		if k == 0 && *sampleOut != "" {
 			k = 16
 		}
 		tel = telemetry.New(telemetry.Config{
-			Window:     int64(rapid.Millis(*telWindow)),
+			Window:     int64(*telWindow),
 			SampleK:    k,
 			Nodes:      *procs,
 			SampleSeed: *seed,
@@ -237,12 +242,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *analyze {
 			fmt.Fprint(stdout, obs.Analyze(spans))
 		}
-		if *perfFile != "" {
-			if err := writeFile(*perfFile, spans.WritePerfetto); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "perfetto: %d spans -> %s\n", len(spans.Spans), *perfFile)
-		}
 		if *timeline {
 			fmt.Fprint(stdout, spans.Timeline(obs.TimelineOptions{}))
 		}
@@ -261,22 +260,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "telemetry: %d windows -> %s\n", len(sn.Windows), *telCSV)
 		}
-		if rec := tel.Sampled(); rec != nil {
-			if *sampleOut != "" {
-				if err := writeFile(*sampleOut, func(w io.Writer) error {
-					_, err := rec.WriteTo(w)
-					return err
-				}); err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "sample: nodes %v, %d spans -> %s\n", tel.SampleIDs(), len(rec.Spans), *sampleOut)
+		if rec := tel.Sampled(); rec != nil && *sampleOut != "" {
+			if err := writeFile(*sampleOut, func(w io.Writer) error {
+				_, err := rec.WriteTo(w)
+				return err
+			}); err != nil {
+				return err
 			}
-			if *samplePerf != "" {
-				if err := writeFile(*samplePerf, rec.WritePerfetto); err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "sample: nodes %v, %d spans -> %s\n", tel.SampleIDs(), len(rec.Spans), *samplePerf)
-			}
+			fmt.Fprintf(stdout, "sample: nodes %v, %d spans -> %s\n", tel.SampleIDs(), len(rec.Spans), *sampleOut)
 		}
 	}
 	return nil
@@ -285,9 +276,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 // reportFlags are the flags that add a sink, an output file or a report
 // to the printed result.
 var reportFlags = map[string]bool{
-	"trace": true, "analyze": true, "perfetto": true, "timeline": true,
+	"trace": true, "analyze": true, "timeline": true,
 	"telemetry": true, "telemetry-csv": true, "telemetry-window": true,
-	"sample": true, "sample-out": true, "sample-perfetto": true,
+	"sample": true, "sample-out": true,
 	"procstats": true, "hist": true,
 }
 
@@ -314,6 +305,42 @@ func refuseDropped(fs *flag.FlagSet, compare, asJSON bool) error {
 	}
 	return fmt.Errorf("%s prints only its results and cannot be combined with %s",
 		mode, strings.Join(dropped, ", "))
+}
+
+// millis converts ms to a Duration, refusing a negative, NaN, infinite
+// or out-of-range value: sim.Millis panics on the first and wraps the
+// last past the virtual clock.
+func millis(ms float64) (rapid.Duration, error) {
+	if !(ms >= 0 && ms*float64(rapid.Millisecond) < math.MaxInt64) {
+		return 0, fmt.Errorf("want milliseconds in [0, %g)", math.MaxInt64/float64(rapid.Millisecond))
+	}
+	return rapid.Millis(ms), nil
+}
+
+// msValue is a millisecond flag's value. Its Set converts through
+// millis, so fs.Parse reports a value no run can take as a usage error
+// naming the flag.
+type msValue rapid.Duration
+
+func (v *msValue) String() string {
+	return strconv.FormatFloat(rapid.Duration(*v).Millis(), 'g', -1, 64)
+}
+
+func (v *msValue) Set(s string) error {
+	ms, err := strconv.ParseFloat(s, 64)
+	if err == nil {
+		var d rapid.Duration
+		d, err = millis(ms)
+		*v = msValue(d)
+	}
+	return err
+}
+
+// msVar defines a millisecond flag on fs with a default of def ms.
+func msVar(fs *flag.FlagSet, name string, def float64, usage string) *rapid.Duration {
+	d := rapid.Millis(def)
+	fs.Var((*msValue)(&d), name, usage)
+	return &d
 }
 
 // writeFile creates path, streams write into it, and closes it,

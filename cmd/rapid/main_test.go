@@ -35,6 +35,32 @@ func TestBadFlagValues(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// A millisecond flag refuses a value no run can take with an error
+	// naming the flag, rather than panicking in sim.Millis or running
+	// with a wrapped or silently replaced duration.
+	rack := []string{"-racks", "2"}
+	for _, c := range []struct {
+		flag  string
+		extra []string
+	}{
+		{"-minpf", nil}, {"-disk-kill-at", nil}, {"-proc-kill-at", nil},
+		{"-barrier-timeout", nil}, {"-compute", nil},
+		{"-telemetry-window", []string{"-telemetry", filepath.Join(t.TempDir(), "t.json")}},
+		{"-rack-kill-at", rack}, {"-rack-storm-at", rack},
+		{"-rack-storm-for", rack}, {"-rack-storm-jitter", rack},
+	} {
+		for _, v := range []string{"-3", "NaN", "Inf", "1e300"} {
+			args := append(append([]string{c.flag, v}, c.extra...), small...)
+			_, _, err := runCmd(t, args...)
+			if err == nil || !strings.Contains(err.Error(), "flag "+c.flag+":") {
+				t.Errorf("run(%v) = %v, want an error naming %s", args, err, c.flag)
+			}
+		}
+	}
+	// -compute's -1 is the paper default, not an error.
+	if _, _, err := runCmd(t, append([]string{"-compute", "-1"}, small...)...); err != nil {
+		t.Errorf("-compute -1: %v", err)
+	}
 }
 
 func TestDeterministicRun(t *testing.T) {
@@ -332,7 +358,7 @@ func TestTraceAndTelemetryRefused(t *testing.T) {
 		{"-trace", filepath.Join(dir, "a.trace"), "-telemetry", filepath.Join(dir, "a.json")},
 		{"-analyze", "-telemetry-csv", filepath.Join(dir, "b.csv")},
 		{"-analyze", "-sample", "4"},
-		{"-timeline", "-sample-out", filepath.Join(dir, "c.spans")},
+		{"-timeline", "-sample-out", filepath.Join(dir, "c.json")},
 	} {
 		_, _, err := runCmd(t, append(args, small...)...)
 		if err == nil || !strings.Contains(err.Error(), "one sink") {
@@ -348,9 +374,9 @@ func TestResultOnlyModesRefuseReportFlags(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "out")
 	reports := [][]string{
-		{"-trace", file}, {"-analyze"}, {"-perfetto", file}, {"-timeline"},
+		{"-trace", file}, {"-analyze"}, {"-timeline"},
 		{"-telemetry", file}, {"-telemetry-csv", file}, {"-telemetry-window", "50"},
-		{"-sample", "4"}, {"-sample-out", file}, {"-sample-perfetto", file},
+		{"-sample", "4"}, {"-sample-out", file},
 		{"-procstats"}, {"-hist"},
 	}
 	for _, mode := range []string{"-compare", "-json"} {
@@ -374,20 +400,17 @@ func TestResultOnlyModesRefuseReportFlags(t *testing.T) {
 
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
-	spans := filepath.Join(dir, "run.spans")
-	perf := filepath.Join(dir, "run.json")
+	spans := filepath.Join(dir, "run.json")
 	args := append([]string{"-pattern", "gw", "-sync", "each", "-prefetch",
-		"-trace", spans, "-perfetto", perf, "-timeline"}, small...)
+		"-trace", spans, "-timeline"}, small...)
 	got, _, err := runCmd(t, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{spans, perf} {
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Fatalf("%s not written: %v", path, err)
-		}
+	if fi, err := os.Stat(spans); err != nil || fi.Size() == 0 {
+		t.Fatalf("%s not written: %v", spans, err)
 	}
-	for _, want := range []string{"trace:", "perfetto:", "timeline", "legend:", "proc0"} {
+	for _, want := range []string{"trace:", "timeline", "legend:", "proc0"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}

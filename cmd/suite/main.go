@@ -224,11 +224,10 @@ func runCluster(nodesCSV, csvDir string, telemetry, chaos, progress bool, memPro
 			write("scale_timeseries.csv", sweep.Telemetry.WriteCSV)
 			write("scale_timeseries.json", sweep.Telemetry.WriteJSON)
 			if rec := sweep.SampledTrace; rec != nil {
-				write("scale_sample.spans", func(w io.Writer) error {
+				write("scale_sample.json", func(w io.Writer) error {
 					_, err := rec.WriteTo(w)
 					return err
 				})
-				write("scale_sample.perfetto.json", rec.WritePerfetto)
 			}
 			fmt.Printf("telemetry: %d windows, sampled nodes %v -> %s\n",
 				len(sweep.Telemetry.Windows), sweep.Telemetry.SampleNodes, csvDir)

@@ -1,27 +1,27 @@
-// Command trace inspects the virtual-time span traces (rapidtrace v1,
-// see internal/obs) that `rapid -trace` records. It turns "the total
-// moved" into "which processor spent its time where": summarize the
-// idle-time accounting, render an ASCII timeline, export
-// Chrome/Perfetto JSON for ui.perfetto.dev, and diff two runs'
-// accounting (prefetch on vs. off, faulted vs. clean).
+// Command trace inspects the virtual-time span traces that `rapid
+// -trace` records: trace-event JSON files (see internal/obs), which
+// also open as written in ui.perfetto.dev. It turns "the total moved"
+// into "which processor spent its time where": summarize the idle-time
+// accounting, render an ASCII timeline, check the file's structure,
+// and diff two runs' accounting (prefetch on vs. off, faulted vs.
+// clean).
 //
 // Subcommands:
 //
-//	trace summary run.spans                    counters + idle-time accounting
-//	trace timeline [filters] run.spans         ASCII Gantt timeline
-//	trace dump    [filters] run.spans          filtered span listing
-//	trace perfetto -o run.json run.spans       export Perfetto trace-event JSON
-//	trace verify  run.json|run.spans           validate Perfetto JSON structure
-//	trace diff    a.spans b.spans              accounting diff (b relative to a)
+//	trace summary run.json                     counters + idle-time accounting
+//	trace timeline [filters] run.json          ASCII Gantt timeline
+//	trace dump    [filters] run.json           filtered span listing
+//	trace verify  run.json                     read the trace and check its nesting
+//	trace diff    a.json b.json                accounting diff (b relative to a)
 //	trace timeseries run.telemetry.json        sparklines + per-window table of a
 //	                                           windowed telemetry snapshot
 //
 // Examples:
 //
-//	rapid -pattern gw -sync each -prefetch -trace pf.spans
-//	rapid -pattern gw -sync each -trace nopf.spans
-//	trace diff nopf.spans pf.spans
-//	trace timeline -proc 3 -to 200000 pf.spans
+//	rapid -pattern gw -sync each -prefetch -trace pf.json
+//	rapid -pattern gw -sync each -trace nopf.json
+//	trace diff nopf.json pf.json
+//	trace timeline -proc 3 -to 200000 pf.json
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -47,7 +48,7 @@ func main() {
 // with arbitrary arguments and capture its output.
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: trace {summary|timeline|dump|perfetto|verify|diff|timeseries} [flags] [files]")
+		return fmt.Errorf("usage: trace {summary|timeline|dump|verify|diff|timeseries} [flags] [files]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -59,8 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cmdTimeline(rest, stdout, stderr)
 	case "dump":
 		return cmdDump(rest, stdout, stderr)
-	case "perfetto":
-		return cmdPerfetto(rest, stdout, stderr)
 	case "verify":
 		return cmdVerify(rest, stdout, stderr)
 	case "diff":
@@ -78,16 +77,22 @@ func loadTrace(path string) (*obs.Recorder, error) {
 	return obs.Read(f)
 }
 
+// parseTrace parses the args of a subcommand that takes one trace file
+// and reads that file.
+func parseTrace(fs *flag.FlagSet, args []string) (*obs.Recorder, error) {
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() != 1 {
+		return nil, fmt.Errorf("%s: want exactly one trace file", strings.TrimPrefix(fs.Name(), "trace "))
+	}
+	return loadTrace(fs.Arg(0))
+}
+
 func cmdSummary(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("trace summary", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("summary: want exactly one trace file")
-	}
-	rec, err := loadTrace(fs.Arg(0))
+	rec, err := parseTrace(fs, args)
 	if err != nil {
 		return err
 	}
@@ -138,13 +143,7 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var sf spanFilters
 	sf.register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("timeline: want exactly one trace file")
-	}
-	rec, err := loadTrace(fs.Arg(0))
+	rec, err := parseTrace(fs, args)
 	if err != nil {
 		return err
 	}
@@ -159,13 +158,7 @@ func cmdDump(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var sf spanFilters
 	sf.register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("dump: want exactly one trace file")
-	}
-	rec, err := loadTrace(fs.Arg(0))
+	rec, err := parseTrace(fs, args)
 	if err != nil {
 		return err
 	}
@@ -191,17 +184,8 @@ func cmdDump(args []string, stdout, stderr io.Writer) error {
 		if s.End <= sf.from || s.Start >= to {
 			continue
 		}
-		if want != nil {
-			found := false
-			for _, t := range want {
-				if t == s.Track {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
+		if want != nil && !slices.Contains(want, s.Track) {
+			continue
 		}
 		fmt.Fprintf(stdout, "%-8s %-15s %10d %10d %8d  block=%-6d arg=%d\n",
 			s.Track, s.Kind, s.Start, s.End, s.Dur(), s.Block, s.Arg)
@@ -211,75 +195,19 @@ func cmdDump(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func cmdPerfetto(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("trace perfetto", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("o", "", "output JSON file (default: stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("perfetto: want exactly one trace file")
-	}
-	rec, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rec.WritePerfetto(w); err != nil {
-		return err
-	}
-	if *out != "" {
-		fmt.Fprintf(stdout, "perfetto: %d spans -> %s (open in ui.perfetto.dev)\n", len(rec.Spans), *out)
-	}
-	return nil
-}
-
-// cmdVerify validates Perfetto JSON structure: X events nest per
-// track, async pairs match. A .spans file is converted first, so both
-// artifact kinds can be checked.
+// cmdVerify reads a trace and checks the structure its viewer relies
+// on: no span ends before it starts, and sync spans nest per track.
 func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("trace verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("verify: want exactly one file")
-	}
-	path := fs.Arg(0)
-	var jsonSrc io.Reader
-	if strings.HasSuffix(path, ".json") {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		jsonSrc = f
-	} else {
-		rec, err := loadTrace(path)
-		if err != nil {
-			return err
-		}
-		var sb strings.Builder
-		if err := rec.WritePerfetto(&sb); err != nil {
-			return err
-		}
-		jsonSrc = strings.NewReader(sb.String())
-	}
-	summary, err := obs.ValidatePerfetto(jsonSrc)
+	rec, err := parseTrace(fs, args)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%s: %s\n", path, summary)
+	if err := rec.CheckNesting(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s: ok: %d spans on %d tracks\n", fs.Arg(0), len(rec.Spans), len(rec.Tracks()))
 	return nil
 }
 

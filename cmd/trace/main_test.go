@@ -66,7 +66,7 @@ func TestUsageErrors(t *testing.T) {
 
 func TestRecordSummaryTimeline(t *testing.T) {
 	dir := t.TempDir()
-	spans := record(t, dir, "pf.spans", true)
+	spans := record(t, dir, "pf.json", true)
 
 	sum, err := runCmd(t, "summary", spans)
 	if err != nil {
@@ -95,29 +95,43 @@ func TestRecordSummaryTimeline(t *testing.T) {
 	}
 }
 
+// TestPerfettoExportAndVerify checks a recorded trace with verify, and
+// verify's refusal of a trace whose sync spans do not nest and of a
+// file that is not a trace.
 func TestPerfettoExportAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	spans := record(t, dir, "pf.spans", true)
-	jsonPath := filepath.Join(dir, "pf.json")
-	if _, err := runCmd(t, "perfetto", "-o", jsonPath, spans); err != nil {
+	spans := record(t, dir, "pf.json", true)
+	out, err := runCmd(t, "verify", spans)
+	if err != nil {
+		t.Fatalf("verify %s: %v", spans, err)
+	}
+	if !strings.Contains(out, "ok:") {
+		t.Fatalf("verify output: %q", out)
+	}
+
+	rec := obs.NewRecorder()
+	rec.Span(obs.Span{Track: obs.ProcTrack(0), Kind: obs.SpanCompute, Start: 0, End: 100, Block: -1})
+	rec.Span(obs.Span{Track: obs.ProcTrack(0), Kind: obs.SpanFSWork, Start: 50, End: 150, Block: -1})
+	var sb strings.Builder
+	if _, err := rec.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	// Both the exported JSON and the raw span file validate.
-	for _, target := range []string{jsonPath, spans} {
-		out, err := runCmd(t, "verify", target)
-		if err != nil {
-			t.Fatalf("verify %s: %v", target, err)
-		}
-		if !strings.Contains(out, "ok:") {
-			t.Fatalf("verify output: %q", out)
-		}
+	overlap := filepath.Join(dir, "overlap.json")
+	if err := os.WriteFile(overlap, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCmd(t, "verify", overlap); err == nil || !strings.Contains(err.Error(), "partially overlaps") {
+		t.Errorf("verify of overlapping spans = %v, want the overlap named", err)
+	}
+	if _, err := runCmd(t, "verify", os.DevNull); !errors.Is(err, obs.ErrNotTrace) {
+		t.Errorf("verify of an empty file = %v, want ErrNotTrace", err)
 	}
 }
 
 func TestDiffPrefetchOnOff(t *testing.T) {
 	dir := t.TempDir()
-	pf := record(t, dir, "pf.spans", true)
-	nopf := record(t, dir, "nopf.spans", false)
+	pf := record(t, dir, "pf.json", true)
+	nopf := record(t, dir, "nopf.json", false)
 	out, err := runCmd(t, "diff", nopf, pf)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +145,8 @@ func TestDiffPrefetchOnOff(t *testing.T) {
 
 func TestRecordDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	a := record(t, dir, "a.spans", true)
-	b := record(t, dir, "b.spans", true)
+	a := record(t, dir, "a.json", true)
+	b := record(t, dir, "b.json", true)
 	da, err := os.ReadFile(a)
 	if err != nil {
 		t.Fatal(err)
@@ -152,17 +166,16 @@ func TestRecordDeterministic(t *testing.T) {
 // TestMalformedTraceErrors drives each flavor of broken trace file
 // through the summary subcommand and checks that the command fails
 // with the named error class from internal/obs — a partial scp or a
-// trace from a newer build must be a loud, diagnosable failure, not a
+// file of another kind must be a loud, diagnosable failure, not a
 // silently shorter accounting.
 func TestMalformedTraceErrors(t *testing.T) {
 	dir := t.TempDir()
-	good, err := os.ReadFile(record(t, dir, "good.spans", false))
+	good, err := os.ReadFile(record(t, dir, "good.json", false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(good), "\n"), "\n")
-	if len(lines) < 10 || !strings.HasPrefix(lines[len(lines)-1], "end ") {
-		t.Fatalf("recorded trace unusable as fixture: %d lines", len(lines))
+	if len(good) < 1000 {
+		t.Fatalf("recorded trace unusable as fixture: %d bytes", len(good))
 	}
 
 	cases := []struct {
@@ -172,15 +185,11 @@ func TestMalformedTraceErrors(t *testing.T) {
 	}{
 		{"empty", "", obs.ErrNotTrace},
 		{"not-a-trace", "hello world\nspan 1 2 3\n", obs.ErrNotTrace},
-		{"future-version", "# rapidtrace v2\nspan proc/0 0 0 10 compute 0\nend 1 0\n",
-			obs.ErrTraceVersion},
-		{"missing-trailer", strings.Join(lines[:len(lines)-1], "\n") + "\n",
-			obs.ErrTraceTruncated},
-		{"cut-mid-stream", strings.Join(lines[:len(lines)/2], "\n") + "\n",
-			obs.ErrTraceTruncated},
-		{"count-mismatch", strings.Join(lines[:len(lines)-1], "\n") + "\nend 1 0\n",
-			obs.ErrTraceTruncated},
-		{"garbage-record", lines[0] + "\nspan what\n", nil},
+		{"telemetry-snapshot", `{"windowMicros":100000,"windows":[]}`, obs.ErrNotTrace},
+		{"cut-mid-stream", string(good[:len(good)/2]), obs.ErrTraceTruncated},
+		{"cut-before-close", string(good[:len(good)-2]), obs.ErrTraceTruncated},
+		{"garbage-record", `{"traceEvents":[{"name":"what","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"arg":0}}]}`, nil},
+		{"async-begin-alone", `{"traceEvents":[{"name":"disk-queue","ph":"b","cat":"disk-queue","ts":0,"pid":2,"tid":0,"id":"a1","args":{"arg":0}}]}`, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -202,6 +202,9 @@ func (c *Config) Validate() error {
 	if c.MinPrefetchTime < 0 {
 		return fmt.Errorf("core: negative MinPrefetchTime %v", c.MinPrefetchTime)
 	}
+	if c.ComputeMean < 0 {
+		return fmt.Errorf("core: negative ComputeMean %v", c.ComputeMean)
+	}
 	if c.DiskSeekPerBlock < 0 || c.DiskMaxSeek < 0 {
 		return fmt.Errorf("core: negative disk seek parameters")
 	}

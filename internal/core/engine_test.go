@@ -36,6 +36,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Prefetch = true; c.PrefetchBuffersPerProc = 0 },
 		func(c *Config) { c.Lead = -1 },
 		func(c *Config) { c.MinPrefetchTime = -1 },
+		func(c *Config) { c.ComputeMean = -1 },
 		func(c *Config) { c.Sync = barrier.EveryNPerProc; c.SyncEveryPerProc = 0 },
 		func(c *Config) { c.Sync = barrier.EveryNTotal; c.SyncEveryTotal = 0 },
 		func(c *Config) { c.Pattern.Procs = 3 },

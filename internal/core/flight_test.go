@@ -30,7 +30,7 @@ func flightSink() (*telemetry.Sink, *bytes.Buffer, *bytes.Buffer) {
 // flight recorder before re-raising it: the human dump must carry the
 // deadlock diagnostic (naming the stuck processes), a last-activity
 // digest of the tracks, and the ring's final spans; the side-channel
-// trace must be a readable rapidtrace stream.
+// trace must be a readable span trace.
 func TestFlightDumpOnDeadlock(t *testing.T) {
 	cfg := smallConfig(pattern.LFP, 4, 50)
 	cfg.Sync = barrier.EveryNPerProc
@@ -76,6 +76,9 @@ func TestFlightDumpOnDeadlock(t *testing.T) {
 		}
 		if len(rec.Spans) == 0 {
 			t.Error("flight trace has no spans")
+		}
+		if err := rec.CheckNesting(); err != nil {
+			t.Errorf("flight trace fails the nesting check: %v", err)
 		}
 	}()
 	MustRun(cfg)

@@ -102,9 +102,9 @@ func TestObservedRunDoesNotPerturb(t *testing.T) {
 	})
 }
 
-// TestObservedRunPerfettoValid exports a real traced run (with faults,
-// so backoff spans appear too) and pushes it through the structural
-// validator: sync spans nest per track, async pairs match.
+// TestObservedRunPerfettoValid writes a real traced run (with faults,
+// so backoff spans appear too), reads it back and runs the nesting
+// check: no span ends before it starts, and sync spans nest per track.
 func TestObservedRunPerfettoValid(t *testing.T) {
 	t.Parallel()
 	rec := obs.NewRecorder()
@@ -115,11 +115,15 @@ func TestObservedRunPerfettoValid(t *testing.T) {
 		t.Error("expected read retries at a 5% error rate")
 	}
 	var sb strings.Builder
-	if err := rec.WritePerfetto(&sb); err != nil {
+	if _, err := rec.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidatePerfetto(strings.NewReader(sb.String())); err != nil {
-		t.Fatalf("traced run fails Perfetto validation: %v", err)
+	back, err := obs.Read(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.CheckNesting(); err != nil {
+		t.Fatalf("traced run fails the nesting check: %v", err)
 	}
 	// The same run must also account cleanly: every processor's buckets
 	// sum to the horizon.

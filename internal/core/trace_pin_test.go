@@ -15,8 +15,9 @@ import (
 )
 
 // traceDigests pins, for each run of the trace matrix, the first 16
-// hex digits of the sha256 of its rapidtrace bytes (Recorder.WriteTo)
-// and of its access analysis (obs.Analyze(...).String()). The analysis
+// hex digits of the sha256 of its spans and counters as read back from
+// the written trace (rendered by v1) and of its access analysis
+// (obs.Analyze(...).String()). The analysis
 // digests were made from the per-access trace the span trace replaced;
 // the two gave byte-identical analyses on all 96 runs, and the span
 // streams differed only in the read and backoff Args that now carry
@@ -254,9 +255,34 @@ func digest16(b []byte) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// TestTraceDigestsPinned runs the trace matrix and checks each run's
-// span trace bytes and access analysis against the pins: span order
-// and timestamps, not just the Result, must stay fixed.
+// v1 renders a trace in the line grammar its span digests were pinned
+// in, the repository's first trace file format:
+//
+//	# rapidtrace v1
+//	span <track> <kind> <start> <end> <block> <arg>
+//	ctr <name> <value>
+//	end <nspans> <nctrs>
+func v1(rec *obs.Recorder) []byte {
+	var b bytes.Buffer
+	b.WriteString("# rapidtrace v1\n")
+	for _, s := range rec.Spans {
+		fmt.Fprintf(&b, "span %s %s %d %d %d %d\n", s.Track, s.Kind, s.Start, s.End, s.Block, s.Arg)
+	}
+	nctrs := 0
+	for c, v := range rec.Counters {
+		if v != 0 {
+			fmt.Fprintf(&b, "ctr %s %d\n", obs.Counter(c), v)
+			nctrs++
+		}
+	}
+	fmt.Fprintf(&b, "end %d %d\n", len(rec.Spans), nctrs)
+	return b.Bytes()
+}
+
+// TestTraceDigestsPinned runs the trace matrix, writes each run's span
+// trace and reads it back, and checks the spans, counters and access
+// analysis read back against the pins: span order and timestamps, not
+// just the Result, must stay fixed, and the file must carry them all.
 func TestTraceDigestsPinned(t *testing.T) {
 	t.Parallel()
 	forEachPinnedTrace(func(name string, cfg Config) {
@@ -267,11 +293,15 @@ func TestTraceDigestsPinned(t *testing.T) {
 		if _, err := rec.WriteTo(&b); err != nil {
 			t.Fatal(err)
 		}
+		back, err := obs.Read(&b)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
 		want := traceDigests[name]
-		if got := digest16(b.Bytes()); got != want.spans {
+		if got := digest16(v1(back)); got != want.spans {
 			t.Errorf("%q: spans %q, pinned %q", name, got, want.spans)
 		}
-		if got := digest16([]byte(obs.Analyze(rec).String())); got != want.analysis {
+		if got := digest16([]byte(obs.Analyze(back).String())); got != want.analysis {
 			t.Errorf("%q: analysis %q, pinned %q", name, got, want.analysis)
 		}
 	})

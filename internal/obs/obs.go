@@ -41,8 +41,8 @@ type SpanKind uint8
 // track always nest or are disjoint — a read contains its file system
 // work, its fetch wait, and any retry backoff; prefetch actions run
 // strictly inside the wait that hosts them. Async kinds (SpanDiskQueue,
-// SpanCacheFill) may overlap others on their track and are exported as
-// Perfetto async events rather than stack slices.
+// SpanCacheFill) may overlap others on their track and are written as
+// async begin/end pairs rather than stack slices.
 const (
 	// SpanCompute is the synthetic application's computation between
 	// block reads.
@@ -130,8 +130,8 @@ func ParseSpanKind(s string) (SpanKind, error) {
 
 // Async reports whether spans of this kind may overlap others on their
 // track. Sync kinds obey stack discipline per track (nest or disjoint)
-// and export as Perfetto complete events; async kinds export as
-// Perfetto async begin/end pairs.
+// and are written as complete events; async kinds are written as async
+// begin/end pairs.
 func (k SpanKind) Async() bool {
 	return k == SpanDiskQueue || k == SpanCacheFill
 }
@@ -157,16 +157,6 @@ func (k TrackKind) String() string {
 		return trackKindNames[k]
 	}
 	return fmt.Sprintf("TrackKind(%d)", int(k))
-}
-
-// ParseTrackKind converts a track kind name back to its TrackKind.
-func ParseTrackKind(s string) (TrackKind, error) {
-	for k, name := range trackKindNames {
-		if name == s {
-			return TrackKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("obs: unknown track kind %q", s)
 }
 
 // Track identifies one timeline: a processor, a disk, or the barrier.

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,23 +35,6 @@ func TestCounterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTrackRoundTrip(t *testing.T) {
-	for _, tr := range []Track{ProcTrack(0), ProcTrack(17), DiskTrack(3), BarrierTrack()} {
-		got, err := ParseTrack(tr.String())
-		if err != nil {
-			t.Fatalf("ParseTrack(%q): %v", tr.String(), err)
-		}
-		if got != tr {
-			t.Fatalf("ParseTrack(%q) = %v, want %v", tr.String(), got, tr)
-		}
-	}
-	for _, bad := range []string{"", "proc", "procx", "disk-1x", "widget3"} {
-		if _, err := ParseTrack(bad); err == nil {
-			t.Fatalf("ParseTrack(%q) succeeded", bad)
-		}
-	}
-}
-
 // sample builds a small, well-nested recorder shared by the tests.
 func sample() *Recorder {
 	r := NewRecorder()
@@ -74,6 +60,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(back, r) {
+		t.Fatalf("round trip changed the trace:\n%+v\n%+v", r, back)
+	}
 	var b strings.Builder
 	if _, err := back.WriteTo(&b); err != nil {
 		t.Fatal(err)
@@ -81,11 +70,46 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("round trip not byte-identical:\n--- first\n%s--- second\n%s", a.String(), b.String())
 	}
-	if back.Counters.Get(CtrKernelEvents) != 42 {
-		t.Fatalf("counter lost in round trip: %d", back.Counters.Get(CtrKernelEvents))
+	if _, err := Read(strings.NewReader("not a trace\n")); !errors.Is(err, ErrNotTrace) {
+		t.Fatalf("Read of a non-trace = %v, want ErrNotTrace", err)
 	}
-	if _, err := Read(strings.NewReader("not a trace\n")); err == nil {
-		t.Fatal("Read accepted input without the header")
+}
+
+// TestReadRefusesNonCanonical feeds Read events that WriteTo never
+// writes, and Read must refuse each: what it accepts writes back
+// unchanged.
+func TestReadRefusesNonCanonical(t *testing.T) {
+	const x = `{"name":"compute","ph":"X","cat":"compute","ts":0,"dur":5,"pid":1,"tid":0,"args":{"arg":0%s}}`
+	const b = `{"name":"disk-queue","ph":"b","cat":"disk-queue","ts":0,"pid":2,"tid":0,"id":"a1","args":{"arg":0}}`
+	for name, events := range map[string]string{
+		"negative block":     fmt.Sprintf(x, `,"block":-5`),
+		"unknown arg":        fmt.Sprintf(x, `,"node":3`),
+		"no dur":             `{"name":"compute","ph":"X","ts":0,"pid":1,"tid":0,"args":{"arg":0}}`,
+		"no arg":             `{"name":"compute","ph":"X","ts":0,"dur":5,"pid":1,"tid":0,"args":{}}`,
+		"pid 0 span":         `{"name":"compute","ph":"X","ts":0,"dur":5,"pid":0,"tid":0,"args":{"arg":0}}`,
+		"async as complete":  `{"name":"disk-queue","ph":"X","ts":0,"dur":5,"pid":2,"tid":0,"args":{"arg":0}}`,
+		"begin alone":        b,
+		"end alone":          `{"name":"disk-queue","ph":"e","cat":"disk-queue","ts":9,"pid":2,"tid":0,"id":"a1"}`,
+		"end of another id":  b + `,{"name":"disk-queue","ph":"e","cat":"disk-queue","ts":9,"pid":2,"tid":0,"id":"a2"}`,
+		"end with args":      b + `,{"name":"disk-queue","ph":"e","cat":"disk-queue","ts":9,"pid":2,"tid":0,"id":"a1","args":{"arg":0}}`,
+		"zero counter":       `{"name":"disk-requests","ph":"C","ts":0,"pid":0,"tid":0,"args":{"value":0}}`,
+		"unknown counter":    `{"name":"widgets","ph":"C","ts":0,"pid":0,"tid":0,"args":{"value":1}}`,
+		"unknown phase":      `{"name":"compute","ph":"B","ts":0,"pid":1,"tid":0}`,
+		"unknown span kind":  `{"name":"nap","ph":"X","ts":0,"dur":5,"pid":1,"tid":0,"args":{"arg":0}}`,
+		"second document":    `]}{"traceEvents":[`,
+		"fractional instant": `{"name":"compute","ph":"X","ts":0.5,"dur":5,"pid":1,"tid":0,"args":{"arg":0}}`,
+	} {
+		doc := `{"traceEvents":[` + events + `],"displayTimeUnit":"ms"}`
+		if rec, err := Read(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: Read accepted %s as %+v", name, doc, rec)
+		}
+	}
+	// The same events written canonically read back.
+	for _, events := range []string{fmt.Sprintf(x, `,"block":5`),
+		b + `,{"name":"disk-queue","ph":"e","cat":"disk-queue","ts":9,"pid":2,"tid":0,"id":"a1"}`} {
+		if _, err := Read(strings.NewReader(`{"traceEvents":[` + events + `]}`)); err != nil {
+			t.Errorf("Read refused %s: %v", events, err)
+		}
 	}
 }
 
@@ -149,32 +173,49 @@ func TestAccounting(t *testing.T) {
 	}
 }
 
+// TestPerfettoValidates writes the sample trace, reads it back and runs
+// the nesting check.
 func TestPerfettoValidates(t *testing.T) {
-	r := sample()
 	var sb strings.Builder
-	if err := r.WritePerfetto(&sb); err != nil {
+	if _, err := sample().WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	summary, err := ValidatePerfetto(strings.NewReader(sb.String()))
+	back, err := Read(strings.NewReader(sb.String()))
 	if err != nil {
-		t.Fatalf("ValidatePerfetto: %v\n%s", err, sb.String())
+		t.Fatal(err)
 	}
-	if !strings.Contains(summary, "ok:") {
-		t.Fatalf("unexpected summary %q", summary)
+	if err := back.CheckNesting(); err != nil {
+		t.Fatalf("CheckNesting: %v\n%s", err, sb.String())
 	}
 }
 
 func TestPerfettoCatchesBadNesting(t *testing.T) {
-	r := NewRecorder()
-	// Partial overlap on one track: 0..100 and 50..150.
-	r.Span(Span{Track: ProcTrack(0), Kind: SpanCompute, Start: 0, End: 100, Block: -1})
-	r.Span(Span{Track: ProcTrack(0), Kind: SpanFSWork, Start: 50, End: 150, Block: -1})
-	var sb strings.Builder
-	if err := r.WritePerfetto(&sb); err != nil {
-		t.Fatal(err)
+	for name, spans := range map[string][]Span{
+		// Partial overlap on one track: 0..100 and 50..150.
+		"overlap": {
+			{Track: ProcTrack(0), Kind: SpanCompute, Start: 0, End: 100, Block: -1},
+			{Track: ProcTrack(0), Kind: SpanFSWork, Start: 50, End: 150, Block: -1},
+		},
+		"sync ends first":  {{Track: ProcTrack(0), Kind: SpanCompute, Start: 100, End: 50, Block: -1}},
+		"async ends first": {{Track: DiskTrack(0), Kind: SpanDiskQueue, Start: 100, End: 50, Block: -1}},
+	} {
+		r := NewRecorder()
+		for _, s := range spans {
+			r.Span(s)
+		}
+		if err := r.CheckNesting(); err == nil {
+			t.Errorf("%s: CheckNesting accepted %v", name, spans)
+		}
 	}
-	if _, err := ValidatePerfetto(strings.NewReader(sb.String())); err == nil {
-		t.Fatal("validator accepted partially overlapping sync spans")
+	// Async spans overlap freely, and sync spans on different tracks
+	// may overlap.
+	r := NewRecorder()
+	r.Span(Span{Track: DiskTrack(0), Kind: SpanDiskQueue, Start: 0, End: 100})
+	r.Span(Span{Track: DiskTrack(0), Kind: SpanDiskQueue, Start: 50, End: 150})
+	r.Span(Span{Track: ProcTrack(0), Kind: SpanCompute, Start: 0, End: 100})
+	r.Span(Span{Track: ProcTrack(1), Kind: SpanCompute, Start: 50, End: 150})
+	if err := r.CheckNesting(); err != nil {
+		t.Errorf("CheckNesting refused a well-nested trace: %v", err)
 	}
 }
 

@@ -1,31 +1,24 @@
 package obs
 
 import (
-	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
 // Named classes of trace-read failure, for callers (cmd/trace) that
-// want to distinguish "not a trace at all" from "a trace we cannot
-// read" from "a trace that lost its tail". Test with errors.Is; the
-// wrapped error carries the line detail.
+// want to distinguish "not a trace at all" from "a trace that lost its
+// tail". Test with errors.Is; the wrapped error carries the detail.
 var (
-	// ErrNotTrace means the input does not start with a rapidtrace
-	// header — it is some other kind of file, or empty.
-	ErrNotTrace = errors.New("not a rapidtrace file")
-	// ErrTraceVersion means the input is a rapidtrace file of a format
-	// version this build does not read.
-	ErrTraceVersion = errors.New("unsupported rapidtrace version")
-	// ErrTraceTruncated means the trace ended before its end trailer,
-	// or the trailer's record counts disagree with the records read —
-	// the file lost its tail (partial write, interrupted copy).
-	ErrTraceTruncated = errors.New("truncated rapidtrace file")
+	// ErrNotTrace means the input is not a trace-event JSON document:
+	// it is some other kind of file, or empty.
+	ErrNotTrace = errors.New("not a trace-event file")
+	// ErrTraceTruncated means the document ends before its closing
+	// brace: the file lost its tail (partial write, interrupted copy).
+	ErrTraceTruncated = errors.New("truncated trace-event file")
 )
 
 // Recorder is a Sink that retains every span and counter increment in
@@ -77,183 +70,225 @@ func (r *Recorder) Tracks() []Track {
 	return ts
 }
 
-// traceHeader identifies the span-trace text format. Version bumps
-// when the line grammar changes incompatibly. headerPrefix is the
-// family marker shared by all versions, used to tell a wrong-version
-// trace apart from a file that is not a trace at all.
-const (
-	traceHeader  = "# rapidtrace v1"
-	headerPrefix = "# rapidtrace "
-)
+// The span-trace file is Chrome/Perfetto trace-event JSON in the
+// format's object flavor ({"traceEvents":[...]}), so a recorded run
+// opens as written in ui.perfetto.dev or chrome://tracing. Virtual
+// microseconds map one-to-one onto the format's "ts"/"dur" fields,
+// which are also microseconds.
+//
+// Each TrackKind is one "process" (pid kind+1) and each track one
+// "thread" (tid = track ID) in it, named by "M" metadata events. Sync
+// span kinds, which nest on their track, are "X" complete events;
+// async kinds (disk queueing, cache fills), which overlap freely, are
+// "b"/"e" pairs written next to each other, which the viewer lays out
+// on their own sub-tracks. A span's Arg is args.arg and its Block
+// args.block, absent for -1. Each non-zero counter is one "C" event on
+// pid 0 at the trace's end instant.
 
-// WriteTo serializes the trace in a line-oriented text format:
-//
-//	# rapidtrace v1
-//	span <track> <kind> <start> <end> <block> <arg>
-//	ctr <name> <value>
-//	end <nspans> <nctrs>
-//
-// Spans appear in emission order (sorted by end time within a track by
-// construction), counters sorted by name. The end trailer carries the
-// record counts so Read can detect a file that lost its tail — without
-// it, truncation at a line boundary is silent. The format round-trips
-// through Read and is stable across runs of the same configuration,
-// which is what the determinism test pins.
+// traceEvent is one entry of the traceEvents array. Fields are pruned
+// per phase via omitempty.
+type traceEvent struct {
+	Name string     `json:"name"`
+	Ph   string     `json:"ph"`
+	Cat  string     `json:"cat,omitempty"`
+	TS   int64      `json:"ts"`
+	Dur  *int64     `json:"dur,omitempty"`
+	PID  int        `json:"pid"`
+	TID  int        `json:"tid"`
+	ID   string     `json:"id,omitempty"`
+	Args *traceArgs `json:"args,omitempty"`
+}
+
+// traceArgs holds the args keys of every phase: arg and block for a
+// span, name for metadata, value for a counter.
+type traceArgs struct {
+	Arg   *int64 `json:"arg,omitempty"`
+	Block *int   `json:"block,omitempty"`
+	Name  string `json:"name,omitempty"`
+	Value int64  `json:"value,omitempty"`
+}
+
+type traceDoc struct {
+	TraceEvents     []traceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
+var processNames = [numTrackKinds]string{"processors", "disks", "barrier"}
+
+// WriteTo writes the trace as trace-event JSON: metadata naming the
+// tracks, the spans in emission order, then the counters. The bytes
+// are a pure function of the Recorder, and Read gives the Recorder
+// back exactly.
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	put := func(format string, args ...any) error {
-		m, err := fmt.Fprintf(bw, format, args...)
-		n += int64(m)
-		return err
-	}
-	if err := put("%s\n", traceHeader); err != nil {
-		return n, err
-	}
-	for _, s := range r.Spans {
-		if err := put("span %s %s %d %d %d %d\n",
-			s.Track, s.Kind, s.Start, s.End, s.Block, s.Arg); err != nil {
-			return n, err
+	events := make([]traceEvent, 0, 2*len(r.Spans)+8)
+	tracks := r.Tracks()
+	for i, t := range tracks {
+		if i == 0 || tracks[i-1].Kind != t.Kind {
+			events = append(events, traceEvent{
+				Name: "process_name", Ph: "M", PID: int(t.Kind) + 1,
+				Args: &traceArgs{Name: processNames[t.Kind]},
+			})
 		}
+		events = append(events, traceEvent{
+			Name: "thread_name", Ph: "M", PID: int(t.Kind) + 1, TID: t.ID,
+			Args: &traceArgs{Name: t.String()},
+		})
 	}
-	nctrs := 0
+	asyncID := 0
+	for _, s := range r.Spans {
+		args := &traceArgs{Arg: &s.Arg}
+		if s.Block >= 0 {
+			args.Block = &s.Block
+		}
+		name := s.Kind.String()
+		ev := traceEvent{Name: name, Cat: name, TS: s.Start,
+			PID: int(s.Track.Kind) + 1, TID: s.Track.ID, Args: args}
+		if s.Kind.Async() {
+			// The viewer joins an async pair by cat, id and pid.
+			asyncID++
+			ev.Ph, ev.ID = "b", fmt.Sprintf("a%d", asyncID)
+			end := ev
+			end.Ph, end.TS, end.Args = "e", s.End, nil
+			events = append(events, ev, end)
+			continue
+		}
+		dur := s.Dur()
+		ev.Ph, ev.Dur = "X", &dur
+		events = append(events, ev)
+	}
+	end := r.End()
 	for c, v := range r.Counters {
 		if v != 0 {
-			if err := put("ctr %s %d\n", Counter(c), v); err != nil {
-				return n, err
-			}
-			nctrs++
+			events = append(events, traceEvent{Name: Counter(c).String(), Ph: "C",
+				TS: end, Args: &traceArgs{Value: v}})
 		}
 	}
-	if err := put("end %d %d\n", len(r.Spans), nctrs); err != nil {
-		return n, err
+	b, err := json.Marshal(traceDoc{TraceEvents: events, DisplayTimeUnit: "ms"})
+	if err != nil {
+		return 0, err
 	}
-	return n, bw.Flush()
+	n, err := w.Write(append(b, '\n'))
+	return int64(n), err
 }
 
-// ParseTrack converts a track name ("proc3", "disk0", "barrier") back
-// to its Track.
-func ParseTrack(s string) (Track, error) {
-	if s == "barrier" {
-		return BarrierTrack(), nil
-	}
-	i := 0
-	for i < len(s) && (s[i] < '0' || s[i] > '9') {
-		i++
-	}
-	kind, err := ParseTrackKind(s[:i])
-	if err != nil {
-		return Track{}, fmt.Errorf("obs: bad track %q", s)
-	}
-	id, err := strconv.Atoi(s[i:])
-	if err != nil {
-		return Track{}, fmt.Errorf("obs: bad track %q", s)
-	}
-	return Track{kind, id}, nil
-}
-
-// Read parses a trace previously written by WriteTo. Failures wrap
-// one of the named error classes: ErrNotTrace when the header is
-// absent, ErrTraceVersion for a header from a different format
-// version, and ErrTraceTruncated when the end trailer is missing or
-// disagrees with the records read.
+// Read parses a trace written by WriteTo. It accepts only what WriteTo
+// writes, so what it reads writes back to the same Recorder. Failures
+// to parse the document wrap ErrTraceTruncated when it ends early and
+// ErrNotTrace otherwise; an event WriteTo would not write is an error
+// naming its index.
 func Read(rd io.Reader) (*Recorder, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	var doc traceDoc
+	if err := dec.Decode(&doc); err != nil {
+		switch {
+		case err == io.EOF:
+			return nil, fmt.Errorf("obs: %w: empty input", ErrNotTrace)
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			return nil, fmt.Errorf("obs: %w: the document ends early", ErrTraceTruncated)
+		}
+		return nil, fmt.Errorf("obs: %w: %v", ErrNotTrace, err)
+	}
+	if doc.TraceEvents == nil {
+		return nil, fmt.Errorf("obs: %w: no traceEvents array", ErrNotTrace)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("obs: data after the trace document")
+	}
 	rec := NewRecorder()
-	lineNo := 0
-	sawHeader := false
-	sawEnd := false
-	nctrs := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	evs := doc.TraceEvents
+	for i := 0; i < len(evs); i++ {
+		ev, at := evs[i], i
+		bad := func(why string) error {
+			return fmt.Errorf("obs: event %d (%q, ph %q): %s", at, ev.Name, ev.Ph, why)
+		}
+		switch ev.Ph {
+		case "M":
+			continue
+		case "C":
+			c, err := ParseCounter(ev.Name)
+			if err != nil || ev.Args == nil || ev.Args.Value == 0 {
+				return nil, bad("not a non-zero counter")
+			}
+			rec.Counters[c] = ev.Args.Value
 			continue
 		}
-		if !sawHeader {
-			if line != traceHeader {
-				if strings.HasPrefix(line, headerPrefix) {
-					return nil, fmt.Errorf("obs: %w: got %q, this build reads %q",
-						ErrTraceVersion, line, traceHeader)
-				}
-				return nil, fmt.Errorf("obs: %w: line 1 is %.40q, want %q header",
-					ErrNotTrace, line, traceHeader)
-			}
-			sawHeader = true
-			continue
+		kind, err := ParseSpanKind(ev.Name)
+		if err != nil || ev.Ph != "X" && ev.Ph != "b" || kind.Async() != (ev.Ph == "b") {
+			return nil, bad("not a span kind written in this phase")
 		}
-		if sawEnd {
-			return nil, fmt.Errorf("obs: line %d: record after end trailer", lineNo)
+		a := ev.Args
+		if ev.PID < 1 || ev.PID > int(numTrackKinds) || a == nil || a.Arg == nil ||
+			a.Block != nil && *a.Block < 0 {
+			return nil, bad("want a track kind's pid, args.arg and no negative args.block")
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "span":
-			if len(fields) != 7 {
-				return nil, fmt.Errorf("obs: line %d: span wants 6 operands, got %d", lineNo, len(fields)-1)
-			}
-			track, err := ParseTrack(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
-			}
-			kind, err := ParseSpanKind(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
-			}
-			var nums [4]int64
-			for i, f := range fields[3:] {
-				nums[i], err = strconv.ParseInt(f, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("obs: line %d: bad number %q", lineNo, f)
-				}
-			}
-			rec.Spans = append(rec.Spans, Span{
-				Track: track, Kind: kind,
-				Start: nums[0], End: nums[1],
-				Block: int(nums[2]), Arg: nums[3],
-			})
-		case "ctr":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("obs: line %d: ctr wants 2 operands, got %d", lineNo, len(fields)-1)
-			}
-			c, err := ParseCounter(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
-			}
-			v, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: line %d: bad number %q", lineNo, fields[2])
-			}
-			rec.Counters[c] = v
-			nctrs++
-		case "end":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("obs: line %d: end wants 2 operands, got %d", lineNo, len(fields)-1)
-			}
-			wantSpans, err1 := strconv.Atoi(fields[1])
-			wantCtrs, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("obs: line %d: bad end trailer %q", lineNo, line)
-			}
-			if wantSpans != len(rec.Spans) || wantCtrs != nctrs {
-				return nil, fmt.Errorf("obs: %w: trailer promises %d spans and %d counters, read %d and %d",
-					ErrTraceTruncated, wantSpans, wantCtrs, len(rec.Spans), nctrs)
-			}
-			sawEnd = true
-		default:
-			return nil, fmt.Errorf("obs: line %d: unknown record %q", lineNo, fields[0])
+		s := Span{Track: Track{TrackKind(ev.PID - 1), ev.TID}, Kind: kind,
+			Start: ev.TS, Block: -1, Arg: *a.Arg}
+		if a.Block != nil {
+			s.Block = *a.Block
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("obs: %w: empty input", ErrNotTrace)
-	}
-	if !sawEnd {
-		return nil, fmt.Errorf("obs: %w: no end trailer after %d records", ErrTraceTruncated, lineNo)
+		if ev.Ph == "X" {
+			if ev.Dur == nil {
+				return nil, bad("complete event without dur")
+			}
+			s.End = s.Start + *ev.Dur
+		} else {
+			// The pair's end follows its begin and repeats its name,
+			// cat, id, pid and tid, with no dur or args.
+			want := ev
+			want.Ph, want.Dur, want.Args = "e", nil, nil
+			if i++; i < len(evs) {
+				want.TS = evs[i].TS
+			}
+			if i == len(evs) || evs[i] != want {
+				return nil, bad("async begin not followed by its end")
+			}
+			s.End = want.TS
+		}
+		rec.Spans = append(rec.Spans, s)
 	}
 	return rec, nil
+}
+
+// CheckNesting checks the structure the trace's viewer relies on: no
+// span ends before it starts, and the sync spans of a track nest (two
+// are disjoint or one contains the other). It returns the first
+// violation, tracks in Tracks order.
+func (r *Recorder) CheckNesting() error {
+	byTrack := make(map[Track][]Span)
+	for _, s := range r.Spans {
+		if s.End < s.Start {
+			return fmt.Errorf("obs: %s %s [%d,%d] ends before it starts", s.Track, s.Kind, s.Start, s.End)
+		}
+		if !s.Kind.Async() {
+			byTrack[s.Track] = append(byTrack[s.Track], s)
+		}
+	}
+	for _, t := range r.Tracks() {
+		// Sort by start, longer first on ties, then sweep a stack:
+		// each span starts after the enclosing span ends (a sibling)
+		// or ends within it (a child). A partial overlap is neither.
+		spans := byTrack[t]
+		sort.SliceStable(spans, func(i, j int) bool {
+			if spans[i].Start != spans[j].Start {
+				return spans[i].Start < spans[j].Start
+			}
+			return spans[i].End > spans[j].End
+		})
+		var stack []Span
+		for _, s := range spans {
+			for len(stack) > 0 && s.Start >= stack[len(stack)-1].End {
+				stack = stack[:len(stack)-1]
+			}
+			if n := len(stack); n > 0 && s.End > stack[n-1].End {
+				top := stack[n-1]
+				return fmt.Errorf("obs: track %s: %s [%d,%d] partially overlaps %s [%d,%d]",
+					t, s.Kind, s.Start, s.End, top.Kind, top.Start, top.End)
+			}
+			stack = append(stack, s)
+		}
+	}
+	return nil
 }
 
 // CounterSink is a Sink that accumulates counters only, dropping

@@ -145,18 +145,11 @@ func (f *Flight) Dump(w io.Writer, cause any) {
 }
 
 // WriteTrace writes the ring's spans and the sink's counter totals as
-// a rapidtrace v1 stream, so a crash dump can be fed straight to
-// `trace summary` / `trace timeline` / `trace perfetto`.
+// a span trace (obs.Recorder.WriteTo), so a crash dump can be fed
+// straight to `trace summary` / `trace timeline` or opened in
+// ui.perfetto.dev.
 func (f *Flight) WriteTrace(w io.Writer, totals obs.Counters) error {
-	rec := obs.NewRecorder()
-	for _, sp := range f.Spans() {
-		rec.Span(sp)
-	}
-	for c, v := range totals {
-		if v != 0 {
-			rec.Add(obs.Counter(c), v)
-		}
-	}
+	rec := obs.Recorder{Spans: f.Spans(), Counters: totals}
 	_, err := rec.WriteTo(w)
 	return err
 }

@@ -17,8 +17,8 @@
 //  2. Node sampling: a deterministic K-of-N sample of processor tracks
 //     (seed-hashed selection, so repeat runs sample identical nodes)
 //     keeps full-fidelity spans in an embedded obs.Recorder — a 1M-node
-//     run retains a Perfetto-exportable trace for ~64 representative
-//     nodes while everything else aggregates.
+//     run retains a span trace for ~64 representative nodes while
+//     everything else aggregates.
 //  3. Flight recorder: a fixed-size ring of the most recent spans and
 //     counter deltas, dumped when the run dies (kernel deadlock panic,
 //     audit violation, compact-node stall) so cluster-scale failures
@@ -114,7 +114,7 @@ type Config struct {
 
 	// FlightOut receives the human-readable crash dump when DumpFlight
 	// fires; nil selects os.Stderr. FlightTrace, when non-nil, also
-	// receives the ring as a rapidtrace v1 stream.
+	// receives the ring as a span trace (obs.Recorder.WriteTo).
 	FlightOut   io.Writer
 	FlightTrace io.Writer
 }
@@ -278,7 +278,7 @@ func (s *Sink) Flight() *Flight { return s.flight }
 
 // DumpFlight writes the flight-recorder crash report for the given
 // cause to Config.FlightOut (os.Stderr by default) and, when
-// Config.FlightTrace is set, the ring as rapidtrace v1. The core
+// Config.FlightTrace is set, the ring as a span trace. The core
 // engine calls this on any sink that implements it when a run panics
 // — kernel deadlock, audit violation, or compact-node stall — then
 // re-raises the panic.

@@ -222,8 +222,8 @@ func TestFlightRing(t *testing.T) {
 	}
 }
 
-// TestFlightTraceRoundTrips: the crash ring exports as a valid
-// rapidtrace v1 stream.
+// TestFlightTraceRoundTrips: the crash ring exports as a valid span
+// trace.
 func TestFlightTraceRoundTrips(t *testing.T) {
 	s := New(Config{Window: 100})
 	for i := int64(0); i < 5; i++ {

@@ -10,7 +10,10 @@
 // streams via the increment parameter.
 package rng
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Source is a deterministic pseudo-random stream. The zero value is not
 // valid; use New or Make.
@@ -55,11 +58,15 @@ func (s *Source) Uint64() uint64 {
 	return uint64(s.next())<<32 | uint64(s.next())
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
+// Intn returns a uniform value in [0, n). It panics if n <= 0 or
+// n > math.MaxUint32, past the 32-bit draw it scales.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
+	}
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("rng: Intn(%d) past the 32-bit range", n))
 	}
 	bound := uint32(n)
 	threshold := -bound % bound

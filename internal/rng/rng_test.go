@@ -117,12 +117,16 @@ func TestIntnUniformity(t *testing.T) {
 }
 
 func TestIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1, 0).Intn(0)
+	for _, n := range []int{0, 1 << 32} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1, 0).Intn(n)
+		}()
+	}
 }
 
 func TestIntRange(t *testing.T) {
@@ -141,12 +145,16 @@ func TestIntRange(t *testing.T) {
 }
 
 func TestIntRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntRange(5,4) did not panic")
-		}
-	}()
-	New(1, 0).IntRange(5, 4)
+	for _, r := range [][2]int{{5, 4}, {0, 1 << 32}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("IntRange(%d,%d) did not panic", r[0], r[1])
+				}
+			}()
+			New(1, 0).IntRange(r[0], r[1])
+		}()
+	}
 }
 
 func TestFloat64Range(t *testing.T) {
