@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		timeline    = fs.Bool("timeline", false, "print the ASCII span timeline")
 		telJSON     = fs.String("telemetry", "", "write the windowed telemetry snapshot JSON to this file")
 		telCSV      = fs.String("telemetry-csv", "", "write the windowed telemetry time series CSV to this file")
-		telWindow   = msVar(fs, "telemetry-window", 100, "telemetry window width in `ms` of virtual time")
+		telWindow   = msVar(fs, "telemetry-window", 100, "telemetry window width in `ms` of virtual time, at least 1")
 		sampleK     = fs.Int("sample", 0, "sample K seed-hashed nodes at full fidelity (0 = 16 when a sample output is set)")
 		sampleOut   = fs.String("sample-out", "", "write the sampled nodes' span trace (trace-event JSON) to this file")
 		perProcOut  = fs.Bool("procstats", false, "print per-process statistics")
@@ -88,6 +88,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err := refuseDropped(fs, *compare, *asJSON); err != nil {
 		return err
+	}
+	// A window under 1 ms keeps a snapshot per few microseconds of the
+	// run, and one that rounds to 0 would silently take the default.
+	if *telWindow < rapid.Millisecond {
+		return fmt.Errorf("invalid value %v for flag -telemetry-window: want at least 1 ms", fs.Lookup("telemetry-window").Value)
+	}
+	if *sampleK < 0 {
+		return fmt.Errorf("invalid value %d for flag -sample: want a node count of 0 or more", *sampleK)
 	}
 	compute, err := millis(*computeMS)
 	if err != nil && *computeMS != -1 { // -1 keeps the paper default

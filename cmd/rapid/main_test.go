@@ -57,6 +57,18 @@ func TestBadFlagValues(t *testing.T) {
 			}
 		}
 	}
+	// A telemetry window under 1 ms and a negative sample size are
+	// refused before any run starts.
+	tel := []string{"-telemetry", filepath.Join(t.TempDir(), "t.json")}
+	for _, c := range []struct{ flag, value string }{
+		{"-telemetry-window", "0.001"}, {"-telemetry-window", "0.0001"}, {"-sample", "-5"},
+	} {
+		args := append(append([]string{c.flag, c.value}, tel...), small...)
+		_, _, err := runCmd(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "flag "+c.flag+":") {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, c.flag)
+		}
+	}
 	// -compute's -1 is the paper default, not an error.
 	if _, _, err := runCmd(t, append([]string{"-compute", "-1"}, small...)...); err != nil {
 		t.Errorf("-compute -1: %v", err)

@@ -79,6 +79,30 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 			},
 		},
 		{
+			name: "failed frame whose source reports no error",
+			want: "holds no failed fill source",
+			corrupt: func(c *Cache) {
+				src := &failSource{err: errBoom}
+				buf := c.AllocateDemand(0, 13)
+				ev := sim.NewEvent(c.k)
+				c.BeginFetchFrom(buf, ev, c.k.Now(), src)
+				ev.Fire() // pinned, so the frame parks in Failed
+				src.err = nil
+			},
+		},
+		{
+			name: "ready frame whose held source reports an error",
+			want: "holds a failed fill source",
+			corrupt: func(c *Cache) {
+				src := &failSource{}
+				buf := c.AllocateDemand(0, 15)
+				ev := sim.NewEvent(c.k)
+				c.BeginFetchFrom(buf, ev, c.k.Now(), src)
+				ev.Fire() // pinned, so the Ready frame keeps its source
+				src.err = errBoom
+			},
+		},
+		{
 			name: "retired buffer back in service",
 			want: "retired buffer",
 			corrupt: func(c *Cache) {

@@ -69,10 +69,11 @@ type ErrorSource interface {
 	Release()
 }
 
-// Buffer is one cache frame. The struct is deliberately narrow: frame
-// ids, block numbers, node ids, and pin counts all fit in 31 bits (New
-// rejects larger populations), and with three frames per node on a
-// million-node machine every field here is megabytes of live heap.
+// Buffer is one cache frame, 88 bytes. The struct is deliberately
+// narrow: frame ids, block numbers, node ids, and pin counts all fit in
+// 31 bits (New rejects larger populations), and with three frames per
+// node on a million-node machine every field here is megabytes of live
+// heap.
 type Buffer struct {
 	id    int32
 	block int32 // logical block held, or -1 when Invalid
@@ -102,9 +103,9 @@ type Buffer struct {
 	// fetchSrc classifies the transfer's outcome when IODone fires
 	// (nil when the caller cannot fail, e.g. tests driving bare
 	// events), and is released once the fill has completed and the
-	// frame has no pins. fillErr holds the failure while waiters drain.
+	// frame has no pins. A Failed frame is pinned, so it still holds
+	// its source, whose error FillErr reports while waiters drain.
 	fetchSrc ErrorSource
-	fillErr  error
 	// fetchStarted records when the transfer was enqueued; fetchDone is
 	// the file system's completion estimate (exact for FIFO disks with
 	// fixed access time), used for idle-time planning.
@@ -129,11 +130,9 @@ type Buffer struct {
 // unready-hit wakeup path allocates nothing and runs entirely in
 // kernel context.
 func (b *Buffer) Wake() {
-	if b.fetchSrc != nil {
-		if err := b.fetchSrc.FetchError(); err != nil {
-			b.owner.failFetch(b, err)
-			return
-		}
+	if b.fetchSrc != nil && b.fetchSrc.FetchError() != nil {
+		b.owner.failFetch(b)
+		return
 	}
 	b.owner.markReady(b)
 }
@@ -141,7 +140,12 @@ func (b *Buffer) Wake() {
 // FillErr returns the error that failed the buffer's fill, or nil.
 // Waiters woken by a fill completion must check it before using the
 // contents; on error they Unpin and retry the block.
-func (b *Buffer) FillErr() error { return b.fillErr }
+func (b *Buffer) FillErr() error {
+	if b.state != Failed {
+		return nil
+	}
+	return b.fetchSrc.FetchError()
+}
 
 // Block returns the logical block held (or -1).
 func (b *Buffer) Block() int { return int(b.block) }
@@ -677,8 +681,9 @@ func (c *Cache) releaseSrc(buf *Buffer) {
 // block into a fresh frame while old waiters drain. An unconsumed
 // prefetch demotes silently (accounting dropped, frame recycled: a
 // failed speculation costs nothing but the attempt); a pinned buffer
-// parks in Failed with the error until the last waiter Unpins.
-func (c *Cache) failFetch(buf *Buffer, err error) {
+// parks in Failed, holding the failed source, until the last waiter
+// Unpins.
+func (c *Cache) failFetch(buf *Buffer) {
 	if buf.state != Fetching {
 		panic(fmt.Sprintf("cache: failFetch on %v buffer", buf.state))
 	}
@@ -709,7 +714,6 @@ func (c *Cache) failFetch(buf *Buffer, err error) {
 		return
 	}
 	buf.state = Failed
-	buf.fillErr = err
 }
 
 // recycle returns a frame whose fill failed to its class free list,
@@ -718,7 +722,6 @@ func (c *Cache) recycle(buf *Buffer) {
 	c.releaseSrc(buf)
 	buf.state = Invalid
 	buf.IODone = nil
-	buf.fillErr = nil
 	c.free[buf.class].pushHead(buf)
 	c.Freed.WakeAll()
 }
@@ -818,7 +821,7 @@ func (c *Cache) Audit() error {
 	for class := DemandClass; class <= PrefetchClass; class++ {
 		walked := 0
 		for b := c.free[class].head; b != nil; b = b.next {
-			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.list != onFree || b.class != class || b.fillErr != nil || b.retired {
+			if b.state != Invalid || b.block != -1 || b.pins != 0 || b.list != onFree || b.class != class || b.retired {
 				return fmt.Errorf("cache: corrupt free buffer %d", b.id)
 			}
 			if walked++; walked > c.free[class].len {
@@ -863,11 +866,16 @@ func (c *Cache) Audit() error {
 		if b.state == Invalid && b.list != onFree && !b.retired {
 			return fmt.Errorf("cache: invalid buffer %d off the free list", b.id)
 		}
-		if b.state == Failed && (b.block != -1 || b.pins == 0 || b.prefetched || b.list != noList || b.fillErr == nil) {
+		if b.state == Failed && (b.block != -1 || b.pins == 0 || b.prefetched || b.list != noList) {
 			return fmt.Errorf("cache: failed buffer %d in wrong state", b.id)
 		}
-		if b.state != Failed && b.fillErr != nil {
-			return fmt.Errorf("cache: %v buffer %d carries a fill error", b.state, b.id)
+		// FillErr reads a Failed frame's error from the source it holds,
+		// so the source must report one, and a Ready frame's must not.
+		if b.state == Failed && (b.fetchSrc == nil || b.fetchSrc.FetchError() == nil) {
+			return fmt.Errorf("cache: failed buffer %d holds no failed fill source", b.id)
+		}
+		if b.state == Ready && b.fetchSrc != nil && b.fetchSrc.FetchError() != nil {
+			return fmt.Errorf("cache: ready buffer %d holds a failed fill source", b.id)
 		}
 		if b.fetchSrc != nil && b.state != Fetching && b.pins == 0 {
 			// The source should have been released when the fill

@@ -3,6 +3,7 @@ package cache
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -175,7 +176,7 @@ func TestCacheAllocs(t *testing.T) {
 		}
 		switch block % 4 {
 		case 0:
-			c.failFetch(p, errBoom)
+			c.failFetch(p)
 		case 1:
 			c.markReady(p)
 			c.Pin(0, p)
@@ -195,5 +196,15 @@ func TestCacheAllocs(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evictions == 0 || s.PrefetchesEvicted == 0 || s.FailedPrefetchFills == 0 {
 		t.Fatalf("cycle missed a path: %+v", s)
+	}
+}
+
+// TestRecordSizes pins the frame record: a cluster cache holds three
+// frames per node in one arena.
+func TestRecordSizes(t *testing.T) {
+	got, limit := unsafe.Sizeof(Buffer{}), uintptr(88)
+	t.Logf("Buffer: %d bytes", got)
+	if got > limit {
+		t.Errorf("Buffer is %d bytes, want at most %d", got, limit)
 	}
 }

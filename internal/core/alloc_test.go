@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/barrier"
 	"repro/internal/fault"
@@ -76,5 +77,22 @@ func TestAllocsPerRead(t *testing.T) {
 				t.Errorf("%.3f allocations per read, want at most %.3f", perRead, tc.max)
 			}
 		})
+	}
+}
+
+// TestRecordSizes pins the two records a run keeps per processor: the
+// cnode while it runs, and the ProcStats its Result keeps.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name       string
+		got, limit uintptr
+	}{
+		{"cnode", unsafe.Sizeof(cnode{}), 200},
+		{"ProcStats", unsafe.Sizeof(ProcStats{}), 112},
+	} {
+		t.Logf("%s: %d bytes", r.name, r.got)
+		if r.got > r.limit {
+			t.Errorf("%s is %d bytes, want at most %d", r.name, r.got, r.limit)
+		}
 	}
 }

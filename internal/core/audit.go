@@ -50,14 +50,14 @@ func (e *Engine) auditMembership() error {
 // reference strings.
 func (e *Engine) auditCursors() error {
 	if e.pat.Kind.Global() {
-		if n := pattern.Len(e.pat.Portions(0)); e.globalCursor < 0 || e.globalCursor > n {
-			return fmt.Errorf("core: global cursor %d outside [0, %d]", e.globalCursor, n)
+		if c, n := int(e.globalCursor), pattern.Len(e.pat.Portions(0)); c < 0 || c > n {
+			return fmt.Errorf("core: global cursor %d outside [0, %d]", c, n)
 		}
 		return nil
 	}
 	for i := range e.cnodes {
 		n := &e.cnodes[i]
-		if c, end := n.localCursor, pattern.Len(e.pat.Portions(n.id)); c < 0 || c > end {
+		if c, end := int(n.localCursor), pattern.Len(e.pat.Portions(n.id)); c < 0 || c > end {
 			return fmt.Errorf("core: node %d local cursor %d outside [0, %d]", n.id, c, end)
 		}
 	}

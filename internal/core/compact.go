@@ -14,7 +14,7 @@ import (
 
 // Each processor runs as an event-driven state machine, a cnode, in
 // kernel context: no goroutine, no coroutine, no stack. A cnode is a
-// flat record of 232 bytes in one contiguous array, which is what lets
+// flat record of 192 bytes in one contiguous array, which is what lets
 // a 100k–1M node run fit under 1 KB per node.
 //
 // Every point where the synthetic application blocks (an I/O
@@ -99,9 +99,13 @@ const (
 // cnode is one processor: everything a blocking process would keep on
 // its stack, and everything the engine tracks per processor, lives
 // here explicitly; the whole population is one contiguous []cnode
-// allocation, built by Run. Word-sized fields come first and the
-// byte-sized flags share the trailing slots: at 100k–1M nodes every
-// padding hole in this struct is a megabyte.
+// allocation, built by Run. Word-sized fields come first, then the
+// 32-bit ones, and the byte-sized flags share the trailing slots: at
+// 100k–1M nodes every padding hole in this struct is a megabyte. The
+// 32-bit fields hold block ids, string positions and counts of reads,
+// generations and processors, which int32 bounds: pattern.Generate
+// refuses a file past math.MaxInt32 blocks, and cache.New a frame
+// population past int32 ids.
 type cnode struct {
 	e  *Engine
 	id int
@@ -110,28 +114,21 @@ type cnode struct {
 	retryRNG *rng.Source // backoff jitter; nil unless a disk can die
 	ru       ruSet       // pinned recently-used buffers
 
-	localCursor int // next index into the node's own string (local patterns)
-
-	// Current read; idx is -1 for a takeover read.
-	idx, block int
-	readStart  sim.Time
-	buf        *cache.Buffer
-
-	myReads    int
-	passedGens int
+	// The current read's start and frame (its block is below).
+	readStart sim.Time
+	buf       *cache.Buffer
 
 	// The one outstanding idle wait (waitEv is nil when the node is
-	// parked on a timer, a frame wait or the orphan posting instead).
+	// parked on a timer, a frame wait or the orphan posting instead);
+	// its kind is in the byte tail.
 	waitEv       *sim.Event
 	waitStart    sim.Time
 	waitDeadline sim.Time
-	waitKind     IdleKind
 	lastWait     sim.Duration
 
 	// File system work in flight (a timer wake must release the
 	// contention slot before the node continues).
-	fsStart  sim.Time
-	fsOthers int
+	fsStart sim.Time
 
 	frameWaitStart sim.Time
 	computeStart   sim.Time
@@ -139,8 +136,14 @@ type cnode struct {
 	// The prefetch action in flight: its start, and its block and
 	// whether it allocated a frame (obs only).
 	actionStart sim.Time
-	actionBlock int
 
+	// The current read; idx is -1 for a takeover read.
+	idx, block  int32
+	localCursor int32 // next index into the node's own string (local patterns)
+	myReads     int32
+	passedGens  int32
+	fsOthers    int32 // other processors in file system code as the work began
+	actionBlock int32
 	// attempts counts failed fills of the current read (retry/backoff
 	// bookkeeping, reset when a new read is claimed), and failClass is
 	// the obs fault class of the last one.
@@ -151,6 +154,7 @@ type cnode struct {
 
 	pc           cpc
 	afterSync    cpc
+	waitKind     IdleKind
 	failClass    uint8
 	hitReady     bool
 	ranAction    bool
@@ -330,7 +334,7 @@ func (e *Engine) cAction(n *cnode) bool {
 func (e *Engine) recordWait(n *cnode) {
 	e.res.IdleTime[n.waitKind].Add(n.lastWait.Millis())
 	if e.obs != nil {
-		sk, block := obs.SpanHitWait, n.block
+		sk, block := obs.SpanHitWait, int(n.block)
 		switch n.waitKind {
 		case IdleSync:
 			sk, block = obs.SpanSyncWait, -1
@@ -380,7 +384,7 @@ func (e *Engine) cFSWork(n *cnode, c memory.Cost, next cpc) {
 	d := e.price(n.id, c, others)
 	n.inFSWork = true
 	n.fsStart = e.k.Now()
-	n.fsOthers = others
+	n.fsOthers = int32(others)
 	n.pc = next
 	e.k.AfterWake(d, n)
 }
@@ -460,10 +464,11 @@ func (e *Engine) cAbandon(n *cnode) {
 	if e.pat.Kind.Local() {
 		portions := e.pat.Portions(n.id)
 		end := pattern.Len(portions)
-		orphaned = end - n.localCursor
-		for ; n.localCursor < end; n.localCursor++ {
-			e.orphans = append(e.orphans, pattern.BlockAt(portions, n.localCursor))
+		orphaned = end - int(n.localCursor)
+		for i := int(n.localCursor); i < end; i++ {
+			e.orphans = append(e.orphans, pattern.BlockAt(portions, i))
 		}
+		n.localCursor = int32(end)
 	}
 	e.lastKilled, e.lastOrphaned = n.id, orphaned
 	e.res.Faults.Node.DeadProcs++
@@ -486,7 +491,7 @@ func (e *Engine) cAbandon(n *cnode) {
 // cFinish records the node's stats at its end and parks it at pc.
 func (e *Engine) cFinish(n *cnode, pc cpc) {
 	n.pc = pc
-	e.res.PerProc[n.id].Reads = n.myReads
+	e.res.PerProc[n.id].Reads = int(n.myReads)
 	e.res.PerProc[n.id].Finish = e.k.Now()
 	if e.k.Now() > e.maxFinish {
 		e.maxFinish = e.k.Now()
@@ -496,7 +501,7 @@ func (e *Engine) cFinish(n *cnode, pc cpc) {
 // beginRead claims block as the node's current read; idx is its
 // reference-string position, or -1 for a takeover read.
 func (e *Engine) beginRead(n *cnode, idx, block int) {
-	n.idx, n.block = idx, block
+	n.idx, n.block = int32(idx), int32(block)
 	n.readStart = e.k.Now()
 	n.attempts = 0
 	n.ordinal = e.readsStarted
@@ -526,7 +531,7 @@ func (e *Engine) cstep(n *cnode) {
 			n.pc = cpcClaim
 
 		case cpcClaim:
-			if e.usesGenerations() && n.passedGens < e.gens.Raised() {
+			if e.usesGenerations() && int(n.passedGens) < e.gens.Raised() {
 				n.passedGens++
 				if e.cSyncArrive(n, cpcClaim) {
 					return
@@ -542,7 +547,7 @@ func (e *Engine) cstep(n *cnode) {
 			e.beginRead(n, idx, block)
 
 		case cpcLookup:
-			if buf := e.bcache.Lookup(n.block); buf != nil {
+			if buf := e.bcache.Lookup(int(n.block)); buf != nil {
 				n.buf = buf
 				n.hitReady = e.bcache.Pin(n.id, buf)
 				e.cFSWork(n, e.cfg.Memory.Hit, cpcHitRemote)
@@ -591,11 +596,11 @@ func (e *Engine) cstep(n *cnode) {
 		case cpcMissAlloc:
 			// The block may have appeared while the miss cost elapsed
 			// (another node fetched it) — then it is a hit.
-			if e.bcache.Lookup(n.block) != nil {
+			if e.bcache.Lookup(int(n.block)) != nil {
 				n.pc = cpcLookup
 				continue
 			}
-			nbuf := e.bcache.AllocateDemand(n.id, n.block)
+			nbuf := e.bcache.AllocateDemand(n.id, int(n.block))
 			if nbuf == nil {
 				n.frameWaitStart = e.k.Now()
 				n.pc = cpcFrameWaited
@@ -603,8 +608,8 @@ func (e *Engine) cstep(n *cnode) {
 				return
 			}
 			n.buf = nbuf
-			dsk, phys := e.place(n.block)
-			req := e.disks.Submit(dsk, n.block, phys, false)
+			dsk, phys := e.place(int(n.block))
+			req := e.disks.Submit(dsk, int(n.block), phys, false)
 			e.bcache.BeginFetchFrom(nbuf, &req.Complete, req.EstDone, req)
 			if nbuf.IODone.Fired() {
 				n.lastWait = 0
@@ -618,7 +623,7 @@ func (e *Engine) cstep(n *cnode) {
 			if e.obs != nil {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanFrameWait,
-					Start: int64(n.frameWaitStart), End: int64(e.k.Now()), Block: n.block,
+					Start: int64(n.frameWaitStart), End: int64(e.k.Now()), Block: int(n.block),
 				})
 			}
 			n.pc = cpcLookup
@@ -638,7 +643,7 @@ func (e *Engine) cstep(n *cnode) {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanBackoff,
 					Start: int64(n.waitStart), End: int64(e.k.Now()),
-					Block: n.block, Arg: int64(n.attempts)<<2 | int64(n.failClass),
+					Block: int(n.block), Arg: int64(n.attempts)<<2 | int64(n.failClass),
 				})
 			}
 			n.pc = cpcLookup
@@ -653,7 +658,7 @@ func (e *Engine) cstep(n *cnode) {
 				e.obs.Span(obs.Span{
 					Track: obs.ProcTrack(n.id), Kind: obs.SpanRead,
 					Start: int64(n.readStart), End: int64(e.k.Now()),
-					Block: n.block, Arg: int64(n.ordinal),
+					Block: int(n.block), Arg: int64(n.ordinal),
 				})
 			}
 			n.buf = nil
@@ -668,7 +673,7 @@ func (e *Engine) cstep(n *cnode) {
 				continue
 			}
 			e.gens.ReadDone()
-			n.portionEnd = e.cfg.Sync == barrier.PerPortion && e.portionEnded(n.id, n.idx)
+			n.portionEnd = e.cfg.Sync == barrier.PerPortion && e.portionEnded(n.id, int(n.idx))
 			if n.portionEnd && e.pat.Kind.Global() {
 				// A global portion end raises the shared generation.
 				e.gens.Raise()
@@ -693,7 +698,7 @@ func (e *Engine) cstep(n *cnode) {
 
 		case cpcMaybeSync:
 			n.pc = cpcMain
-			if e.cfg.Sync == barrier.EveryNPerProc && n.myReads%e.cfg.SyncEveryPerProc == 0 ||
+			if e.cfg.Sync == barrier.EveryNPerProc && int(n.myReads)%e.cfg.SyncEveryPerProc == 0 ||
 				n.portionEnd && e.pat.Kind.Local() {
 				if e.cSyncArrive(n, cpcMain) {
 					return
@@ -705,7 +710,7 @@ func (e *Engine) cstep(n *cnode) {
 			n.pc = n.afterSync
 
 		case cpcEndGens:
-			if e.usesGenerations() && n.passedGens < e.gens.Raised() {
+			if e.usesGenerations() && int(n.passedGens) < e.gens.Raised() {
 				n.passedGens++
 				if e.cSyncArrive(n, cpcEndGens) {
 					return

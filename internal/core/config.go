@@ -325,8 +325,9 @@ func (c *Config) Label() string {
 // IdleKind classifies the idle periods during which the file system runs
 // prefetch actions (§III): waiting at a synchronization point, waiting
 // for self-initiated disk I/O, or waiting for I/O initiated elsewhere
-// (an unready buffer hit).
-type IdleKind int
+// (an unready buffer hit). It is one byte wide, in the byte tail of
+// each processor's record.
+type IdleKind uint8
 
 // The three exploited idle-time classes.
 const (

@@ -71,7 +71,7 @@ type Engine struct {
 	// processor (compact.go), built by Run.
 	cnodes []cnode
 
-	globalCursor int
+	globalCursor int32 // the shared string's next index (global patterns)
 	readsStarted int32 // the next read's ordinal (cnode.ordinal)
 	maxFinish    sim.Time
 }
@@ -173,7 +173,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	for node := 0; node < cfg.Procs; node++ {
-		e.res.PerProc[node].Node = node
+		e.res.PerProc[node].Node = int32(node)
 	}
 	e.obs = cfg.Obs
 	k.SetObserver(cfg.Obs)
@@ -380,10 +380,10 @@ func (e *Engine) nextRead(n *cnode) (idx, block int, ok bool) {
 		cursor = &e.globalCursor
 	}
 	portions := e.pat.Portions(n.id)
-	if idx = *cursor; idx >= pattern.Len(portions) {
+	if idx = int(*cursor); idx >= pattern.Len(portions) {
 		return 0, 0, false
 	}
-	*cursor = idx + 1
+	*cursor++
 	return idx, pattern.BlockAt(portions, idx), true
 }
 
@@ -431,7 +431,7 @@ func (e *Engine) beginAction(n *cnode, deadline sim.Time) (sim.Duration, bool) {
 	e.res.PerProc[node].PrefetchAttempts++
 	if e.obs != nil {
 		e.obs.Add(obs.CtrPrefetchActions, 1)
-		n.actionBlock = block
+		n.actionBlock = int32(block)
 	}
 	buf, res := e.bcache.AllocatePrefetch(node, block)
 	var cost memory.Cost
@@ -499,7 +499,7 @@ func (e *Engine) finishAction(n *cnode) {
 		e.obs.Span(obs.Span{
 			Track: obs.ProcTrack(n.id), Kind: obs.SpanPrefetchAction,
 			Start: int64(n.actionStart), End: int64(e.k.Now()),
-			Block: n.actionBlock, Arg: arg,
+			Block: int(n.actionBlock), Arg: arg,
 		})
 	}
 }

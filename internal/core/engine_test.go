@@ -402,7 +402,7 @@ func TestPerProcAccounting(t *testing.T) {
 	cfg.Prefetch = true
 	r := MustRun(cfg)
 	for node, ps := range r.PerProc {
-		if ps.Node != node {
+		if int(ps.Node) != node {
 			t.Fatalf("node field mismatch at %d", node)
 		}
 		if ps.Reads != 40 {

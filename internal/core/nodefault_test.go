@@ -328,7 +328,7 @@ func TestBackpressureThrottlesUnderSqueeze(t *testing.T) {
 	attempts := func(r *Result) int {
 		n := 0
 		for _, ps := range r.PerProc {
-			n += ps.PrefetchAttempts
+			n += int(ps.PrefetchAttempts)
 		}
 		return n
 	}

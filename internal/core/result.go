@@ -69,15 +69,17 @@ type NodeFaultCounters struct {
 
 // ProcStats is the per-processor view of a run, used to study how evenly
 // prefetching's benefits are distributed (the paper's explanation for
-// the lfp slowdowns).
+// the lfp slowdowns). It is all a cluster Result keeps per node, so the
+// counts a node's reads bound are int32, which makes the record 112
+// bytes.
 type ProcStats struct {
-	Node             int
+	Node             int32
 	Reads            int
 	ReadTime         metrics.Summary // ms
 	SyncWait         metrics.Summary // ms, logical (arrival → release)
 	Finish           sim.Time
-	PrefetchesIssued int
-	PrefetchAttempts int // including failures
+	PrefetchesIssued int32
+	PrefetchAttempts int32 // including failures
 }
 
 // Result carries every measure the paper records for one run (§IV-C).

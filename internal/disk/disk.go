@@ -18,6 +18,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -112,11 +113,13 @@ func ParseSchedPolicy(s string) (SchedPolicy, error) {
 // carries two holds and is reused only once both are dropped: the
 // disk's, dropped after Complete has fired, and the consumer's, dropped
 // by Release (DESIGN.md, "Disk request records"). Records are allocated
-// in blocks, and a record keeps its whole block alive.
+// in blocks, and a record keeps its whole block alive. A record is 160
+// bytes: disk and block ids are int32, as the cache's block ids are,
+// and NewArray refuses more disks than that holds.
 type Request struct {
-	Disk     int
-	Block    int       // logical file block, for tracing
-	Physical int       // physical block on the disk
+	Disk     int32
+	Block    int32     // logical file block, for tracing
+	Physical int32     // physical block on the disk
 	Prefetch bool      // issued by the prefetcher rather than on demand
 	holds    uint8     // holdDisk | holdConsumer while in use; 0 on the free list
 	Enqueued sim.Time  // when the request joined the disk queue
@@ -232,8 +235,8 @@ func (d *Disk) QueueLength() int { return d.queued }
 // data (demand fetches, unready hits) wait on it, while prefetchers do
 // not.
 func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
-	if phys < 0 {
-		panic(fmt.Sprintf("disk: negative physical block %d", phys))
+	if phys < 0 || phys > math.MaxInt32 || block != int(int32(block)) {
+		panic(fmt.Sprintf("disk: block %d at physical block %d: want int32 ids and a non-negative physical block", block, phys))
 	}
 	if d.dead {
 		return d.submitDead(block, phys, prefetch)
@@ -241,9 +244,9 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	now := d.k.Now()
 	req := d.arr.get()
 	*req = Request{
-		Disk:     d.id,
-		Block:    block,
-		Physical: phys,
+		Disk:     int32(d.id),
+		Block:    int32(block),
+		Physical: int32(phys),
 		Prefetch: prefetch,
 		holds:    holdDisk | holdConsumer,
 		Enqueued: now,
@@ -306,7 +309,7 @@ func (d *Disk) dispatch() {
 	}
 	req.next = nil
 	d.queued--
-	service := d.profile.ServiceTime(d.headPos, req.Physical)
+	service := d.profile.ServiceTime(d.headPos, int(req.Physical))
 	// Storms stretch the base service before the fault draw, so a spike
 	// multiplies the stormed time and the timeout watchdog still caps
 	// the result.
@@ -318,9 +321,9 @@ func (d *Disk) dispatch() {
 		service = d.applyFaults(req, service)
 	}
 	if d.policy == SCAN && d.headPos >= 0 {
-		d.scanUp = req.Physical >= d.headPos
+		d.scanUp = int(req.Physical) >= d.headPos
 	}
-	d.headPos = req.Physical
+	d.headPos = int(req.Physical)
 	req.Started = now
 	req.Done = now.Add(service)
 	d.busy += service
@@ -342,7 +345,7 @@ func (d *Disk) complete(req *Request) {
 			o.Span(obs.Span{
 				Track: obs.DiskTrack(d.id), Kind: obs.SpanDiskQueue,
 				Start: int64(req.Enqueued), End: int64(req.Started),
-				Block: req.Block, Arg: arg,
+				Block: int(req.Block), Arg: arg,
 			})
 		}
 		if req.Err != nil {
@@ -352,7 +355,7 @@ func (d *Disk) complete(req *Request) {
 		o.Span(obs.Span{
 			Track: obs.DiskTrack(d.id), Kind: obs.SpanDiskTransfer,
 			Start: int64(req.Started), End: int64(req.Done),
-			Block: req.Block, Arg: arg,
+			Block: int(req.Block), Arg: arg,
 		})
 	}
 	req.Complete.Fire()
@@ -385,7 +388,7 @@ func (d *Disk) pickNext(now sim.Time) (prev *Request) {
 		var best *Request
 		bestDist := -1
 		for p, r := (*Request)(nil), d.first; r != nil; p, r = r, r.next {
-			dist := r.Physical - d.headPos
+			dist := int(r.Physical) - d.headPos
 			if dist < 0 {
 				dist = -dist
 			}
@@ -400,7 +403,7 @@ func (d *Disk) pickNext(now sim.Time) (prev *Request) {
 			var best *Request
 			bestDist := -1
 			for p, r := (*Request)(nil), d.first; r != nil; p, r = r, r.next {
-				dist := r.Physical - d.headPos
+				dist := int(r.Physical) - d.headPos
 				if !up {
 					dist = -dist
 				}
@@ -501,11 +504,14 @@ func (t *arrayTrim) Wake() {
 }
 
 // NewArray creates n disks, numbered 0 to n-1, sharing a service model
-// and queue scheduling policy. It panics on an empty array, an invalid
-// service model or an unknown policy.
+// and queue scheduling policy. It panics on an empty array, one past
+// int32 disk ids, an invalid service model or an unknown policy.
 func NewArray(k *sim.Kernel, n int, profile Profile, policy SchedPolicy) *Array {
 	if n <= 0 {
 		panic("disk: array needs at least one disk")
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("disk: %d disks exceed int32 ids", n))
 	}
 	if profile.Access <= 0 {
 		panic(fmt.Sprintf("disk: non-positive access time %v", profile.Access))

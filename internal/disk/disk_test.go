@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -271,15 +272,30 @@ func TestNewWithProfilePanics(t *testing.T) {
 	}
 }
 
+// Submit refuses a negative physical block and ids past int32, which a
+// request record could not hold, and NewArray a disk count past int32
+// before it allocates anything.
 func TestSubmitPanicsOnNegativePhysical(t *testing.T) {
 	k := sim.NewKernel()
 	d := fifoDisk(k, sim.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative physical block did not panic")
-		}
-	}()
-	d.Submit(0, -1, false)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"negative physical block", func() { d.Submit(0, -1, false) }},
+		{"physical block past int32", func() { d.Submit(0, math.MaxInt32+1, false) }},
+		{"block past int32", func() { d.Submit(math.MaxInt32+1, 0, false) }},
+		{"disk count past int32", func() { NewArray(k, math.MaxInt32+1, Fixed(sim.Millisecond), FIFO) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
 }
 
 func TestSchedPolicyStringAndParse(t *testing.T) {
@@ -317,7 +333,7 @@ func TestSSTFOrdersByProximity(t *testing.T) {
 	d := seekDisk(k, SSTF)
 	var order []int
 	watch := func(r *Request) {
-		r.Complete.OnFire(func() { order = append(order, r.Physical) })
+		r.Complete.OnFire(func() { order = append(order, int(r.Physical)) })
 	}
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		// First request pins the head at 0; then queue far and near.
@@ -341,7 +357,7 @@ func TestSCANSweeps(t *testing.T) {
 	d := seekDisk(k, SCAN)
 	var order []int
 	watch := func(r *Request) {
-		r.Complete.OnFire(func() { order = append(order, r.Physical) })
+		r.Complete.OnFire(func() { order = append(order, int(r.Physical)) })
 	}
 	k.Spawn("p", 0, func(p *sim.Proc) {
 		watch(d.Submit(0, 50, false)) // head to 50
@@ -457,7 +473,7 @@ func TestSCANServesAtHead(t *testing.T) {
 	d := seekDisk(k, SCAN)
 	var order []int
 	watch := func(r *Request) {
-		r.Complete.OnFire(func() { order = append(order, r.Block) })
+		r.Complete.OnFire(func() { order = append(order, int(r.Block)) })
 	}
 	watch(d.Submit(0, 50, false)) // head to 50
 	watch(d.Submit(1, 60, false))

@@ -152,9 +152,9 @@ func (d *Disk) submitDead(block, phys int, prefetch bool) *Request {
 	now := d.k.Now()
 	req := d.arr.get()
 	*req = Request{
-		Disk:     d.id,
-		Block:    block,
-		Physical: phys,
+		Disk:     int32(d.id),
+		Block:    int32(block),
+		Physical: int32(phys),
 		Prefetch: prefetch,
 		holds:    holdDisk | holdConsumer,
 		Enqueued: now,

@@ -247,7 +247,7 @@ func TestSchedulingUnderSpikesServesAll(t *testing.T) {
 			submit := func(p *sim.Proc, base int) {
 				for i := 0; i < n/2; i++ {
 					r := d.Submit(base+i, int(posStream.Uint32()%4096), false)
-					r.Complete.OnFire(func() { completions[r.Block]++ })
+					r.Complete.OnFire(func() { completions[int(r.Block)]++ })
 					reqs = append(reqs, r)
 					p.Advance(sim.Duration(1+posStream.Uint32()%8) * sim.Millisecond)
 				}

@@ -3,6 +3,7 @@ package disk
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -228,5 +229,23 @@ func TestAuditCatchesLostHolds(t *testing.T) {
 				t.Fatalf("audit error %v, want one mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRecordSizes pins the request record, allocated 64 to a block and
+// one per transfer in flight, and the disk, one per disk of a cluster
+// array.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name       string
+		got, limit uintptr
+	}{
+		{"Request", unsafe.Sizeof(Request{}), 160},
+		{"Disk", unsafe.Sizeof(Disk{}), 288},
+	} {
+		t.Logf("%s: %d bytes", r.name, r.got)
+		if r.got > r.limit {
+			t.Errorf("%s is %d bytes, want at most %d", r.name, r.got, r.limit)
+		}
 	}
 }

@@ -12,13 +12,12 @@ import (
 )
 
 // Summary accumulates count, mean, variance (Welford's online
-// algorithm), min and max without retaining samples. The zero value is
-// an empty summary ready to use.
+// algorithm), min and max without retaining samples, in 40 bytes. The
+// zero value is an empty summary ready to use.
 type Summary struct {
 	n        int64
 	mean, m2 float64
 	min, max float64
-	sum      float64
 }
 
 // Add records one observation.
@@ -34,7 +33,6 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -62,7 +60,6 @@ func (s *Summary) Merge(other Summary) {
 	total := n1 + n2
 	s.mean += delta * n2 / total
 	s.m2 += other.m2 + delta*delta*n1*n2/total
-	s.sum += other.sum
 	s.n += other.n
 	if other.min < s.min {
 		s.min = other.min
@@ -74,9 +71,6 @@ func (s *Summary) Merge(other Summary) {
 
 // N returns the number of observations.
 func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 {

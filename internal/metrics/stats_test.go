@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -25,9 +26,6 @@ func TestSummaryBasics(t *testing.T) {
 	// Population variance is 4; sample variance is 32/7.
 	if !almost(s.Variance(), 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v", s.Variance())
-	}
-	if !almost(s.Sum(), 40, 1e-12) {
-		t.Fatalf("Sum = %v", s.Sum())
 	}
 }
 
@@ -251,5 +249,15 @@ func TestSummaryWelfordAgainstNaive(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordSizes pins the summary record: a disk keeps two and a
+// run's per-processor stats two per node.
+func TestRecordSizes(t *testing.T) {
+	got, limit := unsafe.Sizeof(Summary{}), uintptr(40)
+	t.Logf("Summary: %d bytes", got)
+	if got > limit {
+		t.Errorf("Summary is %d bytes, want at most %d", got, limit)
 	}
 }

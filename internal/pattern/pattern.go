@@ -387,30 +387,40 @@ func MustGenerate(cfg Config) *Pattern {
 	return p
 }
 
-// fixedPortions lays out a string of reads accesses as runs of
-// PortionLen blocks from block base, each run followed by a gap of
-// PortionGap blocks; the last run takes the remainder. It returns the
-// portions and the file blocks they span, the trailing gap included.
-func fixedPortions(cfg Config, reads, base int) ([]Portion, int) {
-	portions := make([]Portion, max(reads/cfg.PortionLen, 1))
+// fixedCount is how many portions fixedPortions lays out for reads.
+func fixedCount(cfg Config, reads int) int { return max(reads/cfg.PortionLen, 1) }
+
+// fixedPortions lays out a string of reads accesses into portions, which
+// has fixedCount's length, as runs of PortionLen blocks from block base,
+// each run followed by a gap of PortionGap blocks; the last run takes
+// the remainder. It returns the file blocks they span, the trailing gap
+// included.
+func fixedPortions(cfg Config, portions []Portion, reads, base int) int {
 	for i := range portions {
 		portions[i] = Portion{Index: i * cfg.PortionLen, Start: base + i*(cfg.PortionLen+cfg.PortionGap), Len: cfg.PortionLen}
 	}
 	last := &portions[len(portions)-1]
 	last.Len = reads - last.Index
-	return portions, last.Start + last.Len + cfg.PortionGap - base
+	return last.Start + last.Len + cfg.PortionGap - base
 }
+
+// The local generators hand each process a window of one slab per
+// pattern, cut with a full slice expression, so no append to one
+// process's string can overwrite its neighbour's.
 
 // genLFP places, for each process, BlocksPerProc/PortionLen portions of
 // PortionLen blocks separated by PortionGap, in a private region of the
 // file ("at different places in the file for each process").
 func genLFP(cfg Config) *Pattern {
 	p := &Pattern{Kind: LFP, Procs: cfg.Procs, LocalPortions: make([][]Portion, cfg.Procs)}
+	n := fixedCount(cfg, cfg.BlocksPerProc)
+	slab := make([]Portion, cfg.Procs*n)
 	span := 0
 	for proc := range p.LocalPortions {
 		// Every region spans the same blocks, so process 0's span
 		// places the others.
-		p.LocalPortions[proc], span = fixedPortions(cfg, cfg.BlocksPerProc, proc*span)
+		p.LocalPortions[proc] = slab[proc*n : (proc+1)*n : (proc+1)*n]
+		span = fixedPortions(cfg, p.LocalPortions[proc], cfg.BlocksPerProc, proc*span)
 	}
 	p.FileBlocks = cfg.Procs * span
 	return p
@@ -425,9 +435,12 @@ func genLRP(cfg Config) *Pattern {
 	file := 2 * cfg.Procs * cfg.BlocksPerProc
 	r := rng.New(cfg.Seed, 101)
 	p := &Pattern{Kind: LRP, Procs: cfg.Procs, FileBlocks: file, LocalPortions: make([][]Portion, cfg.Procs)}
+	// Each process's portions are appended to one slab and cut from it
+	// once the slab stops moving; ends[proc] is where its string ends.
+	var slab []Portion
+	ends := make([]int, cfg.Procs)
 	for proc := range p.LocalPortions {
 		cursor := r.Intn(file)
-		var portions []Portion
 		for n := 0; n < cfg.BlocksPerProc; {
 			plen := r.IntRange(cfg.MinPortion, cfg.MaxPortion)
 			if rem := cfg.BlocksPerProc - n; plen > rem {
@@ -436,14 +449,19 @@ func genLRP(cfg Config) *Pattern {
 			if cursor+plen > file { // keep portions contiguous in the file
 				cursor = 0
 			}
-			portions = append(portions, Portion{Index: n, Start: cursor, Len: plen})
+			slab = append(slab, Portion{Index: n, Start: cursor, Len: plen})
 			n += plen
 			cursor += plen + r.IntRange(cfg.MinGap, cfg.MaxGap)
 			if cursor >= file {
 				cursor -= file
 			}
 		}
-		p.LocalPortions[proc] = portions
+		ends[proc] = len(slab)
+	}
+	start := 0
+	for proc, end := range ends {
+		p.LocalPortions[proc] = slab[start:end:end]
+		start = end
 	}
 	return p
 }
@@ -452,16 +470,18 @@ func genLRP(cfg Config) *Pattern {
 // blocks long (paper: 100-block file, 20 processes, 2000 total reads).
 func genLW(cfg Config) *Pattern {
 	p := &Pattern{Kind: LW, Procs: cfg.Procs, FileBlocks: cfg.BlocksPerProc, LocalPortions: make([][]Portion, cfg.Procs)}
+	slab := make([]Portion, cfg.Procs)
 	for proc := range p.LocalPortions {
-		p.LocalPortions[proc] = []Portion{{Index: 0, Start: 0, Len: cfg.BlocksPerProc}}
+		slab[proc] = Portion{Index: 0, Start: 0, Len: cfg.BlocksPerProc}
+		p.LocalPortions[proc] = slab[proc : proc+1 : proc+1]
 	}
 	return p
 }
 
 // genGFP tiles the file with global portions of fixed length and gap.
 func genGFP(cfg Config) *Pattern {
-	p := &Pattern{Kind: GFP, Procs: cfg.Procs}
-	p.GlobalPortions, p.FileBlocks = fixedPortions(cfg, cfg.TotalBlocks, 0)
+	p := &Pattern{Kind: GFP, Procs: cfg.Procs, GlobalPortions: make([]Portion, fixedCount(cfg, cfg.TotalBlocks))}
+	p.FileBlocks = fixedPortions(cfg, p.GlobalPortions, cfg.TotalBlocks, 0)
 	return p
 }
 

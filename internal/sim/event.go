@@ -15,21 +15,35 @@ package sim
 // continuation has run and every event already due. A blocked process
 // is queued as its resumption step, so a state machine that parks with
 // AddBlocked wakes exactly where a process would. Both sides keep a
-// single inline slot plus an overflow slice, so the overwhelmingly
-// common one-party case costs no allocation. Fire hands the overflow
-// slices back to the kernel, which gives them to the next events that
-// gather a second party, so within a run an event needs a new slice
-// only when no fired event has left one behind, and the kernel carves
-// those 16 to an allocation.
+// single inline slot plus a pointer to an overflow list, so the
+// overwhelmingly common one-party case costs no allocation. Fire hands
+// the overflow lists back to the kernel, which gives them to the next
+// events that gather a second party, so within a run an event needs a
+// new list only when no fired event has left one behind, and the
+// kernel carves those 16 to an allocation.
+//
+// The record is 80 bytes, and every disk request embeds one: whether
+// the event has fired and when are one word, and the overflow lists
+// are pointers rather than slice headers.
 type Event struct {
-	k       *Kernel
-	label   string
-	fired   bool
-	firedAt Time
-	c0      Waiter   // first continuation
-	conts   []Waiter // further continuations, in registration order
-	b0      Waiter   // first blocked party
-	blocked []Waiter // further blocked parties, in arrival order
+	k     *Kernel
+	label string
+	// fired is the complement of the firing instant: negative once
+	// fired, and zero, which no instant complements to, before.
+	fired   Time
+	c0      Waiter      // first continuation
+	conts   *waiterList // further continuations, in registration order
+	b0      Waiter      // first blocked party
+	blocked *waiterList // further blocked parties, in arrival order
+}
+
+// waiterList is an event's overflow list of continuations or blocked
+// parties: the second party in its inline slot, any later ones in
+// more, in order. The kernel carves lists and recycles them (takeSpare,
+// giveSpare), and a recycled list keeps more's backing array.
+type waiterList struct {
+	w0   Waiter
+	more []Waiter
 }
 
 // NewEvent returns an unfired event on kernel k.
@@ -63,15 +77,15 @@ func (e *Event) Label() string {
 }
 
 // Fired reports whether the event has fired.
-func (e *Event) Fired() bool { return e.fired }
+func (e *Event) Fired() bool { return e.fired < 0 }
 
 // FiredAt returns the instant the event fired. It panics if the event has
 // not fired.
 func (e *Event) FiredAt() Time {
-	if !e.fired {
+	if e.fired >= 0 {
 		panic("sim: FiredAt on unfired event")
 	}
-	return e.firedAt
+	return ^e.fired
 }
 
 // Fire marks the event as having occurred now, wakes every continuation,
@@ -82,32 +96,33 @@ func (e *Event) FiredAt() Time {
 // panics: events are one-shot by design, and double-firing always
 // indicates a bookkeeping bug in the caller.
 func (e *Event) Fire() {
-	if e.fired {
+	if e.Fired() {
 		panic("sim: event fired twice")
 	}
-	e.fired = true
-	e.firedAt = e.k.now
+	e.fired = ^e.k.now
 	if w := e.c0; w != nil {
 		e.c0 = nil
 		w.Wake()
 	}
-	if e.conts != nil {
-		for _, w := range e.conts {
+	if l := e.conts; l != nil {
+		e.conts = nil
+		l.w0.Wake()
+		for _, w := range l.more {
 			w.Wake()
 		}
-		e.k.giveSpare(e.conts)
-		e.conts = nil
+		e.k.giveSpare(l)
 	}
 	if w := e.b0; w != nil {
 		e.b0 = nil
 		e.k.heap.push(e.k.now, w)
 	}
-	if e.blocked != nil {
-		for _, w := range e.blocked {
+	if l := e.blocked; l != nil {
+		e.blocked = nil
+		e.k.heap.push(e.k.now, l.w0)
+		for _, w := range l.more {
 			e.k.heap.push(e.k.now, w)
 		}
-		e.k.giveSpare(e.blocked)
-		e.blocked = nil
+		e.k.giveSpare(l)
 	}
 }
 
@@ -116,18 +131,16 @@ func (e *Event) Fire() {
 // already fired, w is woken immediately. Continuations are woken in
 // registration order.
 func (e *Event) AddWaiter(w Waiter) {
-	if e.fired {
+	switch {
+	case e.Fired():
 		w.Wake()
-		return
-	}
-	if e.c0 == nil && len(e.conts) == 0 {
+	case e.c0 == nil:
 		e.c0 = w
-		return
+	case e.conts == nil:
+		e.conts = e.k.takeSpare(w)
+	default:
+		e.conts.more = append(e.conts.more, w)
 	}
-	if e.conts == nil {
-		e.conts = e.k.takeSpare()
-	}
-	e.conts = append(e.conts, w)
 }
 
 // funcWaiter adapts a plain func to the Waiter interface.
@@ -145,7 +158,7 @@ func (e *Event) OnFire(fn func()) { e.AddWaiter(funcWaiter(fn)) }
 // Wait blocks the process until the event fires and returns how long the
 // process actually waited (zero if the event had already fired).
 func (e *Event) Wait(p *Proc) Duration {
-	if e.fired {
+	if e.Fired() {
 		return 0
 	}
 	start := p.k.now
@@ -161,24 +174,26 @@ func (e *Event) Wait(p *Proc) Duration {
 // would. It panics if the event has already fired — the caller should
 // have continued directly.
 func (e *Event) AddBlocked(w Waiter) {
-	if e.fired {
+	switch {
+	case e.Fired():
 		panic("sim: AddBlocked on fired event (" + e.Label() + ")")
-	}
-	if e.b0 == nil && len(e.blocked) == 0 {
+	case e.b0 == nil:
 		e.b0 = w
-		return
+	case e.blocked == nil:
+		e.blocked = e.k.takeSpare(w)
+	default:
+		e.blocked.more = append(e.blocked.more, w)
 	}
-	if e.blocked == nil {
-		e.blocked = e.k.takeSpare()
-	}
-	e.blocked = append(e.blocked, w)
 }
 
 // Waiters reports how many parties are currently blocked on the event.
 func (e *Event) Waiters() int {
-	n := len(e.blocked)
+	n := 0
 	if e.b0 != nil {
 		n++
+	}
+	if l := e.blocked; l != nil {
+		n += 1 + len(l.more)
 	}
 	return n
 }

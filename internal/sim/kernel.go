@@ -43,16 +43,16 @@ type Kernel struct {
 	running bool
 	active  int // live (not yet finished) processes
 
-	// spare holds the cleared overflow slices of fired events' waiter
-	// lists, for the next event that gathers a second party, and block
-	// the unused part of the block new ones are carved from. runEnd0
-	// and runEnd hold the waiters Run wakes once its queue is empty,
-	// the first inline, so that a kernel with one registrant (a core
-	// run's disk array) registers it without allocating. Both recycle
-	// memory for one run: Run drops the spares as it returns, and the
-	// run-end waiters drop their layers' pools.
-	spare   [][]Waiter
-	block   []Waiter
+	// spare holds the cleared overflow lists of fired events, for the
+	// next event that gathers a second party, and block the unused part
+	// of the block new ones are carved from. runEnd0 and runEnd hold the
+	// waiters Run wakes once its queue is empty, the first inline, so
+	// that a kernel with one registrant (a core run's disk array)
+	// registers it without allocating. Both recycle memory for one run:
+	// Run drops the spares as it returns, and the run-end waiters drop
+	// their layers' pools.
+	spare   []*waiterList
+	block   []waiterList
 	runEnd0 Waiter
 	runEnd  []Waiter
 
@@ -136,31 +136,34 @@ func (k *Kernel) OnRunEnd(w Waiter) {
 	k.runEnd = append(k.runEnd, w)
 }
 
-// takeSpare returns a cleared slice for an event's overflow waiter
-// list. With no spare it carves a one-slot slice from a block of 16, so
-// a burst of events gathering a second party before any has fired (a
+// takeSpare returns an overflow list for an event's second party w,
+// holding w. With no spare it carves the list from a block of 16, so a
+// burst of events gathering a second party before any has fired (a
 // cluster run's t=0) costs one allocation per 16 events.
-func (k *Kernel) takeSpare() []Waiter {
-	n := len(k.spare)
-	if n == 0 {
+func (k *Kernel) takeSpare(w Waiter) *waiterList {
+	var l *waiterList
+	if n := len(k.spare); n > 0 {
+		l = k.spare[n-1]
+		k.spare[n-1] = nil
+		k.spare = k.spare[:n-1]
+	} else {
 		if len(k.block) == 0 {
-			k.block = make([]Waiter, 16)
+			k.block = make([]waiterList, 16)
 		}
-		ws := k.block[:0:1]
+		l = &k.block[0]
 		k.block = k.block[1:]
-		return ws
 	}
-	ws := k.spare[n-1]
-	k.spare[n-1] = nil
-	k.spare = k.spare[:n-1]
-	return ws
+	l.w0 = w
+	return l
 }
 
-// giveSpare takes back a fired event's overflow waiter list. It is
-// cleared, so the spare holds no waiter alive.
-func (k *Kernel) giveSpare(ws []Waiter) {
-	clear(ws)
-	k.spare = append(k.spare, ws[:0])
+// giveSpare takes back a fired event's overflow list. It is cleared,
+// so the spare holds no waiter alive.
+func (k *Kernel) giveSpare(l *waiterList) {
+	l.w0 = nil
+	clear(l.more)
+	l.more = l.more[:0]
+	k.spare = append(k.spare, l)
 }
 
 // dispatch wakes one popped event's waiter. The observer counts process
@@ -180,7 +183,7 @@ func (k *Kernel) dispatch(w Waiter) {
 }
 
 // Run executes events until the queue is exhausted, then wakes the
-// run-end waiters (OnRunEnd) and drops its spare waiter slices. It
+// run-end waiters (OnRunEnd) and drops its spare waiter lists. It
 // panics on deadlock: live processes remaining with no pending events.
 // A panic in a process body propagates out of Run with the same value.
 //

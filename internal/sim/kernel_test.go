@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -162,7 +163,7 @@ func TestEventWaitAndFire(t *testing.T) {
 		t.Fatalf("waited %v, want 25", waited)
 	}
 	if !ev.Fired() || ev.FiredAt() != 25 {
-		t.Fatalf("event state: fired=%v at=%v", ev.Fired(), ev.firedAt)
+		t.Fatalf("event state: fired=%v at=%v", ev.Fired(), ^ev.fired)
 	}
 }
 
@@ -672,7 +673,7 @@ func (c *counter) Wake() { c.n++ }
 
 // spareChain fires left events, one per instant, each gathering 16
 // blocked parties or 16 continuations, so each event after the first
-// can take the overflow slice its predecessor handed back.
+// can take the overflow list its predecessor handed back.
 type spareChain struct {
 	k       *Kernel
 	ev      Event
@@ -699,7 +700,7 @@ func (c *spareChain) Wake() {
 	c.ev.Fire()
 }
 
-// Once the kernel holds a spare slice, an event with 16 blocked parties
+// Once the kernel holds a spare list, an event with 16 blocked parties
 // or 16 continuations allocates nothing, and every party still wakes
 // once per firing.
 func TestEventReusesSpareSlices(t *testing.T) {
@@ -725,7 +726,7 @@ func TestEventReusesSpareSlices(t *testing.T) {
 
 // TestFirstOverflowSlicesCarved pins the t=0 burst of a cluster run:
 // 4,000 events each gather a second continuation at one instant, before
-// any event has fired to hand a slice back, and the overflow slices come
+// any event has fired to hand a list back, and the overflow lists come
 // from blocks of 16: about one allocation per 16 events, not one per
 // event. Every continuation still wakes once, a third party
 // still fits, and Run drops the blocks.
@@ -749,7 +750,7 @@ func TestFirstOverflowSlicesCarved(t *testing.T) {
 		t.Errorf("%d events gathering a second continuation allocate %v objects, want at most %v", n, a, limit)
 	}
 	gather()
-	evs[0].AddWaiter(&c) // outgrows its one-slot slice
+	evs[0].AddWaiter(&c) // outgrows its list's inline slot
 	c.n = 0
 	k.Schedule(0, func() {
 		for i := range evs {
@@ -761,12 +762,12 @@ func TestFirstOverflowSlicesCarved(t *testing.T) {
 		t.Errorf("%d continuations woke, want %d", c.n, 2*n+1)
 	}
 	if k.spare != nil || k.block != nil {
-		t.Errorf("Run kept %d spare slices and a block of %d", len(k.spare), len(k.block))
+		t.Errorf("Run kept %d spare lists and a block of %d", len(k.spare), len(k.block))
 	}
 }
 
 // Run wakes the run-end waiters in registration order once its queue
-// is empty, at every run, and drops the kernel's spare slices.
+// is empty, at every run, and drops the kernel's spare lists.
 func TestOnRunEnd(t *testing.T) {
 	k := NewKernel()
 	var log []string
@@ -779,7 +780,7 @@ func TestOnRunEnd(t *testing.T) {
 	k.Schedule(5, ev.Fire)
 	k.Schedule(5, func() {
 		if len(k.spare) != 1 {
-			t.Errorf("%d spare slices after a firing with two continuations, want 1", len(k.spare))
+			t.Errorf("%d spare lists after a firing with two continuations, want 1", len(k.spare))
 		}
 	})
 	k.Run()
@@ -789,6 +790,16 @@ func TestOnRunEnd(t *testing.T) {
 		t.Fatalf("run-end calls %s, want %s", got, want)
 	}
 	if k.spare != nil {
-		t.Fatalf("%d spare slices kept after the run", len(k.spare))
+		t.Fatalf("%d spare lists kept after the run", len(k.spare))
+	}
+}
+
+// TestRecordSizes pins the event record's size: every disk request
+// embeds one, so each byte is paid once per block transfer record.
+func TestRecordSizes(t *testing.T) {
+	got, limit := unsafe.Sizeof(Event{}), uintptr(80)
+	t.Logf("Event: %d bytes", got)
+	if got > limit {
+		t.Errorf("Event is %d bytes, want at most %d", got, limit)
 	}
 }
