@@ -367,7 +367,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				r := MustRun(cfg)
 				runtime.KeepAlive(r)
 				if tel, ok := sink.(*telemetry.Sink); ok {
-					windows = len(tel.Windows())
+					windows = len(tel.Recorder().Windows)
 					if windows == 0 {
 						b.Fatal("telemetry sink saw no windows")
 					}

@@ -1,13 +1,17 @@
 // Command rapid runs one RAPID Transit testbed experiment and prints
-// its measurements, optionally recording the run's span trace (a
-// trace-event JSON file that cmd/trace reads and ui.perfetto.dev
-// opens) and its off-line access analysis.
+// its measurements, optionally recording the run as a trace-event JSON
+// file that cmd/trace reads and ui.perfetto.dev opens: either its full
+// span trace (-trace, with the off-line access analysis under
+// -analyze), or its windowed telemetry (-telemetry), which holds the
+// windows, the spans of -sample K seed-hashed nodes and the counter
+// totals.
 //
 // Examples:
 //
 //	rapid -pattern gw -sync each -prefetch
 //	rapid -pattern lfp -iobound -prefetch -compare
 //	rapid -pattern gw -prefetch -trace gw.json -analyze
+//	rapid -pattern gw -prefetch -telemetry tel.json -sample 4
 package main
 
 import (
@@ -74,11 +78,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceFile   = fs.String("trace", "", "write the span trace (trace-event JSON) to this file")
 		analyze     = fs.Bool("analyze", false, "print the off-line access analysis of the span trace")
 		timeline    = fs.Bool("timeline", false, "print the ASCII span timeline")
-		telJSON     = fs.String("telemetry", "", "write the windowed telemetry snapshot JSON to this file")
-		telCSV      = fs.String("telemetry-csv", "", "write the windowed telemetry time series CSV to this file")
+		telFile     = fs.String("telemetry", "", "write the windowed telemetry, the sampled nodes' spans and the counter totals (trace-event JSON) to this file")
 		telWindow   = msVar(fs, "telemetry-window", 100, "telemetry window width in `ms` of virtual time, at least 1")
-		sampleK     = fs.Int("sample", 0, "sample K seed-hashed nodes at full fidelity (0 = 16 when a sample output is set)")
-		sampleOut   = fs.String("sample-out", "", "write the sampled nodes' span trace (trace-event JSON) to this file")
+		sampleK     = fs.Int("sample", 0, "add the spans of K seed-hashed nodes to the -telemetry file (0 = none)")
 		perProcOut  = fs.Bool("procstats", false, "print per-process statistics")
 		hist        = fs.Bool("hist", false, "print the block read time distribution")
 		asJSON      = fs.Bool("json", false, "emit the full result as JSON")
@@ -89,13 +91,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := refuseDropped(fs, *compare, *asJSON); err != nil {
 		return err
 	}
-	// A window under 1 ms keeps a snapshot per few microseconds of the
+	if err := refuseOrphans(fs); err != nil {
+		return err
+	}
+	// A window under 1 ms keeps a window per few microseconds of the
 	// run, and one that rounds to 0 would silently take the default.
 	if *telWindow < rapid.Millisecond {
 		return fmt.Errorf("invalid value %v for flag -telemetry-window: want at least 1 ms", fs.Lookup("telemetry-window").Value)
 	}
 	if *sampleK < 0 {
 		return fmt.Errorf("invalid value %d for flag -sample: want a node count of 0 or more", *sampleK)
+	}
+	// SplitDomains leaves all but the last of more racks than
+	// processors empty.
+	if *racks < 0 || *racks > *procs {
+		return fmt.Errorf("invalid value %d for flag -racks: want 0 to -procs (%d) racks", *racks, *procs)
+	}
+	if err := (rapid.NodeFaultConfig{StragglerFactor: *procSlow}).Validate(); err != nil {
+		return fmt.Errorf("invalid value %v for flag -proc-slow: %v", *procSlow, err)
 	}
 	compute, err := millis(*computeMS)
 	if err != nil && *computeMS != -1 { // -1 keeps the paper default
@@ -199,17 +212,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Obs = spans
 	}
 	var tel *telemetry.Sink
-	if *telJSON != "" || *telCSV != "" || *sampleK > 0 || *sampleOut != "" {
+	if *telFile != "" {
 		if spans != nil {
 			return fmt.Errorf("telemetry flags cannot be combined with the full-trace flags (-trace, -analyze, -timeline); the run has one sink")
 		}
-		k := *sampleK
-		if k == 0 && *sampleOut != "" {
-			k = 16
-		}
 		tel = telemetry.New(telemetry.Config{
 			Window:     int64(*telWindow),
-			SampleK:    k,
+			SampleK:    *sampleK,
 			Nodes:      *procs,
 			SampleSeed: *seed,
 		})
@@ -239,10 +248,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if spans != nil {
 		if *traceFile != "" {
-			if err := writeFile(*traceFile, func(w io.Writer) error {
-				_, err := spans.WriteTo(w)
-				return err
-			}); err != nil {
+			if err := writeFile(*traceFile, spans); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "trace: %d spans -> %s\n", len(spans.Spans), *traceFile)
@@ -255,28 +261,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if tel != nil {
-		sn := tel.Snapshot()
-		if *telJSON != "" {
-			if err := writeFile(*telJSON, sn.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "telemetry: %d windows -> %s\n", len(sn.Windows), *telJSON)
+		rec := tel.Recorder()
+		if err := writeFile(*telFile, rec); err != nil {
+			return err
 		}
-		if *telCSV != "" {
-			if err := writeFile(*telCSV, sn.WriteCSV); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "telemetry: %d windows -> %s\n", len(sn.Windows), *telCSV)
+		sample := ""
+		if ids := tel.SampleIDs(); len(ids) > 0 {
+			sample = fmt.Sprintf(", sampled nodes %v (%d spans)", ids, len(rec.Spans))
 		}
-		if rec := tel.Sampled(); rec != nil && *sampleOut != "" {
-			if err := writeFile(*sampleOut, func(w io.Writer) error {
-				_, err := rec.WriteTo(w)
-				return err
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "sample: nodes %v, %d spans -> %s\n", tel.SampleIDs(), len(rec.Spans), *sampleOut)
-		}
+		fmt.Fprintf(stdout, "telemetry: %d windows%s -> %s\n", len(rec.Windows), sample, *telFile)
 	}
 	return nil
 }
@@ -285,8 +278,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // to the printed result.
 var reportFlags = map[string]bool{
 	"trace": true, "analyze": true, "timeline": true,
-	"telemetry": true, "telemetry-csv": true, "telemetry-window": true,
-	"sample": true, "sample-out": true,
+	"telemetry": true, "telemetry-window": true, "sample": true,
 	"procstats": true, "hist": true,
 }
 
@@ -313,6 +305,40 @@ func refuseDropped(fs *flag.FlagSet, compare, asJSON bool) error {
 	}
 	return fmt.Errorf("%s prints only its results and cannot be combined with %s",
 		mode, strings.Join(dropped, ", "))
+}
+
+// needs maps each flag a run uses only together with others to those
+// others: the telemetry refinements need -telemetry, and a rack event
+// needs -racks and both its rack and its time (or rate), as a kill
+// with no -rack-kill-at never fires.
+var needs = map[string][]string{
+	"sample": {"telemetry"}, "telemetry-window": {"telemetry"},
+	"rack-kill":     {"racks", "rack-kill-at"},
+	"rack-kill-at":  {"rack-kill"},
+	"rack-storm":    {"racks", "rack-storm-for"},
+	"rack-storm-at": {"rack-storm"}, "rack-storm-for": {"rack-storm"},
+	"rack-storm-factor": {"rack-storm"}, "rack-storm-jitter": {"rack-storm"},
+	"rack-straggle":        {"racks", "rack-straggle-rate"},
+	"rack-straggle-factor": {"rack-straggle"}, "rack-straggle-rate": {"rack-straggle"},
+}
+
+// refuseOrphans rejects a flag given while a flag it needs is off
+// (unset, or at its default as with -racks 0): the run would ignore it.
+func refuseOrphans(fs *flag.FlagSet) error {
+	on := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { on[f.Name] = f.Value.String() != f.DefValue })
+	var orphans []string
+	fs.Visit(func(f *flag.Flag) {
+		for _, base := range needs[f.Name] {
+			if !on[base] {
+				orphans = append(orphans, fmt.Sprintf("-%s without -%s", f.Name, base))
+			}
+		}
+	})
+	if len(orphans) > 0 {
+		return fmt.Errorf("a run would ignore %s", strings.Join(orphans, ", "))
+	}
+	return nil
 }
 
 // millis converts ms to a Duration, refusing a negative, NaN, infinite
@@ -351,14 +377,14 @@ func msVar(fs *flag.FlagSet, name string, def float64, usage string) *rapid.Dura
 	return &d
 }
 
-// writeFile creates path, streams write into it, and closes it,
-// returning the first error.
-func writeFile(path string, write func(io.Writer) error) error {
+// writeFile creates path, writes src into it, and closes it, returning
+// the first error.
+func writeFile(path string, src io.WriterTo) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if _, err := src.WriteTo(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -69,6 +69,62 @@ func TestBadFlagValues(t *testing.T) {
 			t.Errorf("run(%v) = %v, want an error naming %s", args, err, c.flag)
 		}
 	}
+	// A flag that only refines another is refused without it, and
+	// -racks, -proc-slow, -fault-rate and the rack factors refuse values
+	// a run would ignore, wrap or misread, all before any run starts.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-sample", []string{"-sample", "4"}},
+		{"-telemetry-window", []string{"-telemetry-window", "50"}},
+		{"-rack-kill", []string{"-rack-kill", "rack1", "-rack-kill-at", "100"}},
+		{"-rack-kill", []string{"-racks", "0", "-rack-kill", "rack1", "-rack-kill-at", "100"}},
+		{"-rack-kill-at", []string{"-racks", "2", "-rack-kill-at", "100"}},
+		{"-rack-kill", []string{"-racks", "2", "-rack-kill", "rack1"}},
+		{"-rack-kill", []string{"-racks", "2", "-rack-kill", "rack1", "-rack-kill-at", "0"}},
+		{"-rack-storm", []string{"-racks", "2", "-rack-storm", "rack0"}},
+		{"-rack-straggle", []string{"-racks", "2", "-rack-straggle", "rack1"}},
+		{"-rack-storm", []string{"-rack-storm", "rack0", "-rack-storm-for", "100"}},
+		{"-rack-storm-factor", []string{"-racks", "2", "-rack-storm-factor", "5"}},
+		{"-rack-straggle", []string{"-rack-straggle", "rack1", "-rack-straggle-rate", "1"}},
+		{"-rack-straggle-rate", []string{"-racks", "2", "-rack-straggle-rate", "1"}},
+		{"-racks", []string{"-racks", "-3"}},
+		{"-racks", []string{"-racks", "-3", "-rack-kill", "rack1", "-rack-kill-at", "100"}},
+		{"-racks", []string{"-racks", "5", "-rack-kill", "rack4", "-rack-kill-at", "100"}},
+		{"-proc-slow", []string{"-proc-slow", "0.5"}},
+		{"-proc-slow", []string{"-proc-slow", "NaN"}},
+		{"-proc-slow", []string{"-proc-slow", "-2"}},
+		{"-proc-slow", []string{"-proc-slow", "Inf"}},
+		{"-proc-slow", []string{"-proc-slow", "1e300"}},
+	} {
+		args := append(append([]string{}, c.args...), small...)
+		_, _, err := runCmd(t, args...)
+		// The flag's name ends at a space or a colon, so -rack-kill
+		// does not match in -rack-kill-at.
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") && !strings.Contains(err.Error(), c.flag+":") {
+			t.Errorf("run(%v) = %v, want a refusal naming %s", args, err, c.flag)
+		}
+	}
+	// The fault model refuses NaN, infinite and huge parameters with an
+	// error naming the field, before the run.
+	for _, c := range []struct{ field, flag, value string }{
+		{"ReadErrorRate", "-fault-rate", "NaN"},
+		{"StormFactor", "-rack-storm-factor", "Inf"},
+		{"StragglerFactor", "-rack-straggle-factor", "1e300"},
+		{"StragglerRate", "-rack-straggle-rate", "NaN"},
+	} {
+		args := append([]string{c.flag, c.value, "-racks", "2",
+			"-rack-storm", "rack0", "-rack-storm-for", "100",
+			"-rack-straggle", "rack1", "-rack-straggle-rate", "1"}, small...)
+		if c.flag == "-rack-straggle-rate" {
+			args = append([]string{c.flag, c.value, "-racks", "2", "-rack-straggle", "rack1"}, small...)
+		}
+		_, _, err := runCmd(t, args...)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, c.field)
+		}
+	}
 	// -compute's -1 is the paper default, not an error.
 	if _, _, err := runCmd(t, append([]string{"-compute", "-1"}, small...)...); err != nil {
 		t.Errorf("-compute -1: %v", err)
@@ -368,9 +424,8 @@ func TestTraceAndTelemetryRefused(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-trace", filepath.Join(dir, "a.trace"), "-telemetry", filepath.Join(dir, "a.json")},
-		{"-analyze", "-telemetry-csv", filepath.Join(dir, "b.csv")},
-		{"-analyze", "-sample", "4"},
-		{"-timeline", "-sample-out", filepath.Join(dir, "c.json")},
+		{"-analyze", "-telemetry", filepath.Join(dir, "b.json"), "-sample", "4"},
+		{"-timeline", "-telemetry", filepath.Join(dir, "c.json"), "-telemetry-window", "50"},
 	} {
 		_, _, err := runCmd(t, append(args, small...)...)
 		if err == nil || !strings.Contains(err.Error(), "one sink") {
@@ -387,8 +442,7 @@ func TestResultOnlyModesRefuseReportFlags(t *testing.T) {
 	file := filepath.Join(dir, "out")
 	reports := [][]string{
 		{"-trace", file}, {"-analyze"}, {"-timeline"},
-		{"-telemetry", file}, {"-telemetry-csv", file}, {"-telemetry-window", "50"},
-		{"-sample", "4"}, {"-sample-out", file},
+		{"-telemetry", file}, {"-telemetry-window", "50"}, {"-sample", "4"},
 		{"-procstats"}, {"-hist"},
 	}
 	for _, mode := range []string{"-compare", "-json"} {

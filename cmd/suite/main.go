@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,7 +22,7 @@ func main() {
 	var (
 		scale      = flag.String("scale", "paper", "experiment scale: paper, test, or cluster (100k-1M node compact-engine sweep)")
 		scaleNodes = flag.String("scale-nodes", "", "comma-separated node counts for -scale cluster (default 100000,250000,500000,1000000)")
-		telemetry  = flag.Bool("telemetry", false, "with -scale cluster: attach the windowed telemetry sink (plus a 16-node sample) to the leading prefetch cell and write its time series and sampled trace to -csv")
+		telemetry  = flag.Bool("telemetry", false, "with -scale cluster: attach the windowed telemetry sink (plus a 16-node sample) to the leading prefetch cell and write its windows, sampled spans and totals to -csv as scale_telemetry.json")
 		chaos      = flag.Bool("chaos", false, "with -scale cluster: run the chaos study instead — claims C1-C5 (fault determinism, zero-value inertness, quorum vs deadlock, prefetch masking, proportional domain kills) plus one chaos cell per size")
 		csvDir     = flag.String("csv", "", "directory to write per-figure CSV data")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
@@ -35,14 +34,8 @@ func main() {
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "suite:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "suite:", err)
-			os.Exit(1)
-		}
+		check(err)
+		check(pprof.StartCPUProfile(f))
 		// Worker bodies carry pprof labels (run index, config label), so
 		// this profile can be sliced per experimental cell. LIFO: stop
 		// (and flush) the profile before the file closes.
@@ -118,10 +111,7 @@ func main() {
 	}
 
 	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "suite:", err)
-			os.Exit(1)
-		}
+		check(os.MkdirAll(*csvDir, 0o755))
 		figs := map[string]*rapid.Figure{
 			"fig03_read_time.csv":     s.Fig3ReadTime(),
 			"fig04_hit_ratio_cdf.csv": s.Fig4HitRatioCDF(),
@@ -134,11 +124,7 @@ func main() {
 			"fig11_exec_vs_hit.csv":   s.Fig11ExecVsHitRatio(),
 		}
 		for name, fig := range figs {
-			path := filepath.Join(*csvDir, name)
-			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "suite:", err)
-				os.Exit(1)
-			}
+			check(os.WriteFile(filepath.Join(*csvDir, name), []byte(fig.CSV()), 0o644))
 		}
 		fmt.Printf("\nwrote %d CSV files to %s\n", len(figs), *csvDir)
 	}
@@ -186,10 +172,7 @@ func runCluster(nodesCSV, csvDir string, telemetry, chaos, progress bool, memPro
 	fmt.Println(v.Report())
 
 	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "suite:", err)
-			os.Exit(1)
-		}
+		check(os.MkdirAll(csvDir, 0o755))
 		figs := map[string]*rapid.Figure{
 			"scale_total_time.csv":     sweep.TotalTime,
 			"scale_improvement.csv":    sweep.Improvement,
@@ -198,39 +181,19 @@ func runCluster(nodesCSV, csvDir string, telemetry, chaos, progress bool, memPro
 			"scale_disk_knee.csv":      sweep.DiskKnee,
 		}
 		for name, fig := range figs {
-			path := filepath.Join(csvDir, name)
-			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "suite:", err)
-				os.Exit(1)
-			}
+			check(os.WriteFile(filepath.Join(csvDir, name), []byte(fig.CSV()), 0o644))
 		}
 		fmt.Printf("\nwrote %d CSV files to %s\n", len(figs), csvDir)
 
-		if sweep.Telemetry != nil {
-			write := func(name string, fn func(io.Writer) error) {
-				path := filepath.Join(csvDir, name)
-				f, err := os.Create(path)
-				if err == nil {
-					err = fn(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "suite:", err)
-					os.Exit(1)
-				}
-			}
-			write("scale_timeseries.csv", sweep.Telemetry.WriteCSV)
-			write("scale_timeseries.json", sweep.Telemetry.WriteJSON)
-			if rec := sweep.SampledTrace; rec != nil {
-				write("scale_sample.json", func(w io.Writer) error {
-					_, err := rec.WriteTo(w)
-					return err
-				})
-			}
-			fmt.Printf("telemetry: %d windows, sampled nodes %v -> %s\n",
-				len(sweep.Telemetry.Windows), sweep.Telemetry.SampleNodes, csvDir)
+		if rec := sweep.Telemetry; rec != nil {
+			path := filepath.Join(csvDir, "scale_telemetry.json")
+			f, err := os.Create(path)
+			check(err)
+			_, err = rec.WriteTo(f)
+			check(err)
+			check(f.Close())
+			fmt.Printf("telemetry: %d windows, %d sampled spans -> %s\n",
+				len(rec.Windows), len(rec.Spans), path)
 		}
 	}
 
@@ -245,16 +208,15 @@ func writeMemProfile(path string) {
 		return
 	}
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "suite:", err)
-		os.Exit(1)
-	}
+	check(err)
 	runtime.GC() // settle retained memory before the snapshot
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "suite:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
+	check(pprof.WriteHeapProfile(f))
+	check(f.Close())
+}
+
+// check ends the command on a failed file or profile operation.
+func check(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "suite:", err)
 		os.Exit(1)
 	}

@@ -1,10 +1,12 @@
-// Command trace inspects the virtual-time span traces that `rapid
-// -trace` records: trace-event JSON files (see internal/obs), which
-// also open as written in ui.perfetto.dev. It turns "the total moved"
-// into "which processor spent its time where": summarize the idle-time
-// accounting, render an ASCII timeline, check the file's structure,
-// and diff two runs' accounting (prefetch on vs. off, faulted vs.
-// clean).
+// Command trace inspects the virtual-time traces that `rapid -trace`
+// and `rapid -telemetry` record: trace-event JSON files (see
+// internal/obs), which also open as written in ui.perfetto.dev. It
+// turns "the total moved" into "which processor spent its time where":
+// summarize the idle-time accounting, render an ASCII timeline, check
+// the file's structure, diff two runs' accounting (prefetch on vs.
+// off, faulted vs. clean), and chart a telemetry run's windows. A
+// telemetry file is a trace like any other: its spans are the sampled
+// nodes', and its counters are the run's totals.
 //
 // Subcommands:
 //
@@ -13,8 +15,8 @@
 //	trace dump    [filters] run.json           filtered span listing
 //	trace verify  run.json                     read the trace and check its nesting
 //	trace diff    a.json b.json                accounting diff (b relative to a)
-//	trace timeseries run.telemetry.json        sparklines + per-window table of a
-//	                                           windowed telemetry snapshot
+//	trace timeseries telemetry.json            sparklines + per-window table of a
+//	                                           telemetry trace's windows
 //
 // Examples:
 //
@@ -22,6 +24,8 @@
 //	rapid -pattern gw -sync each -trace nopf.json
 //	trace diff nopf.json pf.json
 //	trace timeline -proc 3 -to 200000 pf.json
+//	rapid -pattern gw -sync each -prefetch -telemetry tel.json -sample 4
+//	trace timeseries tel.json
 package main
 
 import (
@@ -34,7 +38,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 func main() {
@@ -211,8 +214,8 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// cmdTimeseries renders a windowed telemetry snapshot (the JSON
-// written by `rapid -telemetry` or `suite -scale cluster -telemetry`)
+// cmdTimeseries renders the windowed series of a telemetry trace (the
+// file `rapid -telemetry` or `suite -scale cluster -telemetry` writes)
 // as sparklines over the whole run plus a per-window table — the
 // at-a-glance view that locates a contention knee or a rate collapse
 // inside a cluster-scale run without opening a spreadsheet.
@@ -223,32 +226,32 @@ func cmdTimeseries(args []string, stdout, stderr io.Writer) error {
 		width = fs.Int("width", 72, "sparkline columns")
 		rows  = fs.Int("n", 24, "table rows (0 = all windows; a longer run is downsampled by striding)")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("timeseries: want exactly one telemetry snapshot JSON file")
-	}
-	f, err := os.Open(fs.Arg(0))
+	rec, err := parseTrace(fs, args)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	sn, err := telemetry.ReadJSON(f)
-	if err != nil {
-		return err
+	windows := rec.Windows
+	n := len(windows)
+	if n == 0 {
+		return fmt.Errorf("timeseries: %s holds no telemetry windows", fs.Arg(0))
 	}
-	n := len(sn.Windows)
+	rate := func(count int64) float64 { return float64(count) * 1e6 / float64(rec.Width) }
 	fmt.Fprintf(stdout, "%d windows of %.1f ms virtual time (%.1f ms total)\n",
-		n, float64(sn.WindowMicros)/1000, float64(sn.WindowMicros)*float64(n)/1000)
-	if len(sn.SampleNodes) > 0 {
-		fmt.Fprintf(stdout, "sampled nodes: %v\n", sn.SampleNodes)
+		n, float64(rec.Width)/1000, float64(rec.Width)*float64(n)/1000)
+	var sampled []int
+	for _, t := range rec.Tracks() {
+		if t.Kind == obs.TrackProc {
+			sampled = append(sampled, t.ID)
+		}
+	}
+	if len(sampled) > 0 {
+		fmt.Fprintf(stdout, "sampled nodes: %v\n", sampled)
 	}
 
-	series := func(f func(w *telemetry.Window) float64) []float64 {
+	series := func(f func(w *obs.Window) float64) []float64 {
 		vals := make([]float64, n)
-		for i := range sn.Windows {
-			vals[i] = f(&sn.Windows[i])
+		for i := range windows {
+			vals[i] = f(&windows[i])
 		}
 		return vals
 	}
@@ -265,40 +268,36 @@ func cmdTimeseries(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %-18s %s  [%.3g .. %.3g]\n", label, metrics.Sparkline(vals, *width), lo, hi)
 	}
 	// Fault columns appear only when the run injected anything, so
-	// fault-free snapshots render exactly as they did pre-chaos.
-	var faultActivity int64
-	for i := range sn.Windows {
-		c := &sn.Windows[i].Ctrs
-		faultActivity += c[obs.CtrFaultsInjected] + c[obs.CtrReadRetries] +
-			c[obs.CtrNodeStalls] + c[obs.CtrQuorumReleases]
-	}
-	if n > 0 {
-		spark("events/sec", series(func(w *telemetry.Window) float64 {
-			return sn.Rate(w.Ctrs[obs.CtrKernelEvents])
-		}))
-		spark("hit rate", series(func(w *telemetry.Window) float64 {
-			if r := w.HitRate(); r >= 0 {
-				return r
-			}
-			return 0
-		}))
-		spark("prefetch/sec", series(func(w *telemetry.Window) float64 {
-			return sn.Rate(w.Ctrs[obs.CtrCachePrefetchesIssued])
-		}))
-		spark("demand wait µs", series(func(w *telemetry.Window) float64 {
-			return float64(w.Dur[obs.SpanDemandWait])
-		}))
-		spark("disk queue p95 µs", series(func(w *telemetry.Window) float64 {
-			return float64(w.Quantile(0, 0.95))
-		}))
-		if faultActivity > 0 {
-			spark("faults/sec", series(func(w *telemetry.Window) float64 {
-				return sn.Rate(w.Ctrs[obs.CtrFaultsInjected])
-			}))
-			spark("retries/sec", series(func(w *telemetry.Window) float64 {
-				return sn.Rate(w.Ctrs[obs.CtrReadRetries])
-			}))
+	// fault-free series render exactly as they did pre-chaos. The
+	// totals are the windows' sums.
+	c := &rec.Counters
+	faultActivity := c[obs.CtrFaultsInjected] + c[obs.CtrReadRetries] +
+		c[obs.CtrNodeStalls] + c[obs.CtrQuorumReleases]
+	spark("events/sec", series(func(w *obs.Window) float64 {
+		return rate(w.Ctrs[obs.CtrKernelEvents])
+	}))
+	spark("hit rate", series(func(w *obs.Window) float64 {
+		if r := w.HitRate(); r >= 0 {
+			return r
 		}
+		return 0
+	}))
+	spark("prefetch/sec", series(func(w *obs.Window) float64 {
+		return rate(w.Ctrs[obs.CtrCachePrefetchesIssued])
+	}))
+	spark("demand wait µs", series(func(w *obs.Window) float64 {
+		return float64(w.Dur[obs.SpanDemandWait])
+	}))
+	spark("disk queue p95 µs", series(func(w *obs.Window) float64 {
+		return float64(w.Quantile(obs.SpanDiskQueue, 0.95))
+	}))
+	if faultActivity > 0 {
+		spark("faults/sec", series(func(w *obs.Window) float64 {
+			return rate(w.Ctrs[obs.CtrFaultsInjected])
+		}))
+		spark("retries/sec", series(func(w *obs.Window) float64 {
+			return rate(w.Ctrs[obs.CtrReadRetries])
+		}))
 	}
 
 	stride := 1
@@ -313,20 +312,20 @@ func cmdTimeseries(args []string, stdout, stderr io.Writer) error {
 	}
 	tb := &metrics.Table{Header: header}
 	for i := 0; i < n; i += stride {
-		w := &sn.Windows[i]
+		w := &windows[i]
 		hit := "-"
 		if r := w.HitRate(); r >= 0 {
 			hit = fmt.Sprintf("%.3f", r)
 		}
 		row := []string{
-			fmt.Sprintf("%d", w.Index),
-			fmt.Sprintf("%.1f", float64(w.Index*sn.WindowMicros)/1000),
-			fmt.Sprintf("%.0f", sn.Rate(w.Ctrs[obs.CtrKernelEvents])),
+			fmt.Sprintf("%d", i),
+			fmt.Sprintf("%.1f", float64(int64(i)*rec.Width)/1000),
+			fmt.Sprintf("%.0f", rate(w.Ctrs[obs.CtrKernelEvents])),
 			hit,
-			fmt.Sprintf("%.0f", sn.Rate(w.Ctrs[obs.CtrCachePrefetchesIssued])),
+			fmt.Sprintf("%.0f", rate(w.Ctrs[obs.CtrCachePrefetchesIssued])),
 			fmt.Sprintf("%.1f", float64(w.Dur[obs.SpanDemandWait])/1000),
 			fmt.Sprintf("%.1f", float64(w.Dur[obs.SpanSyncWait])/1000),
-			fmt.Sprintf("%.2f", float64(w.Quantile(0, 0.95))/1000),
+			fmt.Sprintf("%.2f", float64(w.Quantile(obs.SpanDiskQueue, 0.95))/1000),
 		}
 		if faultActivity > 0 {
 			row = append(row,

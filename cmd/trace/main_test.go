@@ -212,45 +212,55 @@ func TestMalformedTraceErrors(t *testing.T) {
 }
 
 // TestTimeseriesSubcommand exercises the sparkline/table rendering of
-// a telemetry snapshot end to end through the CLI: a snapshot written
-// by rapid -telemetry must round-trip into a readable report, and a
-// non-snapshot file must be rejected.
+// a telemetry trace end to end through the CLI: the file rapid
+// -telemetry writes renders as a readable report and reads like any
+// other trace, while a telemetry snapshot JSON, which is not a
+// trace-event file, and a span trace with no windows are refused.
 func TestTimeseriesSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "run.telemetry.json")
-	// cmd/trace has no telemetry-producing subcommand; synthesize the
-	// snapshot through the library exactly as cmd/rapid does.
-	writeTelemetrySnapshot(t, snap)
+	path := filepath.Join(dir, "run.telemetry.json")
+	writeTelemetry(t, path, rapid.FaultConfig{})
 
-	out, err := runCmd(t, "timeseries", snap)
+	out, err := runCmd(t, "timeseries", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"windows of", "events/sec", "hit rate", "start ms", "queue p95"} {
+	for _, want := range []string{"windows of", "sampled nodes: [", "events/sec", "hit rate", "start ms", "queue p95"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeseries output missing %q:\n%s", want, out)
 		}
+	}
+	// The sampled spans and the run's totals are a trace like any other.
+	if out, err := runCmd(t, "verify", path); err != nil || !strings.Contains(out, "ok:") {
+		t.Fatalf("verify of the telemetry trace = %q, %v", out, err)
+	}
+	if out, err := runCmd(t, "summary", path); err != nil || !strings.Contains(out, "kernel-events") {
+		t.Fatalf("summary of the telemetry trace lacks the totals: %q, %v", out, err)
 	}
 
 	bogus := filepath.Join(dir, "bogus.json")
 	if err := os.WriteFile(bogus, []byte(`{"windowMicros": 0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCmd(t, "timeseries", bogus); err == nil {
-		t.Fatal("timeseries accepted a snapshot with no window width")
+	if _, err := runCmd(t, "timeseries", bogus); !errors.Is(err, obs.ErrNotTrace) {
+		t.Fatalf("timeseries of a snapshot JSON = %v, want ErrNotTrace", err)
+	}
+	plain := record(t, dir, "plain.json", true)
+	if _, err := runCmd(t, "timeseries", plain); err == nil || !strings.Contains(err.Error(), plain) {
+		t.Fatalf("timeseries of a span trace = %v, want a refusal naming %s", err, plain)
 	}
 	if _, err := runCmd(t, "timeseries"); err == nil {
 		t.Fatal("timeseries accepted zero file arguments")
 	}
 }
 
-// TestTimeseriesFaultView: a snapshot with fault activity grows the
-// fault sparklines and table columns; a fault-free snapshot renders
-// without them (the pre-chaos layout, byte-stable).
+// TestTimeseriesFaultView: windows with fault activity grow the fault
+// sparklines and table columns; fault-free windows render without
+// them (the pre-chaos layout, byte-stable).
 func TestTimeseriesFaultView(t *testing.T) {
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "clean.telemetry.json")
-	writeTelemetrySnapshot(t, clean)
+	writeTelemetry(t, clean, rapid.FaultConfig{})
 	out, err := runCmd(t, "timeseries", clean)
 	if err != nil {
 		t.Fatal(err)
@@ -262,26 +272,7 @@ func TestTimeseriesFaultView(t *testing.T) {
 	}
 
 	faulted := filepath.Join(dir, "faulted.telemetry.json")
-	tel := telemetry.New(telemetry.Config{Window: 50_000, Nodes: 4})
-	cfg := rapid.DefaultConfig(rapid.GW)
-	cfg.Procs, cfg.Disks, cfg.Pattern.Procs = 4, 4, 4
-	cfg.Pattern.TotalBlocks = 120
-	cfg.Prefetch = true
-	cfg.Fault = rapid.FaultConfig{Seed: 9, ReadErrorRate: 0.2}
-	cfg.Obs = tel
-	if _, err := rapid.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(faulted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tel.Snapshot().WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTelemetry(t, faulted, rapid.FaultConfig{Seed: 9, ReadErrorRate: 0.2})
 	out, err = runCmd(t, "timeseries", faulted)
 	if err != nil {
 		t.Fatal(err)
@@ -293,15 +284,17 @@ func TestTimeseriesFaultView(t *testing.T) {
 	}
 }
 
-// writeTelemetrySnapshot runs a small experiment with the windowed
-// telemetry sink attached and writes its snapshot JSON to path.
-func writeTelemetrySnapshot(t *testing.T, path string) {
+// writeTelemetry runs a small experiment under fc with the windowed
+// telemetry sink attached, sampling 2 of its 4 nodes, and writes the
+// sink's recorder to path, as rapid -telemetry -sample 2 does.
+func writeTelemetry(t *testing.T, path string, fc rapid.FaultConfig) {
 	t.Helper()
-	tel := telemetry.New(telemetry.Config{Window: 50_000, Nodes: 4})
+	tel := telemetry.New(telemetry.Config{Window: 50_000, SampleK: 2, Nodes: 4})
 	cfg := rapid.DefaultConfig(rapid.GW)
 	cfg.Procs, cfg.Disks, cfg.Pattern.Procs = 4, 4, 4
 	cfg.Pattern.TotalBlocks = 120
 	cfg.Prefetch = true
+	cfg.Fault = fc
 	cfg.Obs = tel
 	if _, err := rapid.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -311,7 +304,7 @@ func writeTelemetrySnapshot(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := tel.Snapshot().WriteJSON(f); err != nil {
+	if _, err := tel.Recorder().WriteTo(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,9 +50,9 @@ type ScaleOptions struct {
 	// telemetry.DefaultWindow, 100 ms of sim time) to the sweep's
 	// leading prefetch cell (Nodes[0]) — or, when Chaos is on, to the
 	// leading chaos cell, whose time series shows the fault activity —
-	// and stores its snapshot and the sampled full-fidelity trace on the
-	// ScaleResult. Per claim S5, the sink never changes any Result byte
-	// — it only adds the windowed view.
+	// and stores its recorder (windows, sampled spans and totals) on
+	// the ScaleResult. Per claim S5, the sink never changes any Result
+	// byte — it only adds the windowed view.
 	Telemetry bool
 	// SampleK is the number of nodes recorded at full fidelity when
 	// Telemetry is on (0 = 16).
@@ -150,11 +150,11 @@ type ScaleResult struct {
 	Knee  []ScaleRow // disk sweep at Nodes[0], prefetching
 	Chaos []ScaleRow // chaos cells, one per size (ScaleOptions.Chaos)
 
-	// Telemetry and SampledTrace are set when ScaleOptions.Telemetry is
-	// on: the windowed time series of the Nodes[0] prefetch cell and
-	// the full-fidelity trace of its K sampled nodes.
-	Telemetry    *telemetry.Snapshot
-	SampledTrace *obs.Recorder
+	// Telemetry is set when ScaleOptions.Telemetry is on: the
+	// windowed time series of the Nodes[0] prefetch cell, the
+	// full-fidelity spans of its K sampled nodes and its counter
+	// totals, as one recorder.
+	Telemetry *obs.Recorder
 
 	// DiskAccessMillis is the raw per-block disk service time the sweep
 	// ran with; KneeIndex uses it as the contention floor.
@@ -218,7 +218,7 @@ func runScaleCell(cfg core.Config, tel *telemetry.Sink) ScaleRow {
 	var totals func() obs.Counters
 	if tel != nil {
 		cfg.Obs = tel
-		totals = tel.Totals
+		totals = func() obs.Counters { return tel.Recorder().Counters }
 	} else {
 		sink := &obs.CounterSink{}
 		cfg.Obs = sink
@@ -357,8 +357,7 @@ func RunScaleSweep(opts ScaleOptions) *ScaleResult {
 			tick()
 		}
 		if tel != nil {
-			r.Telemetry = tel.Snapshot()
-			r.SampledTrace = tel.Sampled()
+			r.Telemetry = tel.Recorder()
 		}
 	}
 	for _, div := range opts.KneeDivisors {
@@ -445,11 +444,12 @@ func VerifyScaleClaims(opts ScaleOptions) (*Verification, *ScaleResult) {
 		SampleSeed: opts.Seed,
 	})
 	telBytes := marshal(tel)
-	telSane := len(tel.Windows()) > 0 && tel.Totals()[obs.CtrKernelEvents] > 0
+	seen := tel.Recorder()
+	telSane := len(seen.Windows) > 0 && seen.Counters[obs.CtrKernelEvents] > 0
 	add("S5-telemetry-invariant",
 		fmt.Sprintf("a %d-node run with the windowed telemetry sink is byte-identical to the sink-free run", n0),
 		fmt.Sprintf("result JSON equal: %v; sink saw %d windows, %d kernel events",
-			bytes.Equal(a, telBytes), len(tel.Windows()), tel.Totals()[obs.CtrKernelEvents]),
+			bytes.Equal(a, telBytes), len(seen.Windows), seen.Counters[obs.CtrKernelEvents]),
 		bytes.Equal(a, telBytes) && telSane)
 
 	sweep := RunScaleSweep(opts)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -58,17 +59,18 @@ func TestTelemetryGoldenInvariance(t *testing.T) {
 	}
 	// The sink must actually have observed the run, or the equality
 	// proves nothing.
-	if len(tel.Windows()) == 0 || tel.Totals()[obs.CtrKernelEvents] == 0 {
-		t.Fatalf("telemetry sink saw nothing: %d windows", len(tel.Windows()))
+	rec := tel.Recorder()
+	if len(rec.Windows) == 0 || rec.Counters[obs.CtrKernelEvents] == 0 {
+		t.Fatalf("telemetry sink saw nothing: %d windows", len(rec.Windows))
 	}
-	if rec := tel.Sampled(); rec == nil || len(rec.Spans) == 0 {
+	if len(rec.Spans) == 0 {
 		t.Error("node sampling recorded no spans")
 	}
 }
 
 // TestScaleSweepTelemetry drives RunScaleSweep's telemetry path at CI
-// size: the snapshot and sampled trace must be attached, windowed, and
-// consistent with the cell's counters.
+// size: the recorder must be attached, windowed, and consistent with
+// the cell's counters, and its spans must come from the sample.
 func TestScaleSweepTelemetry(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -81,38 +83,38 @@ func TestScaleSweepTelemetry(t *testing.T) {
 		SampleK:      4,
 	}
 	sweep := RunScaleSweep(opts)
-	if sweep.Telemetry == nil {
-		t.Fatal("sweep did not attach a telemetry snapshot")
+	rec := sweep.Telemetry
+	if rec == nil {
+		t.Fatal("sweep did not attach a telemetry recorder")
 	}
-	sn := sweep.Telemetry
-	if sn.WindowMicros != telemetry.DefaultWindow {
-		t.Errorf("window %d µs, want default %d", sn.WindowMicros, telemetry.DefaultWindow)
+	if rec.Width != telemetry.DefaultWindow {
+		t.Errorf("window %d µs, want default %d", rec.Width, telemetry.DefaultWindow)
 	}
-	if len(sn.Windows) == 0 {
-		t.Fatal("snapshot has no windows")
-	}
-	if len(sn.SampleNodes) != 4 {
-		t.Errorf("sampled %v, want 4 nodes", sn.SampleNodes)
+	if len(rec.Windows) == 0 {
+		t.Fatal("recorder has no windows")
 	}
 	// The windowed kernel-event deltas must sum to the cell's total.
 	var events int64
-	for i := range sn.Windows {
-		events += sn.Windows[i].Ctrs[obs.CtrKernelEvents]
+	for i := range rec.Windows {
+		events += rec.Windows[i].Ctrs[obs.CtrKernelEvents]
 	}
-	if events != sn.Totals[obs.CtrKernelEvents] || events == 0 {
-		t.Errorf("windowed kernel events sum %d, totals say %d", events, sn.Totals[obs.CtrKernelEvents])
+	if events != rec.Counters[obs.CtrKernelEvents] || events == 0 {
+		t.Errorf("windowed kernel events sum %d, totals say %d", events, rec.Counters[obs.CtrKernelEvents])
 	}
-	if sweep.SampledTrace == nil || len(sweep.SampledTrace.Spans) == 0 {
-		t.Error("sweep did not attach the sampled trace")
+	if len(rec.Spans) == 0 {
+		t.Error("sweep did not record the sampled spans")
 	}
-	// Sampled spans only come from sampled proc tracks or the barrier.
-	sampled := map[int]bool{}
-	for _, id := range sn.SampleNodes {
-		sampled[id] = true
-	}
-	for _, sp := range sweep.SampledTrace.Spans {
-		if sp.Track.Kind == obs.TrackProc && !sampled[sp.Track.ID] {
-			t.Fatalf("unsampled node %d leaked into the sampled trace", sp.Track.ID)
+	// Sampled spans come only from the sampled proc tracks and the
+	// barrier.
+	var procs []int
+	for _, tr := range rec.Tracks() {
+		if tr.Kind == obs.TrackProc {
+			procs = append(procs, tr.ID)
+		} else if tr.Kind != obs.TrackBarrier {
+			t.Errorf("track %s leaked into the sampled spans", tr)
 		}
+	}
+	if want := telemetry.SampleNodes(1, 1000, 4); !reflect.DeepEqual(procs, want) {
+		t.Errorf("sampled processors %v, want %v", procs, want)
 	}
 }

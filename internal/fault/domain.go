@@ -182,7 +182,7 @@ func (c DomainConfig) find(name string) int {
 // (the fault package does not know the machine's size).
 func (c DomainConfig) Validate() error {
 	seen := map[string]bool{}
-	for _, d := range c.Domains {
+	for i, d := range c.Domains {
 		if d.Name == "" {
 			return errors.New("fault: unnamed failure domain")
 		}
@@ -191,20 +191,19 @@ func (c DomainConfig) Validate() error {
 		}
 		seen[d.Name] = true
 		if d.DiskStart < 0 || d.DiskCount < 0 || d.NodeStart < 0 || d.NodeCount < 0 {
-			return fmt.Errorf("fault: domain %q has a negative member range", d.Name)
+			return &FieldError{fmt.Sprintf("Domains[%d]", i), fmt.Sprintf("(%q) has a negative member range", d.Name)}
 		}
 	}
-	if c.KillAt < 0 || c.StormAt < 0 || c.StormFor < 0 || c.StormJitter < 0 {
-		return errors.New("fault: negative domain event time")
-	}
-	if c.StormFactor < 0 || (c.StormFactor > 0 && c.StormFactor < 1) {
-		return fmt.Errorf("fault: StormFactor %g below 1 (service speedups are not faults)", c.StormFactor)
-	}
-	if c.StragglerRate < 0 || c.StragglerRate > 1 {
-		return fmt.Errorf("fault: StragglerRate %g outside [0, 1]", c.StragglerRate)
-	}
-	if c.StragglerFactor < 0 || (c.StragglerFactor > 0 && c.StragglerFactor < 1) {
-		return fmt.Errorf("fault: StragglerFactor %g below 1 (node speedups are not faults)", c.StragglerFactor)
+	if err := errors.Join(
+		checkNonNegative("KillAt", c.KillAt, true),
+		checkNonNegative("StormAt", c.StormAt, true),
+		checkNonNegative("StormFor", c.StormFor, true),
+		checkNonNegative("StormJitter", c.StormJitter, true),
+		checkFactor("StormFactor", c.StormFactor, true),
+		checkRate("StragglerRate", c.StragglerRate, true),
+		checkFactor("StragglerFactor", c.StragglerFactor, true),
+	); err != nil {
+		return err
 	}
 	for _, ref := range []struct {
 		name string
@@ -226,14 +225,16 @@ func (c DomainConfig) Validate() error {
 // least one disk and one node alive (degraded reads need a surviving
 // disk; the run needs a surviving reader).
 func (c DomainConfig) CheckAgainst(disks, procs int) error {
-	for _, d := range c.Domains {
-		if d.DiskStart+d.DiskCount > disks {
-			return fmt.Errorf("fault: domain %q disks [%d,%d) out of range for %d disks",
-				d.Name, d.DiskStart, d.DiskStart+d.DiskCount, disks)
+	// The member ranges are non-negative (Validate), so comparing start
+	// against the room left cannot wrap the way start+count can.
+	for i, d := range c.Domains {
+		if d.DiskCount > disks || d.DiskStart > disks-d.DiskCount {
+			return &FieldError{fmt.Sprintf("Domains[%d].DiskStart", i), fmt.Sprintf("%d with DiskCount %d (%q) out of range for %d disks",
+				d.DiskStart, d.DiskCount, d.Name, disks)}
 		}
-		if d.NodeStart+d.NodeCount > procs {
-			return fmt.Errorf("fault: domain %q nodes [%d,%d) out of range for %d procs",
-				d.Name, d.NodeStart, d.NodeStart+d.NodeCount, procs)
+		if d.NodeCount > procs || d.NodeStart > procs-d.NodeCount {
+			return &FieldError{fmt.Sprintf("Domains[%d].NodeStart", i), fmt.Sprintf("%d with NodeCount %d (%q) out of range for %d procs",
+				d.NodeStart, d.NodeCount, d.Name, procs)}
 		}
 	}
 	if d, ok := c.Killed(); ok {

@@ -1,9 +1,12 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/memory"
 	"repro/internal/sim"
@@ -58,20 +61,30 @@ func TestSplitDomainsCoversEverything(t *testing.T) {
 }
 
 func TestDomainValidateRejects(t *testing.T) {
-	cases := []struct {
+	type tc struct {
 		name string
 		mut  func(*DomainConfig)
 		want string
-	}{
+	}
+	cases := []tc{
 		{"unnamed", func(c *DomainConfig) { c.Domains[1].Name = "" }, "unnamed"},
 		{"duplicate", func(c *DomainConfig) { c.Domains[1].Name = "rack0" }, "duplicate"},
-		{"negative range", func(c *DomainConfig) { c.Domains[0].DiskCount = -1 }, "negative member range"},
-		{"negative time", func(c *DomainConfig) { c.KillDomain, c.KillAt = "rack0", -ms(1) }, "negative domain event time"},
+		{"negative range", func(c *DomainConfig) { c.Domains[0].DiskCount = -1 }, "Domains[0]"},
+		{"negative time", func(c *DomainConfig) { c.KillDomain, c.KillAt = "rack0", -ms(1) }, "KillAt"},
+		{"negative storm jitter", func(c *DomainConfig) { c.StormJitter = -1 }, "StormJitter"},
 		{"storm speedup", func(c *DomainConfig) { c.StormFactor = 0.5 }, "StormFactor"},
 		{"rate range", func(c *DomainConfig) { c.StragglerRate = 1.5 }, "StragglerRate"},
 		{"straggler speedup", func(c *DomainConfig) { c.StragglerFactor = 0.2 }, "StragglerFactor"},
 		{"unknown kill", func(c *DomainConfig) { c.KillDomain, c.KillAt = "rack9", ms(1) }, "unknown failure domain"},
 		{"unknown storm", func(c *DomainConfig) { c.StormDomain = "zoneX" }, "unknown failure domain"},
+	}
+	// NaN passes a pair of range comparisons, and an infinite or huge
+	// factor wraps the scaled durations: a typed error names the field.
+	for _, v := range odd {
+		cases = append(cases,
+			tc{fmt.Sprint("storm factor ", v), func(c *DomainConfig) { c.StormFactor = v }, "StormFactor"},
+			tc{fmt.Sprint("straggler factor ", v), func(c *DomainConfig) { c.StragglerFactor = v }, "StragglerFactor"},
+			tc{fmt.Sprint("straggler rate ", v), func(c *DomainConfig) { c.StragglerRate = v }, "StragglerRate"})
 	}
 	for _, tc := range cases {
 		c := rackConfig()
@@ -79,6 +92,9 @@ func TestDomainValidateRejects(t *testing.T) {
 		err := c.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+		if unicode.IsUpper(rune(tc.want[0])) {
+			checkField(t, err, tc.want)
 		}
 	}
 }
@@ -104,6 +120,25 @@ func TestDomainCheckAgainst(t *testing.T) {
 	}
 	if err := whole.CheckAgainst(16, 8); err == nil || !strings.Contains(err.Error(), "no surviving processor") {
 		t.Fatalf("node wipeout: got %v", err)
+	}
+	// A member range whose end would wrap past MaxInt is out of range,
+	// not a small negative end that passes.
+	for _, d := range []Domain{
+		{Name: "wrap", DiskStart: math.MaxInt, DiskCount: 1, NodeCount: 1},
+		{Name: "wrap", DiskStart: 1, DiskCount: math.MaxInt, NodeCount: 1},
+		{Name: "wrap", DiskCount: 1, NodeStart: math.MaxInt, NodeCount: 1},
+		{Name: "wrap", DiskCount: 1, NodeStart: 1, NodeCount: math.MaxInt},
+	} {
+		c := DomainConfig{Domains: []Domain{d}}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%+v: Validate: %v", d, err)
+		}
+		err := c.CheckAgainst(8, 16)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%+v: got %v, want out of range", d, err)
+			continue
+		}
+		checkField(t, err, "Domains[0]")
 	}
 }
 

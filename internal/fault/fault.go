@@ -85,30 +85,76 @@ func (c Config) Enabled() bool {
 		c.Timeout > 0 || c.KillAt > 0
 }
 
-// Validate checks the configuration. Rates must be in [0, 1): a rate
-// of one would make every retry fail and the run could never complete.
+// Validate checks the configuration, returning the *FieldError of each
+// invalid field, joined. Rates must be in [0, 1): a rate of one would
+// make every retry fail and the run could never complete.
 func (c Config) Validate() error {
-	check := func(name string, rate float64) error {
-		if rate < 0 || rate >= 1 {
-			return fmt.Errorf("fault: %s %g outside [0, 1)", name, rate)
-		}
+	return errors.Join(
+		checkRate("ReadErrorRate", c.ReadErrorRate, false),
+		checkRate("SpikeRate", c.SpikeRate, false),
+		checkRate("StuckRate", c.StuckRate, false),
+		checkFactor("SpikeMultiplier", c.SpikeMultiplier, false),
+		checkNonNegative("SpikeMean", c.SpikeMean, true),
+		checkNonNegative("StuckDelay", c.StuckDelay, true),
+		checkNonNegative("Timeout", c.Timeout, true),
+		checkNonNegative("KillAt", c.KillAt, true),
+		checkNonNegative("KillDisk", c.KillDisk, c.KillAt > 0),
+	)
+}
+
+// FieldError is the typed error of an invalid fault parameter: it
+// names the configuration field and why its value is refused, so
+// callers can match the field with errors.As rather than parse a
+// message.
+type FieldError struct {
+	Field  string
+	Reason string
+}
+
+// Error formats the refusal.
+func (e *FieldError) Error() string { return "fault: " + e.Field + " " + e.Reason }
+
+// MaxFactor bounds every slowdown factor: SpikeMultiplier, the node
+// StragglerFactor and the domain StormFactor and StragglerFactor. A
+// factor scales a duration as float64(d)·f, which wraps negative past
+// 2^63 µs, so an infinite or huge factor would schedule events in the
+// past or speed the run up. Up to 1e6 the product stays in range for
+// every d under 2^63/1e6 µs (about 106 days), far longer than any
+// service time or action cost the model prices, and 1e6 is far past
+// the slowdowns the studies use (up to 8).
+const MaxFactor = 1e6
+
+// checkRate refuses a probability outside [0, 1), or [0, 1] when one
+// is allowed. NaN fails both comparisons, so it is refused too.
+func checkRate(field string, r float64, oneOK bool) error {
+	if r >= 0 && (r < 1 || oneOK && r == 1) {
 		return nil
 	}
-	if err := check("ReadErrorRate", c.ReadErrorRate); err != nil {
-		return err
+	bound := ")"
+	if oneOK {
+		bound = "]"
 	}
-	if err := check("SpikeRate", c.SpikeRate); err != nil {
-		return err
+	return &FieldError{field, fmt.Sprintf("%g outside [0, 1%s", r, bound)}
+}
+
+// checkFactor refuses a slowdown factor that is NaN, negative or above
+// MaxFactor, and, for a field whose speedups are not faults, one
+// strictly between 0 (inert) and 1.
+func checkFactor(field string, f float64, slowdownOnly bool) error {
+	switch {
+	case !(f >= 0 && f <= MaxFactor):
+		return &FieldError{field, fmt.Sprintf("%g outside [0, %g]", f, MaxFactor)}
+	case slowdownOnly && f > 0 && f < 1:
+		return &FieldError{field, fmt.Sprintf("%g below 1 (speedups are not faults)", f)}
 	}
-	if err := check("StuckRate", c.StuckRate); err != nil {
-		return err
-	}
-	if c.SpikeMultiplier < 0 || c.SpikeMean < 0 || c.StuckDelay < 0 ||
-		c.Timeout < 0 || c.KillAt < 0 {
-		return errors.New("fault: negative duration or multiplier")
-	}
-	if c.KillAt > 0 && c.KillDisk < 0 {
-		return fmt.Errorf("fault: KillDisk %d is negative", c.KillDisk)
+	return nil
+}
+
+// checkNonNegative refuses a negative duration, disk or node number,
+// or frame count in a field that is used.
+func checkNonNegative[T sim.Duration | int](field string, v T, used bool) error {
+	if used && v < 0 {
+		return &FieldError{field, fmt.Sprintf("%v is negative", v)}
 	}
 	return nil
 }

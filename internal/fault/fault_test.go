@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,17 +42,26 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%+v: unexpected error %v", c, err)
 		}
 	}
-	bad := []struct {
+	type tc struct {
 		c    Config
 		want string
-	}{
+	}
+	bad := []tc{
 		{Config{ReadErrorRate: 1}, "ReadErrorRate"},
 		{Config{ReadErrorRate: -0.1}, "ReadErrorRate"},
 		{Config{SpikeRate: 1.5}, "SpikeRate"},
 		{Config{StuckRate: 1}, "StuckRate"},
-		{Config{SpikeMean: -sim.Second}, "negative"},
-		{Config{Timeout: -1}, "negative"},
+		{Config{SpikeMean: -sim.Second}, "SpikeMean"},
+		{Config{Timeout: -1}, "Timeout"},
 		{Config{KillAt: sim.Second, KillDisk: -1}, "KillDisk"},
+	}
+	// NaN passes a pair of range comparisons, and an infinite or huge
+	// multiplier wraps the scaled service time: each is refused with a
+	// typed error naming the field.
+	for _, v := range odd {
+		bad = append(bad, tc{Config{ReadErrorRate: v}, "ReadErrorRate"},
+			tc{Config{SpikeRate: 0.5, SpikeMultiplier: v}, "SpikeMultiplier"},
+			tc{Config{StuckRate: v}, "StuckRate"})
 	}
 	for _, tc := range bad {
 		err := tc.c.Validate()
@@ -61,6 +72,71 @@ func TestConfigValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: error %q does not mention %q", tc.c, err, tc.want)
 		}
+		checkField(t, err, tc.want)
+	}
+	if err := (Config{SpikeRate: 0.5, SpikeMultiplier: MaxFactor}).Validate(); err != nil {
+		t.Errorf("SpikeMultiplier at MaxFactor refused: %v", err)
+	}
+}
+
+// odd are the float values a pair of range comparisons lets through or
+// that wrap a scaled duration: every rate and factor field refuses
+// them.
+var odd = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+
+// checkField fails unless err is a *FieldError whose Field contains
+// field.
+func checkField(t *testing.T, err error, field string) {
+	t.Helper()
+	var fe *FieldError
+	if !errors.As(err, &fe) || !strings.Contains(fe.Field, field) {
+		t.Errorf("%v: want a *FieldError naming %s", err, field)
+	}
+}
+
+// TestNodeConfigValidate refuses every invalid node-fault field with a
+// typed error naming it, NaN and infinities included.
+func TestNodeConfigValidate(t *testing.T) {
+	for _, c := range []NodeConfig{
+		{},
+		{StragglerFactor: 1},
+		{StragglerFactor: MaxFactor, StragglerNode: 2},
+		{StallRate: 0.5, StallMean: sim.Millisecond, KillAt: sim.Second, BarrierTimeout: sim.Second},
+		{SqueezeAt: sim.Second, SqueezeFrames: 2},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: unexpected error %v", c, err)
+		}
+	}
+	type tc struct {
+		c     NodeConfig
+		field string
+	}
+	bad := []tc{
+		{NodeConfig{StallRate: 1}, "StallRate"},
+		{NodeConfig{StallRate: -0.5}, "StallRate"},
+		{NodeConfig{StragglerFactor: 0.5}, "StragglerFactor"},
+		{NodeConfig{StragglerFactor: -2}, "StragglerFactor"},
+		{NodeConfig{StragglerFactor: 2, StragglerNode: -1}, "StragglerNode"},
+		{NodeConfig{StallMean: -1}, "StallMean"},
+		{NodeConfig{KillAt: -1}, "KillAt"},
+		{NodeConfig{BarrierTimeout: -1}, "BarrierTimeout"},
+		{NodeConfig{SqueezeAt: -1}, "SqueezeAt"},
+		{NodeConfig{KillAt: sim.Second, KillNode: -1}, "KillNode"},
+		{NodeConfig{SqueezeFrames: -1}, "SqueezeFrames"},
+		{NodeConfig{SqueezeAt: sim.Second}, "SqueezeFrames"},
+	}
+	for _, v := range odd {
+		bad = append(bad, tc{NodeConfig{StallRate: v}, "StallRate"},
+			tc{NodeConfig{StragglerFactor: v}, "StragglerFactor"})
+	}
+	for _, b := range bad {
+		err := b.c.Validate()
+		if err == nil {
+			t.Errorf("%+v: expected an error naming %s", b.c, b.field)
+			continue
+		}
+		checkField(t, err, b.field)
 	}
 }
 

@@ -15,7 +15,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/memory"
 	"repro/internal/rng"
@@ -105,33 +104,25 @@ func (c NodeConfig) Enabled() bool {
 		c.BarrierTimeout > 0 || c.SqueezeAt > 0 || c.Backpressure
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration, returning the *FieldError of each
+// invalid field, joined.
 func (c NodeConfig) Validate() error {
-	if c.StallRate < 0 || c.StallRate >= 1 {
-		return fmt.Errorf("fault: StallRate %g outside [0, 1)", c.StallRate)
-	}
-	if c.StragglerFactor < 0 {
-		return fmt.Errorf("fault: negative StragglerFactor %g", c.StragglerFactor)
-	}
-	if c.StragglerFactor > 0 && c.StragglerFactor < 1 {
-		return fmt.Errorf("fault: StragglerFactor %g below 1 (node speedups are not faults)", c.StragglerFactor)
-	}
-	if c.StragglerNode < 0 {
-		return fmt.Errorf("fault: StragglerNode %d is negative", c.StragglerNode)
-	}
-	if c.StallMean < 0 || c.KillAt < 0 || c.BarrierTimeout < 0 || c.SqueezeAt < 0 {
-		return errors.New("fault: negative node-fault duration")
-	}
-	if c.KillAt > 0 && c.KillNode < 0 {
-		return fmt.Errorf("fault: KillNode %d is negative", c.KillNode)
-	}
-	if c.SqueezeFrames < 0 {
-		return fmt.Errorf("fault: negative SqueezeFrames %d", c.SqueezeFrames)
-	}
+	var squeeze error
 	if c.SqueezeAt > 0 && c.SqueezeFrames == 0 {
-		return errors.New("fault: SqueezeAt set but SqueezeFrames is zero")
+		squeeze = &FieldError{"SqueezeFrames", "is zero with SqueezeAt set"}
 	}
-	return nil
+	return errors.Join(
+		checkRate("StallRate", c.StallRate, false),
+		checkFactor("StragglerFactor", c.StragglerFactor, true),
+		checkNonNegative("StragglerNode", c.StragglerNode, true),
+		checkNonNegative("StallMean", c.StallMean, true),
+		checkNonNegative("KillAt", c.KillAt, true),
+		checkNonNegative("BarrierTimeout", c.BarrierTimeout, true),
+		checkNonNegative("SqueezeAt", c.SqueezeAt, true),
+		checkNonNegative("KillNode", c.KillNode, c.KillAt > 0),
+		checkNonNegative("SqueezeFrames", c.SqueezeFrames, true),
+		squeeze,
+	)
 }
 
 // defaultStallMean is the stall-pause mean when the configuration does

@@ -7,6 +7,7 @@ import (
 
 	rapid "repro"
 	"repro/internal/obs"
+	"repro/internal/obs/telemetry"
 )
 
 // FuzzRead checks that Read never panics and that any input it accepts
@@ -33,6 +34,21 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	good := recorded.Bytes()
+	// The same run through the telemetry sink, one node sampled, in
+	// 20 ms windows: 23 windows, 5 of them empty, with every kind of
+	// series, and the totals.
+	tel := telemetry.New(telemetry.Config{Window: 20_000, SampleK: 1, Nodes: 2})
+	cfg.Obs = tel
+	if _, err := rapid.Run(cfg); err != nil {
+		f.Fatal(err)
+	}
+	var windowed bytes.Buffer
+	if _, err := tel.Recorder().WriteTo(&windowed); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := obs.Read(bytes.NewReader(windowed.Bytes())); err != nil {
+		f.Fatalf("Read refuses the telemetry seed: %v", err)
+	}
 	// The inputs of cmd/trace's TestMalformedTraceErrors.
 	for _, seed := range [][]byte{
 		good,
@@ -43,6 +59,7 @@ func FuzzRead(f *testing.F) {
 		good[:len(good)-2],
 		[]byte(`{"traceEvents":[{"name":"what","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"arg":0}}]}`),
 		[]byte(`{"traceEvents":[{"name":"disk-queue","ph":"b","cat":"disk-queue","ts":0,"pid":2,"tid":0,"id":"a1","args":{"arg":0}}]}`),
+		windowed.Bytes(),
 	} {
 		f.Add(seed)
 	}

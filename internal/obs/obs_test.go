@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,28 +51,47 @@ func sample() *Recorder {
 	return r
 }
 
-func TestRecorderRoundTrip(t *testing.T) {
+// windowed is sample plus a windowed series: an empty window between
+// two filled ones, and values in counter, duration, count and
+// histogram series, fault counters included.
+func windowed() *Recorder {
 	r := sample()
-	var a strings.Builder
-	if _, err := r.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(strings.NewReader(a.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, r) {
-		t.Fatalf("round trip changed the trace:\n%+v\n%+v", r, back)
-	}
-	var b strings.Builder
-	if _, err := back.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("round trip not byte-identical:\n--- first\n%s--- second\n%s", a.String(), b.String())
+	r.Width = 100
+	r.Windows = make([]Window, 3)
+	r.Windows[0].AddSpan(Span{Track: ProcTrack(0), Kind: SpanCompute, Start: 0, End: 100, Block: -1})
+	r.Windows[0].Ctrs[CtrKernelEvents] = 5
+	r.Windows[2].AddSpan(Span{Track: DiskTrack(2), Kind: SpanDiskQueue, Start: 110, End: 240, Block: 7})
+	r.Windows[2].Ctrs[CtrFaultsInjected] = 2
+	r.Windows[2].Ctrs[CtrTakeoverReads] = 1
+	return r
+}
+
+func TestRecorderRoundTrip(t *testing.T) {
+	for _, r := range []*Recorder{sample(), windowed()} {
+		var a strings.Builder
+		if _, err := r.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(strings.NewReader(a.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip changed the trace:\n%+v\n%+v", r, back)
+		}
+		var b strings.Builder
+		if _, err := back.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("round trip not byte-identical:\n--- first\n%s--- second\n%s", a.String(), b.String())
+		}
 	}
 	if _, err := Read(strings.NewReader("not a trace\n")); !errors.Is(err, ErrNotTrace) {
 		t.Fatalf("Read of a non-trace = %v, want ErrNotTrace", err)
+	}
+	if _, err := (&Recorder{Windows: []Window{{}}}).WriteTo(io.Discard); err == nil {
+		t.Fatal("WriteTo wrote windows without a width")
 	}
 }
 
@@ -81,6 +101,10 @@ func TestRecorderRoundTrip(t *testing.T) {
 func TestReadRefusesNonCanonical(t *testing.T) {
 	const x = `{"name":"compute","ph":"X","cat":"compute","ts":0,"dur":5,"pid":1,"tid":0,"args":{"arg":0%s}}`
 	const b = `{"name":"disk-queue","ph":"b","cat":"disk-queue","ts":0,"pid":2,"tid":0,"id":"a1","args":{"arg":0}}`
+	const w = `{"name":"window_width","ph":"M","pid":4,"tid":0,"args":{"value":100}},`
+	c := func(series string, ts, v int64) string {
+		return fmt.Sprintf(`{"name":%q,"ph":"C","ts":%d,"pid":4,"tid":0,"args":{"value":%d}}`, series, ts, v)
+	}
 	for name, events := range map[string]string{
 		"negative block":     fmt.Sprintf(x, `,"block":-5`),
 		"unknown arg":        fmt.Sprintf(x, `,"node":3`),
@@ -98,6 +122,20 @@ func TestReadRefusesNonCanonical(t *testing.T) {
 		"unknown span kind":  `{"name":"nap","ph":"X","ts":0,"dur":5,"pid":1,"tid":0,"args":{"arg":0}}`,
 		"second document":    `]}{"traceEvents":[`,
 		"fractional instant": `{"name":"compute","ph":"X","ts":0.5,"dur":5,"pid":1,"tid":0,"args":{"arg":0}}`,
+		"counter off pid 0":  `{"name":"disk-requests","ph":"C","ts":0,"pid":2,"tid":0,"args":{"value":1}}`,
+
+		"window out of order":   w + c("kernel-events", 100, 1) + "," + c("kernel-events", 0, 1),
+		"series out of order":   w + c("compute-us", 0, 5) + "," + c("kernel-events", 0, 1),
+		"repeated series":       w + c("kernel-events", 0, 1) + "," + c("kernel-events", 0, 2),
+		"zero window value":     w + c("kernel-events", 0, 0),
+		"off the window grid":   w + c("kernel-events", 50, 1),
+		"negative window":       w + c("kernel-events", -100, 1),
+		"past the window bound": w + c("kernel-events", 100*maxWindows, 1),
+		"window without width":  c("kernel-events", 0, 1),
+		"unknown series":        w + c("widgets-us", 0, 1),
+		"second width":          w + w + c("kernel-events", 0, 1),
+		"zero width":            `{"name":"window_width","ph":"M","pid":4,"tid":0,"args":{"value":0}}`,
+		"width off its pid":     `{"name":"window_width","ph":"M","pid":0,"tid":0,"args":{"value":100}}`,
 	} {
 		doc := `{"traceEvents":[` + events + `],"displayTimeUnit":"ms"}`
 		if rec, err := Read(strings.NewReader(doc)); err == nil {
@@ -110,6 +148,17 @@ func TestReadRefusesNonCanonical(t *testing.T) {
 		if _, err := Read(strings.NewReader(`{"traceEvents":[` + events + `]}`)); err != nil {
 			t.Errorf("Read refused %s: %v", events, err)
 		}
+	}
+	// Windows in order rebuild the empty window between filled ones.
+	events := w + c("kernel-events", 0, 1) + "," + c("compute-us", 0, 5) + "," + c("disk-queue-bucket-7", 200, 3)
+	rec, err := Read(strings.NewReader(`{"traceEvents":[` + events + `]}`))
+	if err != nil {
+		t.Fatalf("Read refused %s: %v", events, err)
+	}
+	var want [3]Window
+	want[0].Ctrs[CtrKernelEvents], want[0].Dur[SpanCompute], want[2].Hist[0][7] = 1, 5, 3
+	if rec.Width != 100 || !reflect.DeepEqual(rec.Windows, want[:]) {
+		t.Errorf("Read %s as width %d, windows %+v", events, rec.Width, rec.Windows)
 	}
 }
 

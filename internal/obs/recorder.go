@@ -24,9 +24,16 @@ var (
 // Recorder is a Sink that retains every span and counter increment in
 // memory for later inspection, export, or serialization. It is not
 // safe for concurrent use; attach one Recorder per simulation run.
+//
+// A Recorder may also hold a windowed series of the run, which the
+// telemetry sink fills: Windows[i] covers virtual time [i·Width,
+// (i+1)·Width), and the series ends at its last non-empty window.
+// Width is 0 when there are no windows.
 type Recorder struct {
 	Spans    []Span
 	Counters Counters
+	Width    int64
+	Windows  []Window
 }
 
 // NewRecorder returns an empty Recorder.
@@ -84,6 +91,12 @@ func (r *Recorder) Tracks() []Track {
 // on their own sub-tracks. A span's Arg is args.arg and its Block
 // args.block, absent for -1. Each non-zero counter is one "C" event on
 // pid 0 at the trace's end instant.
+//
+// The windowed series has a process of its own (windowsPID), which the
+// viewer draws as counter tracks: a "window_width" metadata event holds
+// the width, and each non-zero value of a window is one "C" event at
+// the window's start, named by its series (window.go), in window then
+// series order.
 
 // traceEvent is one entry of the traceEvents array. Fields are pruned
 // per phase via omitempty.
@@ -115,11 +128,24 @@ type traceDoc struct {
 
 var processNames = [numTrackKinds]string{"processors", "disks", "barrier"}
 
+// windowsPID is the pid of the windowed series, after the track kinds'.
+const windowsPID = int(numTrackKinds) + 1
+
+// maxWindows bounds the windows a trace may hold, so a corrupt file
+// cannot make Read allocate without limit: 65,536 windows are 65 s of
+// virtual time at rapid's 1 ms minimum and 109 min at the telemetry
+// sink's 100 ms default.
+const maxWindows = 1 << 16
+
 // WriteTo writes the trace as trace-event JSON: metadata naming the
-// tracks, the spans in emission order, then the counters. The bytes
-// are a pure function of the Recorder, and Read gives the Recorder
-// back exactly.
+// tracks and the window width, the spans in emission order, the
+// windows, then the counters. The bytes are a pure function of the
+// Recorder, and Read gives the Recorder back exactly.
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	if len(r.Windows) > 0 && r.Width <= 0 || len(r.Windows) > maxWindows {
+		return 0, fmt.Errorf("obs: %d windows of width %d: want a positive width and at most %d windows",
+			len(r.Windows), r.Width, maxWindows)
+	}
 	events := make([]traceEvent, 0, 2*len(r.Spans)+8)
 	tracks := r.Tracks()
 	for i, t := range tracks {
@@ -133,6 +159,11 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 			Name: "thread_name", Ph: "M", PID: int(t.Kind) + 1, TID: t.ID,
 			Args: &traceArgs{Name: t.String()},
 		})
+	}
+	if r.Width > 0 {
+		events = append(events,
+			traceEvent{Name: "process_name", Ph: "M", PID: windowsPID, Args: &traceArgs{Name: "windows"}},
+			traceEvent{Name: "window_width", Ph: "M", PID: windowsPID, Args: &traceArgs{Value: r.Width}})
 	}
 	asyncID := 0
 	for _, s := range r.Spans {
@@ -155,6 +186,14 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 		dur := s.Dur()
 		ev.Ph, ev.Dur = "X", &dur
 		events = append(events, ev)
+	}
+	for i := range r.Windows {
+		for j, name := range seriesNames {
+			if v := *r.Windows[i].series(j); v != 0 {
+				events = append(events, traceEvent{Name: name, Ph: "C",
+					TS: int64(i) * r.Width, PID: windowsPID, Args: &traceArgs{Value: v}})
+			}
+		}
 	}
 	end := r.End()
 	for c, v := range r.Counters {
@@ -197,18 +236,44 @@ func Read(rd io.Reader) (*Recorder, error) {
 	}
 	rec := NewRecorder()
 	evs := doc.TraceEvents
+	last := int64(-1) // position of the last window value, index·len(seriesNames) + series
 	for i := 0; i < len(evs); i++ {
 		ev, at := evs[i], i
 		bad := func(why string) error {
 			return fmt.Errorf("obs: event %d (%q, ph %q): %s", at, ev.Name, ev.Ph, why)
 		}
-		switch ev.Ph {
-		case "M":
+		switch {
+		case ev.Ph == "M" && ev.Name == "window_width":
+			if ev.PID != windowsPID || ev.Args == nil || ev.Args.Value <= 0 || rec.Width != 0 {
+				return nil, bad("want one positive width on the windows' pid")
+			}
+			rec.Width = ev.Args.Value
 			continue
-		case "C":
+		case ev.Ph == "M":
+			continue
+		case ev.Ph == "C" && ev.PID == windowsPID:
+			j, ok := seriesIndex[ev.Name]
+			if !ok || ev.Args == nil || ev.Args.Value == 0 {
+				return nil, bad("not a non-zero window series")
+			}
+			if rec.Width == 0 || ev.TS < 0 || ev.TS%rec.Width != 0 || ev.TS/rec.Width >= maxWindows {
+				return nil, bad(fmt.Sprintf("want the start of one of %d windows after the window width", maxWindows))
+			}
+			idx := ev.TS / rec.Width
+			pos := idx*int64(len(seriesNames)) + int64(j)
+			if pos <= last {
+				return nil, bad("out of window and series order")
+			}
+			last = pos
+			for int64(len(rec.Windows)) <= idx {
+				rec.Windows = append(rec.Windows, Window{})
+			}
+			*rec.Windows[idx].series(j) = ev.Args.Value
+			continue
+		case ev.Ph == "C":
 			c, err := ParseCounter(ev.Name)
-			if err != nil || ev.Args == nil || ev.Args.Value == 0 {
-				return nil, bad("not a non-zero counter")
+			if err != nil || ev.PID != 0 || ev.Args == nil || ev.Args.Value == 0 {
+				return nil, bad("not a non-zero counter on pid 0")
 			}
 			rec.Counters[c] = ev.Args.Value
 			continue

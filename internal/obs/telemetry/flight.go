@@ -16,13 +16,8 @@ import (
 // doing, and when each was last heard from — instead of a bare stack
 // trace.
 type Flight struct {
-	spans   []obs.Span // ring storage
-	spanPos int        // next write slot
-	spanN   int        // spans written in total
-
-	ctrs   []ctrDelta
-	ctrPos int
-	ctrN   int
+	spans ring[obs.Span]
+	ctrs  ring[ctrDelta]
 
 	// lastSeen tracks the most recent span end per track, for the
 	// "who went quiet" digest in the dump. Bounded by the number of
@@ -43,51 +38,43 @@ type lastActivity struct {
 
 func newFlight() *Flight {
 	return &Flight{
-		spans:    make([]obs.Span, FlightSpans),
-		ctrs:     make([]ctrDelta, FlightCtrs),
+		spans:    ring[obs.Span]{buf: make([]obs.Span, FlightSpans)},
+		ctrs:     ring[ctrDelta]{buf: make([]ctrDelta, FlightCtrs)},
 		lastSeen: make(map[obs.Track]lastActivity),
 	}
 }
 
 func (f *Flight) span(sp obs.Span) {
-	f.spans[f.spanPos] = sp
-	f.spanPos = (f.spanPos + 1) % len(f.spans)
-	f.spanN++
+	f.spans.push(sp)
 	if la, ok := f.lastSeen[sp.Track]; !ok || sp.End >= la.end {
 		f.lastSeen[sp.Track] = lastActivity{sp.Kind, sp.End}
 	}
 }
 
-func (f *Flight) ctr(at int64, c obs.Counter, delta int64) {
-	f.ctrs[f.ctrPos] = ctrDelta{at, c, delta}
-	f.ctrPos = (f.ctrPos + 1) % len(f.ctrs)
-	f.ctrN++
-}
+func (f *Flight) ctr(at int64, c obs.Counter, delta int64) { f.ctrs.push(ctrDelta{at, c, delta}) }
 
 // Spans returns the ring's contents oldest-first.
-func (f *Flight) Spans() []obs.Span {
-	n := f.spanN
-	if n > len(f.spans) {
-		n = len(f.spans)
-	}
-	out := make([]obs.Span, 0, n)
-	start := (f.spanPos - n + len(f.spans)) % len(f.spans)
-	for i := 0; i < n; i++ {
-		out = append(out, f.spans[(start+i)%len(f.spans)])
-	}
-	return out
+func (f *Flight) Spans() []obs.Span { return f.spans.oldestFirst() }
+
+// ring keeps the last len(buf) values pushed.
+type ring[T any] struct {
+	buf []T
+	pos int // next write slot
+	n   int // values pushed in total
 }
 
-// deltas returns the counter ring oldest-first.
-func (f *Flight) deltas() []ctrDelta {
-	n := f.ctrN
-	if n > len(f.ctrs) {
-		n = len(f.ctrs)
-	}
-	out := make([]ctrDelta, 0, n)
-	start := (f.ctrPos - n + len(f.ctrs)) % len(f.ctrs)
-	for i := 0; i < n; i++ {
-		out = append(out, f.ctrs[(start+i)%len(f.ctrs)])
+func (r *ring[T]) push(v T) {
+	r.buf[r.pos] = v
+	r.pos = (r.pos + 1) % len(r.buf)
+	r.n++
+}
+
+// oldestFirst returns the values kept, oldest first.
+func (r *ring[T]) oldestFirst() []T {
+	n := min(r.n, len(r.buf))
+	out := make([]T, 0, n)
+	for i := r.pos - n + len(r.buf); len(out) < n; i++ {
+		out = append(out, r.buf[i%len(r.buf)])
 	}
 	return out
 }
@@ -129,14 +116,14 @@ func (f *Flight) Dump(w io.Writer, cause any) {
 	}
 
 	spans := f.Spans()
-	dropped := f.spanN - len(spans)
+	dropped := f.spans.n - len(spans)
 	fmt.Fprintf(w, "last %d spans (%d older dropped):\n", len(spans), dropped)
 	for _, sp := range spans {
 		fmt.Fprintf(w, "  %8d..%-8d %-10s %-15s block=%d arg=%d\n",
 			sp.Start, sp.End, sp.Track, sp.Kind, sp.Block, sp.Arg)
 	}
 
-	deltas := f.deltas()
+	deltas := f.ctrs.oldestFirst()
 	fmt.Fprintf(w, "last %d counter increments:\n", len(deltas))
 	for _, d := range deltas {
 		fmt.Fprintf(w, "  %8dus %s +%d\n", d.At, d.Ctr, d.Delta)

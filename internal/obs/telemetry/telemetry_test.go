@@ -21,7 +21,7 @@ func TestWindowAttribution(t *testing.T) {
 	s.Span(span(obs.ProcTrack(1), obs.SpanCompute, 90, 150))   // window 1, crosses the edge
 	s.Span(span(obs.ProcTrack(0), obs.SpanDemandWait, 0, 250)) // window 2, longer than a window
 
-	w := s.Windows()
+	w := s.Recorder().Windows
 	if len(w) != 3 {
 		t.Fatalf("got %d windows, want 3", len(w))
 	}
@@ -51,13 +51,13 @@ func TestCounterAttribution(t *testing.T) {
 	s.SetClock(func() int64 { return now })
 	s.Add(obs.CtrDiskRequests, 1) // clock 250 → window 2
 
-	w := s.Windows()
+	w := s.Recorder().Windows
 	for i, want := range []int64{1, 1, 1} {
 		if got := w[i].Ctrs[obs.CtrDiskRequests]; got != want {
 			t.Errorf("window %d disk-requests = %d, want %d", i, got, want)
 		}
 	}
-	if got := s.Totals()[obs.CtrDiskRequests]; got != 3 {
+	if got := s.Recorder().Counters[obs.CtrDiskRequests]; got != 3 {
 		t.Errorf("total disk-requests = %d, want 3", got)
 	}
 }
@@ -66,15 +66,15 @@ func TestHistBucketing(t *testing.T) {
 	cases := []struct {
 		us   int64
 		want int
-	}{{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11}, {1 << 40, HistBuckets - 1}}
+	}{{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11}, {1 << 40, obs.HistBuckets - 1}}
 	for _, c := range cases {
-		if got := HistBucket(c.us); got != c.want {
+		if got := obs.HistBucket(c.us); got != c.want {
 			t.Errorf("HistBucket(%d) = %d, want %d", c.us, got, c.want)
 		}
 	}
 	// Every bucket's lower bound maps back to that bucket.
-	for b := 0; b < HistBuckets; b++ {
-		if got := HistBucket(BucketLow(b)); got != b {
+	for b := 0; b < obs.HistBuckets; b++ {
+		if got := obs.HistBucket(obs.BucketLow(b)); got != b {
 			t.Errorf("HistBucket(BucketLow(%d)) = %d", b, got)
 		}
 	}
@@ -88,19 +88,24 @@ func TestQuantile(t *testing.T) {
 		s.Span(span(obs.DiskTrack(0), obs.SpanDiskQueue, 0, 10))
 	}
 	s.Span(span(obs.DiskTrack(0), obs.SpanDiskQueue, 0, 1000))
-	w := s.Windows()[1] // spans end at 10 and 1000... 10µs spans land in window 0
-	_ = w
-	w0 := s.Windows()[0]
-	if got := w0.Quantile(0, 0.5); got != BucketLow(HistBucket(10)) {
-		t.Errorf("p50 = %d, want %d", got, BucketLow(HistBucket(10)))
+	// The 10 µs spans end in window 0, the 1000 µs one in window 1.
+	w := s.Recorder().Windows
+	if got, want := w[0].Quantile(obs.SpanDiskQueue, 0.5), obs.BucketLow(obs.HistBucket(10)); got != want {
+		t.Errorf("p50 = %d, want %d", got, want)
 	}
-	if got := s.Windows()[1].Quantile(0, 0.5); got != BucketLow(HistBucket(1000)) {
-		t.Errorf("window 1 p50 = %d, want %d", got, BucketLow(HistBucket(1000)))
+	if got, want := w[1].Quantile(obs.SpanDiskQueue, 0.5), obs.BucketLow(obs.HistBucket(1000)); got != want {
+		t.Errorf("window 1 p50 = %d, want %d", got, want)
 	}
-	var empty Window
-	if got := empty.Quantile(0, 0.99); got != 0 {
+	var empty obs.Window
+	if got := empty.Quantile(obs.SpanDiskQueue, 0.99); got != 0 {
 		t.Errorf("empty-window quantile = %d, want 0", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Quantile of a kind with no histogram did not panic")
+		}
+	}()
+	empty.Quantile(obs.SpanCompute, 0.5)
 }
 
 // TestSampleNodesDeterministic pins the seed-hashed selection: same
@@ -160,7 +165,7 @@ func TestSampledRecorder(t *testing.T) {
 	s.Span(span(obs.BarrierTrack(), obs.SpanBarrierGen, 0, 20))
 	s.Span(span(obs.DiskTrack(0), obs.SpanDiskTransfer, 0, 30))
 
-	rec := s.Sampled()
+	rec := s.Recorder()
 	if len(rec.Spans) != 3 { // 2 sampled procs + barrier
 		t.Fatalf("recorder kept %d spans, want 3", len(rec.Spans))
 	}
@@ -170,7 +175,7 @@ func TestSampledRecorder(t *testing.T) {
 		}
 	}
 	// All 10 proc spans still aggregated.
-	if got := s.Windows()[0].Count[obs.SpanCompute]; got != 10 {
+	if got := rec.Windows[0].Count[obs.SpanCompute]; got != 10 {
 		t.Errorf("window counted %d compute spans, want 10", got)
 	}
 }
@@ -231,7 +236,7 @@ func TestFlightTraceRoundTrips(t *testing.T) {
 	}
 	s.Add(obs.CtrDiskRequests, 7)
 	var buf bytes.Buffer
-	if err := s.Flight().WriteTrace(&buf, s.Totals()); err != nil {
+	if err := s.Flight().WriteTrace(&buf, s.Recorder().Counters); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := obs.Read(&buf)
@@ -257,55 +262,9 @@ func TestDumpFlight(t *testing.T) {
 	}
 }
 
-// TestSnapshotExports covers CSV and JSON round-trip basics.
-func TestSnapshotExports(t *testing.T) {
-	s := New(Config{Window: 100, SampleK: 1, Nodes: 4})
-	s.Span(span(obs.ProcTrack(0), obs.SpanDiskQueue, 0, 30))
-	s.Span(span(obs.ProcTrack(0), obs.SpanCompute, 0, 80))
-	s.Add(obs.CtrCacheReadyHits, 3)
-	s.Add(obs.CtrCacheMisses, 1)
-	sn := s.Snapshot()
-
-	var csvBuf bytes.Buffer
-	if err := sn.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want header + 1 window", len(lines))
-	}
-	if cols, want := len(strings.Split(lines[1], ",")), len(strings.Split(lines[0], ",")); cols != want {
-		t.Errorf("CSV row has %d columns, header %d", cols, want)
-	}
-	if !strings.Contains(lines[1], "0.7500") {
-		t.Errorf("CSV row missing hit rate 0.7500: %s", lines[1])
-	}
-
-	var jsonBuf bytes.Buffer
-	if err := sn.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&jsonBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.WindowMicros != 100 || len(back.Windows) != 1 {
-		t.Errorf("round-trip snapshot: window %d µs, %d windows", back.WindowMicros, len(back.Windows))
-	}
-	if back.Windows[0].Dur[obs.SpanCompute] != 80 {
-		t.Errorf("round-trip lost the compute sum")
-	}
-	if _, err := ReadJSON(strings.NewReader("{}")); err == nil {
-		t.Error("ReadJSON accepted a snapshot with no window width")
-	}
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("ReadJSON accepted garbage")
-	}
-}
-
 // TestHitRate pins the -1 no-lookup sentinel.
 func TestHitRate(t *testing.T) {
-	var w Window
+	var w obs.Window
 	if got := w.HitRate(); got != -1 {
 		t.Errorf("empty window hit rate = %v, want -1", got)
 	}
@@ -313,55 +272,5 @@ func TestHitRate(t *testing.T) {
 	w.Ctrs[obs.CtrCacheMisses] = 1
 	if got := w.HitRate(); got != 0.75 {
 		t.Errorf("hit rate = %v, want 0.75", got)
-	}
-}
-
-// TestSnapshotFaultColumns pins the fault columns PR 10 appended to the
-// CSV export: they trail the pre-chaos layout (append-only, so existing
-// consumers keep their column indexes) and carry the per-window
-// injection and recovery deltas.
-func TestSnapshotFaultColumns(t *testing.T) {
-	s := New(Config{Window: 100})
-	s.Add(obs.CtrFaultsInjected, 2)
-	s.Add(obs.CtrReadRetries, 1)
-	s.Add(obs.CtrQuorumReleases, 3)
-	var buf bytes.Buffer
-	if err := s.Snapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want header + 1 window", len(lines))
-	}
-	header := strings.Split(lines[0], ",")
-	wantTail := []string{
-		"fault_draws", "faults_injected", "disk_faulted",
-		"read_retries", "failed_fills",
-		"node_stalls", "quorum_releases", "takeover_reads",
-	}
-	tail := header[len(header)-len(wantTail):]
-	for i, want := range wantTail {
-		if tail[i] != want {
-			t.Fatalf("fault column %d = %q, want %q (full header %v)", i, tail[i], want, header)
-		}
-	}
-	row := strings.Split(lines[1], ",")
-	cell := func(name string) string {
-		for i, h := range header {
-			if h == name {
-				return row[i]
-			}
-		}
-		t.Fatalf("no column %q", name)
-		return ""
-	}
-	if got := cell("faults_injected"); got != "2" {
-		t.Errorf("faults_injected = %s, want 2", got)
-	}
-	if got := cell("read_retries"); got != "1" {
-		t.Errorf("read_retries = %s, want 1", got)
-	}
-	if got := cell("quorum_releases"); got != "3" {
-		t.Errorf("quorum_releases = %s, want 3", got)
 	}
 }
